@@ -185,6 +185,9 @@ def _validate(cfg: RunConfig) -> None:
     _require(a["dual"] in ("identity", "dual_hessian"), f"algorithm.dual must be identity|dual_hessian, got {a['dual']!r}")
     if p["domain"] == "simplex":
         _require(a["map"] == "entropy", "simplex problems pair only with the entropy mirror map")
+    elif p["kind"] == "generate":
+        # a bundle's own domain decides; harness.build_problem checks it after loading
+        _require(a["map"] != "entropy", "the entropy mirror map needs problem.domain = simplex")
 
     h = cfg["hyperparams"]
     _require(h["eta"] > 0, f"hyperparams.eta must be positive, got {h['eta']}")

@@ -17,7 +17,7 @@ convergence analysis needs for non-negativity and descent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,22 +25,6 @@ from .dynamics import ParticleSystem
 from .graphs import LaplacianSpectra, WeightedGraph
 from .mirror_maps import MirrorMap
 from .objectives import DistributedProblem
-
-CSV_COLUMNS = (
-    "step",
-    "t",
-    "loss_mean",
-    "loss_best",
-    "loss_worst",
-    "consensus_spread",
-    "kkt_primal",
-    "kkt_consensus",
-    "V",
-    "V1",
-    "V2",
-    "V3",
-    "bregman_to_opt",
-)
 
 C_SAFETY_FACTOR = 1.01
 
@@ -66,6 +50,9 @@ class MetricsRecord:
             repr(float(getattr(self, name))) for name in CSV_COLUMNS[1:]
         ]
         return ",".join(vals)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def csv_header() -> str:
@@ -139,28 +126,10 @@ def predicted_rate(constants: ConvexityConstants, c: float, kappa_g: float) -> f
     return 2.0 * kappa_g / denom
 
 
-def particle_losses(x_rows: np.ndarray, problem: DistributedProblem) -> np.ndarray:
-    """Aggregate cost sum_j f_j evaluated at each particle's state."""
-    return np.array([problem.aggregate_value(x) for x in np.asarray(x_rows, dtype=float)])
-
-
-def consensus_spread(x_rows: np.ndarray, problem: DistributedProblem) -> float:
+def consensus_spread(x_rows: np.ndarray, losses: np.ndarray) -> float:
     """Squared distance between the best and worst particle by aggregate loss."""
-    x_rows = np.asarray(x_rows, dtype=float)
-    if x_rows.shape[0] == 1:
-        return 0.0
-    losses = particle_losses(x_rows, problem)
     diff = x_rows[int(np.argmin(losses))] - x_rows[int(np.argmax(losses))]
     return float(diff @ diff)
-
-
-def kkt_residuals(
-    state: ParticleSystem, problem: DistributedProblem, graph: WeightedGraph
-) -> tuple[float, float]:
-    """(stationarity ||grad f + L lam||, feasibility ||L x||), stacked norms."""
-    primal = problem.grads(state.x) + graph.laplacian @ state.lam
-    consensus = graph.laplacian @ state.x
-    return float(np.linalg.norm(primal)), float(np.linalg.norm(consensus))
 
 
 def bregman_to_opt(x_rows: np.ndarray, x_star: np.ndarray, mmap: MirrorMap) -> float:
@@ -168,37 +137,6 @@ def bregman_to_opt(x_rows: np.ndarray, x_star: np.ndarray, mmap: MirrorMap) -> f
     x_rows = np.asarray(x_rows, dtype=float)
     target = np.broadcast_to(x_star, x_rows.shape)
     return float(np.sum(mmap.bregman(target, x_rows)))
-
-
-def lyapunov(
-    state: ParticleSystem,
-    problem: DistributedProblem,
-    graph: WeightedGraph,
-    x_star: np.ndarray,
-    lambda_star: np.ndarray,
-    mmap: MirrorMap,
-    c: float,
-    dual=None,
-) -> tuple[float, float, float, float]:
-    """Evaluate V and its components at the current state."""
-    x = state.x
-    target = np.broadcast_to(x_star, x.shape)
-    v1 = float(np.sum(mmap.bregman(target, x)))
-    lam_diff = state.lam - lambda_star
-    if dual is not None and dual.kind == "dual_hessian":
-        v2 = dual.bregman(lambda_star, state.lam)
-    else:
-        v2 = 0.5 * float(np.vdot(lam_diff, lam_diff))
-    dx = x - target
-    grads_star = problem.grads_at(np.asarray(x_star, dtype=float))
-    d_f = float(
-        np.sum(problem.block_values(x))
-        - problem.aggregate_value(x_star)
-        - np.vdot(grads_star, dx)
-    )
-    lap_x = graph.laplacian @ x
-    v3 = d_f + float(np.vdot(dx, graph.laplacian @ lam_diff)) + 0.5 * float(np.vdot(x, lap_x))
-    return c * (v1 + v2) + v3, v1, v2, v3
 
 
 def kappa_g_estimate(
@@ -287,7 +225,7 @@ def rate_fit(t: np.ndarray, v: np.ndarray, window: float = 0.5) -> RateFit:
 
 
 class MetricsRecorder:
-    """Bundles everything needed to turn a ParticleSystem into a MetricsRecord."""
+    """Turns a ParticleSystem into a MetricsRecord, each column computed once."""
 
     def __init__(
         self,
@@ -308,32 +246,50 @@ class MetricsRecorder:
         self.lambda_star = np.asarray(lambda_star, dtype=float)
         self.c = c
         self.dual = dual
+        # x*-only terms of V3, fixed for the life of the recorder
+        self._grads_star = problem.grads_at(self.x_star)
+        self._f_star = problem.aggregate_value(self.x_star)
+
+    def lyapunov(self, state: ParticleSystem) -> tuple[float, float, float, float]:
+        """(V, V1, V2, V3) at the current state; see the module docstring."""
+        return self._lyapunov(state, self.graph.laplacian @ state.x)
+
+    def _lyapunov(
+        self, state: ParticleSystem, lap_x: np.ndarray
+    ) -> tuple[float, float, float, float]:
+        x = state.x
+        v1 = bregman_to_opt(x, self.x_star, self.mmap)
+        lam_diff = state.lam - self.lambda_star
+        if self.dual is not None and self.dual.kind == "dual_hessian":
+            v2 = self.dual.bregman(self.lambda_star, state.lam)
+        else:
+            v2 = 0.5 * float(np.vdot(lam_diff, lam_diff))
+        dx = x - self.x_star
+        d_f = float(
+            np.sum(self.problem.block_values(x)) - self._f_star - np.vdot(self._grads_star, dx)
+        )
+        v3 = (
+            d_f
+            + float(np.vdot(dx, self.graph.laplacian @ lam_diff))
+            + 0.5 * float(np.vdot(x, lap_x))
+        )
+        return self.c * (v1 + v2) + v3, v1, v2, v3
 
     def __call__(self, state: ParticleSystem) -> MetricsRecord:
-        losses = particle_losses(state.x, self.problem)
-        best, worst = int(np.argmin(losses)), int(np.argmax(losses))
-        diff = state.x[best] - state.x[worst]
-        spread = float(diff @ diff) if self.problem.n > 1 else 0.0
-        kkt_p, kkt_c = kkt_residuals(state, self.problem, self.graph)
-        v, v1, v2, v3 = lyapunov(
-            state,
-            self.problem,
-            self.graph,
-            self.x_star,
-            self.lambda_star,
-            self.mmap,
-            self.c,
-            dual=self.dual,
-        )
+        x = state.x
+        losses = self.problem.aggregate_value(x)
+        lap_x = self.graph.laplacian @ x
+        v, v1, v2, v3 = self._lyapunov(state, lap_x)
+        primal = self.problem.grads(x) + self.graph.laplacian @ state.lam
         return MetricsRecord(
             step=state.step,
             t=state.t,
-            loss_mean=self.problem.aggregate_value(state.x.mean(axis=0)),
-            loss_best=float(losses[best]),
-            loss_worst=float(losses[worst]),
-            consensus_spread=spread,
-            kkt_primal=kkt_p,
-            kkt_consensus=kkt_c,
+            loss_mean=self.problem.aggregate_value(x.mean(axis=0)),
+            loss_best=float(losses.min()),
+            loss_worst=float(losses.max()),
+            consensus_spread=consensus_spread(x, losses),
+            kkt_primal=float(np.linalg.norm(primal)),
+            kkt_consensus=float(np.linalg.norm(lap_x)),
             V=v,
             V1=v1,
             V2=v2,

@@ -66,8 +66,11 @@ def build_problem(cfg: RunConfig) -> DistributedProblem:
                 domain=p["domain"],
             )
         )
-    if problem.domain == "simplex" and cfg["algorithm"]["map"] != "entropy":
+    entropy = cfg["algorithm"]["map"] == "entropy"
+    if problem.domain == "simplex" and not entropy:
         raise ConfigError("simplex problems pair only with the entropy mirror map")
+    if problem.domain != "simplex" and entropy:
+        raise ConfigError("the entropy mirror map needs a simplex problem")
     return problem
 
 

@@ -30,7 +30,6 @@ import numpy as np
 from .graphs import LaplacianSpectra, apply_block
 
 MAP_KINDS = ("euclidean", "entropy", "quadratic")
-ROUND_TRIP_TOL = 1e-10
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:

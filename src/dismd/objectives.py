@@ -91,13 +91,15 @@ class DistributedProblem:
         r = np.einsum("nmd,nd->nm", self._q, x_rows) - self._b
         return 0.5 * np.sum(r * r, axis=-1)
 
-    def aggregate_value(self, x: np.ndarray) -> float:
-        """sum_i f_i(x) at a single consensus point."""
+    def aggregate_value(self, x: np.ndarray) -> float | np.ndarray:
+        """sum_i f_i(x) at a consensus point x, or a (k,) array for (k, d) rows."""
         x = np.asarray(x, dtype=float)
         if self.domain == "simplex" and np.any(x < 0.0):
             raise ValueError("simplex problem evaluated at a point with negative coordinates")
-        r = self._q @ x - self._b
-        return 0.5 * float(np.sum(r * r))
+        # batched matmul keeps each row's bits equal to the single-point form
+        r = (self._q @ x[..., None, :, None])[..., 0] - self._b
+        values = 0.5 * np.sum(r * r, axis=(-2, -1))
+        return float(values) if x.ndim == 1 else values
 
     def aggregate_grad(self, x: np.ndarray) -> np.ndarray:
         r = self._q @ x - self._b

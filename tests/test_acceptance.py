@@ -16,7 +16,6 @@ from dismd.diagnostics import (
     consensus_spread,
     default_c,
     kappa_g_estimate,
-    lyapunov,
     rate_fit,
 )
 from dismd.dynamics import Hyperparams, ParticleSystem, run
@@ -123,13 +122,11 @@ def test_criterion_3_ismd_exact_under_common_minimizer():
 
 def test_criterion_4_lyapunov_monotone_linear_rate():
     problem, graph, spec, mmap, opt, c = _desk_setup()
+    rec = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c)
     hp = Hyperparams(sigma=0.0, dt=1e-3, epochs=60_000)
     series = run(
         "eismd", problem, mmap, graph, hp, seed=0, metrics_every=1,
-        recorder=lambda s: (
-            s.t,
-            lyapunov(s, problem, graph, opt.x_star, opt.lambda_star, mmap, c)[0],
-        ),
+        recorder=lambda s: (s.t, rec.lyapunov(s)[0]),
     )
     ts = np.array([p[0] for p in series])
     vs = np.array([p[1] for p in series])
@@ -146,6 +143,7 @@ def test_criterion_4_lyapunov_monotone_linear_rate():
 
 def test_criterion_5_noise_floor_sigma_squared_scaling():
     problem, graph, spec, mmap, opt, c = _desk_setup()
+    rec = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c)
     floors = {}
     for sigma in (0.05, 0.1):
         tails = []
@@ -153,9 +151,7 @@ def test_criterion_5_noise_floor_sigma_squared_scaling():
             hp = Hyperparams(sigma=sigma, dt=0.01, epochs=20_000)
             series = run(
                 "eismd", problem, mmap, graph, hp, seed=seed, metrics_every=20,
-                recorder=lambda s: lyapunov(
-                    s, problem, graph, opt.x_star, opt.lambda_star, mmap, c
-                )[0],
+                recorder=lambda s: rec.lyapunov(s)[0],
             )
             v = np.asarray(series)
             tails.append(v[int(0.8 * len(v)):].mean())
@@ -403,12 +399,11 @@ def test_criterion_8_math_kernel_invariants():
         lhs = np.sum(resid**2, axis=(1, 2))
         rhs = (2.0 * kg / cst.mu_hat) * (v1 + v2)
         assert np.all(lhs >= rhs - 1e-9)
-        # spot check the vectorized forms against the lyapunov function
+        # spot check the vectorized forms against the recorder's Lyapunov function
         if trial % 20 == 0:
             st = ParticleSystem(z=x[0], x=x[0], lam=lam[0], mu=None, step=0, t=0.0)
-            vv, vv1, vv2, vv3 = lyapunov(
-                st, prob, g, opt.x_star, opt.lambda_star, mmap, c
-            )
+            rec = MetricsRecorder(prob, g, mmap, opt.x_star, opt.lambda_star, c)
+            vv, vv1, vv2, vv3 = rec.lyapunov(st)
             assert vv == pytest.approx(float(v[0]), rel=1e-9, abs=1e-9)
 
     elapsed = time.perf_counter() - started

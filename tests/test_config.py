@@ -61,6 +61,10 @@ def test_bad_value_names_key(tmp_path):
 def test_validation_rules(tmp_path):
     with pytest.raises(ConfigError, match="entropy"):
         load_config(write(tmp_path, "[problem]\ndomain = simplex\n"))
+    with pytest.raises(ConfigError, match="entropy"):
+        load_config(write(tmp_path, "[algorithm]\nmap = entropy\n"))
+    with pytest.raises(ConfigError, match="entropy"):
+        load_config(write(tmp_path, "[problem]\ndomain = unconstrained\n[algorithm]\nmap = entropy\n"))
     with pytest.raises(ConfigError, match="graph.p"):
         load_config(write(tmp_path, "[graph]\ntopology = erdos_renyi\n"))
     with pytest.raises(ConfigError, match="cluster"):

@@ -10,9 +10,6 @@ from dismd.diagnostics import (
     csv_header,
     default_c,
     kappa_g_estimate,
-    kkt_residuals,
-    lyapunov,
-    particle_losses,
     rate_fit,
 )
 from dismd.dynamics import Hyperparams, ParticleSystem, run
@@ -41,7 +38,8 @@ def test_lyapunov_zero_at_optimum():
         step=0,
         t=0.0,
     )
-    v, v1, v2, v3 = lyapunov(state, prob, graph, opt.x_star, opt.lambda_star, mmap, c=2.5)
+    rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c=2.5)
+    v, v1, v2, v3 = rec.lyapunov(state)
     assert abs(v) <= 1e-18 * (1 + abs(opt.f_star))
     assert v1 == pytest.approx(0.0, abs=1e-20)
     assert v2 == pytest.approx(0.0, abs=1e-20)
@@ -61,7 +59,8 @@ def test_lyapunov_consensus_state_reduces_to_lambda_term():
         t=0.0,
     )
     c = 3.0
-    v, v1, v2, v3 = lyapunov(state, prob, graph, opt.x_star, opt.lambda_star, mmap, c=c)
+    rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c=c)
+    v, v1, v2, v3 = rec.lyapunov(state)
     diff = lam - opt.lambda_star
     assert v1 == pytest.approx(0.0, abs=1e-18)
     assert v2 == pytest.approx(0.5 * float(np.vdot(diff, diff)), rel=1e-12)
@@ -79,6 +78,7 @@ def test_lyapunov_matches_dense_assembly_oracle():
         hf[i * d:(i + 1) * d, i * d:(i + 1) * d] = h
     xs = np.tile(opt.x_star, n)
     ls = opt.lambda_star.ravel()
+    rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c=c)
     for _ in range(10):
         x = rng.standard_normal(n * d)
         lam = rng.standard_normal(n * d)
@@ -86,7 +86,7 @@ def test_lyapunov_matches_dense_assembly_oracle():
             z=x.reshape(n, d).copy(), x=x.reshape(n, d).copy(),
             lam=lam.reshape(n, d).copy(), mu=None, step=0, t=0.0,
         )
-        v, v1, v2, v3 = lyapunov(state, prob, graph, opt.x_star, opt.lambda_star, mmap, c=c)
+        v, v1, v2, v3 = rec.lyapunov(state)
         # term-by-term dense evaluation
         want_v1 = 0.5 * float((x - xs) @ (x - xs))
         want_v2 = 0.5 * float((lam - ls) @ (lam - ls))
@@ -129,9 +129,10 @@ def test_default_c_single_particle_degenerate():
 def test_consensus_spread_trivial_cases():
     prob, graph, spec, mmap, opt = euclid_setup()
     x = np.tile(np.array([1.0, 2.0, 3.0]), (4, 1))
-    assert consensus_spread(x, prob) == 0.0
+    assert consensus_spread(x, prob.aggregate_value(x)) == 0.0
     single = generate_problem(GeneratorConfig(seed=2, d=3, m=4, n=1, condition_number=2.0))
-    assert consensus_spread(np.ones((1, 3)), single) == 0.0
+    x = np.ones((1, 3))
+    assert consensus_spread(x, single.aggregate_value(x)) == 0.0
 
 
 def test_consensus_spread_two_particles_squared_distance():
@@ -139,7 +140,7 @@ def test_consensus_spread_two_particles_squared_distance():
     blocks = [QuadraticBlock(q=np.eye(2), b=np.ones(2)) for _ in range(2)]
     prob = DistributedProblem(blocks=blocks, domain="unconstrained", d=2, n=2, m=2)
     x = np.array([[0.0, 0.0], [1.0, 1.0]])
-    assert consensus_spread(x, prob) == pytest.approx(2.0)
+    assert consensus_spread(x, prob.aggregate_value(x)) == pytest.approx(2.0)
 
 
 def test_consensus_spread_matches_brute_force_rule():
@@ -151,7 +152,7 @@ def test_consensus_spread_matches_brute_force_rule():
         b = int(np.argmin(losses))
         w = int(np.argmax(losses))
         want = float(np.sum((x[b] - x[w]) ** 2))
-        assert consensus_spread(x, prob) == pytest.approx(want, abs=1e-12)
+        assert consensus_spread(x, prob.aggregate_value(x)) == pytest.approx(want, abs=1e-12)
 
 
 def test_kappa_g_quotient_is_degenerate_for_wide_operator():
@@ -245,9 +246,9 @@ def test_kkt_residuals_zero_at_kkt_pair():
         step=0,
         t=0.0,
     )
-    p, c = kkt_residuals(state, prob, graph)
-    assert p <= 1e-10
-    assert c <= 1e-12
+    r = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c=1.0)(state)
+    assert r.kkt_primal <= 1e-10
+    assert r.kkt_consensus <= 1e-12
 
 
 def test_constants_from_problem_spectrum():
@@ -281,8 +282,8 @@ def test_recorder_record_fields_and_bregman_column():
         bregman_to_opt(states[-1].x, opt.x_star, mmap), rel=1e-12
     )
     assert r.loss_best <= r.loss_worst
-    losses = particle_losses(states[-1].x, prob)
-    assert r.loss_best == pytest.approx(float(losses.min()))
+    losses = [prob.aggregate_value(xi) for xi in states[-1].x]
+    assert (r.loss_best, r.loss_worst) == (min(losses), max(losses))
     row = r.to_csv_row()
     assert len(row.split(",")) == len(CSV_COLUMNS)
     assert csv_header().startswith("step,t,loss_mean")

@@ -272,6 +272,20 @@ def test_cli_problem_gen_and_bundle_round_trip(tmp_path):
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
 
 
+def test_bundle_domain_decides_the_entropy_map_check(tmp_path):
+    cfg_path = write_config(tmp_path, MINIMAL)
+    assert cli.main(
+        ["problem-gen", "--config", str(cfg_path), "--out", str(tmp_path / "bundle"), "--quiet"]
+    ) == 0
+    text = MINIMAL.replace(
+        "[problem]", f"[problem]\nkind = bundle\nbundle = {tmp_path/'bundle'}"
+    ) + "\n[algorithm]\nmap = entropy\n"
+    # the config itself is valid: only the loaded bundle knows its domain
+    cfg = load_config(write_config(tmp_path, text, "bundle.ini"))
+    with pytest.raises(ConfigError, match="entropy"):
+        harness.build_problem(cfg)
+
+
 def test_cli_graph_info_and_oracle(tmp_path, capsys):
     cfg_path = write_config(tmp_path, MINIMAL)
     assert cli.main(["graph-info", "--config", str(cfg_path)]) == 0

@@ -123,6 +123,17 @@ def test_aggregate_value_at_shared_minimizer_is_global_minimum():
     )
 
 
+def test_aggregate_value_rows_match_single_points():
+    prob = generate_problem(GeneratorConfig(seed=4, d=5, m=6, n=3, condition_number=4.0))
+    x = np.random.default_rng(2).standard_normal((7, 5))
+    rows = prob.aggregate_value(x)
+    assert rows.shape == (7,)
+    # each row carries the same bits as the single-point call
+    assert rows.tolist() == [prob.aggregate_value(xi) for xi in x]
+    want = [sum(blk.value(xi) for blk in prob.blocks) for xi in x]
+    assert rows == pytest.approx(want, rel=1e-12)
+
+
 def test_simplex_domain_rejects_negative_coordinates():
     cfg = GeneratorConfig(
         seed=7, d=3, m=4, n=2, condition_number=2.0, shared_minimizer=True, domain="simplex"
@@ -130,6 +141,8 @@ def test_simplex_domain_rejects_negative_coordinates():
     prob = generate_problem(cfg)
     with pytest.raises(ValueError):
         prob.aggregate_value(np.array([-0.1, 0.6, 0.5]))
+    with pytest.raises(ValueError):
+        prob.aggregate_value(np.array([[0.2, 0.3, 0.5], [-0.1, 0.6, 0.5]]))
 
 
 def test_grads_match_per_block_loops():
