@@ -1,13 +1,17 @@
-"""Golden hashes of metrics.csv for the shipped configs.
+"""Golden hashes of metrics.csv and golden manifest values for the shipped
+configs.
 
 Each case runs a shipped config, cut to a short horizon, through
 ``harness.cmd_run`` and compares the SHA-256 of the metrics file with a
 hash recorded for artifact version 0.1.0. A change that alters any
 diagnostic in any digit fails here; such a change must bump
-``artifact_version`` and record new hashes.
+``artifact_version`` and record new hashes. The manifest's ``constants``
+and ``oracle`` blocks are compared, as parsed JSON, with values recorded
+for the same version.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,99 @@ def test_metrics_csv_matches_golden_hash(tmp_path, stem, sigma):
     metrics_path, _ = harness.cmd_run(cfg, tmp_path)
     digest = hashlib.sha256(metrics_path.read_bytes()).hexdigest()
     assert digest == GOLDEN[(stem, sigma)]
+
+
+# manifest values of the shipped configs that are common to both problem_a runs
+_PROBLEM_A_MANIFEST = {
+    "constants": {
+        "kappa_n": 1.3333333333333333,
+        "kappa_beta": 1.7777777777777777,
+        "mu_f": 0.0026666666666666445,
+        "l_f": 0.6000000000000004,
+        "mu_phi": 1.0,
+        "l_phi": 1.0,
+        "mu_psi": 1.0,
+        "l_psi": 1.0,
+        "alpha_phi": 0.6000000000000004,
+        "mu_hat": 1.0,
+        "c": 3.591111111111111,
+        "kappa_g_estimate": 0.0,
+        "predicted_rate": 0.0,
+    },
+    "oracle": {
+        "f_star": 81.75140676342525,
+        "kkt_residual": 5.477538562093762e-15,
+        "x_star_norm": 5.081608347665381,
+        "lambda_star_norm": 13.645331872262195,
+        "interior": True,
+    },
+}
+
+# config stem -> {"constants": ..., "oracle": ...} blocks of manifest.json
+GOLDEN_MANIFEST = {
+    "barbell_epismd": {
+        "constants": {
+            "kappa_n": 1.1169270197860708,
+            "kappa_beta": 1.2475259675281933,
+            "mu_f": 0.002666666666666625,
+            "l_f": 0.600000000000001,
+            "mu_phi": 1.0,
+            "l_phi": 1.0,
+            "mu_psi": 0.0004363760545945212,
+            "l_psi": 376.1372077560064,
+            "alpha_phi": 0.600000000000001,
+            "mu_hat": 0.0004363760545945212,
+            "c": 5774.841281675105,
+            "kappa_g_estimate": 0.0,
+            "predicted_rate": 0.0,
+        },
+        "oracle": {
+            "f_star": 72.80220394509897,
+            "kkt_residual": 1.157968282693053e-14,
+            "x_star_norm": 3.301289736954625,
+            "lambda_star_norm": 24.99997767915695,
+            "interior": True,
+        },
+    },
+    "problem_a_eismd": _PROBLEM_A_MANIFEST,
+    "problem_a_ismd": _PROBLEM_A_MANIFEST,
+    "problem_b_simplex": {
+        "constants": {
+            "kappa_n": 1.3333333333333333,
+            "kappa_beta": 1.7777777777777777,
+            "mu_f": 0.0026666666666666,
+            "l_f": 0.6000000000000009,
+            "mu_phi": 1.0,
+            "l_phi": None,
+            "mu_psi": 1.0,
+            "l_psi": 1.0,
+            "alpha_phi": None,
+            "mu_hat": 1.0,
+            "c": 3.591111111111111,
+            "kappa_g_estimate": None,
+            "predicted_rate": None,
+        },
+        "oracle": {
+            "f_star": 8.011873825910737e-16,
+            "kkt_residual": 3.569794735777329e-08,
+            "x_star_norm": 0.4140144015344825,
+            "lambda_star_norm": 5.9585941307904774e-08,
+            "interior": True,
+        },
+    },
+}
+
+
+def test_golden_manifest_covers_every_shipped_config():
+    assert set(GOLDEN_MANIFEST) == {p.stem for p in CONFIGS.glob("*.ini")}
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_MANIFEST))
+def test_manifest_constants_and_oracle_match_golden(tmp_path, stem):
+    assert __version__ == "0.1.0", "a new artifact version needs new golden values"
+    cfg = load_config(CONFIGS / f"{stem}.ini")
+    cfg.set("hyperparams", "epochs", 2000)
+    cfg.set("hyperparams", "metrics_every", 10)
+    _, manifest_path = harness.cmd_run(cfg, tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    assert {k: manifest[k] for k in ("constants", "oracle")} == GOLDEN_MANIFEST[stem]
