@@ -39,12 +39,26 @@ ALGORITHMS = ("ismd", "eismd", "epismd")
 
 
 class DivergenceError(RuntimeError):
-    """A state coordinate became non-finite during integration."""
+    """A state coordinate became non-finite during integration.
 
-    def __init__(self, step: int, records: list):
-        super().__init__(f"integration diverged at step {step}")
+    ``array`` ("z", "lam" or "mu"), ``particle`` and ``coordinate`` locate the
+    first offending entry (arrays in that order, row-major within one), and
+    ``value`` is that entry.
+    """
+
+    def __init__(
+        self, step: int, records: list, array: str, particle: int, coordinate: int, value: float
+    ):
+        super().__init__(
+            f"integration diverged at step {step}: {array} is {value!r} "
+            f"at particle {particle}, coordinate {coordinate}"
+        )
         self.step = step
         self.records = records  # metrics collected before the blow-up
+        self.array = array
+        self.particle = particle
+        self.coordinate = coordinate
+        self.value = value
 
 
 @dataclass(frozen=True)
@@ -76,11 +90,23 @@ class NoiseStream:
         self.n = n
         self.d = d
         self.scale = sigma * math.sqrt(dt)
-        self._key = SeedSequence(seed).generate_state(2, np.uint64)
+        key = SeedSequence(seed).generate_state(2, np.uint64)
+        self._gen = Generator(Philox(key=key))
+        self._state = self._gen.bit_generator.state
 
     def block(self, step: int) -> np.ndarray:
-        gen = Generator(Philox(counter=[0, 0, step, 0], key=self._key))
-        return self.scale * gen.standard_normal((self.n, self.d))
+        """The draw of a fresh Philox at counter [0, 0, step, 0], scaled.
+
+        One generator serves every step: its counter is moved to the step's
+        block and its buffer emptied, which reproduces the fresh generator's
+        output bit for bit.
+        """
+        state = self._state
+        state["state"]["counter"][:] = (0, 0, step, 0)
+        state["buffer_pos"] = 4
+        state["has_uint32"] = 0
+        self._gen.bit_generator.state = state
+        return self.scale * self._gen.standard_normal((self.n, self.d))
 
 
 @dataclass(frozen=True)
@@ -190,12 +216,27 @@ _STATE_LIMIT = 1e150
 
 
 def _finite(state: ParticleSystem) -> bool:
+    # the max propagates NaN, and NaN <= limit is False
     for arr in (state.z, state.lam, state.mu):
-        if arr is None:
-            continue
-        if not np.isfinite(arr).all() or np.abs(arr).max(initial=0.0) > _STATE_LIMIT:
+        if arr is not None and not np.abs(arr).max(initial=0.0) <= _STATE_LIMIT:
             return False
     return True
+
+
+def _divergence(state: ParticleSystem, records: list) -> DivergenceError:
+    """The error for a state ``_finite`` rejects, naming its first bad entry."""
+    for name in ("z", "lam", "mu"):
+        arr = getattr(state, name)
+        if arr is None:
+            continue
+        bad = ~(np.abs(arr) <= _STATE_LIMIT)
+        if bad.any():
+            particle, coordinate = np.unravel_index(int(np.argmax(bad)), arr.shape)
+            value = float(arr[particle, coordinate])
+            return DivergenceError(
+                state.step, records, name, int(particle), int(coordinate), value
+            )
+    raise AssertionError("the state has no entry outside the finite range")
 
 
 def run(
@@ -217,7 +258,8 @@ def run(
     A record is emitted at step 0, every ``metrics_every`` steps and at the
     final step. ``recorder`` maps a ParticleSystem to whatever should be kept
     (default: the state itself). On a non-finite state the run aborts with a
-    DivergenceError carrying the step index and the records collected so far.
+    DivergenceError carrying the step index, the records collected so far and
+    the location of the first offending entry.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -247,7 +289,7 @@ def run(
         else:
             state = epismd_step(state, problem, mmap, dual, graph, hp, b, interaction_on)
         if not _finite(state):
-            raise DivergenceError(state.step, records)
+            raise _divergence(state, records)
         if state.step % metrics_every == 0 or state.step == hp.epochs:
             records.append(recorder(state))
     return records

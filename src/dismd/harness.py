@@ -144,8 +144,9 @@ def prepare(cfg: RunConfig) -> RunSetup:
     kappa_g = None
     rate = None
     if mmap.kind != "entropy":
-        # degenerate by construction (see kappa_g_estimate); kept as the
-        # formula's conservative value
+        # kappa_g, and with it the predicted rate, is 0 by construction (see
+        # kappa_g_estimate); the call still checks that the conjugate map
+        # Hessian is nonsingular at the consensus optimum
         consensus_point = np.broadcast_to(opt.x_star, (problem.n, problem.d))
         kappa_g = diagnostics.kappa_g_estimate(problem, graph, mmap, [consensus_point])
         rate = diagnostics.predicted_rate(constants, c, kappa_g)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dismd.diagnostics import (
 )
 from dismd.dynamics import Hyperparams, ParticleSystem, run
 from dismd.graphs import Topology, build_graph, metropolis_weights, spectra
-from dismd.mirror_maps import EntropyMap, EuclideanMap, RegularizedDualHessian
+from dismd.mirror_maps import EntropyMap, EuclideanMap, QuadraticMap, RegularizedDualHessian
 from dismd.objectives import DistributedProblem, GeneratorConfig, QuadraticBlock, generate_problem
 from dismd.oracle import solve_unconstrained
 
@@ -192,6 +194,59 @@ def test_kappa_g_rejects_singular_weight():
     x = np.tile(prob.minimizer, (3, 1))
     with pytest.raises(ValueError):
         kappa_g_estimate(prob, graph, EntropyMap(3), [x])
+
+
+def dense_quotient_min(prob, graph, mmap, x_rows):
+    """Dense oracle for kappa_g at one point: lambda_min(A^T W A) with
+    A = [H_f + L, L], and the spectral norm of A^T W A."""
+    n, d = prob.n, prob.d
+    lap = np.kron(graph.laplacian, np.eye(d))
+    hf = np.zeros((n * d, n * d))
+    w = np.zeros((n * d, n * d))
+    z_rows = mmap.forward(x_rows)
+    for i, h in enumerate(prob.hess_blocks()):
+        hf[i * d:(i + 1) * d, i * d:(i + 1) * d] = h
+        w[i * d:(i + 1) * d, i * d:(i + 1) * d] = mmap.hess_conj_dense(z_rows[i])
+    a = np.hstack([hf + lap, lap])
+    eigs = np.linalg.eigvalsh(a.T @ w @ a)
+    return float(eigs[0]), float(np.max(np.abs(eigs)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("map_kind", ["euclidean", "quadratic"])
+def test_kappa_g_closed_form_matches_dense_oracle(seed, map_kind):
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+    prob = generate_problem(
+        GeneratorConfig(seed=seed, d=d, m=d + 1, n=n,
+                        condition_number=float(rng.uniform(1.0, 20.0)) if d > 1 else 1.0)
+    )
+    graph = build_graph(Topology("cyclic", n))
+    if map_kind == "euclidean":
+        mmap = EuclideanMap(d)
+    else:
+        b = rng.standard_normal((d, d))
+        mmap = QuadraticMap(b @ b.T + 0.5 * np.eye(d))
+    points = [rng.standard_normal((n, d)) for _ in range(2)]
+    for x_rows in points:
+        lam_min, norm = dense_quotient_min(prob, graph, mmap, x_rows)
+        assert abs(lam_min) <= 1e-10 * norm
+    assert kappa_g_estimate(prob, graph, mmap, points) == 0.0
+
+
+def test_kappa_g_allocates_no_dense_system():
+    # the dense (2nd)^2 form took more than 80 MB at this size
+    n = d = 40
+    prob = generate_problem(GeneratorConfig(seed=1, d=d, m=d, n=n, condition_number=10.0))
+    graph = build_graph(Topology("cyclic", n))
+    points = [np.zeros((n, d))]
+    tracemalloc.start()
+    try:
+        assert kappa_g_estimate(prob, graph, EuclideanMap(d), points) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_rate_fit_recovers_pure_exponential():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 from dismd.dynamics import (
     DivergenceError,
     Hyperparams,
     NoiseStream,
     ParticleSystem,
+    _divergence,
+    _finite,
     eismd_step,
     epismd_step,
     ismd_step,
@@ -44,6 +47,17 @@ def test_noise_stream_is_counter_keyed():
     assert np.array_equal(blocks_a[2], blocks_b[0])
     assert not np.array_equal(a.block(0), a.block(1))
     assert not np.array_equal(a.block(0), NoiseStream(43, 3, 2, 0.5, 0.01).block(0))
+
+
+def test_noise_stream_block_equals_fresh_philox_per_step():
+    seed, n, d = 2024, 4, 3
+    ns = NoiseStream(seed=seed, n=n, d=d, sigma=1.0, dt=1.0)
+    key = SeedSequence(seed).generate_state(2, np.uint64)
+    steps = [0, 1, 7, 12345, 2**40, 2**40 + 1, 99, 3]
+    np.random.default_rng(5).shuffle(steps)
+    for k in steps:
+        fresh = Generator(Philox(counter=[0, 0, k, 0], key=key)).standard_normal((n, d))
+        assert np.array_equal(ns.block(k), fresh), k
 
 
 def test_noise_stream_moments():
@@ -295,6 +309,45 @@ def test_divergence_raises_with_step_index():
         run("eismd", prob, mmap, g, Hyperparams(dt=1.0, epochs=2000), metrics_every=100)
     assert err.value.step > 0
     assert isinstance(err.value.records, list)
+
+
+def _state_with(array, value, particle=1, coordinate=2):
+    zeros = np.zeros((3, 4))
+    arrays = {"z": zeros.copy(), "lam": zeros.copy(), "mu": zeros.copy()}
+    arrays[array][particle, coordinate] = value
+    return ParticleSystem(x=zeros, step=9, t=0.09, **arrays)
+
+
+@pytest.mark.parametrize("array", ["z", "lam", "mu"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2e150, -2e150])
+def test_finite_guard_flags_bad_entries(array, value):
+    state = _state_with(array, value)
+    assert not _finite(state)
+    err = _divergence(state, [])
+    assert (err.step, err.array, err.particle, err.coordinate) == (9, array, 1, 2)
+
+
+@pytest.mark.parametrize("array", ["z", "lam", "mu"])
+@pytest.mark.parametrize("value", [1e150, -1e150])
+def test_finite_guard_accepts_the_limit(array, value):
+    assert _finite(_state_with(array, value))
+
+
+def test_divergence_names_array_particle_and_coordinate():
+    # only coordinate 1 of particle 1 is stiff: curvature 40 at dt = 1
+    # multiplies it by about -39 per step, while the weak coupling leaks a
+    # small multiple of it into the neighbours' coordinate 1
+    stiff = np.diag([1.0, np.sqrt(40.0)])
+    blocks = [QuadraticBlock(q=q, b=np.zeros(2)) for q in (np.eye(2), stiff, np.eye(2))]
+    prob = DistributedProblem(blocks=blocks, domain="unconstrained", d=2, n=3, m=2)
+    g = metropolis_weights(((0, 1), (1, 2)), 3)
+    hp = Hyperparams(epsilon=1e-3, dt=1.0, epochs=500)
+    with pytest.raises(DivergenceError) as err:
+        run("ismd", prob, EuclideanMap(2), g, hp, seed=3)
+    exc = err.value
+    assert (exc.array, exc.particle, exc.coordinate) == ("z", 1, 1)
+    assert abs(exc.value) > 1e150
+    assert "z" in str(exc) and "particle 1, coordinate 1" in str(exc)
 
 
 def test_self_convergence_order_ratio():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,14 @@ def test_cli_exit_code_on_divergence(tmp_path, capsys):
     assert code == 2
     assert "diverged" in capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_cli_divergence_message_locates_the_entry(tmp_path, capsys):
+    text = MINIMAL.replace("dt = 0.01", "dt = 500.0")
+    cfg_path = write_config(tmp_path, text)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"diverged at step \d+: (z|lam|mu) is .+ at particle [01], coordinate 0", err)
 
 
 def test_cli_exit_code_on_io_error(tmp_path, capsys):
