@@ -86,12 +86,14 @@ def _dispatch(args) -> int:
             if args.seed is not None:
                 cfg.set("run", "seed", args.seed)
             configs.append(cfg)
-            label = Path(path).stem
-            if label in labels:
-                label = f"{label}_{len(labels)}"
+            stem = label = Path(path).stem
+            suffix = len(labels)
+            while label in labels:  # x/a.ini and y/a.ini become a and a_1
+                label = f"{stem}_{suffix}"
+                suffix += 1
             labels.append(label)
         out = _out_dir(args, configs[0])
-        csv_path = harness.cmd_compare(configs, labels, out, shared_seed=args.seed)
+        csv_path = harness.cmd_compare(configs, labels, out)
         if not args.quiet:
             print(f"wrote {csv_path}")
         return EXIT_OK

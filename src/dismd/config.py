@@ -22,14 +22,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _to_int(raw: str) -> int:
-    return int(raw)
-
-
-def _to_float(raw: str) -> float:
-    return float(raw)
-
-
 def _to_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1", "on"):
@@ -48,21 +40,21 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
     "problem": {
         "kind": (_to_str, "generate"),
         "bundle": (_to_str, None),
-        "seed": (_to_int, 0),
-        "d": (_to_int, 20),
-        "m": (_to_int, 20),
-        "n": (_to_int, 10),
-        "condition_number": (_to_float, 15.0),
+        "seed": (int, 0),
+        "d": (int, 20),
+        "m": (int, 20),
+        "n": (int, 10),
+        "condition_number": (float, 15.0),
         "shared_minimizer": (_to_bool, False),
         "domain": (_to_str, "unconstrained"),
     },
     "graph": {
         "topology": (_to_str, "cyclic"),
-        "p": (_to_float, None),
-        "cluster": (_to_int, None),
-        "seed": (_to_int, 0),
+        "p": (float, None),
+        "cluster": (int, None),
+        "seed": (int, 0),
         "weights": (_to_str, None),
-        "beta": (_to_float, 1.0),
+        "beta": (float, 1.0),
     },
     "algorithm": {
         "name": (_to_str, "eismd"),
@@ -70,19 +62,19 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "map": (_to_str, "euclidean"),
         "map_matrix": (_to_str, None),
         "dual": (_to_str, "identity"),
-        "dual_beta": (_to_float, None),
+        "dual_beta": (float, None),
         "x0": (_to_str, None),
     },
     "hyperparams": {
-        "eta": (_to_float, 1.0),
-        "epsilon": (_to_float, 1.0),
-        "sigma": (_to_float, 0.0),
-        "dt": (_to_float, 0.01),
-        "epochs": (_to_int, 50_000),
-        "metrics_every": (_to_int, 50),
+        "eta": (float, 1.0),
+        "epsilon": (float, 1.0),
+        "sigma": (float, 0.0),
+        "dt": (float, 0.01),
+        "epochs": (int, 50_000),
+        "metrics_every": (int, 50),
     },
     "run": {
-        "seed": (_to_int, 0),
+        "seed": (int, 0),
         "out": (_to_str, None),
     },
 }
@@ -96,9 +88,6 @@ class RunConfig:
 
     def __getitem__(self, key: str) -> dict[str, Any]:
         return self.values[key]
-
-    def get(self, section: str, key: str) -> Any:
-        return self.values[section][key]
 
     def set(self, section: str, key: str, value: Any) -> None:
         if section not in SCHEMA or key not in SCHEMA[section]:
@@ -170,8 +159,15 @@ def _validate(cfg: RunConfig) -> None:
     _require(g["topology"] in kinds, f"graph.topology must be one of {kinds}, got {g['topology']!r}")
     if g["topology"] == "erdos_renyi":
         _require(g["p"] is not None, "graph.topology = erdos_renyi requires graph.p")
+        _require(0.0 < g["p"] <= 1.0, f"graph.p must be in (0, 1], got {g['p']}")
     if g["topology"] == "barbell":
         _require(g["cluster"] is not None, "graph.topology = barbell requires graph.cluster")
+        if p["kind"] == "generate":
+            # a bundle's own particle count decides; build_graph checks it after loading
+            _require(
+                p["n"] == 2 * g["cluster"],
+                f"graph.cluster = {g['cluster']} needs problem.n = {2 * g['cluster']}, got {p['n']}",
+            )
     if g["topology"] == "matrix":
         _require(g["weights"] is not None, "graph.topology = matrix requires graph.weights")
     _require(g["beta"] > 0, f"graph.beta must be positive, got {g['beta']}")
@@ -183,6 +179,8 @@ def _validate(cfg: RunConfig) -> None:
     if a["map"] == "quadratic":
         _require(a["map_matrix"] is not None, "algorithm.map = quadratic requires algorithm.map_matrix")
     _require(a["dual"] in ("identity", "dual_hessian"), f"algorithm.dual must be identity|dual_hessian, got {a['dual']!r}")
+    if a["dual"] == "dual_hessian":
+        _require(a["name"] == "epismd", f"algorithm.dual = dual_hessian needs algorithm.name = epismd, got {a['name']!r}")
     if p["domain"] == "simplex":
         _require(a["map"] == "entropy", "simplex problems pair only with the entropy mirror map")
     elif p["kind"] == "generate":

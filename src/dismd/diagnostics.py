@@ -5,8 +5,7 @@ The Lyapunov function evaluated here is
 
     V(x, lam) = c * (V1 + V2) + V3
     V1 = sum_i D_phi(x*, x^i)
-    V2 = ||lam - lam*||^2 / 2            (plain exact dynamics)
-         D_psi(lam*, lam)                (preconditioned dynamics)
+    V2 = D_psi(lam*, lam)                (||lam - lam*||^2 / 2 without a dual map)
     V3 = D_f(x, x*) + <x - x*, L (lam - lam*)> + <x, L x> / 2
 
 with (x*, lam*) supplied by the reference oracle. The scale factor c is
@@ -23,7 +22,7 @@ import numpy as np
 
 from .dynamics import ParticleSystem
 from .graphs import LaplacianSpectra, WeightedGraph
-from .mirror_maps import MirrorMap
+from .mirror_maps import IdentityDual, MirrorMap
 from .objectives import DistributedProblem
 
 C_SAFETY_FACTOR = 1.01
@@ -106,16 +105,16 @@ def compute_constants(
     )
 
 
-def default_c(constants: ConvexityConstants, algorithm: str = "eismd") -> float:
-    """Max of the non-negativity and descent thresholds, times a 1% margin."""
-    thresholds = [constants.kappa_n / constants.mu_phi]
-    if algorithm == "epismd":
-        thresholds.append(constants.kappa_n / constants.mu_psi)
-        thresholds.append(2.0 * constants.kappa_beta / constants.mu_psi)
-    else:
-        thresholds.append(constants.kappa_n)
-        thresholds.append(2.0 * constants.kappa_beta)
-    return C_SAFETY_FACTOR * max(thresholds)
+def default_c(constants: ConvexityConstants) -> float:
+    """Max of the non-negativity and descent thresholds, times a 1% margin.
+
+    Without a dual map ``compute_constants`` sets mu_psi = 1, so the plain
+    and exact dynamics get kappa_n and 2 kappa_beta as their dual thresholds.
+    """
+    kn, mu_psi = constants.kappa_n, constants.mu_psi
+    return C_SAFETY_FACTOR * max(
+        kn / constants.mu_phi, kn / mu_psi, 2.0 * constants.kappa_beta / mu_psi
+    )
 
 
 def predicted_rate(constants: ConvexityConstants, c: float, kappa_g: float) -> float | None:
@@ -237,7 +236,7 @@ class MetricsRecorder:
             lambda_star = np.zeros((problem.n, problem.d))
         self.lambda_star = np.asarray(lambda_star, dtype=float)
         self.c = c
-        self.dual = dual
+        self.dual = dual if dual is not None else IdentityDual()
         # x*-only terms of V3, fixed for the life of the recorder
         self._grads_star = problem.grads_at(self.x_star)
         self._f_star = problem.aggregate_value(self.x_star)
@@ -252,10 +251,7 @@ class MetricsRecorder:
         x = state.x
         v1 = bregman_to_opt(x, self.x_star, self.mmap)
         lam_diff = state.lam - self.lambda_star
-        if self.dual is not None and self.dual.kind == "dual_hessian":
-            v2 = self.dual.bregman(self.lambda_star, state.lam)
-        else:
-            v2 = 0.5 * float(np.vdot(lam_diff, lam_diff))
+        v2 = self.dual.bregman(self.lambda_star, state.lam)
         dx = x - self.x_star
         d_f = float(
             np.sum(self.problem.block_values(x)) - self._f_star - np.vdot(self._grads_star, dx)

@@ -1,9 +1,10 @@
 """Euler-Maruyama integration of the interacting mirror descent dynamics.
 
-Three flavors share the same explicit update skeleton. With per-particle
-dual states z^i, multipliers lambda^i and mirrored multipliers mu^i, one step
-of length dt reads (L is the graph Laplacian applied blockwise, B the
-Gaussian increment with variance sigma^2 dt per coordinate):
+One kernel, ``_step``, holds the explicit update of all three flavors, and
+``ismd_step``, ``eismd_step`` and ``epismd_step`` are its entry points. With
+per-particle dual states z^i, multipliers lambda^i and mirrored multipliers
+mu^i, one step of length dt reads (L is the graph Laplacian applied
+blockwise, B the Gaussian increment with variance sigma^2 dt per coordinate):
 
 * plain coupling (ISMD):
     z <- z - dt * (eta * grad_f(x) + eps * L z) + B
@@ -16,6 +17,9 @@ Gaussian increment with variance sigma^2 dt per coordinate):
 
 with x = backward(z) re-applied after every step, so the primal iterates can
 never leave the mirror map's range (for the entropy map, the open simplex).
+The flavors differ only in the multiplier: none (ISMD, which then couples on
+z), lambda itself, or lambda through the dual map. Under ``IdentityDual`` the
+preconditioned step is the exact one bit for bit.
 
 Initial conditions: lambda_0 = 0, z_0 = forward(x_0), mu_0 = 0. Noise is a
 counter-based Gaussian stream keyed by (seed, step, particle, coordinate),
@@ -148,6 +152,34 @@ def default_initial_rows(problem: DistributedProblem, mmap: MirrorMap, seed: int
     return rng.standard_normal((problem.n, problem.d))
 
 
+def _step(state, problem, mmap, graph, hp, noise, interaction_on, dual=None) -> ParticleSystem:
+    """One Euler-Maruyama step of any of the three dynamics.
+
+    ``interaction_on`` is None for the plain dynamics, which couple on z and
+    carry no multiplier. The exact dynamics integrate lam directly when
+    ``dual`` is None and mu, with lam = dual.backward(mu), otherwise.
+    """
+    lap = graph.laplacian
+    drift = hp.eta * problem.grads(state.x)
+    lam, mu = state.lam, None
+    if interaction_on is None:
+        drift = drift + hp.epsilon * (lap @ state.z)
+    else:
+        lap_x = lap @ state.x
+        inter = lap_x if interaction_on == "x" else lap @ state.z
+        drift = drift + hp.epsilon * inter + lap @ lam
+        if dual is None:
+            lam = lam + hp.dt * lap_x
+        else:
+            mu = state.mu + hp.dt * lap_x
+            lam = dual.backward(mu)
+    z = state.z - hp.dt * drift
+    if noise is not None:
+        z = z + noise
+    k = state.step + 1
+    return ParticleSystem(z=z, x=mmap.backward(z), lam=lam, mu=mu, step=k, t=k * hp.dt)
+
+
 def ismd_step(
     state: ParticleSystem,
     problem: DistributedProblem,
@@ -156,13 +188,7 @@ def ismd_step(
     hp: Hyperparams,
     noise: np.ndarray | None = None,
 ) -> ParticleSystem:
-    g = problem.grads(state.x)
-    drift = hp.eta * g + hp.epsilon * (graph.laplacian @ state.z)
-    z = state.z - hp.dt * drift
-    if noise is not None:
-        z = z + noise
-    k = state.step + 1
-    return ParticleSystem(z=z, x=mmap.backward(z), lam=state.lam, mu=None, step=k, t=k * hp.dt)
+    return _step(state, problem, mmap, graph, hp, noise, None)
 
 
 def eismd_step(
@@ -174,16 +200,7 @@ def eismd_step(
     noise: np.ndarray | None = None,
     interaction_on: str = "x",
 ) -> ParticleSystem:
-    g = problem.grads(state.x)
-    lap_x = graph.laplacian @ state.x
-    inter = lap_x if interaction_on == "x" else graph.laplacian @ state.z
-    drift = hp.eta * g + hp.epsilon * inter + graph.laplacian @ state.lam
-    z = state.z - hp.dt * drift
-    if noise is not None:
-        z = z + noise
-    lam = state.lam + hp.dt * lap_x
-    k = state.step + 1
-    return ParticleSystem(z=z, x=mmap.backward(z), lam=lam, mu=None, step=k, t=k * hp.dt)
+    return _step(state, problem, mmap, graph, hp, noise, interaction_on)
 
 
 def epismd_step(
@@ -196,18 +213,7 @@ def epismd_step(
     noise: np.ndarray | None = None,
     interaction_on: str = "x",
 ) -> ParticleSystem:
-    g = problem.grads(state.x)
-    lap_x = graph.laplacian @ state.x
-    inter = lap_x if interaction_on == "x" else graph.laplacian @ state.z
-    drift = hp.eta * g + hp.epsilon * inter + graph.laplacian @ state.lam
-    z = state.z - hp.dt * drift
-    if noise is not None:
-        z = z + noise
-    mu = state.mu + hp.dt * lap_x
-    k = state.step + 1
-    return ParticleSystem(
-        z=z, x=mmap.backward(z), lam=dual.backward(mu), mu=mu, step=k, t=k * hp.dt
-    )
+    return _step(state, problem, mmap, graph, hp, noise, interaction_on, dual)
 
 
 # Magnitudes beyond this overflow the quadratic forms every diagnostic needs,

@@ -140,7 +140,7 @@ def prepare(cfg: RunConfig) -> RunSetup:
     dual = build_dual(cfg, graph, problem)
     opt = oracle.solve(problem, graph)
     constants = diagnostics.compute_constants(problem, spec, mmap, dual)
-    c = diagnostics.default_c(constants, a["name"])
+    c = diagnostics.default_c(constants)
     kappa_g = None
     rate = None
     if mmap.kind != "entropy":
@@ -265,15 +265,12 @@ def cmd_run(cfg: RunConfig, out_dir: Path | str) -> tuple[Path, Path]:
     return write_run_outputs(out_dir, records, manifest)
 
 
-def cmd_compare(
-    configs: list[RunConfig],
-    labels: list[str],
-    out_dir: Path | str,
-    shared_seed: int | None = None,
-) -> Path:
+def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str) -> Path:
     """Run several configs and emit one label-keyed CSV of aligned records."""
     if len(configs) < 2:
         raise ConfigError("compare needs at least two configs")
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"compare labels must be distinct, got {labels}")
     base = configs[0]["hyperparams"]
     for cfg in configs[1:]:
         h = cfg["hyperparams"]
@@ -288,10 +285,7 @@ def cmd_compare(
     all_rows = []
     manifests = {}
     for cfg, label in zip(configs, labels):
-        run_cfg = cfg.copy()
-        if shared_seed is not None:
-            run_cfg.set("run", "seed", shared_seed)
-        records, manifest = execute(run_cfg)
+        records, manifest = execute(cfg)
         manifests[label] = manifest
         all_rows.extend(f"{label},{rec.to_csv_row()}" for rec in records)
     csv_text = "run," + csv_header() + "\n" + "\n".join(all_rows) + "\n"
@@ -312,6 +306,9 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
         raise ConfigError(f"unknown sweep parameter path {param!r}; choose from {SWEEPABLE}")
     if not raw_values:
         raise ConfigError("sweep needs at least one value")
+    values = [_parse_sweep_value(param, raw) for raw in raw_values]
+    if len(set(values)) < len(values):
+        raise ConfigError(f"sweep values must be distinct, got {','.join(raw_values)}")
     section, key = param.split(".", 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -319,8 +316,7 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
         "value,seed," + csv_header() + ",rate_r,rate_r_squared"
     ]
     base_seed = cfg["run"]["seed"]
-    for index, raw in enumerate(raw_values):
-        value = _parse_sweep_value(param, raw)
+    for index, (raw, value) in enumerate(zip(raw_values, values)):
         run_cfg = cfg.copy()
         run_cfg.set(section, key, value)
         run_cfg.set("run", "seed", base_seed + index)

@@ -49,7 +49,7 @@ def _desk_setup(cfg=DESK, topology=None):
     spec = spectra(graph, 1.0)
     mmap = EuclideanMap(cfg.d)
     opt = solve_unconstrained(problem, graph)
-    c = default_c(compute_constants(problem, spec, mmap), "eismd")
+    c = default_c(compute_constants(problem, spec, mmap))
     return problem, graph, spec, mmap, opt, c
 
 
@@ -190,8 +190,8 @@ def test_criterion_6_dual_preconditioning_speedup():
     dual = RegularizedDualHessian(spectra(graph, 0.01), problem.hess_blocks())
     mmap = EuclideanMap(20)
     opt = solve_unconstrained(problem, graph)
-    c_e = default_c(compute_constants(problem, spec, mmap), "eismd")
-    c_p = default_c(compute_constants(problem, spec, mmap, dual), "epismd")
+    c_e = default_c(compute_constants(problem, spec, mmap))
+    c_p = default_c(compute_constants(problem, spec, mmap, dual))
     rec_e = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c_e)
     rec_p = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c_p, dual=dual)
 
@@ -365,12 +365,11 @@ def test_criterion_8_math_kernel_invariants():
         mmap = EuclideanMap(d)
         opt = solve_unconstrained(prob, g)
         cst = compute_constants(prob, spec, mmap)
-        c = default_c(cst, "eismd")
+        c = default_c(cst)
         kg = kappa_g_estimate(prob, g, mmap, [np.broadcast_to(opt.x_star, (n, d))])
         evals, evecs = np.linalg.eigh(g.laplacian)
         basis = evecs[:, evals > 1e-12]
         hf = prob.hess_blocks()
-        grads_star = prob.grads_at(opt.x_star)
 
         dx = rng.standard_normal((pairs, n, d)) * rng.uniform(0.05, 3.0, (pairs, 1, 1))
         dl = np.einsum(
@@ -393,12 +392,15 @@ def test_criterion_8_math_kernel_invariants():
         assert np.all(v >= lower - 1e-9)
         upper = (c + (3 * cst.kappa_n + 2 * cst.alpha_phi) / cst.mu_hat) * (v1 + 2.0 * v2)
         assert np.all(v <= upper + 1e-9)
-        # residual-vs-divergence bound with the sampled kappa_g estimate
-        grads = grads_star + np.einsum("nij,pnj->pni", hf, dx)
-        resid = grads + lap_dl + lap_x
+        # residual A d for A = [H_f + L, L]: L x = L dx since x* is a consensus
+        # point; bounded below with the sampled kappa_g estimate and above by
+        # |H_f + L| <= l_f + kappa_n and |L| <= kappa_n
+        resid = np.einsum("nij,pnj->pni", hf, dx) + lap_dl + lap_x
         lhs = np.sum(resid**2, axis=(1, 2))
         rhs = (2.0 * kg / cst.mu_hat) * (v1 + v2)
         assert np.all(lhs >= rhs - 1e-9)
+        bound = 4 * (cst.l_f + cst.kappa_n) ** 2 * v1 + 4 * cst.kappa_n**2 * v2
+        assert np.all(lhs <= bound * (1 + 1e-9))
         # spot check the vectorized forms against the recorder's Lyapunov function
         if trial % 20 == 0:
             st = ParticleSystem(z=x[0], x=x[0], lam=lam[0], mu=None, step=0, t=0.0)

@@ -75,6 +75,15 @@ def test_validation_rules(tmp_path):
         load_config(write(tmp_path, "[hyperparams]\ndt = -2\n"))
     with pytest.raises(ConfigError, match="bundle"):
         load_config(write(tmp_path, "[problem]\nkind = bundle\n"))
+    for text, key in [
+        ("[graph]\ntopology = erdos_renyi\np = 0\n", "graph.p"),
+        ("[graph]\ntopology = erdos_renyi\np = 1.5\n", "graph.p"),
+        ("[problem]\nn = 10\n[graph]\ntopology = barbell\ncluster = 4\n", "graph.cluster"),
+        ("[algorithm]\nname = eismd\ndual = dual_hessian\n", "algorithm.dual"),
+        ("[algorithm]\nname = ismd\ndual = dual_hessian\n", "algorithm.dual"),
+    ]:
+        with pytest.raises(ConfigError, match=key):
+            load_config(write(tmp_path, text))
 
 
 def test_missing_file_raises():
@@ -121,3 +130,71 @@ sigma = 0.5  # inline comment
 """,
     )
     assert load_config(path)["hyperparams"]["sigma"] == 0.5
+
+
+def test_mapping_round_trip_and_invalid_combinations_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    finite = {"allow_nan": False, "allow_infinity": False}
+
+    @st.composite
+    def configs(draw):
+        cluster = draw(st.integers(1, 6))
+        topology = draw(st.sampled_from(["cyclic", "erdos_renyi", "barbell"]))
+        algorithm = draw(st.sampled_from(["ismd", "eismd", "epismd"]))
+        simplex = draw(st.booleans())
+        return {
+            "problem": {
+                "n": 2 * cluster if topology == "barbell" else draw(st.integers(1, 12)),
+                "d": draw(st.integers(1, 8)),
+                "condition_number": draw(st.floats(1.0, 1e6, **finite)),
+                "domain": "simplex" if simplex else "unconstrained",
+                "shared_minimizer": draw(st.booleans()),
+            },
+            "graph": {
+                "topology": topology,
+                "p": draw(st.floats(1e-6, 1.0, **finite)) if topology == "erdos_renyi" else None,
+                "cluster": cluster if topology == "barbell" else None,
+                "beta": draw(st.floats(1e-6, 1e6, **finite)),
+            },
+            "algorithm": {
+                "name": algorithm,
+                "map": "entropy" if simplex else "euclidean",
+                "dual": draw(st.sampled_from(
+                    ["identity", "dual_hessian"] if algorithm == "epismd" else ["identity"]
+                )),
+            },
+            "hyperparams": {
+                "sigma": draw(st.floats(0.0, 10.0, **finite)),
+                "dt": draw(st.floats(1e-6, 1.0, **finite)),
+                "epochs": draw(st.integers(0, 10**6)),
+            },
+            "run": {"seed": draw(st.integers(0, 2**31))},
+        }
+
+    @hypothesis.given(configs())
+    @hypothesis.settings(max_examples=200, deadline=None)
+    def round_trips(mapping):
+        cfg = RunConfig.from_mapping(mapping)
+        assert RunConfig.from_mapping(cfg.to_mapping()).to_mapping() == cfg.to_mapping()
+
+    @hypothesis.given(
+        p=st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True)),
+        n=st.integers(1, 20),
+        cluster=st.integers(-3, 10),
+        algorithm=st.sampled_from(["ismd", "eismd"]),
+    )
+    @hypothesis.settings(max_examples=200, deadline=None)
+    def rejects(p, n, cluster, algorithm):
+        with pytest.raises(ConfigError, match="graph.p"):
+            RunConfig.from_mapping({"graph": {"topology": "erdos_renyi", "p": p}})
+        if n != 2 * cluster:
+            with pytest.raises(ConfigError, match="graph.cluster"):
+                RunConfig.from_mapping(
+                    {"problem": {"n": n}, "graph": {"topology": "barbell", "cluster": cluster}}
+                )
+        with pytest.raises(ConfigError, match="algorithm.dual"):
+            RunConfig.from_mapping({"algorithm": {"name": algorithm, "dual": "dual_hessian"}})
+
+    round_trips()
+    rejects()

@@ -106,7 +106,7 @@ def test_default_c_euclidean_example():
     prob, graph, spec, mmap, opt = euclid_setup()
     cst = compute_constants(prob, spec, mmap)
     cst = type(cst)(**{**cst.__dict__, "kappa_n": 1.0, "kappa_beta": 1.0, "mu_phi": 1.0})
-    assert default_c(cst, "eismd") == pytest.approx(2.02)
+    assert default_c(cst) == pytest.approx(2.02)
 
 
 def test_default_c_monotone_in_mu_psi():
@@ -115,8 +115,8 @@ def test_default_c_monotone_in_mu_psi():
     low = type(cst)(**{**cst.__dict__, "mu_psi": 1.0})
     high = type(cst)(**{**cst.__dict__, "mu_psi": 2.0})
     # the 2 kappa_beta / mu_psi threshold halves when mu_psi doubles
-    assert default_c(high, "epismd") <= default_c(low, "epismd")
-    assert 2.0 * spec.kappa_beta / 2.0 * 1.01 <= default_c(low, "epismd")
+    assert default_c(high) <= default_c(low)
+    assert 2.0 * spec.kappa_beta / 2.0 * 1.01 <= default_c(low)
 
 
 def test_default_c_single_particle_degenerate():
@@ -125,7 +125,7 @@ def test_default_c_single_particle_degenerate():
     spec = spectra(graph, 0.7)
     cst = compute_constants(prob, spec, EuclideanMap(2))
     assert cst.kappa_n == 0.0
-    assert default_c(cst, "eismd") == pytest.approx(1.01 * 2.0 * 0.49)
+    assert default_c(cst) == pytest.approx(1.01 * 2.0 * 0.49)
 
 
 def test_consensus_spread_trivial_cases():
@@ -327,7 +327,7 @@ def test_constants_mu_hat_switches_for_dual_hessian():
 def test_recorder_record_fields_and_bregman_column():
     prob, graph, spec, mmap, opt = euclid_setup(seed=10)
     cst = compute_constants(prob, spec, mmap)
-    c = default_c(cst, "eismd")
+    c = default_c(cst)
     rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c)
     states = run("eismd", prob, mmap, graph, Hyperparams(dt=0.01, epochs=10), metrics_every=5)
     r = rec(states[-1])
@@ -351,7 +351,7 @@ def test_recorder_epismd_v2_uses_dual_bregman():
     prob, graph, spec, mmap, opt = euclid_setup(seed=11)
     dual = RegularizedDualHessian(spectra(graph, 0.5), prob.hess_blocks())
     cst = compute_constants(prob, spec, mmap, dual)
-    c = default_c(cst, "epismd")
+    c = default_c(cst)
     rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c, dual=dual)
     states = run(
         "epismd", prob, mmap, graph, Hyperparams(dt=0.01, epochs=20),
@@ -364,7 +364,7 @@ def test_recorder_epismd_v2_uses_dual_bregman():
 def test_eismd_lyapunov_descends_on_desk_instance():
     prob, graph, spec, mmap, opt = euclid_setup(seed=12, n=5, d=4)
     cst = compute_constants(prob, spec, mmap)
-    c = default_c(cst, "eismd")
+    c = default_c(cst)
     rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c)
     records = run(
         "eismd", prob, mmap, graph, Hyperparams(dt=1e-3, epochs=4000),

@@ -86,7 +86,9 @@ def test_compare_eismd_epismd_identity_regression_guard(tmp_path):
     cfg_p = load_config(
         write_config(tmp_path, base + "\n[algorithm]\nname = epismd\ndual = identity\n", "epismd.ini")
     )
-    csv_path = harness.cmd_compare([cfg_e, cfg_p], ["eismd", "epismd"], tmp_path / "cmp", shared_seed=5)
+    for cfg in (cfg_e, cfg_p):
+        cfg.set("run", "seed", 5)
+    csv_path = harness.cmd_compare([cfg_e, cfg_p], ["eismd", "epismd"], tmp_path / "cmp")
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0].startswith("run,step,t,")
     rows_e = [l.split(",", 1)[1] for l in lines[1:] if l.startswith("eismd,")]
@@ -110,6 +112,10 @@ def test_sweep_rejects_unknown_or_empty(tmp_path):
         harness.cmd_sweep(cfg, "hyperparams.sgima", ["1"], tmp_path / "s")
     with pytest.raises(ConfigError, match="at least one value"):
         harness.cmd_sweep(cfg, "hyperparams.sigma", [], tmp_path / "s")
+    for values in (["0.1", "0.1"], ["0.1", "0.10"]):  # rejected before any run
+        with pytest.raises(ConfigError, match="distinct"):
+            harness.cmd_sweep(cfg, "hyperparams.sigma", values, tmp_path / "s")
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_noise_floor_ordering(tmp_path):
@@ -315,3 +321,21 @@ def test_cli_compare_multi_config(tmp_path):
     lines = (tmp_path / "cmp" / "compare.csv").read_text().strip().split("\n")
     labels = {line.split(",")[0] for line in lines[1:]}
     assert labels == {"ismd", "eismd"}
+
+
+def test_cli_compare_labels_are_unique(tmp_path):
+    paths = []
+    for rel in ("a_2.ini", "x/a.ini", "y/a.ini"):
+        (tmp_path / rel).parent.mkdir(exist_ok=True)
+        paths += ["--config", str(write_config(tmp_path, MINIMAL, rel))]
+    code = cli.main(["compare", *paths, "--out", str(tmp_path / "cmp"), "--quiet"])
+    assert code == 0
+    lines = (tmp_path / "cmp" / "compare.csv").read_text().strip().split("\n")
+    labels = [line.split(",")[0] for line in lines[1:]]
+    assert len(set(labels)) == 3
+    assert all(labels.count(label) == 11 for label in set(labels))
+    manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
+    assert set(manifest) == set(labels)
+    cfg = load_config(tmp_path / "a_2.ini")
+    with pytest.raises(ConfigError, match="distinct"):
+        harness.cmd_compare([cfg, cfg], ["a", "a"], tmp_path / "dup")
