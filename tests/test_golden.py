@@ -14,10 +14,15 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dismd import __version__, harness
 from dismd.config import load_config
+from dismd.graphs import Topology, build_graph, metropolis_weights
+from dismd.mirror_maps import EntropyMap
+from dismd.objectives import DistributedProblem, GeneratorConfig, QuadraticBlock, generate_problem
+from dismd.oracle import solve_simplex
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -177,3 +182,113 @@ def test_manifest_constants_and_oracle_match_golden(tmp_path, stem):
     _, manifest_path = harness.cmd_run(cfg, tmp_path)
     manifest = json.loads(manifest_path.read_text())
     assert {k: manifest[k] for k in ("constants", "oracle")} == GOLDEN_MANIFEST[stem]
+
+
+# Golden outputs of the simplex oracle and of the entropy map's softmax,
+# recorded for artifact version 0.1.0. The oracle runs ~5e4 mirror descent
+# iterations, so a change in the last bit of any one of them shows here.
+
+def _sha(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def _simplex_case(seed):
+    """problem_b_simplex's generator config with the given problem seed, or
+    the d = 2 vertex-optimum instance (x* = (1, 0)) for seed None."""
+    if seed is None:
+        blocks = [QuadraticBlock(q=np.eye(2), b=np.array([2.0, -1.0]))]
+        return (
+            DistributedProblem(blocks=blocks, domain="simplex", d=2, n=1, m=2),
+            metropolis_weights((), 1),
+        )
+    gen = GeneratorConfig(
+        seed=seed, d=10, m=10, n=10, condition_number=15.0,
+        shared_minimizer=True, domain="simplex",
+    )
+    return generate_problem(gen), build_graph(Topology("cyclic", 10))
+
+
+# problem seed (None: vertex optimum) ->
+#     (sha256 of x_star, f_star, kkt_residual, sha256 of lambda_star or None)
+GOLDEN_SIMPLEX_ORACLE = {
+    9: (
+        "513eed31af0bc670de9f0bace92f43779af7fb21174afaf4570b66c3c9ed2257",
+        8.011873825910737e-16,
+        3.569794735777329e-08,
+        "050505a28c77adc87ef964148b7d86c4ab4e49e48f4303be4da6b82d2759c3e9",
+    ),
+    10: (
+        "376c0baa3699e63f6a556683ff49006a99c39eabd0fa5fe2f9b9785ae28e1c77",
+        1.0908426086351801e-16,
+        1.4283852659262991e-08,
+        "e32bd481b5846b9ac0d6003c0abafea2a30e733038553655a9b071997778e644",
+    ),
+    12: (
+        "c3177b411c9001258c574ec1e3bb4cc3538daef2b72e6cf4e440de530b7a73f6",
+        1.5706542190904346e-16,
+        1.5678317657336072e-08,
+        "788a62329798892664e1acf8e60828cd25db7cf21a1e42d4e4f2d44b884487bb",
+    ),
+    15: (
+        "907d39ed9c41ec3928737a72db748ec8c37bfdb015937734ce5ffd33bc5b209d",
+        1.239521821685829e-16,
+        1.4577808100241229e-08,
+        "64cc315b1e0593d3605bfdf6a1b422e1414764fe1fcec2f46d3db6489f9cca65",
+    ),
+    20: (
+        "ff8351f33496ef0d280c2a8c94505e32e2a527bbb25daf43202bc49c89565193",
+        8.341096576520234e-18,
+        2.3542764723827327e-09,
+        "ebbc8cf47e4c4cafba6816d50e4d7b8199369b7c3d7b09ec0d982ccef5e51c4d",
+    ),
+    None: (
+        "529bb591c8191528fd5cc1bf7f6e2d1becdb752345bd2d7ce30c14b7351369ab",
+        1.0000000000623799,
+        0.0,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", list(GOLDEN_SIMPLEX_ORACLE), ids=str)
+def test_simplex_oracle_matches_golden(seed):
+    assert __version__ == "0.1.0", "a new artifact version needs new golden values"
+    opt = solve_simplex(*_simplex_case(seed))
+    lam = None if opt.lambda_star is None else _sha(opt.lambda_star)
+    got = (_sha(opt.x_star), opt.f_star, opt.kkt_residual, lam)
+    assert got == GOLDEN_SIMPLEX_ORACLE[seed]
+
+
+def _softmax_inputs() -> dict[str, np.ndarray]:
+    # the extreme rows hold shifts of +-700 and -1e3, so entries underflow to
+    # subnormals and to 0, and one row is constant
+    rng = np.random.default_rng(20260)
+    extremes = np.array([
+        [700.0, -700.0, 0.0, 1.0, -1e3],
+        [-1e3, -1e3, -1e3, -1e3, -1e3],
+        [700.0, 699.0, -700.0, -1e3, 0.5],
+        [-700.0, -1e3, -699.5, 3.0, -717.0],
+    ])
+    return {
+        "vector": 4.0 * rng.standard_normal(13),
+        "rows_10x10": 6.0 * rng.standard_normal((10, 10)),
+        "extremes": extremes,
+        "broadcast": np.broadcast_to(rng.standard_normal(7), (5, 7)),
+    }
+
+
+# input name -> sha256 of EntropyMap.backward(input)
+GOLDEN_SOFTMAX = {
+    "vector": "f78364b7e962a3bcc7929e0ccf195450cf382631472e56eeb2abf7971278ccf1",
+    "rows_10x10": "1f7d52f723497372c2ca33cc25ca1c4c41ae0086e610f49938ef23abec14bf0b",
+    "extremes": "a561fd9c97a03e02c55af39cb622ce3666263cee2cfe445b1a4e2a009ca06ef9",
+    "broadcast": "24d0422645b6c115337dae6adbe41138a78638829dd4d24ad03fcee51135015b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOFTMAX))
+def test_entropy_backward_matches_golden(name):
+    z = _softmax_inputs()[name]
+    out = EntropyMap(z.shape[-1]).backward(z)
+    assert out.shape == z.shape and out.dtype == np.float64
+    assert _sha(out) == GOLDEN_SOFTMAX[name]
