@@ -8,6 +8,7 @@ key so a typo like ``sgima`` is caught before any computation starts.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -31,6 +32,13 @@ def _to_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _to_finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw.strip()!r}")
+    return value
+
+
 def _to_str(raw: str) -> str:
     return raw.strip()
 
@@ -44,17 +52,17 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "d": (int, 20),
         "m": (int, 20),
         "n": (int, 10),
-        "condition_number": (float, 15.0),
+        "condition_number": (_to_finite_float, 15.0),
         "shared_minimizer": (_to_bool, False),
         "domain": (_to_str, "unconstrained"),
     },
     "graph": {
         "topology": (_to_str, "cyclic"),
-        "p": (float, None),
+        "p": (_to_finite_float, None),
         "cluster": (int, None),
         "seed": (int, 0),
         "weights": (_to_str, None),
-        "beta": (float, 1.0),
+        "beta": (_to_finite_float, 1.0),
     },
     "algorithm": {
         "name": (_to_str, "eismd"),
@@ -62,14 +70,14 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "map": (_to_str, "euclidean"),
         "map_matrix": (_to_str, None),
         "dual": (_to_str, "identity"),
-        "dual_beta": (float, None),
+        "dual_beta": (_to_finite_float, None),
         "x0": (_to_str, None),
     },
     "hyperparams": {
-        "eta": (float, 1.0),
-        "epsilon": (float, 1.0),
-        "sigma": (float, 0.0),
-        "dt": (float, 0.01),
+        "eta": (_to_finite_float, 1.0),
+        "epsilon": (_to_finite_float, 1.0),
+        "sigma": (_to_finite_float, 0.0),
+        "dt": (_to_finite_float, 0.01),
         "epochs": (int, 50_000),
         "metrics_every": (int, 50),
     },
@@ -110,9 +118,6 @@ class RunConfig:
             for sec, keys in mapping.items()
         }
         return _build(raw)
-
-    def copy(self) -> "RunConfig":
-        return RunConfig(values=self.to_mapping())
 
 
 def _build(raw: dict[str, dict[str, str]]) -> RunConfig:
@@ -181,6 +186,8 @@ def _validate(cfg: RunConfig) -> None:
     _require(a["dual"] in ("identity", "dual_hessian"), f"algorithm.dual must be identity|dual_hessian, got {a['dual']!r}")
     if a["dual"] == "dual_hessian":
         _require(a["name"] == "epismd", f"algorithm.dual = dual_hessian needs algorithm.name = epismd, got {a['name']!r}")
+    if a["dual_beta"] is not None:
+        _require(a["dual_beta"] > 0, f"algorithm.dual_beta must be positive, got {a['dual_beta']}")
     if p["domain"] == "simplex":
         _require(a["map"] == "entropy", "simplex problems pair only with the entropy mirror map")
     elif p["kind"] == "generate":

@@ -124,6 +124,7 @@ class RunSetup:
     mmap: object
     dual: object | None
     opt: oracle.OptimalPair
+    oracle_s: float
     constants: diagnostics.ConvexityConstants
     c: float
     kappa_g: float | None
@@ -138,7 +139,9 @@ def prepare(cfg: RunConfig) -> RunSetup:
     matrix = load_matrix(a["map_matrix"]) if a["map_matrix"] else None
     mmap = make_mirror_map(a["map"], problem.d, matrix)
     dual = build_dual(cfg, graph, problem)
+    started = time.perf_counter()
     opt = oracle.solve(problem, graph)
+    oracle_s = time.perf_counter() - started
     constants = diagnostics.compute_constants(problem, spec, mmap, dual)
     c = diagnostics.default_c(constants)
     kappa_g = None
@@ -160,6 +163,7 @@ def prepare(cfg: RunConfig) -> RunSetup:
         mmap=mmap,
         dual=dual,
         opt=opt,
+        oracle_s=oracle_s,
         constants=constants,
         c=c,
         kappa_g=kappa_g,
@@ -170,7 +174,9 @@ def prepare(cfg: RunConfig) -> RunSetup:
 
 def execute(cfg: RunConfig) -> tuple[list[diagnostics.MetricsRecord], dict]:
     """Run the configured experiment; returns (records, manifest mapping)."""
+    started = time.perf_counter()
     setup = prepare(cfg)
+    prepare_s = time.perf_counter() - started
     a = cfg["algorithm"]
     started = time.perf_counter()
     records = dynamics.run(
@@ -186,8 +192,12 @@ def execute(cfg: RunConfig) -> tuple[list[diagnostics.MetricsRecord], dict]:
         recorder=setup.recorder,
         x0_rows=load_x0(cfg, setup.problem),
     )
-    elapsed = time.perf_counter() - started
-    manifest = build_manifest(cfg, setup, elapsed, len(records))
+    timings = {
+        "prepare_s": prepare_s,
+        "oracle_s": setup.oracle_s,
+        "integrate_s": time.perf_counter() - started,
+    }
+    manifest = build_manifest(cfg, setup, timings, len(records))
     return records, manifest
 
 
@@ -198,9 +208,12 @@ def _float_or_none(v) -> float | None:
     return v if np.isfinite(v) else None
 
 
-def build_manifest(cfg: RunConfig, setup: RunSetup, elapsed: float, n_records: int) -> dict:
+def build_manifest(cfg: RunConfig, setup: RunSetup, timings: dict, n_records: int) -> dict:
+    """Run manifest; ``timings`` holds prepare_s (oracle_s included) and
+    integrate_s, the seconds spent in ``prepare`` and in ``dynamics.run``."""
     opt = setup.opt
     cst = setup.constants
+    epochs = cfg["hyperparams"]["epochs"]
     return {
         "artifact_version": __version__,
         "config": cfg.to_mapping(),
@@ -229,7 +242,9 @@ def build_manifest(cfg: RunConfig, setup: RunSetup, elapsed: float, n_records: i
             "kappa_g_estimate": _float_or_none(setup.kappa_g),
             "predicted_rate": _float_or_none(setup.predicted_rate),
         },
-        "wall_clock_seconds": elapsed,
+        "wall_clock_seconds": timings["integrate_s"],
+        "timings": timings,
+        "steps_per_second": epochs / timings["integrate_s"] if epochs else None,
         "records": n_records,
     }
 
@@ -310,16 +325,20 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     if len(set(values)) < len(values):
         raise ConfigError(f"sweep values must be distinct, got {','.join(raw_values)}")
     section, key = param.split(".", 1)
+    base_seed = cfg["run"]["seed"]
+    run_cfgs = []
+    for index, value in enumerate(values):
+        mapping = cfg.to_mapping()
+        mapping[section][key] = value
+        mapping["run"]["seed"] = base_seed + index
+        # rebuilt through the loader, so every value is validated before any run
+        run_cfgs.append(RunConfig.from_mapping(mapping))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary_lines = [
         "value,seed," + csv_header() + ",rate_r,rate_r_squared"
     ]
-    base_seed = cfg["run"]["seed"]
-    for index, (raw, value) in enumerate(zip(raw_values, values)):
-        run_cfg = cfg.copy()
-        run_cfg.set(section, key, value)
-        run_cfg.set("run", "seed", base_seed + index)
+    for index, (raw, run_cfg) in enumerate(zip(raw_values, run_cfgs)):
         records, manifest = execute(run_cfg)
         run_dir = out / f"{key}_{raw}"
         write_run_outputs(run_dir, records, manifest)

@@ -9,13 +9,14 @@ the lambda_0 = 0 dynamics converge to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics
 from .graphs import WeightedGraph, spectra
-from .mirror_maps import EntropyMap, MirrorMap
+from .mirror_maps import EntropyMap, MirrorMap, _softmax
 from .objectives import DistributedProblem, QuadraticBlock
 
 KKT_TOL_UNCONSTRAINED = 1e-8
@@ -93,16 +94,23 @@ def solve_simplex(
     l_agg = float(np.linalg.eigvalsh(hess)[-1])
     dt = min(0.1, 1.0 / max(l_agg, 1e-12))
     rhs = -problem.aggregate_grad(np.zeros(d))
-    mmap = EntropyMap(d)
     x = np.full(d, 1.0 / d)
-    z = mmap.forward(x)
+    z = EntropyMap(d).forward(x)
+    # one step is z -= dt * (H x - rhs); x = softmax(z), computed in place
+    # in buffers allocated once; x and x_new swap roles every iteration
+    x_new = np.empty(d)
+    step = np.empty(d)
+    diff = np.empty(d)
     for _ in range(MAX_SIMPLEX_ITERS):
-        z = z - dt * (hess @ x - rhs)
-        x_new = mmap.backward(z)
-        if float(np.linalg.norm(x_new - x)) <= tol * dt:
-            x = x_new
+        hess.dot(x, step)
+        step -= rhs
+        np.multiply(dt, step, out=step)
+        z -= step
+        _softmax(z, x_new)
+        np.subtract(x_new, x, out=diff)
+        x, x_new = x_new, x
+        if math.sqrt(diff.dot(diff)) <= tol * dt:
             break
-        x = x_new
     else:
         raise OracleError(
             f"simplex solve did not stall within {MAX_SIMPLEX_ITERS} iterations; "

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dismd.config import ConfigError, RunConfig, default_config, load_config
@@ -58,6 +60,19 @@ def test_bad_value_names_key(tmp_path):
         load_config(path)
 
 
+# every float-valued config key; each must reject nan and +-inf by name
+FLOAT_KEYS = (
+    "problem.condition_number",
+    "graph.p",
+    "graph.beta",
+    "algorithm.dual_beta",
+    "hyperparams.eta",
+    "hyperparams.epsilon",
+    "hyperparams.sigma",
+    "hyperparams.dt",
+)
+
+
 def test_validation_rules(tmp_path):
     with pytest.raises(ConfigError, match="entropy"):
         load_config(write(tmp_path, "[problem]\ndomain = simplex\n"))
@@ -81,9 +96,17 @@ def test_validation_rules(tmp_path):
         ("[problem]\nn = 10\n[graph]\ntopology = barbell\ncluster = 4\n", "graph.cluster"),
         ("[algorithm]\nname = eismd\ndual = dual_hessian\n", "algorithm.dual"),
         ("[algorithm]\nname = ismd\ndual = dual_hessian\n", "algorithm.dual"),
+        ("[algorithm]\nname = epismd\ndual = dual_hessian\ndual_beta = -1\n", "algorithm.dual_beta"),
+        ("[algorithm]\ndual_beta = 0\n", "algorithm.dual_beta"),
     ]:
         with pytest.raises(ConfigError, match=key):
             load_config(write(tmp_path, text))
+    for key in FLOAT_KEYS:
+        section, name = key.split(".")
+        for value in ("nan", "inf", "-inf", "+Infinity"):
+            text = f"[{section}]\n{name} = {value}\n"
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                load_config(write(tmp_path, text))
 
 
 def test_missing_file_raises():
@@ -163,6 +186,7 @@ def test_mapping_round_trip_and_invalid_combinations_property():
                 "dual": draw(st.sampled_from(
                     ["identity", "dual_hessian"] if algorithm == "epismd" else ["identity"]
                 )),
+                "dual_beta": draw(st.one_of(st.none(), st.floats(1e-6, 1e6, **finite))),
             },
             "hyperparams": {
                 "sigma": draw(st.floats(0.0, 10.0, **finite)),
@@ -196,5 +220,19 @@ def test_mapping_round_trip_and_invalid_combinations_property():
         with pytest.raises(ConfigError, match="algorithm.dual"):
             RunConfig.from_mapping({"algorithm": {"name": algorithm, "dual": "dual_hessian"}})
 
+    @hypothesis.given(
+        key=st.sampled_from(FLOAT_KEYS),
+        value=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        dual_beta=st.floats(max_value=0.0, allow_infinity=False),
+    )
+    @hypothesis.settings(max_examples=200, deadline=None)
+    def rejects_non_finite(key, value, dual_beta):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            RunConfig.from_mapping({section: {name: value}})
+        with pytest.raises(ConfigError, match="algorithm.dual_beta"):
+            RunConfig.from_mapping({"algorithm": {"dual_beta": dual_beta}})
+
     round_trips()
     rejects()
+    rejects_non_finite()

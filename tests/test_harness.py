@@ -54,6 +54,21 @@ def test_cmd_run_is_byte_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_manifest_timings_are_present_and_non_negative(tmp_path):
+    cfg = load_config(write_config(tmp_path, MINIMAL))
+    _, manifest_path = harness.cmd_run(cfg, tmp_path / "out")
+    manifest = json.loads(manifest_path.read_text())
+    timings = manifest["timings"]
+    assert set(timings) == {"prepare_s", "oracle_s", "integrate_s"}
+    assert all(v >= 0.0 for v in timings.values())
+    assert timings["oracle_s"] <= timings["prepare_s"]
+    assert manifest["wall_clock_seconds"] == timings["integrate_s"]
+    assert manifest["steps_per_second"] == pytest.approx(100 / timings["integrate_s"])
+    cfg.set("hyperparams", "epochs", 0)
+    _, manifest_path = harness.cmd_run(cfg, tmp_path / "zero")
+    assert json.loads(manifest_path.read_text())["steps_per_second"] is None
+
+
 def test_rerun_from_manifest_echo_reproduces_metrics(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL))
     metrics_path, manifest_path = harness.cmd_run(cfg, tmp_path / "out")
@@ -115,6 +130,14 @@ def test_sweep_rejects_unknown_or_empty(tmp_path):
     for values in (["0.1", "0.1"], ["0.1", "0.10"]):  # rejected before any run
         with pytest.raises(ConfigError, match="distinct"):
             harness.cmd_sweep(cfg, "hyperparams.sigma", values, tmp_path / "s")
+    for param, values in [
+        ("hyperparams.dt", ["0.01", "inf"]),
+        ("hyperparams.eta", ["nan"]),
+        ("graph.beta", ["1", "-inf"]),
+        ("problem.condition_number", ["2", "0.5"]),
+    ]:
+        with pytest.raises(ConfigError, match=param):
+            harness.cmd_sweep(cfg, param, values, tmp_path / "s")
     assert not (tmp_path / "s").exists()
 
 

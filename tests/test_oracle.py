@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dismd import cli, oracle
+from dismd.config import load_config
 from dismd.dynamics import Hyperparams
 from dismd.graphs import Topology, build_graph, metropolis_weights, spectra
-from dismd.mirror_maps import EuclideanMap
+from dismd.harness import build_problem
+from dismd.mirror_maps import EntropyMap, EuclideanMap
 from dismd.objectives import DistributedProblem, GeneratorConfig, QuadraticBlock, generate_problem
 from dismd.oracle import (
     OracleError,
@@ -214,3 +219,27 @@ def test_merge_blocks_preserves_aggregate_objective():
     for _ in range(5):
         x = rng.standard_normal(3)
         assert merged.aggregate_value(x) == pytest.approx(prob.aggregate_value(x), rel=1e-12)
+
+
+def test_simplex_solve_that_does_not_stall_reports_last_iterate(monkeypatch, capsys):
+    cfg_path = Path(__file__).resolve().parent.parent / "configs" / "problem_b_simplex.ini"
+    prob = build_problem(load_config(cfg_path))
+    g = build_graph(Topology("cyclic", prob.n))
+    # reference loop: centralized entropic mirror descent, three steps
+    hess = prob.aggregate_hessian()
+    dt = min(0.1, 1.0 / float(np.linalg.eigvalsh(hess)[-1]))
+    rhs = -prob.aggregate_grad(np.zeros(prob.d))
+    mmap = EntropyMap(prob.d)
+    x = np.full(prob.d, 1.0 / prob.d)
+    z = mmap.forward(x)
+    for _ in range(3):
+        z = z - dt * (hess @ x - rhs)
+        x = mmap.backward(z)
+    message = f"simplex solve did not stall within 3 iterations; last iterate {x}"
+
+    monkeypatch.setattr(oracle, "MAX_SIMPLEX_ITERS", 3)
+    with pytest.raises(OracleError) as excinfo:
+        solve_simplex(prob, g)
+    assert str(excinfo.value) == message
+    assert cli.main(["oracle", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
