@@ -1,0 +1,176 @@
+"""The per-step kernels against the einsum forms of artifact version 0.1.0.
+
+``DistributedProblem.grads`` and ``block_values`` and the dual-Hessian
+preconditioner's ``backward`` and ``forward`` are the kernels the
+integration loop and the recorder call on every step or record. The forms
+below are the ones artifact version 0.1.0 shipped, kept here as independent
+references: a kernel that sums in another order may differ from them in the
+last bits, but never by more than a small multiple of the rounding error of
+its operands. The trajectory check runs the golden cases once as shipped and
+once with these references patched in, and bounds every metrics.csv column;
+patched in, the references reproduce the 0.1.0 bytes.
+"""
+
+import hashlib
+import io
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dismd import harness
+from dismd.config import load_config
+from dismd.graphs import Topology, apply_block, build_graph, spectra
+from dismd.mirror_maps import RegularizedDualHessian
+from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REL_TOL = 1e-12
+ABS_FLOOR = 1e-15
+
+
+def ref_grads(self, x_rows):
+    r = np.einsum("nmd,nd->nm", self._q, x_rows) - self._b
+    return np.einsum("nmd,nm->nd", self._q, r)
+
+
+def ref_block_values(self, x_rows):
+    r = np.einsum("nmd,nd->nm", self._q, x_rows) - self._b
+    return 0.5 * np.sum(r * r, axis=-1)
+
+
+def _ref_sandwich(self, outer, inner, v):
+    u = apply_block(outer, v)
+    rows = u if u.ndim == 2 else u.reshape(self.n, self.d)
+    w = np.einsum("nij,nj->ni", inner, rows)
+    out = outer @ w
+    return out if np.asarray(v).ndim == 2 else out.ravel()
+
+
+def ref_dual_backward(self, mu):
+    return _ref_sandwich(self, self._lap_beta_inv, self._hess, mu)
+
+
+def ref_dual_forward(self, lam):
+    return _ref_sandwich(self, self._lap_beta, self._hess_inv, lam)
+
+
+def _abs_sandwich(outer, inner, rows):
+    """|outer| |inner| |outer| |rows|: the operand scale of a sandwich."""
+    u = np.abs(outer) @ np.abs(rows)
+    return np.abs(outer) @ (np.abs(inner) @ u[..., None])[..., 0]
+
+
+def _assert_close(got, want, scale):
+    tol = REL_TOL * scale + ABS_FLOOR
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+
+def test_kernels_match_einsum_references_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 12),
+        d=st.integers(1, 12),
+        extra_m=st.integers(0, 11),
+        cond=st.floats(1.0, 1e3),
+        shared=st.booleans(),
+        log_scale=st.floats(-3.0, 3.0),
+        beta=st.floats(0.01, 10.0),
+    )
+    @hypothesis.settings(max_examples=200, deadline=None)
+    def agrees(seed, n, d, extra_m, cond, shared, log_scale, beta):
+        m = min(d + extra_m, 12)  # m >= d keeps every block Hessian definite
+        if min(m, d) < 2:
+            cond = 1.0
+        prob = generate_problem(GeneratorConfig(
+            seed=seed, d=d, m=m, n=n, condition_number=cond, shared_minimizer=shared,
+        ))
+        rng = np.random.default_rng(seed)
+        x = 10.0**log_scale * rng.standard_normal((n, d))
+        if shared:
+            x = prob.minimizer + 1e-6 * x  # residuals cancel near a shared minimizer
+        q, b = prob._q, prob._b
+        hess = np.einsum("nmd,nme->nde", q, q)
+        c = np.einsum("nmd,nm->nd", q, b)
+
+        scale = np.max((np.abs(hess) @ np.abs(x)[..., None])[..., 0] + np.abs(c))
+        _assert_close(prob.grads(x), ref_grads(prob, x), scale)
+        resid = (np.abs(q) @ np.abs(x)[..., None])[..., 0] + np.abs(b)
+        scale = np.max(0.5 * np.sum(resid * resid, axis=-1))
+        _assert_close(prob.block_values(x), ref_block_values(prob, x), scale)
+
+        spec = spectra(build_graph(Topology("cyclic", n)), beta)
+        dual = RegularizedDualHessian(spec, prob.hess_blocks())
+        for outer, inner, new, ref in (
+            (spec.lap_beta_inv, hess, dual.backward, ref_dual_backward),
+            (spec.lap_beta, dual._hess_inv, dual.forward, ref_dual_forward),
+        ):
+            scale = np.max(_abs_sandwich(outer, inner, x))
+            _assert_close(new(x), ref(dual, x), scale)
+            _assert_close(new(x.ravel()), ref(dual, x.ravel()), scale)
+
+    agrees()
+
+
+# the ten golden metrics.csv cases of tests/test_golden.py, each with its
+# artifact 0.1.0 hash, which the references must reproduce bit for bit:
+# (config stem, {parameter path: value}, sha256 of metrics.csv at 0.1.0)
+TRAJECTORY_CASES = [
+    ("barbell_epismd", {},
+     "859608fb0f986cc3b9030a24eea842177e4b9d5c7723f03b4ab6208f01b4b047"),
+    ("problem_a_eismd", {},
+     "c2dd3a59256c1c7dd34b3067fa7eb8ed15771ecffa1af66733351945f087ea2b"),
+    ("problem_a_ismd", {},
+     "85e186da8e6ea856c35efa591b118ee43cad0442bed90cafff1e3ae28df42318"),
+    ("problem_b_simplex", {},
+     "90cabf33e90f84e056f786120492c304133fab5da300d8de98b1acfec4bb94c5"),
+    ("problem_a_eismd", {"hyperparams.sigma": 0.1},
+     "1ced9142a54fab10a0a6a020dc31454926c7a9e82bf25241d7d3472e01819946"),
+    ("problem_a_eismd", {"algorithm.interaction_on": "z"},
+     "c2dd3a59256c1c7dd34b3067fa7eb8ed15771ecffa1af66733351945f087ea2b"),
+    ("barbell_epismd", {"algorithm.interaction_on": "z"},
+     "859608fb0f986cc3b9030a24eea842177e4b9d5c7723f03b4ab6208f01b4b047"),
+    ("problem_b_simplex", {"algorithm.interaction_on": "z"},
+     "f961cec983a95964d9f62291f4a865c3d164b3d43619798c3c16dbba78cd72a4"),
+    ("problem_a_ismd", {"hyperparams.sigma": 0.1},
+     "31a4922d955a24d9c47ccfc2bc2487a9be7a893d4fff78abfd774f1cea11978c"),
+    ("barbell_epismd", {"hyperparams.sigma": 0.1},
+     "8f2b0bfa60f3d9837ade18e7cd2cf81421e1458a10c568155ee15ae8dde4b4fc"),
+]
+
+
+def _metrics(out_dir, stem, overrides) -> bytes:
+    cfg = load_config(CONFIGS / f"{stem}.ini")
+    cfg.set("hyperparams", "epochs", 2000)
+    cfg.set("hyperparams", "metrics_every", 10)
+    for path, value in overrides.items():
+        cfg.set(*path.split("."), value)
+    metrics_path, _ = harness.cmd_run(cfg, out_dir)
+    return metrics_path.read_bytes()
+
+
+def _columns(csv_bytes: bytes) -> np.ndarray:
+    return np.loadtxt(io.BytesIO(csv_bytes), delimiter=",", skiprows=1)
+
+
+@pytest.mark.parametrize(
+    "stem, overrides, digest_010",
+    TRAJECTORY_CASES,
+    ids=[stem + "".join(f"-{k}={v}" for k, v in ov.items()) for stem, ov, _ in TRAJECTORY_CASES],
+)
+def test_trajectory_matches_einsum_references(tmp_path, monkeypatch, stem, overrides, digest_010):
+    shipped = _columns(_metrics(tmp_path / "shipped", stem, overrides))
+    monkeypatch.setattr(DistributedProblem, "grads", ref_grads)
+    monkeypatch.setattr(DistributedProblem, "block_values", ref_block_values)
+    monkeypatch.setattr(RegularizedDualHessian, "backward", ref_dual_backward)
+    monkeypatch.setattr(RegularizedDualHessian, "forward", ref_dual_forward)
+    reference_bytes = _metrics(tmp_path / "reference", stem, overrides)
+    assert hashlib.sha256(reference_bytes).hexdigest() == digest_010
+    reference = _columns(reference_bytes)
+    assert shipped.shape == reference.shape
+    col_scale = np.max(np.abs(shipped), axis=0)
+    assert np.all(np.abs(shipped - reference) <= REL_TOL * col_scale)
