@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .graphs import LaplacianSpectra, apply_block
+from .graphs import LaplacianSpectra
 
 MAP_KINDS = ("euclidean", "entropy", "quadratic")
 
@@ -278,21 +278,21 @@ class RegularizedDualHessian:
         self._hess_inv = np.stack([np.linalg.inv(h) for h in hess])
         self._extremes: tuple[float, float] | None = None
 
+    def _sandwich(self, outer: np.ndarray, inner: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """outer (inner_i) outer applied to (n, d) rows or a stacked n*d vector."""
+        v = np.asarray(v, dtype=float)
+        rows = v if v.ndim == 2 else v.reshape(self.n, self.d)
+        w = (inner @ (outer @ rows)[..., None])[..., 0]
+        out = outer @ w
+        return out if v.ndim == 2 else out.ravel()
+
     def backward(self, mu: np.ndarray) -> np.ndarray:
         """Conjugate gradient: mu -> lambda."""
-        u = apply_block(self._lap_beta_inv, mu)
-        rows = u if u.ndim == 2 else u.reshape(self.n, self.d)
-        w = np.einsum("nij,nj->ni", self._hess, rows)
-        out = self._lap_beta_inv @ w
-        return out if np.asarray(mu).ndim == 2 else out.ravel()
+        return self._sandwich(self._lap_beta_inv, self._hess, mu)
 
     def forward(self, lam: np.ndarray) -> np.ndarray:
         """Map gradient: lambda -> mu."""
-        u = apply_block(self._lap_beta, lam)
-        rows = u if u.ndim == 2 else u.reshape(self.n, self.d)
-        w = np.einsum("nij,nj->ni", self._hess_inv, rows)
-        out = self._lap_beta @ w
-        return out if np.asarray(lam).ndim == 2 else out.ravel()
+        return self._sandwich(self._lap_beta, self._hess_inv, lam)
 
     def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray) -> float:
         """D_psi between stacked multipliers (quadratic, so a weighted norm)."""

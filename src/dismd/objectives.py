@@ -61,6 +61,8 @@ class DistributedProblem:
     minimizer: np.ndarray | None = None
     _q: np.ndarray = field(init=False, repr=False)
     _b: np.ndarray = field(init=False, repr=False)
+    _hess: np.ndarray = field(init=False, repr=False)
+    _c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
@@ -75,11 +77,14 @@ class DistributedProblem:
                 )
         self._q = np.stack([blk.q for blk in self.blocks])
         self._b = np.stack([blk.b for blk in self.blocks])
+        # gradients are H_i x - c_i with H_i = Q_i^T Q_i and c_i = Q_i^T b_i
+        self._hess = np.einsum("nmd,nme->nde", self._q, self._q)
+        self._hess.flags.writeable = False
+        self._c = np.einsum("nmd,nm->nd", self._q, self._b)
 
     def grads(self, x_rows: np.ndarray) -> np.ndarray:
         """Per-particle gradients: row i is grad f_i(x^i). x_rows is (n, d)."""
-        r = np.einsum("nmd,nd->nm", self._q, x_rows) - self._b
-        return np.einsum("nmd,nm->nd", self._q, r)
+        return (self._hess @ x_rows[..., None])[..., 0] - self._c
 
     def grads_at(self, x: np.ndarray) -> np.ndarray:
         """All block gradients evaluated at one common point; (n, d)."""
@@ -88,7 +93,9 @@ class DistributedProblem:
 
     def block_values(self, x_rows: np.ndarray) -> np.ndarray:
         """f_i(x^i) for each particle."""
-        r = np.einsum("nmd,nd->nm", self._q, x_rows) - self._b
+        # the residual form: with a shared minimizer f_i -> 0, and the expanded
+        # x^T H x / 2 - c^T x + |b|^2 / 2 would cancel catastrophically
+        r = (self._q @ x_rows[..., None])[..., 0] - self._b
         return 0.5 * np.sum(r * r, axis=-1)
 
     def aggregate_value(self, x: np.ndarray) -> float | np.ndarray:
@@ -106,8 +113,8 @@ class DistributedProblem:
         return np.einsum("nmd,nm->d", self._q, r)
 
     def hess_blocks(self) -> np.ndarray:
-        """(n, d, d) array of the constant block Hessians Q_i^T Q_i."""
-        return np.einsum("nmd,nme->nde", self._q, self._q)
+        """Read-only (n, d, d) array of the constant block Hessians Q_i^T Q_i."""
+        return self._hess
 
     def aggregate_hessian(self) -> np.ndarray:
         return np.einsum("nmd,nme->de", self._q, self._q)
