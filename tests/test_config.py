@@ -139,8 +139,23 @@ def test_set_checks_parameter_path():
     cfg = default_config()
     cfg.set("hyperparams", "sigma", 0.2)
     assert cfg["hyperparams"]["sigma"] == 0.2
+    cfg.set("hyperparams", "epochs", "300")
+    assert cfg["hyperparams"]["epochs"] == 300
     with pytest.raises(ConfigError):
         cfg.set("hyperparams", "sgima", 0.2)
+    # set converts and validates like a loaded value and keeps the old config on error
+    before = cfg.to_mapping()
+    with pytest.raises(ConfigError, match=re.escape("hyperparams.dt")):
+        cfg.set("hyperparams", "dt", float("inf"))
+    with pytest.raises(ConfigError, match=re.escape("hyperparams.eta")):
+        cfg.set("hyperparams", "eta", float("nan"))
+    assert cfg.to_mapping() == before
+    barbell = RunConfig.from_mapping(
+        {"problem": {"n": 10}, "graph": {"topology": "barbell", "cluster": 5}}
+    )
+    with pytest.raises(ConfigError, match=re.escape("graph.cluster")):
+        barbell.set("problem", "n", 9)
+    assert barbell["problem"]["n"] == 10
 
 
 def test_comments_and_inline_comments(tmp_path):
