@@ -12,6 +12,7 @@ for version 0.1.0, which 0.2.0 left unchanged.
 
 import hashlib
 import json
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,11 @@ def _metrics_digest(out_dir, stem: str, overrides: dict) -> str:
         cfg.set(*path.split("."), value)
     metrics_path, _ = harness.cmd_run(cfg, out_dir)
     return hashlib.sha256(metrics_path.read_bytes()).hexdigest()
+
+
+def test_pyproject_version_is_the_artifact_version():
+    pyproject = tomllib.loads((CONFIGS.parent / "pyproject.toml").read_text())
+    assert pyproject["project"]["version"] == __version__
 
 
 def test_golden_cases_cover_every_shipped_config():

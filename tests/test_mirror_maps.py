@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dismd.graphs import Topology, build_graph, spectra
+from dismd.graphs import Topology, apply_block, build_graph, spectra
 from dismd.mirror_maps import (
     EntropyMap,
     EuclideanMap,
@@ -245,10 +245,25 @@ def test_dual_precond_matches_dense_oracle():
 
 
 def test_dual_precond_forward_backward_inverse():
-    _, _, _, dual = _dual_setup()
+    prob, _, spec, dual = _dual_setup()
     rng = np.random.default_rng(9)
     lam = rng.standard_normal((4, 2))
     assert np.allclose(dual.backward(dual.forward(lam)), lam, atol=1e-8)
+    # the (n, d) rows path agrees with the stacked n*d vector path and with
+    # the sandwich assembled from apply_block on the stacked vector
+    hess = prob.hess_blocks()
+    for apply, lap, inner in (
+        (dual.backward, spec.lap_beta_inv, hess),
+        (dual.forward, spec.lap_beta, np.linalg.inv(hess)),
+    ):
+        rows = apply(lam)
+        tol = 1e-14 * np.max(np.abs(rows))
+        stacked = apply(lam.ravel())
+        assert stacked.shape == (8,)
+        assert np.max(np.abs(stacked.reshape(4, 2) - rows)) <= tol
+        u = apply_block(lap, lam.ravel()).reshape(4, 2)
+        assembled = apply_block(lap, np.einsum("nij,nj->ni", inner, u).ravel())
+        assert np.max(np.abs(assembled.reshape(4, 2) - rows)) <= tol
 
 
 def test_dual_precond_conj_hessian_positive_definite():

@@ -157,6 +157,18 @@ def test_grads_match_per_block_loops():
         assert vals[i] == pytest.approx(blk.value(x_rows[i]))
 
 
+def test_hess_blocks_is_one_cached_read_only_array():
+    prob = generate_problem(GeneratorConfig(seed=4, d=5, m=7, n=3, condition_number=9.0))
+    hess = prob.hess_blocks()
+    assert prob.hess_blocks() is hess
+    assert not hess.flags.writeable
+    q = np.stack([blk.q for blk in prob.blocks])
+    assert np.array_equal(hess, np.einsum("nmd,nme->nde", q, q))
+    assert hess.tobytes() == np.einsum("nmd,nme->nde", q, q).tobytes()
+    with pytest.raises(ValueError):
+        hess[0, 0, 0] = 1.0
+
+
 def test_aggregate_hessian_positive_definite_when_overdetermined():
     prob = generate_problem(GeneratorConfig(seed=10, d=8, m=4, n=5, condition_number=5.0))
     assert 5 * 4 >= 8
