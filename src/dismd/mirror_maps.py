@@ -279,7 +279,8 @@ class RegularizedDualHessian:
         self._extremes: tuple[float, float] | None = None
 
     def _sandwich(self, outer: np.ndarray, inner: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """outer (inner_i) outer applied to (n, d) rows or a stacked n*d vector."""
+        """(outer kron I_d) blockdiag(inner) (outer kron I_d) applied to (n, d)
+        rows or to a stacked n*d vector."""
         v = np.asarray(v, dtype=float)
         rows = v if v.ndim == 2 else v.reshape(self.n, self.d)
         w = (inner @ (outer @ rows)[..., None])[..., 0]
