@@ -12,7 +12,6 @@ for version 0.1.0, which 0.2.0 left unchanged.
 
 import hashlib
 import json
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +73,7 @@ def _metrics_digest(out_dir, stem: str, overrides: dict) -> str:
 
 
 def test_pyproject_version_is_the_artifact_version():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     pyproject = tomllib.loads((CONFIGS.parent / "pyproject.toml").read_text())
     assert pyproject["project"]["version"] == __version__
 
