@@ -1,8 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dismd import harness
+from dismd.config import load_config
 from dismd.graphs import Topology, apply_block, build_graph, spectra
 from dismd.mirror_maps import (
     EntropyMap,
@@ -282,6 +285,96 @@ def test_dual_precond_bregman_quadratic_form():
     dense_psi = np.linalg.inv(dual.conj_hessian_dense())
     diff = (a - b).ravel()
     assert dual.bregman(a, b) == pytest.approx(0.5 * diff @ dense_psi @ diff, rel=1e-9)
+
+
+# The dual map's constants against an independent reference: both operators
+# built densely with kron and solved with a full eigvalsh. mu_psi is
+# 1/lambda_max of the conjugate Hessian L_beta^{-1} H L_beta^{-1}; l_psi is
+# lambda_max of psi's own Hessian L_beta H^{-1} L_beta.
+EPS = np.finfo(float).eps
+MU_RTOL = 1e-13
+LIP_RTOL = 1e-10
+
+
+def _dense_sandwich(outer, blocks):
+    """(outer kron I_d) blockdiag(blocks) (outer kron I_d) as a dense matrix."""
+    n, d = blocks.shape[:2]
+    wide = np.kron(outer, np.eye(d))
+    middle = np.zeros((n * d, n * d))
+    for i, block in enumerate(blocks):
+        middle[i * d:(i + 1) * d, i * d:(i + 1) * d] = block
+    return wide @ middle @ wide
+
+
+def _dense_extremes(spec, hess):
+    """(lambda_max of the conjugate Hessian, lambda_max of psi's Hessian)."""
+    inv = np.linalg.inv(hess)
+    # inv leaves an asymmetry of order eps * cond(H); psi's Hessian is symmetric
+    inv = 0.5 * (inv + inv.transpose(0, 2, 1))
+    conj = np.linalg.eigvalsh(_dense_sandwich(spec.lap_beta_inv, hess))[-1]
+    own = np.linalg.eigvalsh(_dense_sandwich(spec.lap_beta, inv))[-1]
+    return float(conj), float(own)
+
+
+def _assert_dual_constants(spec, hess, kappa_rtol=0.0):
+    """mu within MU_RTOL; l_psi within LIP_RTOL, or kappa_rtol times the
+    conjugate Hessian's condition number conj * own where that is larger."""
+    dual = RegularizedDualHessian(spec, hess)
+    conj, own = _dense_extremes(spec, hess)
+    assert abs(1.0 / dual.mu - conj) <= MU_RTOL * conj
+    assert abs(dual.lip - own) <= max(LIP_RTOL, kappa_rtol * conj * own) * own
+
+
+def test_dual_constants_match_dense_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 8),
+        d=st.integers(1, 8),
+        extra_m=st.integers(0, 8),
+        cond=st.floats(1.0, 1e3),
+        beta=st.floats(1e-3, 1.0),
+        complete=st.booleans(),
+    )
+    @hypothesis.settings(max_examples=200, deadline=None)
+    def agrees(seed, n, d, extra_m, cond, beta, complete):
+        m = d + extra_m  # m >= d keeps every block Hessian definite
+        if min(m, d) < 2:
+            cond = 1.0
+        prob = generate_problem(GeneratorConfig(seed=seed, d=d, m=m, n=n, condition_number=cond))
+        topology = Topology("erdos_renyi", n, p=1.0) if complete else Topology("cyclic", n)
+        spec = spectra(build_graph(topology), beta)
+        # l_psi is 1/lambda_min of the conjugate Hessian, so its rounding error
+        # grows with that matrix's condition number
+        _assert_dual_constants(spec, prob.hess_blocks(), kappa_rtol=16 * n * d * EPS)
+
+    agrees()
+
+
+def test_dual_constants_match_dense_reference_on_shipped_barbell():
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "barbell_epismd.ini")
+    problem = harness.build_problem(cfg)
+    graph, _ = harness.build_graph_and_spectra(cfg, problem.n)
+    spec = spectra(graph, cfg["algorithm"]["dual_beta"])
+    _assert_dual_constants(spec, problem.hess_blocks())
+
+
+def test_dual_constants_match_dense_reference_with_repeated_eigenvalues():
+    # identical blocks on a complete graph: the conjugate Hessian is
+    # L_beta^{-2} kron H with 2 * d distinct eigenvalues among n * d
+    n, d = 6, 3
+    rng = np.random.default_rng(4)
+    q = rng.standard_normal((d + 2, d))
+    hess = np.repeat((q.T @ q)[None], n, axis=0)
+    spec = spectra(build_graph(Topology("erdos_renyi", n, p=1.0)), 0.05)
+    _assert_dual_constants(spec, hess)
+
+
+def test_dual_constants_match_dense_reference_for_one_coordinate():
+    spec = spectra(build_graph(Topology("cyclic", 1)), 0.3)
+    _assert_dual_constants(spec, np.array([[[2.5]]]))
 
 
 def test_dual_precond_rejects_singular_blocks():
