@@ -24,6 +24,7 @@ Hessian inside the integration loop.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -222,6 +223,47 @@ def make_mirror_map(kind: str, dim: int, matrix: np.ndarray | None = None) -> Mi
     raise ValueError(f"unknown mirror map kind {kind!r}")
 
 
+def _lanczos_max(apply, dim: int, rtol: float = 1e-14, check_every: int = 8,
+                 chunk: int = 64) -> float:
+    """Largest eigenvalue of the symmetric positive definite operator
+    ``apply`` on R^dim.
+
+    Lanczos with full reorthogonalization from a fixed start vector. Every
+    ``check_every`` steps, at the last possible step, or when the next basis
+    vector would be rounding noise (an invariant subspace, e.g. from repeated
+    eigenvalues), the small tridiagonal matrix T is diagonalized. The run
+    stops once the residual |beta_k s_k| of T's top Ritz pair is at most rtol
+    times its Ritz value; that residual bounds the eigenvalue's error. The
+    basis grows by ``chunk`` rows, to dim x dim only if the run needs dim steps.
+    """
+    q = np.random.default_rng(0).standard_normal(dim)
+    q /= np.linalg.norm(q)
+    basis = np.empty((min(chunk, dim), dim))
+    alphas: list[float] = []
+    betas: list[float] = []
+    scale = 0.0
+    k = 0
+    while True:
+        if k == basis.shape[0]:
+            basis = np.concatenate([basis, np.empty((min(chunk, dim - k), dim))])
+        basis[k] = q
+        k += 1
+        w = apply(q)
+        alphas.append(float(q @ w))
+        scale = max(scale, abs(alphas[-1]))
+        known = basis[:k]
+        for _ in range(2):  # twice is enough for orthogonality to rounding
+            w -= known.T @ (known @ w)
+        beta = float(np.linalg.norm(w))
+        if k == dim or k % check_every == 0 or beta <= rtol * scale:
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            vals, vecs = np.linalg.eigh(t)
+            if k == dim or beta * abs(vecs[-1, -1]) <= rtol * vals[-1]:
+                return float(vals[-1])
+        betas.append(beta)
+        q = w / beta
+
+
 class IdentityDual:
     """Trivial dual map psi = ||.||^2 / 2; preconditioned dynamics collapse
     to the plain exact dynamics under it."""
@@ -302,20 +344,17 @@ class RegularizedDualHessian:
         w = self._lap_beta @ rows
         return 0.5 * float(np.einsum("ni,nij,nj->", w, self._hess_inv, w))
 
-    def conj_hessian_dense(self) -> np.ndarray:
-        """Dense  L_beta^{-1} (d^2 f) L_beta^{-1}  for tests and constants."""
-        d = self.d
-        lbi = np.kron(self._lap_beta_inv, np.eye(d))
-        hf = np.zeros((self.n * d, self.n * d))
-        for i, h in enumerate(self._hess):
-            hf[i * d:(i + 1) * d, i * d:(i + 1) * d] = h
-        return lbi @ hf @ lbi
-
     def _constants(self) -> tuple[float, float]:
         if self._extremes is None:
-            eigvals = np.linalg.eigvalsh(self.conj_hessian_dense())
-            # psi's constants are the reciprocals of its conjugate's.
-            self._extremes = (1.0 / float(eigvals[-1]), 1.0 / float(eigvals[0]))
+            # psi's constants: mu is the reciprocal of the conjugate Hessian's
+            # largest eigenvalue, lip the largest eigenvalue of psi's own
+            # Hessian. inv() leaves the inverse blocks asymmetric by about
+            # eps * cond(H), and Lanczos needs a symmetric operator.
+            hess_inv = 0.5 * (self._hess_inv + self._hess_inv.transpose(0, 2, 1))
+            dim = self.n * self.d
+            conj = _lanczos_max(partial(self._sandwich, self._lap_beta_inv, self._hess), dim)
+            own = _lanczos_max(partial(self._sandwich, self._lap_beta, hess_inv), dim)
+            self._extremes = (1.0 / conj, own)
         return self._extremes
 
     @property

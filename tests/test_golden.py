@@ -3,15 +3,17 @@ configs.
 
 Each case runs a shipped config, cut to a short horizon, through
 ``harness.cmd_run`` and compares the SHA-256 of the metrics file with a
-hash recorded for artifact version 0.2.0. A change that alters any
-diagnostic in any digit fails here; such a change must bump
-``artifact_version`` and record new hashes. The manifest's ``constants``
-and ``oracle`` blocks are compared, as parsed JSON, with values recorded
-for version 0.1.0, which 0.2.0 left unchanged.
+hash recorded for artifact version 0.3.0 (only the barbell hashes differ
+from 0.2.0's). A change that alters any diagnostic in any digit fails
+here; such a change must bump ``artifact_version`` and record new hashes.
+The manifest's ``constants`` and ``oracle`` blocks are compared, as parsed
+JSON, with values recorded for version 0.1.0; 0.3.0 changed only the
+barbell's dual-map constants.
 """
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # (config stem, sigma override or None) -> sha256 of metrics.csv
 GOLDEN = {
     ("barbell_epismd", None):
-        "6ce0583c3a9c9060644677a7811ab93f0388ac2b522763a7268eb3355de7948e",
+        "1ea781b7dccc166fe59c69bb39f0dc7a1468f4cad57d3d7a25bedb75cfd031fe",
     ("problem_a_eismd", None):
         "86bd87beddbaa907ad53a8e8a0ac0e16e387f70dbc14de0b06bbfe53bb178b8b",
     ("problem_a_ismd", None):
@@ -50,19 +52,19 @@ GOLDEN_OVERRIDES = {
     ("problem_a_eismd", "algorithm.interaction_on", "z"):
         "86bd87beddbaa907ad53a8e8a0ac0e16e387f70dbc14de0b06bbfe53bb178b8b",
     ("barbell_epismd", "algorithm.interaction_on", "z"):
-        "6ce0583c3a9c9060644677a7811ab93f0388ac2b522763a7268eb3355de7948e",
+        "1ea781b7dccc166fe59c69bb39f0dc7a1468f4cad57d3d7a25bedb75cfd031fe",
     ("problem_b_simplex", "algorithm.interaction_on", "z"):
         "185b6f608512ee9b3caa9636a364c94c0770d7089c7b282e42953134665b07b7",
     ("problem_a_ismd", "hyperparams.sigma", 0.1):
         "0d012d4ff4bbec30ac61abcfbdcb0afde9227bd81628f8843591714df485c5cd",
     ("barbell_epismd", "hyperparams.sigma", 0.1):
-        "89d7e392fc07b1914f2f4fb9623a22cc9e1d64781cd3e9cb2e6541e1cd9734a8",
+        "14fff8d0f5dbcf429438b839fc29659e734f25f21e45f1f3326bf7d0f9484b49",
 }
 
 
 def _metrics_digest(out_dir, stem: str, overrides: dict) -> str:
     """SHA-256 of metrics.csv of a shipped config cut to 2,000 epochs."""
-    assert __version__ == "0.2.0", "a new artifact version needs new golden hashes"
+    assert __version__ == "0.3.0", "a new artifact version needs new golden hashes"
     cfg = load_config(CONFIGS / f"{stem}.ini")
     cfg.set("hyperparams", "epochs", 2000)
     cfg.set("hyperparams", "metrics_every", 10)
@@ -76,6 +78,11 @@ def test_pyproject_version_is_the_artifact_version():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     pyproject = tomllib.loads((CONFIGS.parent / "pyproject.toml").read_text())
     assert pyproject["project"]["version"] == __version__
+
+
+def test_readme_contract_names_the_artifact_version():
+    readme = (CONFIGS.parent / "README.md").read_text()
+    assert re.findall(r"\bnow\s+(\d+\.\d+\.\d+)", readme) == [__version__]
 
 
 def test_golden_cases_cover_every_shipped_config():
@@ -130,11 +137,11 @@ GOLDEN_MANIFEST = {
             "l_f": 0.600000000000001,
             "mu_phi": 1.0,
             "l_phi": 1.0,
-            "mu_psi": 0.0004363760545945212,
-            "l_psi": 376.1372077560064,
+            "mu_psi": 0.0004363760545945213,
+            "l_psi": 376.13720775397564,
             "alpha_phi": 0.600000000000001,
-            "mu_hat": 0.0004363760545945212,
-            "c": 5774.841281675105,
+            "mu_hat": 0.0004363760545945213,
+            "c": 5774.841281675103,
             "kappa_g_estimate": 0.0,
             "predicted_rate": 0.0,
         },
@@ -181,7 +188,7 @@ def test_golden_manifest_covers_every_shipped_config():
 
 @pytest.mark.parametrize("stem", sorted(GOLDEN_MANIFEST))
 def test_manifest_constants_and_oracle_match_golden(tmp_path, stem):
-    assert __version__ == "0.2.0", "a new artifact version needs new golden values"
+    assert __version__ == "0.3.0", "a new artifact version needs new golden values"
     cfg = load_config(CONFIGS / f"{stem}.ini")
     cfg.set("hyperparams", "epochs", 2000)
     cfg.set("hyperparams", "metrics_every", 10)
@@ -191,7 +198,7 @@ def test_manifest_constants_and_oracle_match_golden(tmp_path, stem):
 
 
 # Golden outputs of the simplex oracle and of the entropy map's softmax,
-# recorded for artifact version 0.1.0 and unchanged in 0.2.0. The oracle runs ~5e4 mirror descent
+# recorded for artifact version 0.1.0 and unchanged since. The oracle runs ~5e4 mirror descent
 # iterations, so a change in the last bit of any one of them shows here.
 
 def _sha(arr) -> str:
@@ -258,7 +265,7 @@ GOLDEN_SIMPLEX_ORACLE = {
 
 @pytest.mark.parametrize("seed", list(GOLDEN_SIMPLEX_ORACLE), ids=str)
 def test_simplex_oracle_matches_golden(seed):
-    assert __version__ == "0.2.0", "a new artifact version needs new golden values"
+    assert __version__ == "0.3.0", "a new artifact version needs new golden values"
     opt = solve_simplex(*_simplex_case(seed))
     lam = None if opt.lambda_star is None else _sha(opt.lambda_star)
     got = (_sha(opt.x_star), opt.f_star, opt.kkt_residual, lam)

@@ -8,7 +8,9 @@ references: a kernel that sums in another order may differ from them in the
 last bits, but never by more than a small multiple of the rounding error of
 its operands. The trajectory check runs the golden cases once as shipped and
 once with these references patched in, and bounds every metrics.csv column;
-patched in, the references reproduce the 0.1.0 bytes.
+patched in, together with the dense eigvalsh constants of the dual-Hessian
+preconditioner that 0.1.0 and 0.2.0 shipped, the references reproduce the
+0.1.0 bytes.
 """
 
 import hashlib
@@ -53,6 +55,17 @@ def ref_dual_backward(self, mu):
 
 def ref_dual_forward(self, lam):
     return _ref_sandwich(self, self._lap_beta, self._hess_inv, lam)
+
+
+def ref_dual_constants(self):
+    """(mu, lip) from a dense eigvalsh of  L_beta^{-1} H L_beta^{-1}."""
+    d = self.d
+    lbi = np.kron(self._lap_beta_inv, np.eye(d))
+    hf = np.zeros((self.n * d, self.n * d))
+    for i, h in enumerate(self._hess):
+        hf[i * d:(i + 1) * d, i * d:(i + 1) * d] = h
+    eigvals = np.linalg.eigvalsh(lbi @ hf @ lbi)
+    return 1.0 / float(eigvals[-1]), 1.0 / float(eigvals[0])
 
 
 def _abs_sandwich(outer, inner, rows):
@@ -168,6 +181,7 @@ def test_trajectory_matches_einsum_references(tmp_path, monkeypatch, stem, overr
     monkeypatch.setattr(DistributedProblem, "block_values", ref_block_values)
     monkeypatch.setattr(RegularizedDualHessian, "backward", ref_dual_backward)
     monkeypatch.setattr(RegularizedDualHessian, "forward", ref_dual_forward)
+    monkeypatch.setattr(RegularizedDualHessian, "_constants", ref_dual_constants)
     reference_bytes = _metrics(tmp_path / "reference", stem, overrides)
     assert hashlib.sha256(reference_bytes).hexdigest() == digest_010
     reference = _columns(reference_bytes)
