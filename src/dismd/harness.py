@@ -124,12 +124,19 @@ class RunSetup:
     mmap: object
     dual: object | None
     opt: oracle.OptimalPair
-    oracle_s: float
+    timings: dict[str, float]  # dual_s, oracle_s and constants_s, parts of prepare
     constants: diagnostics.ConvexityConstants
     c: float
     kappa_g: float | None
     predicted_rate: float | None
     recorder: MetricsRecorder
+
+
+def _timed(fn, *args):
+    """(fn(*args), seconds it took)."""
+    started = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - started
 
 
 def prepare(cfg: RunConfig) -> RunSetup:
@@ -138,11 +145,9 @@ def prepare(cfg: RunConfig) -> RunSetup:
     a = cfg["algorithm"]
     matrix = load_matrix(a["map_matrix"]) if a["map_matrix"] else None
     mmap = make_mirror_map(a["map"], problem.d, matrix)
-    dual = build_dual(cfg, graph, problem)
-    started = time.perf_counter()
-    opt = oracle.solve(problem, graph)
-    oracle_s = time.perf_counter() - started
-    constants = diagnostics.compute_constants(problem, spec, mmap, dual)
+    dual, dual_s = _timed(build_dual, cfg, graph, problem)
+    opt, oracle_s = _timed(oracle.solve, problem, graph)
+    constants, constants_s = _timed(diagnostics.compute_constants, problem, spec, mmap, dual)
     c = diagnostics.default_c(constants)
     kappa_g = None
     rate = None
@@ -163,7 +168,7 @@ def prepare(cfg: RunConfig) -> RunSetup:
         mmap=mmap,
         dual=dual,
         opt=opt,
-        oracle_s=oracle_s,
+        timings={"dual_s": dual_s, "oracle_s": oracle_s, "constants_s": constants_s},
         constants=constants,
         c=c,
         kappa_g=kappa_g,
@@ -194,7 +199,7 @@ def execute(cfg: RunConfig) -> tuple[list[diagnostics.MetricsRecord], dict]:
     )
     timings = {
         "prepare_s": prepare_s,
-        "oracle_s": setup.oracle_s,
+        **setup.timings,
         "integrate_s": time.perf_counter() - started,
     }
     manifest = build_manifest(cfg, setup, timings, len(records))
@@ -209,8 +214,10 @@ def _float_or_none(v) -> float | None:
 
 
 def build_manifest(cfg: RunConfig, setup: RunSetup, timings: dict, n_records: int) -> dict:
-    """Run manifest; ``timings`` holds prepare_s (oracle_s included) and
-    integrate_s, the seconds spent in ``prepare`` and in ``dynamics.run``."""
+    """Run manifest; ``timings`` holds prepare_s and integrate_s, the seconds
+    spent in ``prepare`` and in ``dynamics.run``, and the parts of prepare_s
+    spent building the dual map (dual_s), in the oracle (oracle_s) and in
+    the constants (constants_s)."""
     opt = setup.opt
     cst = setup.constants
     epochs = cfg["hyperparams"]["epochs"]
