@@ -223,29 +223,36 @@ def make_mirror_map(kind: str, dim: int, matrix: np.ndarray | None = None) -> Mi
     raise ValueError(f"unknown mirror map kind {kind!r}")
 
 
-def _lanczos_max(apply, dim: int, rtol: float = 1e-14, check_every: int = 8,
-                 chunk: int = 64) -> float:
+# Lanczos stops once the top Ritz pair's residual is this fraction of its
+# Ritz value; it diagonalizes the tridiagonal matrix every LANCZOS_CHECK
+# steps and grows its basis by LANCZOS_CHUNK rows at a time.
+LANCZOS_RTOL = 1e-14
+LANCZOS_CHECK = 8
+LANCZOS_CHUNK = 64
+
+
+def _lanczos_max(apply, dim: int) -> float:
     """Largest eigenvalue of the symmetric positive definite operator
     ``apply`` on R^dim.
 
     Lanczos with full reorthogonalization from a fixed start vector. Every
-    ``check_every`` steps, at the last possible step, or when the next basis
+    LANCZOS_CHECK steps, at the last possible step, or when the next basis
     vector would be rounding noise (an invariant subspace, e.g. from repeated
     eigenvalues), the small tridiagonal matrix T is diagonalized. The run
-    stops once the residual |beta_k s_k| of T's top Ritz pair is at most rtol
-    times its Ritz value; that residual bounds the eigenvalue's error. The
-    basis grows by ``chunk`` rows, to dim x dim only if the run needs dim steps.
+    stops once the residual |beta_k s_k| of T's top Ritz pair is at most
+    LANCZOS_RTOL times its Ritz value; that residual bounds the eigenvalue's
+    error. The basis reaches dim x dim only if the run needs dim steps.
     """
     q = np.random.default_rng(0).standard_normal(dim)
     q /= np.linalg.norm(q)
-    basis = np.empty((min(chunk, dim), dim))
+    basis = np.empty((min(LANCZOS_CHUNK, dim), dim))
     alphas: list[float] = []
     betas: list[float] = []
     scale = 0.0
     k = 0
     while True:
         if k == basis.shape[0]:
-            basis = np.concatenate([basis, np.empty((min(chunk, dim - k), dim))])
+            basis = np.concatenate([basis, np.empty((min(LANCZOS_CHUNK, dim - k), dim))])
         basis[k] = q
         k += 1
         w = apply(q)
@@ -255,10 +262,10 @@ def _lanczos_max(apply, dim: int, rtol: float = 1e-14, check_every: int = 8,
         for _ in range(2):  # twice is enough for orthogonality to rounding
             w -= known.T @ (known @ w)
         beta = float(np.linalg.norm(w))
-        if k == dim or k % check_every == 0 or beta <= rtol * scale:
+        if k == dim or k % LANCZOS_CHECK == 0 or beta <= LANCZOS_RTOL * scale:
             t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             vals, vecs = np.linalg.eigh(t)
-            if k == dim or beta * abs(vecs[-1, -1]) <= rtol * vals[-1]:
+            if k == dim or beta * abs(vecs[-1, -1]) <= LANCZOS_RTOL * vals[-1]:
                 return float(vals[-1])
         betas.append(beta)
         q = w / beta
