@@ -13,7 +13,6 @@ from .graphs import (
     LaplacianSpectra,
     Topology,
     WeightedGraph,
-    apply_block,
     build_graph,
     build_topology,
     metropolis_weights,
@@ -57,7 +56,6 @@ __all__ = [
     "RegularizedDualHessian",
     "Topology",
     "WeightedGraph",
-    "apply_block",
     "build_graph",
     "build_topology",
     "centralized_md_baseline",

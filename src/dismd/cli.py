@@ -55,10 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> RunConfig:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.set("run", "seed", args.seed)
+def _load(path: str, seed: int | None) -> RunConfig:
+    cfg = load_config(path)
+    if seed is not None:
+        cfg.set("run", "seed", seed)
     return cfg
 
 
@@ -72,7 +72,7 @@ def _out_dir(args, cfg: RunConfig | None = None) -> Path:
 
 def _dispatch(args) -> int:
     if args.command == "run":
-        cfg = _load(args)
+        cfg = _load(args.config, args.seed)
         out = _out_dir(args, cfg)
         metrics_path, manifest_path = harness.cmd_run(cfg, out)
         if not args.quiet:
@@ -82,10 +82,7 @@ def _dispatch(args) -> int:
     if args.command == "compare":
         configs, labels = [], []
         for path in args.configs:
-            cfg = load_config(path)
-            if args.seed is not None:
-                cfg.set("run", "seed", args.seed)
-            configs.append(cfg)
+            configs.append(_load(path, args.seed))
             stem = label = Path(path).stem
             suffix = len(labels)
             while label in labels:  # x/a.ini and y/a.ini become a and a_1
@@ -99,8 +96,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "sweep":
-        cfg = _load(args)
-        values = [v for v in args.values.split(",") if v != ""]
+        cfg = _load(args.config, args.seed)
+        values = [v.strip() for v in args.values.split(",") if v.strip()]
         out = _out_dir(args, cfg)
         summary = harness.cmd_sweep(cfg, args.param, values, out)
         if not args.quiet:
@@ -108,7 +105,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "graph-info":
-        cfg = _load(args)
+        cfg = _load(args.config, args.seed)
         print(harness.graph_info_report(cfg))
         if args.out is not None:
             harness.export_graph_matrices(cfg, args.out)
@@ -117,7 +114,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "problem-gen":
-        cfg = _load(args)
+        cfg = _load(args.config, args.seed)
         out = _out_dir(args, cfg)
         problem = harness.build_problem(cfg)
         manifest = save_problem_bundle(problem, out)
@@ -126,7 +123,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "oracle":
-        cfg = _load(args)
+        cfg = _load(args.config, args.seed)
         print(harness.oracle_report(cfg))
         return EXIT_OK
 

@@ -187,6 +187,11 @@ def _validate(cfg: RunConfig) -> None:
     _require(a["map"] in MAP_KINDS, f"algorithm.map must be one of {MAP_KINDS}, got {a['map']!r}")
     if a["map"] == "quadratic":
         _require(a["map_matrix"] is not None, "algorithm.map = quadratic requires algorithm.map_matrix")
+    else:
+        _require(
+            a["map_matrix"] is None,
+            f"algorithm.map_matrix is read only by algorithm.map = quadratic, got map = {a['map']!r}",
+        )
     _require(a["dual"] in ("identity", "dual_hessian"), f"algorithm.dual must be identity|dual_hessian, got {a['dual']!r}")
     if a["dual"] == "dual_hessian":
         _require(a["name"] == "epismd", f"algorithm.dual = dual_hessian needs algorithm.name = epismd, got {a['name']!r}")

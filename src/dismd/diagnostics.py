@@ -80,10 +80,9 @@ def compute_constants(
     mmap: MirrorMap,
     dual=None,
 ) -> ConvexityConstants:
-    hess = problem.hess_blocks()
-    block_eigs = [np.linalg.eigvalsh(h) for h in hess]
-    mu_f = float(min(e[0] for e in block_eigs))
-    l_f = float(max(e[-1] for e in block_eigs))
+    block_eigs = np.linalg.eigvalsh(problem.hess_blocks())
+    mu_f = float(block_eigs[:, 0].min())
+    l_f = float(block_eigs[:, -1].max())
     mu_psi = float(dual.mu) if dual is not None else 1.0
     l_psi = float(dual.lip) if dual is not None else 1.0
     if dual is not None and dual.kind == "dual_hessian":
@@ -148,7 +147,7 @@ def kappa_g_estimate(
 
     The quotient is |A d|_W^2 / |d|^2 over directions d = (d_x, d_lambda),
     with A = [H_f + L, L] (L applied blockwise) and W the conjugate map
-    Hessian at z = forward(x) for a sampled stacked point x. A maps R^(2nd)
+    Hessian at z = forward(x) for sampled (n, d) rows x. A maps R^(2nd)
     to R^(nd), so by rank-nullity its kernel has dimension at least nd. A
     kernel direction makes the quotient zero, and W is positive semidefinite,
     so the quotient is never negative: its infimum is exactly 0 for every
@@ -156,19 +155,20 @@ def kappa_g_estimate(
     on it.
 
     What remains to check is that W is nonsingular at every sample point.
-    W is block diagonal, so this takes one d x d eigenvalue problem per
-    particle. At each point the smallest block eigenvalue must exceed 1e-14
-    times the largest one (or 1e-14 if that is below one). ``graph`` does not
-    enter the result.
+    W is block diagonal; its n blocks are the conjugate Hessian applied to
+    the d identity rows at each particle, and one batched eigenvalue call
+    checks them. At each point the smallest block eigenvalue must exceed
+    1e-14 times the largest one (or 1e-14 if that is below one). ``graph``
+    does not enter the result.
     """
     if not points:
         raise ValueError("kappa_g_estimate needs at least one sample point")
     n, d = problem.n, problem.d
+    eye = np.broadcast_to(np.eye(d), (n, d, d))
     for x_rows in points:
-        z_rows = mmap.forward(np.asarray(x_rows, dtype=float).reshape(n, d))
-        block_eigs = [np.linalg.eigvalsh(mmap.hess_conj_dense(z)) for z in z_rows]
-        w_max = max(e[-1] for e in block_eigs)
-        if min(e[0] for e in block_eigs) <= 1e-14 * max(w_max, 1.0):
+        z_rows = mmap.forward(np.asarray(x_rows, dtype=float))
+        block_eigs = np.linalg.eigvalsh(mmap.hess_conj_apply(z_rows[:, None, :], eye))
+        if block_eigs[:, 0].min() <= 1e-14 * max(block_eigs[:, -1].max(), 1.0):
             raise ValueError("conjugate map Hessian is singular at a sample point")
     return 0.0
 

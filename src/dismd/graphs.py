@@ -236,20 +236,3 @@ def spectra(graph: WeightedGraph, beta: float) -> LaplacianSpectra:
         algebraic_connectivity=connectivity,
     )
 
-
-def apply_block(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the vectorized operator (mat kron I_d) without materializing it.
-
-    mat is n x n; x is either a stacked vector of length n*d or an (n, d)
-    array of per-node rows. The result has the same shape as x.
-    """
-    mat = np.asarray(mat)
-    n = mat.shape[0]
-    x = np.asarray(x)
-    if x.ndim == 1:
-        if x.size % n != 0:
-            raise ValueError(f"stacked vector of length {x.size} is not a multiple of n={n}")
-        return (mat @ x.reshape(n, -1)).ravel()
-    if x.ndim == 2 and x.shape[0] == n:
-        return mat @ x
-    raise ValueError(f"expected (n*d,) or (n, d) input with n={n}, got shape {x.shape}")

@@ -120,7 +120,6 @@ def load_x0(cfg: RunConfig, problem: DistributedProblem) -> np.ndarray | None:
 class RunSetup:
     problem: DistributedProblem
     graph: WeightedGraph
-    spec: LaplacianSpectra
     mmap: object
     dual: object | None
     opt: oracle.OptimalPair
@@ -164,7 +163,6 @@ def prepare(cfg: RunConfig) -> RunSetup:
     return RunSetup(
         problem=problem,
         graph=graph,
-        spec=spec,
         mmap=mmap,
         dual=dual,
         opt=opt,
@@ -316,30 +314,26 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
     return out / "compare.csv"
 
 
-def _parse_sweep_value(param: str, raw: str):
-    if param == "hyperparams.epochs":
-        return int(raw)
-    return float(raw)
-
-
 def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path | str) -> Path:
-    """One independent seeded run per parameter value plus a summary CSV."""
+    """One independent seeded run per parameter value plus a summary CSV.
+
+    Each raw value is converted and validated by the config schema, as a
+    loaded value is, before any run starts."""
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter path {param!r}; choose from {SWEEPABLE}")
     if not raw_values:
         raise ConfigError("sweep needs at least one value")
-    values = [_parse_sweep_value(param, raw) for raw in raw_values]
-    if len(set(values)) < len(values):
-        raise ConfigError(f"sweep values must be distinct, got {','.join(raw_values)}")
     section, key = param.split(".", 1)
     base_seed = cfg["run"]["seed"]
     run_cfgs = []
-    for index, value in enumerate(values):
+    for index, raw in enumerate(raw_values):
         mapping = cfg.to_mapping()
-        mapping[section][key] = value
+        mapping[section][key] = raw
         mapping["run"]["seed"] = base_seed + index
-        # rebuilt through the loader, so every value is validated before any run
         run_cfgs.append(RunConfig.from_mapping(mapping))
+    values = [run_cfg[section][key] for run_cfg in run_cfgs]
+    if len(set(values)) < len(values):
+        raise ConfigError(f"sweep values must be distinct, got {','.join(raw_values)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary_lines = [

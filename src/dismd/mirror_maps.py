@@ -11,10 +11,10 @@ Three primal map families are provided:
 Each map exposes the gradient (``forward``), the conjugate gradient
 (``backward``), the value, the Bregman divergence and the action of the
 conjugate Hessian. All operations are pure functions of their inputs and
-accept either a single d-vector or an (n, d) array of per-particle rows.
+act on the last axis: a single d-vector or a (..., n, d) array of rows.
 
-The Lagrangian-dual preconditioner mirrors the primal API for the stacked
-multiplier variable: either the identity (which reduces the preconditioned
+The Lagrangian-dual preconditioner mirrors the primal API for the (n, d)
+multiplier rows: either the identity (which reduces the preconditioned
 dynamics to the plain exact dynamics) or the regularized-Laplacian-sandwiched
 problem Hessian, whose conjugate Hessian is
 ``L_beta^{-1} (d^2 f) L_beta^{-1}`` and never requires inverting the problem
@@ -71,11 +71,8 @@ class MirrorMap:
         raise NotImplementedError
 
     def hess_conj_apply(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Apply the conjugate Hessian at z to v (rowwise for 2-d input)."""
-        raise NotImplementedError
-
-    def hess_conj_dense(self, z: np.ndarray) -> np.ndarray:
-        """Dense conjugate Hessian at a single dual point z."""
+        """Apply the conjugate Hessian at z to v along the last axis; z and v
+        broadcast against each other, so identity rows v give dense blocks."""
         raise NotImplementedError
 
     def bregman(self, x: np.ndarray, y: np.ndarray):
@@ -122,9 +119,6 @@ class EuclideanMap(MirrorMap):
     def hess_conj_apply(self, z, v):
         return np.asarray(v, dtype=float).copy()
 
-    def hess_conj_dense(self, z):
-        return np.eye(self.dim)
-
 
 class EntropyMap(MirrorMap):
     """Negative entropy restricted to the open simplex.
@@ -159,10 +153,6 @@ class EntropyMap(MirrorMap):
         x = self.backward(z)
         v = np.asarray(v, dtype=float)
         return x * v - x * np.sum(x * v, axis=-1, keepdims=True)
-
-    def hess_conj_dense(self, z):
-        x = self.backward(np.asarray(z, dtype=float))
-        return np.diag(x) - np.outer(x, x)
 
     def conj_value(self, z):
         # Closed form: 1 + log sum exp(z - 1), kept overflow-safe.
@@ -204,9 +194,6 @@ class QuadraticMap(MirrorMap):
     def hess_conj_apply(self, z, v):
         return np.asarray(v, dtype=float) @ self.matrix_inv
 
-    def hess_conj_dense(self, z):
-        return self.matrix_inv.copy()
-
 
 def make_mirror_map(kind: str, dim: int, matrix: np.ndarray | None = None) -> MirrorMap:
     if kind == "euclidean":
@@ -231,9 +218,9 @@ LANCZOS_CHECK = 8
 LANCZOS_CHUNK = 64
 
 
-def _lanczos_max(apply, dim: int) -> float:
+def _lanczos_max(apply, shape: tuple[int, ...]) -> float:
     """Largest eigenvalue of the symmetric positive definite operator
-    ``apply`` on R^dim.
+    ``apply`` on arrays of ``shape``.
 
     Lanczos with full reorthogonalization from a fixed start vector. Every
     LANCZOS_CHECK steps, at the last possible step, or when the next basis
@@ -241,8 +228,10 @@ def _lanczos_max(apply, dim: int) -> float:
     eigenvalues), the small tridiagonal matrix T is diagonalized. The run
     stops once the residual |beta_k s_k| of T's top Ritz pair is at most
     LANCZOS_RTOL times its Ritz value; that residual bounds the eigenvalue's
-    error. The basis reaches dim x dim only if the run needs dim steps.
+    error. The basis holds flattened vectors and reaches dim x dim, with dim
+    the size of ``shape``, only if the run needs dim steps.
     """
+    dim = math.prod(shape)
     q = np.random.default_rng(0).standard_normal(dim)
     q /= np.linalg.norm(q)
     basis = np.empty((min(LANCZOS_CHUNK, dim), dim))
@@ -255,7 +244,7 @@ def _lanczos_max(apply, dim: int) -> float:
             basis = np.concatenate([basis, np.empty((min(LANCZOS_CHUNK, dim - k), dim))])
         basis[k] = q
         k += 1
-        w = apply(q)
+        w = apply(q.reshape(shape)).reshape(dim)
         alphas.append(float(q @ w))
         scale = max(scale, abs(alphas[-1]))
         known = basis[:k]
@@ -311,8 +300,8 @@ class RegularizedDualHessian:
             raise ValueError(
                 f"graph has {spec.lap_beta.shape[0]} nodes but problem has {n} blocks"
             )
-        block_eigs = [np.linalg.eigvalsh(h) for h in hess]
-        worst = min(e[0] / max(e[-1], 1e-300) for e in block_eigs)
+        block_eigs = np.linalg.eigvalsh(hess)
+        worst = np.min(block_eigs[:, 0] / np.maximum(block_eigs[:, -1], 1e-300))
         if worst <= 1e-12:
             raise ValueError(
                 "dual Hessian preconditioner needs positive definite block Hessians "
@@ -324,17 +313,14 @@ class RegularizedDualHessian:
         self._lap_beta = spec.lap_beta
         self._lap_beta_inv = spec.lap_beta_inv
         self._hess = hess
-        self._hess_inv = np.stack([np.linalg.inv(h) for h in hess])
+        self._hess_inv = np.linalg.inv(hess)
         self._extremes: tuple[float, float] | None = None
 
-    def _sandwich(self, outer: np.ndarray, inner: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """(outer kron I_d) blockdiag(inner) (outer kron I_d) applied to (n, d)
-        rows or to a stacked n*d vector."""
-        v = np.asarray(v, dtype=float)
-        rows = v if v.ndim == 2 else v.reshape(self.n, self.d)
-        w = (inner @ (outer @ rows)[..., None])[..., 0]
-        out = outer @ w
-        return out if v.ndim == 2 else out.ravel()
+    def _sandwich(self, outer: np.ndarray, inner: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(outer kron I_d) blockdiag(inner) (outer kron I_d) applied to
+        (..., n, d) rows."""
+        w = (inner @ (outer @ np.asarray(rows, dtype=float))[..., None])[..., 0]
+        return outer @ w
 
     def backward(self, mu: np.ndarray) -> np.ndarray:
         """Conjugate gradient: mu -> lambda."""
@@ -345,10 +331,9 @@ class RegularizedDualHessian:
         return self._sandwich(self._lap_beta, self._hess_inv, lam)
 
     def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray) -> float:
-        """D_psi between stacked multipliers (quadratic, so a weighted norm)."""
+        """D_psi between (n, d) multiplier rows (quadratic, so a weighted norm)."""
         diff = np.asarray(lam_a, dtype=float) - np.asarray(lam_b, dtype=float)
-        rows = diff if diff.ndim == 2 else diff.reshape(self.n, self.d)
-        w = self._lap_beta @ rows
+        w = self._lap_beta @ diff
         return 0.5 * float(np.einsum("ni,nij,nj->", w, self._hess_inv, w))
 
     def _constants(self) -> tuple[float, float]:
@@ -358,9 +343,9 @@ class RegularizedDualHessian:
             # Hessian. inv() leaves the inverse blocks asymmetric by about
             # eps * cond(H), and Lanczos needs a symmetric operator.
             hess_inv = 0.5 * (self._hess_inv + self._hess_inv.transpose(0, 2, 1))
-            dim = self.n * self.d
-            conj = _lanczos_max(partial(self._sandwich, self._lap_beta_inv, self._hess), dim)
-            own = _lanczos_max(partial(self._sandwich, self._lap_beta, hess_inv), dim)
+            shape = (self.n, self.d)
+            conj = _lanczos_max(partial(self._sandwich, self._lap_beta_inv, self._hess), shape)
+            own = _lanczos_max(partial(self._sandwich, self._lap_beta, hess_inv), shape)
             self._extremes = (1.0 / conj, own)
         return self._extremes
 

@@ -98,6 +98,7 @@ def test_validation_rules(tmp_path):
         ("[algorithm]\nname = ismd\ndual = dual_hessian\n", "algorithm.dual"),
         ("[algorithm]\nname = epismd\ndual = dual_hessian\ndual_beta = -1\n", "algorithm.dual_beta"),
         ("[algorithm]\ndual_beta = 0\n", "algorithm.dual_beta"),
+        ("[algorithm]\nmap_matrix = nonexistent.csv\n", "algorithm.map_matrix"),
     ]:
         with pytest.raises(ConfigError, match=key):
             load_config(write(tmp_path, text))

@@ -5,7 +5,6 @@ from dismd.graphs import (
     GraphError,
     Topology,
     WeightedGraph,
-    apply_block,
     build_graph,
     build_topology,
     metropolis_weights,
@@ -151,37 +150,6 @@ def test_laplacian_rayleigh_lower_bound():
         x = rng.standard_normal((n, d))
         lx = g.laplacian @ x
         assert float(np.vdot(x, lx)) >= float(np.vdot(lx, lx)) / s.kappa_beta - 1e-9
-
-
-def test_apply_block_consensus_is_zero():
-    g = build_graph(Topology("cyclic", 5))
-    x = np.tile(np.array([2.0, -1.0, 0.5]), (5, 1))
-    assert np.max(np.abs(apply_block(g.laplacian, x))) <= 1e-14
-
-
-def test_apply_block_path_two_hand_value():
-    g = metropolis_weights(((0, 1),), 2)
-    out = apply_block(g.laplacian, np.array([1.0, 0.0]))
-    assert out == pytest.approx(np.array([0.5, -0.5]), abs=1e-15)
-
-
-def test_apply_block_matches_dense_kronecker():
-    rng = np.random.default_rng(9)
-    for trial in range(20):
-        n = int(rng.integers(1, 9))
-        d = int(rng.integers(1, max(2, 64 // max(n, 1) + 1)))
-        if n * d > 64:
-            continue
-        g = build_graph(Topology("cyclic", n))
-        x = rng.standard_normal(n * d)
-        dense = np.kron(g.laplacian, np.eye(d)) @ x
-        assert np.max(np.abs(apply_block(g.laplacian, x) - dense)) <= 1e-12
-
-
-def test_apply_block_dimension_mismatch():
-    g = build_graph(Topology("cyclic", 3))
-    with pytest.raises(ValueError):
-        apply_block(g.laplacian, np.arange(4.0))
 
 
 def test_from_adjacency_rejects_bad_matrices():

@@ -139,7 +139,28 @@ def test_sweep_rejects_unknown_or_empty(tmp_path):
     ]:
         with pytest.raises(ConfigError, match=param):
             harness.cmd_sweep(cfg, param, values, tmp_path / "s")
+    # values go through the config schema, which names the key
+    with pytest.raises(ConfigError, match="hyperparams.epochs"):
+        harness.cmd_sweep(cfg, "hyperparams.epochs", ["10", "1e2"], tmp_path / "s")
+    with pytest.raises(ConfigError, match="distinct"):
+        harness.cmd_sweep(cfg, "hyperparams.epochs", ["10", "010"], tmp_path / "s")
     assert not (tmp_path / "s").exists()
+    cfg_path = write_config(tmp_path, MINIMAL)
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "s"), "--quiet",
+            "--param", "hyperparams.epochs", "--values", "10,1e2"]
+    assert cli.main(argv) == 1
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_strips_spaced_values(tmp_path):
+    cfg_path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(out), "--quiet",
+            "--param", "hyperparams.sigma", "--values", "0.1, 0.2 ,"]
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["sigma_0.1", "sigma_0.2", "summary.csv"]
+    values = [line.split(",")[0] for line in (out / "summary.csv").read_text().splitlines()[1:]]
+    assert values == ["0.1", "0.2"]
 
 
 def test_sweep_noise_floor_ordering(tmp_path):

@@ -22,7 +22,7 @@ import pytest
 
 from dismd import harness
 from dismd.config import load_config
-from dismd.graphs import Topology, apply_block, build_graph, spectra
+from dismd.graphs import Topology, build_graph, spectra
 from dismd.mirror_maps import RegularizedDualHessian
 from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
 
@@ -41,12 +41,9 @@ def ref_block_values(self, x_rows):
     return 0.5 * np.sum(r * r, axis=-1)
 
 
-def _ref_sandwich(self, outer, inner, v):
-    u = apply_block(outer, v)
-    rows = u if u.ndim == 2 else u.reshape(self.n, self.d)
-    w = np.einsum("nij,nj->ni", inner, rows)
-    out = outer @ w
-    return out if np.asarray(v).ndim == 2 else out.ravel()
+def _ref_sandwich(self, outer, inner, rows):
+    w = np.einsum("nij,nj->ni", inner, outer @ rows)
+    return outer @ w
 
 
 def ref_dual_backward(self, mu):
@@ -124,7 +121,10 @@ def test_kernels_match_einsum_references_property():
         ):
             scale = np.max(_abs_sandwich(outer, inner, x))
             _assert_close(new(x), ref(dual, x), scale)
-            _assert_close(new(x.ravel()), ref(dual, x.ravel()), scale)
+            # a leading replica axis acts on each (n, d) slice alone
+            batch = new(np.stack([x, -2.0 * x]))
+            _assert_close(batch[0], ref(dual, x), scale)
+            _assert_close(batch[1], ref(dual, -2.0 * x), 2.0 * scale)
 
     agrees()
 

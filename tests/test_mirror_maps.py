@@ -7,7 +7,7 @@ import pytest
 
 from dismd import harness
 from dismd.config import load_config
-from dismd.graphs import Topology, apply_block, build_graph, spectra
+from dismd.graphs import Topology, build_graph, spectra
 from dismd.mirror_maps import (
     EntropyMap,
     EuclideanMap,
@@ -128,13 +128,26 @@ def test_hessian_conj_entropy_uniform_hand_value():
     assert m.hess_conj_apply(z, np.array([1.0, -1.0])) == pytest.approx([0.5, -0.5], abs=1e-14)
 
 
-def test_hessian_conj_dense_matches_apply():
+def test_hessian_conj_apply_matches_finite_differences():
+    # central differences of backward along v, on a d-vector and on the
+    # (n, 1, d) points x (n, d, d) identity rows broadcast that builds the
+    # dense per-particle blocks
     rng = np.random.default_rng(2)
+    h = 1e-5
     for m in _all_maps(4, rng):
-        x = _random_point(m.kind, 4, rng)
-        z = m.forward(x)
+        z = m.forward(_random_point(m.kind, 4, rng))
         v = rng.standard_normal(4)
-        assert np.allclose(m.hess_conj_dense(z) @ v, m.hess_conj_apply(z, v), atol=1e-12)
+        fd = (m.backward(z + h * v) - m.backward(z - h * v)) / (2 * h)
+        assert np.allclose(m.hess_conj_apply(z, v), fd, rtol=0.0, atol=1e-9)
+
+        rows = m.forward(np.stack([_random_point(m.kind, 4, rng) for _ in range(3)]))
+        eye = np.broadcast_to(np.eye(4), (3, 4, 4))
+        blocks = m.hess_conj_apply(rows[:, None, :], eye)
+        assert blocks.shape == (3, 4, 4)
+        for i, z_i in enumerate(rows):
+            fd = (m.backward(z_i + h * np.eye(4)) - m.backward(z_i - h * np.eye(4))) / (2 * h)
+            assert np.allclose(blocks[i], fd, rtol=0.0, atol=1e-9)
+            assert np.allclose(blocks[i], blocks[i].T, rtol=0.0, atol=1e-15)
 
 
 def test_round_trip_forward_backward():
@@ -244,8 +257,8 @@ def test_dual_precond_matches_dense_oracle():
         hf[i * d:(i + 1) * d, i * d:(i + 1) * d] = h
     dense = lbi @ hf @ lbi
     for _ in range(10):
-        mu = rng.standard_normal(n * d)
-        assert np.max(np.abs(dual.backward(mu) - dense @ mu)) <= 1e-10
+        mu = rng.standard_normal((n, d))
+        assert np.max(np.abs(dual.backward(mu).ravel() - dense @ mu.ravel())) <= 1e-10
 
 
 def test_dual_precond_forward_backward_inverse():
@@ -253,21 +266,16 @@ def test_dual_precond_forward_backward_inverse():
     rng = np.random.default_rng(9)
     lam = rng.standard_normal((4, 2))
     assert np.allclose(dual.backward(dual.forward(lam)), lam, atol=1e-8)
-    # the (n, d) rows path agrees with the stacked n*d vector path and with
-    # the sandwich assembled from apply_block on the stacked vector
+    # the rows path agrees with the sandwich assembled row by row
     hess = prob.hess_blocks()
     for apply, lap, inner in (
         (dual.backward, spec.lap_beta_inv, hess),
         (dual.forward, spec.lap_beta, np.linalg.inv(hess)),
     ):
         rows = apply(lam)
-        tol = 1e-14 * np.max(np.abs(rows))
-        stacked = apply(lam.ravel())
-        assert stacked.shape == (8,)
-        assert np.max(np.abs(stacked.reshape(4, 2) - rows)) <= tol
-        u = apply_block(lap, lam.ravel()).reshape(4, 2)
-        assembled = apply_block(lap, np.einsum("nij,nj->ni", inner, u).ravel())
-        assert np.max(np.abs(assembled.reshape(4, 2) - rows)) <= tol
+        assert rows.shape == (4, 2)
+        assembled = lap @ np.einsum("nij,nj->ni", inner, lap @ lam)
+        assert np.max(np.abs(assembled - rows)) <= 1e-14 * np.max(np.abs(rows))
 
 
 def test_dual_precond_conj_hessian_positive_definite():
@@ -388,6 +396,16 @@ def test_dual_constants_build_no_dense_operator():
     finally:
         tracemalloc.stop()
     assert peak < (n * d) ** 2 * 8 / 2
+
+
+@pytest.mark.parametrize("n, d", [(8, 5), (40, 40)])
+def test_dual_precond_blocks_match_per_block_loop(n, d):
+    # the batched inverse runs the same LAPACK routine on each block as the
+    # per-block loop it replaced, so the bits agree
+    prob = generate_problem(GeneratorConfig(seed=11, d=d, m=d, n=n, condition_number=15.0))
+    hess = prob.hess_blocks()
+    dual = RegularizedDualHessian(spectra(build_graph(Topology("cyclic", n)), 0.5), hess)
+    assert np.array_equal(dual._hess_inv, np.stack([np.linalg.inv(h) for h in hess]))
 
 
 def test_dual_precond_rejects_singular_blocks():
