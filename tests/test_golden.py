@@ -23,7 +23,14 @@ from dismd import __version__, harness
 from dismd.config import load_config
 from dismd.graphs import Topology, build_graph, metropolis_weights
 from dismd.mirror_maps import EntropyMap
-from dismd.objectives import DistributedProblem, GeneratorConfig, QuadraticBlock, generate_problem
+from dismd.objectives import (
+    DistributedProblem,
+    GeneratorConfig,
+    QuadraticBlock,
+    generate_problem,
+    load_problem_bundle,
+    save_problem_bundle,
+)
 from dismd.oracle import solve_simplex
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -305,3 +312,91 @@ def test_entropy_backward_matches_golden(name):
     out = EntropyMap(z.shape[-1]).backward(z)
     assert out.shape == z.shape and out.dtype == np.float64
     assert _sha(out) == GOLDEN_SOFTMAX[name]
+
+
+# The problem's identity, recorded for artifact version 0.3.0: the hash of
+# the arrays it is built from and the bytes of its bundle. A change to how
+# the problem is generated, stored or written shows here before any run does.
+
+# config stem -> content_hash() of the problem it builds
+GOLDEN_PROBLEM_HASH = {
+    "barbell_epismd":
+        "ee7f4934a5af5d6d7a23c4c45226d5682ec8da0db19bfcc1303894650a5009ca",
+    "problem_a_eismd":
+        "13bb540e8b68fe5b15d5994725248b5dd1b3a859e9e3b71a70b718ad610564d5",
+    "problem_a_ismd":
+        "13bb540e8b68fe5b15d5994725248b5dd1b3a859e9e3b71a70b718ad610564d5",
+    "problem_b_simplex":
+        "5e263e3c1e1a67452cf289025cc716031cbc98863d2c0c18770fbe1ec20fcb52",
+}
+
+# config stem -> {file name: sha256} of every file save_problem_bundle writes;
+# problem_b_simplex's bundle carries a minimizer
+GOLDEN_BUNDLE_FILES = {
+    "problem_a_eismd": {
+        "b_000.csv": "21a00d1941c3e8f4b071a500e884157876c1c126b7475d5b0b87f49c454b51b4",
+        "b_001.csv": "6d3ed6f647748dbc53cb0534e609fffaa20db96245f169b5ac6d9ea7f3cc580e",
+        "b_002.csv": "2b9335605a36b818a12f5902c33d5ff21f5400995e122a9a95c24f53b11c0758",
+        "b_003.csv": "af5f2cb8c3a4e5db8ebd784cf089fd910b7eb8efab0af4cfb7d49aa837e4b2d6",
+        "b_004.csv": "6d2b239c89fd90320b11b7f7dc1d9262d39ed590a5c62f42e2ab4cea736b47b5",
+        "b_005.csv": "60067baa0a64bd92241120dcf786d51ba1743f8d66958e6a94593a3f11c1ce42",
+        "b_006.csv": "12b05c89c204b0d50be880fd3919cce4c8c20a3bf1cfa14d88214b4fcd5a0492",
+        "b_007.csv": "9cbd9fc04f6d64ac0373aab8c7522cb0d1f77bcbfc640ca18c8fd99363656f20",
+        "b_008.csv": "938ca0454c3e6f82bae4ef395673781f7ec7bf024a015212811aa4cba96b3fe6",
+        "b_009.csv": "966f0212507177e70caf37694995d5dcb93fdcebaa69ed39acb54c73904bbe7c",
+        "manifest.json": "779f36c3269dcf2e5f0743e298ade9e2538f93cf3ed5608f3af58b1a21dad20d",
+        "q_000.csv": "decd023f8968c7ef03eff04c454fbcb6d6fabc178b3ef9bd799c365cb1e13252",
+        "q_001.csv": "677c50cdf8ef754b22d3a94ceb824b4745e09447e9b7f85117e400bc54891a9f",
+        "q_002.csv": "e74aa04274390b70ba2c51ff0fbe9d8c116cbfcf3fb303d6cf3100865053ae79",
+        "q_003.csv": "468e96d42ad5d4b706bd420568a50354f61190017fba062698eeab5ed86b521d",
+        "q_004.csv": "9376fb0381c2673e5a3933a4b6b6e7642b5e5a105abc83521c7afc791edf8b62",
+        "q_005.csv": "d802a976e17ecb901b5bfac3d8f2303af325a985f01f701636f2b8ccae92ec54",
+        "q_006.csv": "9f13183ce3e6bc3338da3dd88e022937a2b42fb374ee02bc1e68b22052d0eacd",
+        "q_007.csv": "56e25556b3b20ce2d25a158ae9fc485283f3624064720843a6b0cad013354015",
+        "q_008.csv": "fa4b46ae88fda678a16cab0b9bee4a5c2848a18ce0dab8f430db1c8d87d0d5e4",
+        "q_009.csv": "0d87b4ca238513b01504c065f34f540f7a0e3cf8a8e154997e5af2fb3771ef9f",
+    },
+    "problem_b_simplex": {
+        "b_000.csv": "1064b04dda986dc56575b46ee7216453bda46674272afbaedeea74b64b5c3e43",
+        "b_001.csv": "8ec5558f15fa3cd3ecf5ad4cfbf573bb5d485871f67a6a5632e28f2071e05c82",
+        "b_002.csv": "fc3489fab87ab553e446b3b575203dca0af645b104a59647f28782cf7f827870",
+        "b_003.csv": "0cc30a7e6f61597a41b423323901b9ae1e95f1fc736a5a5148269828ca4fc16f",
+        "b_004.csv": "64036b81b31a60ce683c3b30ddb945d138c7092bfdfd9174a24bbf64af5ff847",
+        "b_005.csv": "4bbab34c686375b82734616549f615db117c0e8594dfc7577668495ff2a149e1",
+        "b_006.csv": "1060c2965005a04471fbc0bd5bf9119d33ba0caca54b4788a3e4a60e2471a9c7",
+        "b_007.csv": "a3a746a3e353230ea6369b88e9fbf3116eb7ff0575adfececd8010e3ca3247dd",
+        "b_008.csv": "610b0affac57f0afa8b80d1ac15e127ff47dc77a37a9089c33dbfb2be96dc5fe",
+        "b_009.csv": "7f15fa7a8313efceb4fc20341a3ab14f0cfe933624cb25aa7f78b1b6296053ba",
+        "manifest.json": "20a5561e563c776b79b4d5257a6cbad6a65dee11b2f362142b565b84d52582e1",
+        "minimizer.csv": "49598dc8f75fcd814b82a14bb576ed072c3e8857add722a69b6977db630ce88e",
+        "q_000.csv": "2adfa21fb8879e428d82c842d33af324dd05d1272968a015bce06eed342d8f09",
+        "q_001.csv": "a1d4a19301c4729ccc82026afa6365f85de32d59f6ed76958f54f73bb864db1f",
+        "q_002.csv": "b96a08b0dbb4aaf16a57a4ab2910e4ac1d6f2e34fc2ded22cca230c7febe67c7",
+        "q_003.csv": "8f71258591f3ce5bee9619ec77877997e9cfb8f3d255231034298c3a06d9cd0b",
+        "q_004.csv": "36731fcbd65a5b6a93f306349c583f2b843e07942a0e377ab16e869e214a17bc",
+        "q_005.csv": "812cc1ba8305ef6c3919dfebcb3d6aade4ae033ed07168bc2ff69ef6f5e6bc43",
+        "q_006.csv": "81a9be294b1a8e5ac13dfa395885f77dc51f447d3a8ceed05625a0d47ca59bcf",
+        "q_007.csv": "88e150289001ad3e1ad2d4eaa6ea6e506e03db20bb95ac0610743261b9c65a21",
+        "q_008.csv": "ffe562421774e6c3ed18913909c1bbf4a1c45c11b66d7866e649528ab200b6be",
+        "q_009.csv": "67a1d1ba8fd633b1aa5a7179f397fb4d8e999a16ccad99964f9850d6544e039a",
+    },
+}
+
+
+def test_golden_problem_hashes_cover_every_shipped_config():
+    assert set(GOLDEN_PROBLEM_HASH) == {p.stem for p in CONFIGS.glob("*.ini")}
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_PROBLEM_HASH))
+def test_problem_content_hash_matches_golden(stem):
+    problem = harness.build_problem(load_config(CONFIGS / f"{stem}.ini"))
+    assert problem.content_hash() == GOLDEN_PROBLEM_HASH[stem]
+
+
+@pytest.mark.parametrize("stem", sorted(GOLDEN_BUNDLE_FILES))
+def test_problem_bundle_files_match_golden(tmp_path, stem):
+    problem = harness.build_problem(load_config(CONFIGS / f"{stem}.ini"))
+    save_problem_bundle(problem, tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == GOLDEN_BUNDLE_FILES[stem]
+    assert load_problem_bundle(tmp_path).content_hash() == GOLDEN_PROBLEM_HASH[stem]
