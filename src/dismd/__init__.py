@@ -30,7 +30,6 @@ from .mirror_maps import (
 from .objectives import (
     DistributedProblem,
     GeneratorConfig,
-    QuadraticBlock,
     generate_problem,
     load_problem_bundle,
     save_problem_bundle,
@@ -51,7 +50,6 @@ __all__ = [
     "NoiseStream",
     "OptimalPair",
     "ParticleSystem",
-    "QuadraticBlock",
     "QuadraticMap",
     "RegularizedDualHessian",
     "Topology",

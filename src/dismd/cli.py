@@ -1,7 +1,13 @@
 """Command line interface.
 
-Subcommands: run, compare, sweep, graph-info, problem-gen, oracle.
-Exit codes: 0 ok, 1 config/validation error, 2 numerical divergence, 3 I/O.
+Subcommands and the options each reads:
+  run, compare, sweep    --config (repeatable for compare), --seed, --out, --quiet;
+                         sweep also --param and --values
+  graph-info             --config, --out (also export the matrices), --quiet
+  problem-gen            --config, --out, --quiet
+  oracle                 --config
+Exit codes: 0 ok, 1 usage, config or validation error, 2 numerical
+divergence, 3 I/O.
 """
 
 from __future__ import annotations
@@ -22,6 +28,14 @@ EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_IO = 3
 
+# the options subcommands share; each subcommand declares only those it reads
+OPTIONS = {
+    "config": {"required": True, "help": "config file"},
+    "seed": {"type": int, "default": None, "help": "override run seed"},
+    "out": {"default": None, "help": "output directory"},
+    "quiet": {"action": "store_true", "help": "suppress progress output"},
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -30,28 +44,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, multi_config=False):
-        if multi_config:
-            p.add_argument("--config", action="append", required=True, dest="configs",
-                           help="config file (repeatable)")
-        else:
-            p.add_argument("--config", required=True, help="config file")
-        p.add_argument("--seed", type=int, default=None, help="override run seed")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
+    def add(name, help, *options):
+        p = sub.add_parser(name, help=help)
+        for option in options:
+            p.add_argument(f"--{option}", **OPTIONS[option])
+        return p
 
-    add_common(sub.add_parser("run", help="run one experiment"))
-    add_common(sub.add_parser("compare", help="run several configs, one aligned CSV"),
-               multi_config=True)
-
-    sweep = sub.add_parser("sweep", help="rerun one config across parameter values")
-    add_common(sweep)
+    add("run", "run one experiment", "config", "seed", "out", "quiet")
+    compare = add("compare", "run several configs, one aligned CSV", "seed", "out", "quiet")
+    compare.add_argument("--config", action="append", required=True, dest="configs",
+                         help="config file (repeatable)")
+    sweep = add("sweep", "rerun one config across parameter values",
+                "config", "seed", "out", "quiet")
     sweep.add_argument("--param", required=True, help="parameter path, e.g. hyperparams.sigma")
     sweep.add_argument("--values", required=True, help="comma-separated values")
-
-    add_common(sub.add_parser("graph-info", help="print graph spectra report"))
-    add_common(sub.add_parser("problem-gen", help="generate and save a problem bundle"))
-    add_common(sub.add_parser("oracle", help="solve the reference optimum and print it"))
+    add("graph-info", "print graph spectra report", "config", "out", "quiet")
+    add("problem-gen", "generate and save a problem bundle", "config", "out", "quiet")
+    add("oracle", "solve the reference optimum and print it", "config")
     return parser
 
 
@@ -105,7 +114,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "graph-info":
-        cfg = _load(args.config, args.seed)
+        cfg = load_config(args.config)
         print(harness.graph_info_report(cfg))
         if args.out is not None:
             harness.export_graph_matrices(cfg, args.out)
@@ -114,7 +123,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "problem-gen":
-        cfg = _load(args.config, args.seed)
+        cfg = load_config(args.config)
         out = _out_dir(args, cfg)
         problem = harness.build_problem(cfg)
         manifest = save_problem_bundle(problem, out)
@@ -123,7 +132,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "oracle":
-        cfg = _load(args.config, args.seed)
+        cfg = load_config(args.config)
         print(harness.oracle_report(cfg))
         return EXIT_OK
 
@@ -131,7 +140,10 @@ def _dispatch(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or the usage and the error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return _dispatch(args)
     except (ConfigError, GraphError, OracleError, ValueError) as exc:

@@ -26,61 +26,43 @@ BUNDLE_VERSION = 1
 SV_SCALE = 0.2  # geometric mean of the generated singular values
 
 
-@dataclass(frozen=True)
-class QuadraticBlock:
-    """One particle's objective f(x) = ||q x - b||^2 / 2."""
-
-    q: np.ndarray  # (m, d)
-    b: np.ndarray  # (m,)
-
-    def value(self, x: np.ndarray) -> float:
-        r = self.q @ x - self.b
-        return 0.5 * float(r @ r)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.q.T @ (self.q @ x - self.b)
-
-    def hess(self) -> np.ndarray:
-        return self.q.T @ self.q
-
-
 @dataclass
 class DistributedProblem:
-    """N quadratic blocks plus the domain they are optimized over.
+    """N quadratic blocks f_i(x) = ||q[i] x - b[i]||^2 / 2 plus the domain they
+    are optimized over.
 
-    Immutable after construction. ``minimizer`` is the shared stationary
-    point x0 when the problem was generated with shared_minimizer=True
-    (gradients of every block vanish there), else None.
+    ``q`` is (n, m, d) and ``b`` is (n, m); both are copied and read-only.
+    ``minimizer`` is the shared stationary point x0 when the problem was
+    generated with shared_minimizer=True (gradients of every block vanish
+    there), else None.
     """
 
-    blocks: list[QuadraticBlock]
+    q: np.ndarray
+    b: np.ndarray
     domain: str
-    d: int
-    n: int
-    m: int
     minimizer: np.ndarray | None = None
-    _q: np.ndarray = field(init=False, repr=False)
-    _b: np.ndarray = field(init=False, repr=False)
+    n: int = field(init=False)
+    m: int = field(init=False)
+    d: int = field(init=False)
     _hess: np.ndarray = field(init=False, repr=False)
     _c: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
-        if len(self.blocks) != self.n:
-            raise ValueError(f"expected {self.n} blocks, got {len(self.blocks)}")
-        for blk in self.blocks:
-            if blk.q.shape != (self.m, self.d) or blk.b.shape != (self.m,):
-                raise ValueError(
-                    f"inconsistent block shapes: q {blk.q.shape}, b {blk.b.shape}, "
-                    f"expected ({self.m}, {self.d}) and ({self.m},)"
-                )
-        self._q = np.stack([blk.q for blk in self.blocks])
-        self._b = np.stack([blk.b for blk in self.blocks])
+        self.q = np.array(self.q, dtype=float)
+        self.b = np.array(self.b, dtype=float)
+        if self.q.ndim != 3 or self.b.shape != self.q.shape[:2]:
+            raise ValueError(
+                f"q must be (n, m, d) and b (n, m); got q {self.q.shape}, b {self.b.shape}"
+            )
+        self.q.flags.writeable = False
+        self.b.flags.writeable = False
+        self.n, self.m, self.d = self.q.shape
         # gradients are H_i x - c_i with H_i = Q_i^T Q_i and c_i = Q_i^T b_i
-        self._hess = np.einsum("nmd,nme->nde", self._q, self._q)
+        self._hess = np.einsum("nmd,nme->nde", self.q, self.q)
         self._hess.flags.writeable = False
-        self._c = np.einsum("nmd,nm->nd", self._q, self._b)
+        self._c = np.einsum("nmd,nm->nd", self.q, self.b)
 
     def grads(self, x_rows: np.ndarray) -> np.ndarray:
         """Per-particle gradients: row i is grad f_i(x^i). x_rows is (n, d)."""
@@ -88,14 +70,14 @@ class DistributedProblem:
 
     def grads_at(self, x: np.ndarray) -> np.ndarray:
         """All block gradients evaluated at one common point; (n, d)."""
-        r = self._q @ x - self._b
-        return np.einsum("nmd,nm->nd", self._q, r)
+        r = self.q @ x - self.b
+        return np.einsum("nmd,nm->nd", self.q, r)
 
     def block_values(self, x_rows: np.ndarray) -> np.ndarray:
         """f_i(x^i) for each particle."""
         # the residual form: with a shared minimizer f_i -> 0, and the expanded
         # x^T H x / 2 - c^T x + |b|^2 / 2 would cancel catastrophically
-        r = (self._q @ x_rows[..., None])[..., 0] - self._b
+        r = (self.q @ x_rows[..., None])[..., 0] - self.b
         return 0.5 * np.sum(r * r, axis=-1)
 
     def aggregate_value(self, x: np.ndarray) -> float | np.ndarray:
@@ -104,26 +86,26 @@ class DistributedProblem:
         if self.domain == "simplex" and np.any(x < 0.0):
             raise ValueError("simplex problem evaluated at a point with negative coordinates")
         # batched matmul keeps each row's bits equal to the single-point form
-        r = (self._q @ x[..., None, :, None])[..., 0] - self._b
+        r = (self.q @ x[..., None, :, None])[..., 0] - self.b
         values = 0.5 * np.sum(r * r, axis=(-2, -1))
         return float(values) if x.ndim == 1 else values
 
     def aggregate_grad(self, x: np.ndarray) -> np.ndarray:
-        r = self._q @ x - self._b
-        return np.einsum("nmd,nm->d", self._q, r)
+        r = self.q @ x - self.b
+        return np.einsum("nmd,nm->d", self.q, r)
 
     def hess_blocks(self) -> np.ndarray:
         """Read-only (n, d, d) array of the constant block Hessians Q_i^T Q_i."""
         return self._hess
 
     def aggregate_hessian(self) -> np.ndarray:
-        return np.einsum("nmd,nme->de", self._q, self._q)
+        return np.einsum("nmd,nme->de", self.q, self.q)
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(f"{self.n},{self.m},{self.d},{self.domain}".encode())
-        h.update(self._q.tobytes())
-        h.update(self._b.tobytes())
+        h.update(self.q.tobytes())
+        h.update(self.b.tobytes())
         if self.minimizer is not None:
             h.update(self.minimizer.tobytes())
         return h.hexdigest()
@@ -180,23 +162,15 @@ def generate_problem(cfg: GeneratorConfig) -> DistributedProblem:
             x0 = rng.dirichlet(np.ones(cfg.d))
         else:
             x0 = rng.standard_normal(cfg.d)
-    blocks = []
-    for _ in range(cfg.n):
+    q = np.empty((cfg.n, cfg.m, cfg.d))
+    b = np.empty((cfg.n, cfg.m))
+    for i in range(cfg.n):
         s = _singular_values(rng, k, cfg.condition_number)
         u = _orthonormal_columns(rng, cfg.m, k)
         v = _orthonormal_columns(rng, cfg.d, k)
-        q = (u * s) @ v.T
-        b = q @ x0 if x0 is not None else rng.standard_normal(cfg.m)
-        blocks.append(QuadraticBlock(q=q, b=b))
-    return DistributedProblem(
-        blocks=blocks, domain=cfg.domain, d=cfg.d, n=cfg.n, m=cfg.m, minimizer=x0
-    )
-
-
-def is_strongly_convex(problem: DistributedProblem, tol: float = 1e-10) -> bool:
-    """Whether the aggregate Hessian sum_i Q_i^T Q_i is positive definite."""
-    eigvals = np.linalg.eigvalsh(problem.aggregate_hessian())
-    return bool(eigvals[0] > tol * max(eigvals[-1], 1.0))
+        q[i] = qi = (u * s) @ v.T
+        b[i] = qi @ x0 if x0 is not None else rng.standard_normal(cfg.m)
+    return DistributedProblem(q=q, b=b, domain=cfg.domain, minimizer=x0)
 
 
 def _write_matrix(path: Path, arr: np.ndarray) -> None:
@@ -216,10 +190,10 @@ def save_problem_bundle(problem: DistributedProblem, out_dir: Path | str) -> Pat
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for i, blk in enumerate(problem.blocks):
+    for i, (q, b) in enumerate(zip(problem.q, problem.b)):
         qname, bname = f"q_{i:03d}.csv", f"b_{i:03d}.csv"
-        _write_matrix(out / qname, blk.q)
-        _write_matrix(out / bname, blk.b)
+        _write_matrix(out / qname, q)
+        _write_matrix(out / bname, b)
         entries.append({"q": qname, "b": bname})
     manifest = {
         "bundle_version": BUNDLE_VERSION,
@@ -240,19 +214,16 @@ def save_problem_bundle(problem: DistributedProblem, out_dir: Path | str) -> Pat
 def load_problem_bundle(bundle_dir: Path | str) -> DistributedProblem:
     root = Path(bundle_dir)
     manifest = json.loads((root / BUNDLE_MANIFEST).read_text())
-    blocks = []
-    for entry in manifest["blocks"]:
-        q = load_matrix(root / entry["q"])
-        b = load_matrix(root / entry["b"]).ravel()
-        blocks.append(QuadraticBlock(q=q, b=b))
+    declared = (manifest["n"], manifest["m"], manifest["d"])
+    # np.stack raises ValueError on blocks of unequal shapes
+    q = np.stack([load_matrix(root / entry["q"]) for entry in manifest["blocks"]])
+    b = np.stack([load_matrix(root / entry["b"]).ravel() for entry in manifest["blocks"]])
+    if q.shape != declared or b.shape != declared[:2]:
+        raise ValueError(
+            f"bundle {root} declares (n, m, d) = {declared}, "
+            f"but its files hold q {q.shape} and b {b.shape}"
+        )
     minimizer = None
     if manifest.get("minimizer"):
         minimizer = load_matrix(root / manifest["minimizer"]).ravel()
-    return DistributedProblem(
-        blocks=blocks,
-        domain=manifest["domain"],
-        d=manifest["d"],
-        n=manifest["n"],
-        m=manifest["m"],
-        minimizer=minimizer,
-    )
+    return DistributedProblem(q=q, b=b, domain=manifest["domain"], minimizer=minimizer)

@@ -17,7 +17,7 @@ import numpy as np
 from . import dynamics
 from .graphs import WeightedGraph, spectra
 from .mirror_maps import EntropyMap, MirrorMap, _softmax
-from .objectives import DistributedProblem, QuadraticBlock
+from .objectives import DistributedProblem
 
 KKT_TOL_UNCONSTRAINED = 1e-8
 KKT_TOL_SIMPLEX = 1e-6
@@ -149,14 +149,10 @@ def solve(problem: DistributedProblem, graph: WeightedGraph) -> OptimalPair:
 
 def merge_blocks(problem: DistributedProblem) -> DistributedProblem:
     """Collapse the N local objectives into one block for a centralized run."""
-    q = np.vstack([blk.q for blk in problem.blocks])
-    b = np.concatenate([blk.b for blk in problem.blocks])
     return DistributedProblem(
-        blocks=[QuadraticBlock(q=q, b=b)],
+        q=problem.q.reshape(1, problem.n * problem.m, problem.d),
+        b=problem.b.reshape(1, problem.n * problem.m),
         domain=problem.domain,
-        d=problem.d,
-        n=1,
-        m=q.shape[0],
         minimizer=problem.minimizer,
     )
 

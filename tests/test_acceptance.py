@@ -30,7 +30,6 @@ from dismd.mirror_maps import (
 from dismd.objectives import (
     DistributedProblem,
     GeneratorConfig,
-    QuadraticBlock,
     generate_problem,
 )
 from dismd.oracle import solve_simplex, solve_unconstrained
@@ -172,15 +171,15 @@ def _stiff_barbell_problem(seed=11, d=20, m=20, n=10, cond=15.0, scale=1.0):
     rng = np.random.default_rng(seed)
     k = min(m, d)
     hi, lo = scale * np.sqrt(cond), scale / np.sqrt(cond)
-    blocks = []
-    for _ in range(n):
+    q, b = np.empty((n, m, d)), np.empty((n, m))
+    for i in range(n):
         s = np.exp(rng.uniform(np.log(lo), np.log(hi), k))
         s = np.sort(s)[::-1]
         s[0], s[-1] = hi, lo
         u, _ = np.linalg.qr(rng.standard_normal((m, k)))
         v, _ = np.linalg.qr(rng.standard_normal((d, k)))
-        blocks.append(QuadraticBlock(q=(u * s) @ v.T, b=rng.standard_normal(m)))
-    return DistributedProblem(blocks=blocks, domain="unconstrained", d=d, n=n, m=m)
+        q[i], b[i] = (u * s) @ v.T, rng.standard_normal(m)
+    return DistributedProblem(q=q, b=b, domain="unconstrained")
 
 
 def test_criterion_6_dual_preconditioning_speedup():
@@ -337,17 +336,21 @@ def test_criterion_8_math_kernel_invariants():
     for _ in range(trials):
         d = int(rng.integers(1, 5))
         m_rows = d + int(rng.integers(0, 3))
-        blk = QuadraticBlock(q=rng.standard_normal((m_rows, d)), b=rng.standard_normal(m_rows))
-        x = rng.standard_normal(d)
+        prob = DistributedProblem(
+            q=rng.standard_normal((1, m_rows, d)),
+            b=rng.standard_normal((1, m_rows)),
+            domain="unconstrained",
+        )
+        x = rng.standard_normal((1, d))
         h = 1e-6
-        grad = blk.grad(x)
-        hess = blk.hess()
+        grad = prob.grads(x)[0]
+        hess = prob.hess_blocks()[0]
         for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            fd = (blk.value(x + e) - blk.value(x - e)) / (2 * h)
+            e = np.zeros((1, d))
+            e[0, j] = h
+            fd = (prob.block_values(x + e)[0] - prob.block_values(x - e)[0]) / (2 * h)
             assert abs(fd - grad[j]) <= 1e-5 * (1.0 + abs(grad[j]))
-            col = (blk.grad(x + e) - blk.grad(x - e)) / (2 * h)
+            col = (prob.grads(x + e)[0] - prob.grads(x - e)[0]) / (2 * h)
             assert np.max(np.abs(col - hess[:, j])) <= 1e-5 * (1.0 + np.max(np.abs(hess)))
 
     # Lyapunov bounds (Euclidean case) on 1000 random pairs per instance

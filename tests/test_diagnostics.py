@@ -17,7 +17,7 @@ from dismd.diagnostics import (
 from dismd.dynamics import Hyperparams, ParticleSystem, run
 from dismd.graphs import Topology, build_graph, metropolis_weights, spectra
 from dismd.mirror_maps import EntropyMap, EuclideanMap, QuadraticMap, RegularizedDualHessian
-from dismd.objectives import DistributedProblem, GeneratorConfig, QuadraticBlock, generate_problem
+from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
 from dismd.oracle import solve_unconstrained
 
 
@@ -139,8 +139,9 @@ def test_consensus_spread_trivial_cases():
 
 def test_consensus_spread_two_particles_squared_distance():
     # both blocks prefer (1,1), so that particle is best and (0,0) worst
-    blocks = [QuadraticBlock(q=np.eye(2), b=np.ones(2)) for _ in range(2)]
-    prob = DistributedProblem(blocks=blocks, domain="unconstrained", d=2, n=2, m=2)
+    prob = DistributedProblem(
+        q=np.broadcast_to(np.eye(2), (2, 2, 2)), b=np.ones((2, 2)), domain="unconstrained"
+    )
     x = np.array([[0.0, 0.0], [1.0, 1.0]])
     assert consensus_spread(x, prob.aggregate_value(x)) == pytest.approx(2.0)
 
@@ -169,8 +170,7 @@ def test_kappa_g_quotient_is_degenerate_for_wide_operator():
 def test_kappa_g_single_particle_hand_value():
     # A = [1, 0] for f = x^2/2 with no neighbors; the lambda direction is in
     # the null space, so the estimate is exactly zero
-    blocks = [QuadraticBlock(q=np.eye(1), b=np.zeros(1))]
-    prob = DistributedProblem(blocks=blocks, domain="unconstrained", d=1, n=1, m=1)
+    prob = DistributedProblem(q=np.ones((1, 1, 1)), b=np.zeros((1, 1)), domain="unconstrained")
     graph = metropolis_weights((), 1)
     est = kappa_g_estimate(prob, graph, EuclideanMap(1), [np.zeros((1, 1))])
     assert est == pytest.approx(0.0, abs=1e-14)

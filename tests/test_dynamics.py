@@ -16,13 +16,13 @@ from dismd.dynamics import (
 )
 from dismd.graphs import Topology, build_graph, metropolis_weights, spectra
 from dismd.mirror_maps import EntropyMap, EuclideanMap, IdentityDual, RegularizedDualHessian
-from dismd.objectives import DistributedProblem, GeneratorConfig, QuadraticBlock, generate_problem
+from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
 from dismd.oracle import solve_unconstrained
 
 
 def scalar_problem(bs):
-    blocks = [QuadraticBlock(q=np.eye(1), b=np.array([float(b)])) for b in bs]
-    return DistributedProblem(blocks=blocks, domain="unconstrained", d=1, n=len(bs), m=1)
+    b = np.array(bs, dtype=float)[:, None]
+    return DistributedProblem(q=np.ones((len(b), 1, 1)), b=b, domain="unconstrained")
 
 
 def test_hyperparams_validation():
@@ -301,8 +301,9 @@ def test_simplex_iterates_stay_in_open_simplex():
 
 def test_divergence_raises_with_step_index():
     # explicit Euler on a stiff quadratic with a huge step blows up
-    blocks = [QuadraticBlock(q=np.eye(1) * 40.0, b=np.zeros(1)) for _ in range(2)]
-    prob = DistributedProblem(blocks=blocks, domain="unconstrained", d=1, n=2, m=1)
+    prob = DistributedProblem(
+        q=np.full((2, 1, 1), 40.0), b=np.zeros((2, 1)), domain="unconstrained"
+    )
     g = metropolis_weights(((0, 1),), 2)
     mmap = EuclideanMap(1)
     with pytest.raises(DivergenceError) as err:
@@ -338,8 +339,9 @@ def test_divergence_names_array_particle_and_coordinate():
     # multiplies it by about -39 per step, while the weak coupling leaks a
     # small multiple of it into the neighbours' coordinate 1
     stiff = np.diag([1.0, np.sqrt(40.0)])
-    blocks = [QuadraticBlock(q=q, b=np.zeros(2)) for q in (np.eye(2), stiff, np.eye(2))]
-    prob = DistributedProblem(blocks=blocks, domain="unconstrained", d=2, n=3, m=2)
+    prob = DistributedProblem(
+        q=np.stack([np.eye(2), stiff, np.eye(2)]), b=np.zeros((3, 2)), domain="unconstrained"
+    )
     g = metropolis_weights(((0, 1), (1, 2)), 3)
     hp = Hyperparams(epsilon=1e-3, dt=1.0, epochs=500)
     with pytest.raises(DivergenceError) as err:

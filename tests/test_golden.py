@@ -26,7 +26,6 @@ from dismd.mirror_maps import EntropyMap
 from dismd.objectives import (
     DistributedProblem,
     GeneratorConfig,
-    QuadraticBlock,
     generate_problem,
     load_problem_bundle,
     save_problem_bundle,
@@ -216,9 +215,8 @@ def _simplex_case(seed):
     """problem_b_simplex's generator config with the given problem seed, or
     the d = 2 vertex-optimum instance (x* = (1, 0)) for seed None."""
     if seed is None:
-        blocks = [QuadraticBlock(q=np.eye(2), b=np.array([2.0, -1.0]))]
         return (
-            DistributedProblem(blocks=blocks, domain="simplex", d=2, n=1, m=2),
+            DistributedProblem(q=np.eye(2)[None], b=np.array([[2.0, -1.0]]), domain="simplex"),
             metropolis_weights((), 1),
         )
     gen = GeneratorConfig(

@@ -306,6 +306,31 @@ def test_cli_exit_code_on_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "--config", "{cfg}", "--bogus"],
+    ["oracle", "--config", "{cfg}", "--seed", "1"],
+    ["oracle", "--config", "{cfg}", "--out", "{out}"],
+    ["problem-gen", "--config", "{cfg}", "--out", "{out}", "--seed", "1"],
+    ["graph-info", "--config", "{cfg}", "--seed", "1"],
+], ids=["missing-config", "unknown-flag", "oracle-seed", "oracle-out", "problem-gen-seed",
+        "graph-info-seed"])
+def test_cli_usage_error_exits_1(tmp_path, capsys, argv):
+    cfg_path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    code = cli.main([a.format(cfg=cfg_path, out=out) for a in argv])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and "error:" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli.main(["oracle", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_cli_seed_override(tmp_path):
     noisy = MINIMAL.replace("sigma = 0.0", "sigma = 0.1")
     cfg_path = write_config(tmp_path, noisy)

@@ -32,12 +32,12 @@ ABS_FLOOR = 1e-15
 
 
 def ref_grads(self, x_rows):
-    r = np.einsum("nmd,nd->nm", self._q, x_rows) - self._b
-    return np.einsum("nmd,nm->nd", self._q, r)
+    r = np.einsum("nmd,nd->nm", self.q, x_rows) - self.b
+    return np.einsum("nmd,nm->nd", self.q, r)
 
 
 def ref_block_values(self, x_rows):
-    r = np.einsum("nmd,nd->nm", self._q, x_rows) - self._b
+    r = np.einsum("nmd,nd->nm", self.q, x_rows) - self.b
     return 0.5 * np.sum(r * r, axis=-1)
 
 
@@ -103,7 +103,7 @@ def test_kernels_match_einsum_references_property():
         x = 10.0**log_scale * rng.standard_normal((n, d))
         if shared:
             x = prob.minimizer + 1e-6 * x  # residuals cancel near a shared minimizer
-        q, b = prob._q, prob._b
+        q, b = prob.q, prob.b
         hess = np.einsum("nmd,nme->nde", q, q)
         c = np.einsum("nmd,nm->nd", q, b)
 

@@ -1,61 +1,89 @@
+import json
+
 import numpy as np
 import pytest
 
 from dismd.objectives import (
     DistributedProblem,
     GeneratorConfig,
-    QuadraticBlock,
     generate_problem,
-    is_strongly_convex,
     load_problem_bundle,
     save_problem_bundle,
 )
 
 
 def test_local_grad_identity_block():
-    blk = QuadraticBlock(q=np.eye(2), b=np.zeros(2))
-    x = np.array([1.0, 1.0])
-    assert blk.grad(x) == pytest.approx([1.0, 1.0])
-    assert blk.value(x) == pytest.approx(1.0)
+    prob = DistributedProblem(q=np.eye(2)[None], b=np.zeros((1, 2)), domain="unconstrained")
+    x = np.array([[1.0, 1.0]])
+    assert prob.grads(x) == pytest.approx(np.ones((1, 2)))
+    assert prob.block_values(x) == pytest.approx([1.0])
 
 
 def test_local_grad_vanishes_at_minimizer():
-    blk = QuadraticBlock(q=np.eye(2), b=np.array([1.0, 1.0]))
-    assert blk.grad(np.array([1.0, 1.0])) == pytest.approx([0.0, 0.0])
+    prob = DistributedProblem(q=np.eye(2)[None], b=np.ones((1, 2)), domain="unconstrained")
+    assert prob.grads(np.ones((1, 2))) == pytest.approx(np.zeros((1, 2)))
+
+
+def _central_differences(fn, x_rows, h=1e-6):
+    """Column j: (fn(x + h e_j) - fn(x - h e_j)) / 2h, e_j moving every row.
+
+    Row i of fn depends on row i of x only, so column j holds each row's
+    partial derivative in coordinate j."""
+    cols = []
+    for j in range(x_rows.shape[1]):
+        e = np.zeros_like(x_rows)
+        e[:, j] = h
+        cols.append((fn(x_rows + e) - fn(x_rows - e)) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 def test_local_grad_matches_finite_differences():
     rng = np.random.default_rng(0)
-    q = rng.standard_normal((7, 5))
-    blk = QuadraticBlock(q=q, b=rng.standard_normal(7))
-    x = rng.standard_normal(5)
-    g = blk.grad(x)
-    h = 1e-6
-    for j in range(5):
-        e = np.zeros(5)
-        e[j] = h
-        fd = (blk.value(x + e) - blk.value(x - e)) / (2 * h)
-        assert fd == pytest.approx(g[j], rel=1e-6, abs=1e-8)
+    prob = DistributedProblem(
+        q=rng.standard_normal((3, 7, 5)), b=rng.standard_normal((3, 7)), domain="unconstrained"
+    )
+    x = rng.standard_normal((3, 5))
+    fd = _central_differences(prob.block_values, x)
+    assert fd == pytest.approx(prob.grads(x), rel=1e-6, abs=1e-8)
 
 
 def test_local_hess_matches_grad_jacobian():
     rng = np.random.default_rng(1)
-    blk = QuadraticBlock(q=rng.standard_normal((4, 3)), b=rng.standard_normal(4))
-    x = rng.standard_normal(3)
-    hess = blk.hess()
-    h = 1e-6
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        col = (blk.grad(x + e) - blk.grad(x - e)) / (2 * h)
-        assert np.max(np.abs(col - hess[:, j])) <= 1e-5 * (1.0 + np.max(np.abs(hess)))
+    prob = DistributedProblem(
+        q=rng.standard_normal((2, 4, 3)), b=rng.standard_normal((2, 4)), domain="unconstrained"
+    )
+    x = rng.standard_normal((2, 3))
+    hess = prob.hess_blocks()
+    jac = _central_differences(prob.grads, x)
+    assert np.max(np.abs(jac - hess)) <= 1e-5 * (1.0 + np.max(np.abs(hess)))
+
+
+def test_problem_rejects_inconsistent_shapes():
+    with pytest.raises(ValueError):
+        DistributedProblem(q=np.zeros((3, 2)), b=np.zeros(3), domain="unconstrained")
+    with pytest.raises(ValueError):
+        DistributedProblem(q=np.zeros((3, 4, 2)), b=np.zeros((3, 2)), domain="unconstrained")
+    with pytest.raises(ValueError):
+        DistributedProblem(q=np.zeros((3, 4, 2)), b=np.zeros((4, 4)), domain="unconstrained")
+
+
+def test_problem_arrays_are_read_only_copies():
+    q, b = np.ones((2, 3, 2)), np.ones((2, 3))
+    prob = DistributedProblem(q=q, b=b, domain="unconstrained")
+    q[0, 0, 0] = b[0, 0] = 5.0
+    assert prob.q[0, 0, 0] == 1.0 and prob.b[0, 0] == 1.0
+    assert (prob.n, prob.m, prob.d) == (2, 3, 2)
+    with pytest.raises(ValueError):
+        prob.q[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        prob.b[0, 0] = 2.0
 
 
 def test_generated_condition_number_is_exact():
     cfg = GeneratorConfig(seed=3, d=20, m=20, n=10, condition_number=15.0)
     prob = generate_problem(cfg)
-    for blk in prob.blocks:
-        s = np.linalg.svd(blk.q, compute_uv=False)
+    for q in prob.q:
+        s = np.linalg.svd(q, compute_uv=False)
         assert s[0] / s[-1] == pytest.approx(15.0, abs=1e-8)
 
 
@@ -63,8 +91,7 @@ def test_shared_minimizer_gradients_vanish():
     cfg = GeneratorConfig(seed=4, d=6, m=7, n=5, condition_number=3.0, shared_minimizer=True)
     prob = generate_problem(cfg)
     assert prob.minimizer is not None
-    for blk in prob.blocks:
-        assert np.linalg.norm(blk.grad(prob.minimizer)) <= 1e-10
+    assert np.linalg.norm(prob.grads_at(prob.minimizer), axis=1).max() <= 1e-10
 
 
 def test_shared_minimizer_simplex_point_is_interior():
@@ -80,9 +107,8 @@ def test_generator_is_deterministic():
     cfg = GeneratorConfig(seed=9, d=5, m=6, n=3, condition_number=8.0)
     a = generate_problem(cfg)
     b = generate_problem(cfg)
-    for blk_a, blk_b in zip(a.blocks, b.blocks):
-        assert np.array_equal(blk_a.q, blk_b.q)
-        assert np.array_equal(blk_a.b, blk_b.b)
+    assert np.array_equal(a.q, b.q)
+    assert np.array_equal(a.b, b.b)
     assert a.content_hash() == b.content_hash()
 
 
@@ -96,18 +122,17 @@ def test_generator_validation():
 
 
 def test_aggregate_value_zero_blocks_at_zero():
-    blocks = [QuadraticBlock(q=np.eye(2), b=np.zeros(2)) for _ in range(4)]
-    prob = DistributedProblem(blocks=blocks, domain="unconstrained", d=2, n=4, m=2)
+    prob = DistributedProblem(
+        q=np.broadcast_to(np.eye(2), (4, 2, 2)), b=np.zeros((4, 2)), domain="unconstrained"
+    )
     assert prob.aggregate_value(np.zeros(2)) == 0.0
 
 
 def test_aggregate_value_scalar_hand_case():
     # two 1-d blocks with b = 0 and 2 evaluated at x = 1: 0.5 + 0.5 = 1.0
-    blocks = [
-        QuadraticBlock(q=np.eye(1), b=np.array([0.0])),
-        QuadraticBlock(q=np.eye(1), b=np.array([2.0])),
-    ]
-    prob = DistributedProblem(blocks=blocks, domain="unconstrained", d=1, n=2, m=1)
+    prob = DistributedProblem(
+        q=np.ones((2, 1, 1)), b=np.array([[0.0], [2.0]]), domain="unconstrained"
+    )
     assert prob.aggregate_value(np.array([1.0])) == pytest.approx(1.0)
 
 
@@ -123,6 +148,12 @@ def test_aggregate_value_at_shared_minimizer_is_global_minimum():
     )
 
 
+def _value(q, b, x):
+    """One block's f(x) = ||q x - b||^2 / 2 in the residual form."""
+    r = q @ x - b
+    return 0.5 * float(r @ r)
+
+
 def test_aggregate_value_rows_match_single_points():
     prob = generate_problem(GeneratorConfig(seed=4, d=5, m=6, n=3, condition_number=4.0))
     x = np.random.default_rng(2).standard_normal((7, 5))
@@ -130,7 +161,7 @@ def test_aggregate_value_rows_match_single_points():
     assert rows.shape == (7,)
     # each row carries the same bits as the single-point call
     assert rows.tolist() == [prob.aggregate_value(xi) for xi in x]
-    want = [sum(blk.value(xi) for blk in prob.blocks) for xi in x]
+    want = [sum(_value(q, b, xi) for q, b in zip(prob.q, prob.b)) for xi in x]
     assert rows == pytest.approx(want, rel=1e-12)
 
 
@@ -150,11 +181,10 @@ def test_grads_match_per_block_loops():
     prob = generate_problem(GeneratorConfig(seed=8, d=4, m=5, n=6, condition_number=3.0))
     x_rows = rng.standard_normal((6, 4))
     g = prob.grads(x_rows)
-    for i, blk in enumerate(prob.blocks):
-        assert np.allclose(g[i], blk.grad(x_rows[i]), atol=1e-12)
     vals = prob.block_values(x_rows)
-    for i, blk in enumerate(prob.blocks):
-        assert vals[i] == pytest.approx(blk.value(x_rows[i]))
+    for i, (q, b) in enumerate(zip(prob.q, prob.b)):
+        assert np.allclose(g[i], q.T @ (q @ x_rows[i] - b), atol=1e-12)
+        assert vals[i] == pytest.approx(_value(q, b, x_rows[i]))
 
 
 def test_hess_blocks_is_one_cached_read_only_array():
@@ -162,7 +192,7 @@ def test_hess_blocks_is_one_cached_read_only_array():
     hess = prob.hess_blocks()
     assert prob.hess_blocks() is hess
     assert not hess.flags.writeable
-    q = np.stack([blk.q for blk in prob.blocks])
+    q = prob.q
     assert hess.tobytes() == np.einsum("nmd,nme->nde", q, q).tobytes()
     with pytest.raises(ValueError):
         hess[0, 0, 0] = 1.0
@@ -171,7 +201,8 @@ def test_hess_blocks_is_one_cached_read_only_array():
 def test_aggregate_hessian_positive_definite_when_overdetermined():
     prob = generate_problem(GeneratorConfig(seed=10, d=8, m=4, n=5, condition_number=5.0))
     assert 5 * 4 >= 8
-    assert is_strongly_convex(prob)
+    eigvals = np.linalg.eigvalsh(prob.aggregate_hessian())
+    assert eigvals[0] > 1e-10 * max(eigvals[-1], 1.0)
 
 
 def test_problem_bundle_round_trip(tmp_path):
@@ -183,8 +214,26 @@ def test_problem_bundle_round_trip(tmp_path):
     loaded = load_problem_bundle(tmp_path / "bundle")
     assert loaded.domain == prob.domain
     assert loaded.d == prob.d and loaded.n == prob.n and loaded.m == prob.m
-    for a, b in zip(prob.blocks, loaded.blocks):
-        assert np.array_equal(a.q, b.q)
-        assert np.array_equal(a.b, b.b)
+    assert np.array_equal(loaded.q, prob.q)
+    assert np.array_equal(loaded.b, prob.b)
     assert np.array_equal(loaded.minimizer, prob.minimizer)
     assert loaded.content_hash() == prob.content_hash()
+
+
+@pytest.mark.parametrize("key", ["n", "m", "d"])
+def test_bundle_whose_manifest_disagrees_with_its_files_is_rejected(tmp_path, key):
+    prob = generate_problem(GeneratorConfig(seed=12, d=3, m=4, n=2, condition_number=2.0))
+    manifest_path = save_problem_bundle(prob, tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    manifest[key] += 1
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="declares"):
+        load_problem_bundle(tmp_path)
+
+
+def test_bundle_with_blocks_of_unequal_shapes_is_rejected(tmp_path):
+    prob = generate_problem(GeneratorConfig(seed=12, d=3, m=4, n=2, condition_number=2.0))
+    save_problem_bundle(prob, tmp_path)
+    (tmp_path / "q_001.csv").write_text("1.0,2.0\n")
+    with pytest.raises(ValueError):
+        load_problem_bundle(tmp_path)

@@ -9,7 +9,7 @@ from dismd.dynamics import Hyperparams
 from dismd.graphs import Topology, build_graph, metropolis_weights, spectra
 from dismd.harness import build_problem
 from dismd.mirror_maps import EntropyMap, EuclideanMap
-from dismd.objectives import DistributedProblem, GeneratorConfig, QuadraticBlock, generate_problem
+from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
 from dismd.oracle import (
     OracleError,
     centralized_md_baseline,
@@ -22,8 +22,9 @@ from dismd.oracle import (
 def test_identity_blocks_optimum_is_mean_of_targets():
     rng = np.random.default_rng(0)
     bs = rng.standard_normal((4, 3))
-    blocks = [QuadraticBlock(q=np.eye(3), b=b) for b in bs]
-    prob = DistributedProblem(blocks=blocks, domain="unconstrained", d=3, n=4, m=3)
+    prob = DistributedProblem(
+        q=np.broadcast_to(np.eye(3), (4, 3, 3)), b=bs, domain="unconstrained"
+    )
     g = build_graph(Topology("cyclic", 4))
     opt = solve_unconstrained(prob, g)
     assert np.allclose(opt.x_star, bs.mean(axis=0), atol=1e-12)
@@ -41,14 +42,7 @@ def test_shared_minimizer_has_zero_multiplier():
 
 def test_scalar_two_particle_multiplier_against_pinv_oracle():
     prob = DistributedProblem(
-        blocks=[
-            QuadraticBlock(q=np.eye(1), b=np.array([0.0])),
-            QuadraticBlock(q=np.eye(1), b=np.array([2.0])),
-        ],
-        domain="unconstrained",
-        d=1,
-        n=2,
-        m=1,
+        q=np.ones((2, 1, 1)), b=np.array([[0.0], [2.0]]), domain="unconstrained"
     )
     g = metropolis_weights(((0, 1),), 2)
     opt = solve_unconstrained(prob, g)
@@ -109,8 +103,7 @@ def test_lambda_star_is_minimal_norm():
 
 
 def test_singular_aggregate_hessian_raises():
-    blocks = [QuadraticBlock(q=np.zeros((2, 2)), b=np.zeros(2)) for _ in range(3)]
-    prob = DistributedProblem(blocks=blocks, domain="unconstrained", d=2, n=3, m=2)
+    prob = DistributedProblem(q=np.zeros((3, 2, 2)), b=np.zeros((3, 2)), domain="unconstrained")
     g = build_graph(Topology("cyclic", 3))
     with pytest.raises(OracleError):
         solve_unconstrained(prob, g)
@@ -119,8 +112,9 @@ def test_singular_aggregate_hessian_raises():
 def test_simplex_interior_quadratic_recovers_center():
     # f(x) = ||x - c||^2 / 2 with c in the simplex interior: x* = c
     c = np.array([0.2, 0.3, 0.5])
-    blocks = [QuadraticBlock(q=np.eye(3), b=c) for _ in range(3)]
-    prob = DistributedProblem(blocks=blocks, domain="simplex", d=3, n=3, m=3)
+    prob = DistributedProblem(
+        q=np.broadcast_to(np.eye(3), (3, 3, 3)), b=np.tile(c, (3, 1)), domain="simplex"
+    )
     g = build_graph(Topology("cyclic", 3))
     opt = solve_simplex(prob, g)
     assert np.allclose(opt.x_star, c, atol=1e-7)
@@ -131,8 +125,7 @@ def test_simplex_interior_quadratic_recovers_center():
 def test_simplex_vertex_optimum():
     # d=2, f(x) = ||x - (2,-1)||^2 / 2 restricted to the simplex: x* = (1, 0)
     target = np.array([2.0, -1.0])
-    blocks = [QuadraticBlock(q=np.eye(2), b=target)]
-    prob = DistributedProblem(blocks=blocks, domain="simplex", d=2, n=1, m=2)
+    prob = DistributedProblem(q=np.eye(2)[None], b=target[None], domain="simplex")
     g = metropolis_weights((), 1)
     opt = solve_simplex(prob, g)
     # brute-force oracle over the 1-d parametrization (t, 1-t) of the simplex
@@ -152,8 +145,7 @@ def test_simplex_permutation_symmetry():
     g = build_graph(Topology("cyclic", 3))
     opt = solve_simplex(prob, g)
     perm = np.array([2, 0, 3, 1])
-    blocks = [QuadraticBlock(q=blk.q[:, perm], b=blk.b) for blk in prob.blocks]
-    permuted = DistributedProblem(blocks=blocks, domain="simplex", d=4, n=3, m=5)
+    permuted = DistributedProblem(q=prob.q[:, :, perm], b=prob.b, domain="simplex")
     opt_p = solve_simplex(permuted, g)
     assert np.allclose(opt_p.x_star[np.argsort(perm)], opt.x_star, atol=1e-6)
 
