@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,62 @@ def test_simplex_matches_shared_minimizer():
     opt = solve_simplex(prob, g)
     assert np.allclose(opt.x_star, prob.minimizer, atol=1e-6)
     assert opt.kkt_residual <= 1e-6
+
+
+def brute_force_simplex(problem):
+    """Minimize the aggregate objective over the simplex by enumeration.
+
+    Every support S gives one stationary point of the objective on the face
+    {x_S >= 0, sum x_S = 1, x_j = 0 off S}, from its bordered KKT system. The
+    optimum is the feasible one (x_S >= 0) of least objective value.
+    """
+    hess = np.einsum("nmd,nme->de", problem.q, problem.q)
+    rhs = np.einsum("nmd,nm->d", problem.q, problem.b)
+    best, best_value = None, np.inf
+    for k in range(1, problem.d + 1):
+        for support in itertools.combinations(range(problem.d), k):
+            s = list(support)
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = hess[np.ix_(s, s)]
+            kkt[:k, k] = kkt[k, :k] = 1.0
+            sol = np.linalg.solve(kkt, np.append(rhs[s], 1.0))
+            if np.any(sol[:k] < 0.0):
+                continue
+            x = np.zeros(problem.d)
+            x[s] = sol[:k]
+            value = problem.aggregate_value(x)
+            if value < best_value:
+                best, best_value = x, value
+    return best
+
+
+# (d, m, n) with n * m >= d, so the aggregate Hessian is definite
+BRUTE_FORCE_SHAPES = ((2, 2, 4), (3, 2, 5), (7, 4, 8), (7, 7, 4))
+BRUTE_FORCE_CASES = [
+    (seed, shape, shared, cond)
+    for seed, (shape, shared, cond) in enumerate(
+        itertools.product(BRUTE_FORCE_SHAPES, (True, False), (1.0, 15.0, 100.0))
+    )
+]
+
+
+@pytest.mark.parametrize("seed, shape, shared, cond", BRUTE_FORCE_CASES)
+def test_simplex_matches_support_enumeration(seed, shape, shared, cond):
+    d, m, n = shape
+    prob = generate_problem(GeneratorConfig(
+        seed=100 + seed, d=d, m=m, n=n, condition_number=cond,
+        shared_minimizer=shared, domain="simplex",
+    ))
+    opt = solve_simplex(prob, build_graph(Topology("cyclic", n)))
+    assert np.max(np.abs(opt.x_star - brute_force_simplex(prob))) <= 1e-6
+
+
+def test_simplex_vertex_matches_support_enumeration():
+    prob = DistributedProblem(q=np.eye(2)[None], b=np.array([[2.0, -1.0]]), domain="simplex")
+    want = brute_force_simplex(prob)
+    assert np.array_equal(want, [1.0, 0.0])
+    opt = solve_simplex(prob, metropolis_weights((), 1))
+    assert np.max(np.abs(opt.x_star - want)) <= 1e-6
 
 
 def test_centralized_baseline_converges_to_oracle():
