@@ -116,14 +116,6 @@ def default_c(constants: ConvexityConstants) -> float:
     )
 
 
-def predicted_rate(constants: ConvexityConstants, c: float, kappa_g: float) -> float | None:
-    """Indicative linear rate 2 kappa_g / (c mu_hat + 2 alpha + 3 kappa_n)."""
-    if not math.isfinite(constants.alpha_phi):
-        return None
-    denom = c * constants.mu_hat + 2.0 * constants.alpha_phi + 3.0 * constants.kappa_n
-    return 2.0 * kappa_g / denom
-
-
 def consensus_spread(x_rows: np.ndarray, losses: np.ndarray) -> float:
     """Squared distance between the best and worst particle by aggregate loss."""
     diff = x_rows[int(np.argmin(losses))] - x_rows[int(np.argmax(losses))]
@@ -151,8 +143,7 @@ def kappa_g_estimate(
     to R^(nd), so by rank-nullity its kernel has dimension at least nd. A
     kernel direction makes the quotient zero, and W is positive semidefinite,
     so the quotient is never negative: its infimum is exactly 0 for every
-    problem and every sample, and so is the rate ``predicted_rate`` builds
-    on it.
+    problem and every sample.
 
     What remains to check is that W is nonsingular at every sample point.
     W is block diagonal; its n blocks are the conjugate Hessian applied to

@@ -126,8 +126,6 @@ class RunSetup:
     timings: dict[str, float]  # dual_s, oracle_s and constants_s, parts of prepare
     constants: diagnostics.ConvexityConstants
     c: float
-    kappa_g: float | None
-    predicted_rate: float | None
     recorder: MetricsRecorder
 
 
@@ -148,15 +146,11 @@ def prepare(cfg: RunConfig) -> RunSetup:
     opt, oracle_s = _timed(oracle.solve, problem, graph)
     constants, constants_s = _timed(diagnostics.compute_constants, problem, spec, mmap, dual)
     c = diagnostics.default_c(constants)
-    kappa_g = None
-    rate = None
     if mmap.kind != "entropy":
-        # kappa_g, and with it the predicted rate, is 0 by construction (see
-        # kappa_g_estimate); the call still checks that the conjugate map
-        # Hessian is nonsingular at the consensus optimum
+        # kappa_g is 0 by construction (see kappa_g_estimate); the call checks
+        # that the conjugate map Hessian is nonsingular at the consensus optimum
         consensus_point = np.broadcast_to(opt.x_star, (problem.n, problem.d))
-        kappa_g = diagnostics.kappa_g_estimate(problem, graph, mmap, [consensus_point])
-        rate = diagnostics.predicted_rate(constants, c, kappa_g)
+        diagnostics.kappa_g_estimate(problem, graph, mmap, [consensus_point])
     recorder = MetricsRecorder(
         problem, graph, mmap, opt.x_star, opt.lambda_star, c, dual=dual
     )
@@ -169,8 +163,6 @@ def prepare(cfg: RunConfig) -> RunSetup:
         timings={"dual_s": dual_s, "oracle_s": oracle_s, "constants_s": constants_s},
         constants=constants,
         c=c,
-        kappa_g=kappa_g,
-        predicted_rate=rate,
         recorder=recorder,
     )
 
@@ -244,8 +236,6 @@ def build_manifest(cfg: RunConfig, setup: RunSetup, timings: dict, n_records: in
             "alpha_phi": _float_or_none(cst.alpha_phi),
             "mu_hat": cst.mu_hat,
             "c": setup.c,
-            "kappa_g_estimate": _float_or_none(setup.kappa_g),
-            "predicted_rate": _float_or_none(setup.predicted_rate),
         },
         "wall_clock_seconds": timings["integrate_s"],
         "timings": timings,

@@ -33,18 +33,6 @@ from .graphs import LaplacianSpectra
 MAP_KINDS = ("euclidean", "entropy", "quadratic")
 
 
-def _softmax(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(z - max z) / sum exp(z - max z) along the last axis, into ``out``.
-
-    The max shift keeps exp from overflowing. Shared by ``EntropyMap.backward``
-    and the simplex oracle's loop, which reuses one ``out`` buffer.
-    """
-    np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
-
-
 def _xlogx(x: np.ndarray) -> np.ndarray:
     # 0 log 0 := 0; the tiny clamp only matters for boundary diagnostics.
     safe = np.maximum(x, 1e-300)
@@ -147,7 +135,10 @@ class EntropyMap(MirrorMap):
 
     def backward(self, z):
         z = np.asarray(z, dtype=float)
-        return _softmax(z, np.empty_like(z))
+        out = np.subtract(z, z.max(axis=-1, keepdims=True))
+        np.exp(out, out=out)
+        out /= out.sum(axis=-1, keepdims=True)
+        return out
 
     def hess_conj_apply(self, z, v):
         x = self.backward(z)

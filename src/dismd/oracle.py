@@ -1,28 +1,27 @@
 """Ground-truth optima and centralized baselines.
 
-The unconstrained solve goes through the aggregate normal equations; the
-simplex solve runs long-horizon deterministic centralized entropic mirror
-descent and then cross-checks the simplex KKT conditions. Both return the
-minimal-norm stacked multiplier lambda* = -L^+ grad f(x*), the representative
-the lambda_0 = 0 dynamics converge to.
+Both solves need a positive definite aggregate Hessian, so that the
+consensus optimum is unique. The unconstrained solve goes through the
+aggregate normal equations; the simplex solve is a primal active-set method,
+exact and finite on a definite quadratic. Each certifies its KKT conditions
+to ``KKT_TOL`` times (1 + ||x*||) and returns the minimal-norm stacked
+multiplier lambda* = -L^+ grad f(x*), the representative the lambda_0 = 0
+dynamics converge to.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics
 from .graphs import WeightedGraph, spectra
-from .mirror_maps import EntropyMap, MirrorMap, _softmax
+from .mirror_maps import MirrorMap
 from .objectives import DistributedProblem
 
-KKT_TOL_UNCONSTRAINED = 1e-8
-KKT_TOL_SIMPLEX = 1e-6
+KKT_TOL = 1e-8  # times (1 + ||x*||)
 INTERIOR_TOL = 1e-8
-MAX_SIMPLEX_ITERS = 10_000_000
 
 
 class OracleError(RuntimeError):
@@ -57,8 +56,8 @@ def _stacked_multiplier(
     return lam, residual
 
 
-def solve_unconstrained(problem: DistributedProblem, graph: WeightedGraph) -> OptimalPair:
-    """Solve (sum Q_i^T Q_i) x = sum Q_i^T b_i and certify the stacked KKT pair."""
+def _definite_hessian(problem: DistributedProblem) -> np.ndarray:
+    """The aggregate Hessian, which must be positive definite."""
     hess = problem.aggregate_hessian()
     eigvals = np.linalg.eigvalsh(hess)
     if eigvals[0] <= 1e-12 * max(eigvals[-1], 1.0):
@@ -66,13 +65,23 @@ def solve_unconstrained(problem: DistributedProblem, graph: WeightedGraph) -> Op
             f"aggregate Hessian is singular (min eigenvalue {eigvals[0]:g}); "
             "the consensus optimum is not unique"
         )
+    return hess
+
+
+def _certify(residual: float, x_star: np.ndarray, what: str) -> None:
+    if residual > KKT_TOL * (1.0 + float(np.linalg.norm(x_star))):
+        raise OracleError(f"{what} residual {residual:g} above tolerance")
+
+
+def solve_unconstrained(problem: DistributedProblem, graph: WeightedGraph) -> OptimalPair:
+    """Solve (sum Q_i^T Q_i) x = sum Q_i^T b_i and certify the stacked KKT pair."""
+    hess = _definite_hessian(problem)
     rhs = -problem.aggregate_grad(np.zeros(problem.d))
     x_star = np.linalg.solve(hess, rhs)
     lam, stat_res = _stacked_multiplier(problem, graph, x_star, center=False)
     feas_res = float(np.linalg.norm(problem.aggregate_grad(x_star)))
     residual = max(stat_res, feas_res)
-    if residual > KKT_TOL_UNCONSTRAINED * (1.0 + float(np.linalg.norm(x_star))):
-        raise OracleError(f"unconstrained KKT residual {residual:g} above tolerance")
+    _certify(residual, x_star, "unconstrained KKT")
     return OptimalPair(
         x_star=x_star,
         lambda_star=lam,
@@ -81,41 +90,53 @@ def solve_unconstrained(problem: DistributedProblem, graph: WeightedGraph) -> Op
     )
 
 
-def solve_simplex(
-    problem: DistributedProblem, graph: WeightedGraph, tol: float = 1e-10
-) -> OptimalPair:
-    """Centralized entropic mirror descent until the iterates stall.
+def solve_simplex(problem: DistributedProblem, graph: WeightedGraph) -> OptimalPair:
+    """Primal active-set solve of min x^T H x / 2 - r^T x over the simplex
+    (Nocedal & Wright, Numerical Optimization, section 16.5).
 
-    Stops once ||x_{k+1} - x_k|| <= tol * dt, then checks stationarity on the
-    support and complementary slackness off it.
+    From the barycentre, each pass solves the equality-constrained problem on
+    the free coordinates, those not held at 0, through its (k+1)^2 KKT
+    system. If that point has a negative coordinate, x moves toward it until
+    the first coordinate reaches 0, which is then held. Otherwise x takes the
+    point whole and the held coordinate with the most negative multiplier is
+    freed; with none, x is optimal. The KKT conditions are then checked:
+    stationarity on the support and complementary slackness off it.
     """
     d = problem.d
-    hess = problem.aggregate_hessian()
-    l_agg = float(np.linalg.eigvalsh(hess)[-1])
-    dt = min(0.1, 1.0 / max(l_agg, 1e-12))
+    hess = _definite_hessian(problem)
     rhs = -problem.aggregate_grad(np.zeros(d))
     x = np.full(d, 1.0 / d)
-    z = EntropyMap(d).forward(x)
-    # one step is z -= dt * (H x - rhs); x = softmax(z), computed in place
-    # in buffers allocated once; x and x_new swap roles every iteration
-    x_new = np.empty(d)
-    step = np.empty(d)
-    diff = np.empty(d)
-    for _ in range(MAX_SIMPLEX_ITERS):
-        hess.dot(x, step)
-        step -= rhs
-        np.multiply(dt, step, out=step)
-        z -= step
-        _softmax(z, x_new)
-        np.subtract(x_new, x, out=diff)
-        x, x_new = x_new, x
-        if math.sqrt(diff.dot(diff)) <= tol * dt:
+    free = np.ones(d, dtype=bool)
+    # every measured run needs at most d + 2 passes; d^2 + 1 leaves room for
+    # many frees and still stops a run that cycles on rounding errors
+    max_passes = d * d + 1
+    for _ in range(max_passes):
+        idx = np.flatnonzero(free)
+        k = idx.size
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = hess[np.ix_(idx, idx)]
+        kkt[k, k] = 0.0
+        sol = np.linalg.solve(kkt, np.append(rhs[idx], 1.0))
+        target = sol[:k]
+        blocking = target < 0.0
+        if np.any(blocking):
+            # x_i >= 0 > target_i: x_i reaches 0 after this fraction of the step
+            ratios = x[idx][blocking] / (x[idx][blocking] - target[blocking])
+            first = int(np.argmin(ratios))
+            x[idx] = np.maximum(x[idx] + ratios[first] * (target - x[idx]), 0.0)
+            held = idx[blocking][first]
+            x[held] = 0.0
+            free[held] = False
+            continue
+        x[idx] = target
+        # stationarity H x - r = nu 1 + mu with nu = -sol[k] and mu = 0 off the held set
+        held = np.flatnonzero(~free)
+        mult = hess[held] @ x - rhs[held] + sol[k]
+        if not held.size or mult.min() >= 0.0:
             break
+        free[held[np.argmin(mult)]] = True
     else:
-        raise OracleError(
-            f"simplex solve did not stall within {MAX_SIMPLEX_ITERS} iterations; "
-            f"last iterate {x}"
-        )
+        raise OracleError(f"simplex active set did not settle within {max_passes} passes")
 
     g = hess @ x - rhs
     support = x > INTERIOR_TOL
@@ -124,15 +145,13 @@ def solve_simplex(
     comp_res = float(np.max(np.maximum(nu - g[~support], 0.0), initial=0.0))
     feas_res = abs(float(np.sum(x)) - 1.0)
     residual = max(stat_res, comp_res, feas_res)
-    if residual > KKT_TOL_SIMPLEX:
-        raise OracleError(f"simplex KKT residual {residual:g} above tolerance")
+    _certify(residual, x, "simplex KKT")
 
     lam = None
     if bool(np.all(support)):
         lam, lam_res = _stacked_multiplier(problem, graph, x, center=True)
         residual = max(residual, lam_res)
-        if residual > KKT_TOL_SIMPLEX:
-            raise OracleError(f"stacked multiplier residual {lam_res:g} above tolerance")
+        _certify(lam_res, x, "stacked multiplier")
     return OptimalPair(
         x_star=x,
         lambda_star=lam,

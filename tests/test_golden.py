@@ -3,12 +3,14 @@ configs.
 
 Each case runs a shipped config, cut to a short horizon, through
 ``harness.cmd_run`` and compares the SHA-256 of the metrics file with a
-hash recorded for artifact version 0.3.0 (only the barbell hashes differ
-from 0.2.0's). A change that alters any diagnostic in any digit fails
-here; such a change must bump ``artifact_version`` and record new hashes.
-The manifest's ``constants`` and ``oracle`` blocks are compared, as parsed
-JSON, with values recorded for version 0.1.0; 0.3.0 changed only the
-barbell's dual-map constants.
+hash recorded for artifact version 0.4.0 (only the problem_b_simplex hashes
+differ from 0.3.0's, and 0.3.0 changed only the barbell's). A change that
+alters any diagnostic in any digit fails here; such a change must bump
+``artifact_version`` and record new hashes. The manifest's ``constants``
+and ``oracle`` blocks are compared, as parsed JSON, with values recorded
+for version 0.1.0; 0.3.0 changed the barbell's dual-map constants, and
+0.4.0 the problem_b_simplex oracle block and the two constants every
+manifest dropped.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ from dismd.objectives import (
     save_problem_bundle,
 )
 from dismd.oracle import solve_simplex
+from test_kernel_reference import ref_solve_simplex
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -43,7 +46,7 @@ GOLDEN = {
     ("problem_a_ismd", None):
         "30f4ddcc328ef0df7058f94d82de4d635402bc48e8fd6c0445f93fd5cbea6445",
     ("problem_b_simplex", None):
-        "8c151ea71e2c010c06d33195a605a990c4a1f4e6b8327426c9a386d1ab54a2e2",
+        "24eab6330e69faca29ab467ec2201124422c1e75b20f330d97b0eb5ecede2c3c",
     ("problem_a_eismd", 0.1):
         "57a802e9e1b356b843627d40a13098d4ceb829859f4dd45df9f2ac48f9cbdc87",
 }
@@ -60,7 +63,7 @@ GOLDEN_OVERRIDES = {
     ("barbell_epismd", "algorithm.interaction_on", "z"):
         "1ea781b7dccc166fe59c69bb39f0dc7a1468f4cad57d3d7a25bedb75cfd031fe",
     ("problem_b_simplex", "algorithm.interaction_on", "z"):
-        "185b6f608512ee9b3caa9636a364c94c0770d7089c7b282e42953134665b07b7",
+        "0062789a41431e0d1ed9f6b99485f4c1eb662068efe2a253c5aa76739c77af9d",
     ("problem_a_ismd", "hyperparams.sigma", 0.1):
         "0d012d4ff4bbec30ac61abcfbdcb0afde9227bd81628f8843591714df485c5cd",
     ("barbell_epismd", "hyperparams.sigma", 0.1):
@@ -70,7 +73,7 @@ GOLDEN_OVERRIDES = {
 
 def _metrics_digest(out_dir, stem: str, overrides: dict) -> str:
     """SHA-256 of metrics.csv of a shipped config cut to 2,000 epochs."""
-    assert __version__ == "0.3.0", "a new artifact version needs new golden hashes"
+    assert __version__ == "0.4.0", "a new artifact version needs new golden hashes"
     cfg = load_config(CONFIGS / f"{stem}.ini")
     cfg.set("hyperparams", "epochs", 2000)
     cfg.set("hyperparams", "metrics_every", 10)
@@ -121,8 +124,6 @@ _PROBLEM_A_MANIFEST = {
         "alpha_phi": 0.6000000000000004,
         "mu_hat": 1.0,
         "c": 3.591111111111111,
-        "kappa_g_estimate": 0.0,
-        "predicted_rate": 0.0,
     },
     "oracle": {
         "f_star": 81.75140676342525,
@@ -148,8 +149,6 @@ GOLDEN_MANIFEST = {
             "alpha_phi": 0.600000000000001,
             "mu_hat": 0.0004363760545945213,
             "c": 5774.841281675103,
-            "kappa_g_estimate": 0.0,
-            "predicted_rate": 0.0,
         },
         "oracle": {
             "f_star": 72.80220394509897,
@@ -174,14 +173,12 @@ GOLDEN_MANIFEST = {
             "alpha_phi": None,
             "mu_hat": 1.0,
             "c": 3.591111111111111,
-            "kappa_g_estimate": None,
-            "predicted_rate": None,
         },
         "oracle": {
-            "f_star": 8.011873825910737e-16,
-            "kkt_residual": 3.569794735777329e-08,
-            "x_star_norm": 0.4140144015344825,
-            "lambda_star_norm": 5.9585941307904774e-08,
+            "f_star": 1.599405825593224e-32,
+            "kkt_residual": 9.495442626628047e-17,
+            "x_star_norm": 0.4140144102032607,
+            "lambda_star_norm": 3.4372915488639444e-16,
             "interior": True,
         },
     },
@@ -194,7 +191,7 @@ def test_golden_manifest_covers_every_shipped_config():
 
 @pytest.mark.parametrize("stem", sorted(GOLDEN_MANIFEST))
 def test_manifest_constants_and_oracle_match_golden(tmp_path, stem):
-    assert __version__ == "0.3.0", "a new artifact version needs new golden values"
+    assert __version__ == "0.4.0", "a new artifact version needs new golden values"
     cfg = load_config(CONFIGS / f"{stem}.ini")
     cfg.set("hyperparams", "epochs", 2000)
     cfg.set("hyperparams", "metrics_every", 10)
@@ -203,9 +200,13 @@ def test_manifest_constants_and_oracle_match_golden(tmp_path, stem):
     assert {k: manifest[k] for k in ("constants", "oracle")} == GOLDEN_MANIFEST[stem]
 
 
-# Golden outputs of the simplex oracle and of the entropy map's softmax,
-# recorded for artifact version 0.1.0 and unchanged since. The oracle runs ~5e4 mirror descent
-# iterations, so a change in the last bit of any one of them shows here.
+# Golden outputs of the simplex oracle and of the entropy map's softmax.
+# The exact active-set oracle's values were recorded for artifact version
+# 0.4.0; on the problem_b_simplex instances its x* lies within 4e-16 of the
+# shared minimizer. The mirror descent reference of versions 0.1.0 to 0.3.0
+# (tests/test_kernel_reference.py) still matches its recorded values: it runs
+# ~5e4 iterations, so a change in the last bit of any one of them shows.
+# The softmax values are those of version 0.1.0.
 
 def _sha(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
@@ -229,6 +230,46 @@ def _simplex_case(seed):
 # problem seed (None: vertex optimum) ->
 #     (sha256 of x_star, f_star, kkt_residual, sha256 of lambda_star or None)
 GOLDEN_SIMPLEX_ORACLE = {
+    9: (
+        "30c6bdf695afed780fd290e3bca2c1c9c2945ec9f54ce1f68d6c65eca9a1bb81",
+        1.599405825593224e-32,
+        9.495442626628047e-17,
+        "1a99655c6ea426a3e3a7f5d15222cab44c4340bc96caa25521c9c7bfb3688afb",
+    ),
+    10: (
+        "81f8a10b5600af0e4dce24118932502a257091ad62e2337b14d2b983cf839311",
+        3.1646588383176575e-32,
+        8.308097099822346e-17,
+        "009a75e72a500af077472c43723728b83cf3d4ca908ff1ea0823617ace6236c9",
+    ),
+    12: (
+        "d7cd5159810f871720e0dc138d64fbb493076a147cc823e7bf2992811d4a2b6e",
+        8.352037825869258e-32,
+        2.220446049250313e-16,
+        "afec42e860c06eca0c0a4f9ecd388092c827a6d11f36283b095493c8da38e673",
+    ),
+    15: (
+        "211b0200289786431d8d89568cbedbde1ad4ac269bfd74439feaa4a0e9d870eb",
+        2.6196973062877434e-32,
+        2.220446049250313e-16,
+        "6bd7695e310ea1458ac1363c92f10f3a47c519e3cdb103be00786510f3238df3",
+    ),
+    20: (
+        "fcba928e0ec62dbec43b38e3558373a62dcbf0675c4f0ca6a2debb526cc5913e",
+        4.972543876753793e-32,
+        1.3877787807814457e-16,
+        "9ffcfc307bcaca8e8b73f868bb62804d5bee6f424c9a037be444e04ea4a023d0",
+    ),
+    None: (
+        "3239b05c38b825ebb79f103172438292a22a0951351a6b81be1df5d44776cc65",
+        1.0,
+        0.0,
+        None,
+    ),
+}
+
+# the same cases for the mirror descent reference
+GOLDEN_REFERENCE_SIMPLEX_ORACLE = {
     9: (
         "513eed31af0bc670de9f0bace92f43779af7fb21174afaf4570b66c3c9ed2257",
         8.011873825910737e-16,
@@ -268,13 +309,21 @@ GOLDEN_SIMPLEX_ORACLE = {
 }
 
 
-@pytest.mark.parametrize("seed", list(GOLDEN_SIMPLEX_ORACLE), ids=str)
-def test_simplex_oracle_matches_golden(seed):
-    assert __version__ == "0.3.0", "a new artifact version needs new golden values"
-    opt = solve_simplex(*_simplex_case(seed))
+def _oracle_digest(opt) -> tuple:
     lam = None if opt.lambda_star is None else _sha(opt.lambda_star)
-    got = (_sha(opt.x_star), opt.f_star, opt.kkt_residual, lam)
-    assert got == GOLDEN_SIMPLEX_ORACLE[seed]
+    return (_sha(opt.x_star), opt.f_star, opt.kkt_residual, lam)
+
+
+@pytest.mark.parametrize("seed", list(GOLDEN_SIMPLEX_ORACLE), ids=str)
+def test_exact_simplex_oracle_matches_golden(seed):
+    assert __version__ == "0.4.0", "a new artifact version needs new golden values"
+    assert _oracle_digest(solve_simplex(*_simplex_case(seed))) == GOLDEN_SIMPLEX_ORACLE[seed]
+
+
+@pytest.mark.parametrize("seed", list(GOLDEN_REFERENCE_SIMPLEX_ORACLE), ids=str)
+def test_simplex_oracle_matches_golden(seed):
+    got = _oracle_digest(ref_solve_simplex(*_simplex_case(seed)))
+    assert got == GOLDEN_REFERENCE_SIMPLEX_ORACLE[seed]
 
 
 def _softmax_inputs() -> dict[str, np.ndarray]:

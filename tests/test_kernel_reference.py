@@ -11,20 +11,28 @@ once with these references patched in, and bounds every metrics.csv column;
 patched in, together with the dense eigvalsh constants of the dual-Hessian
 preconditioner that 0.1.0 and 0.2.0 shipped, the references reproduce the
 0.1.0 bytes.
+
+``ref_solve_simplex`` is the simplex oracle that versions 0.1.0 to 0.3.0
+shipped: centralized entropic mirror descent, certified to 1e-6. The
+trajectory check patches it into both runs, so that the simplex cases
+compare kernels alone; the exact active-set oracle is pinned by its own
+goldens and checked against a support enumeration in tests/test_oracle.py.
 """
 
 import hashlib
 import io
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dismd import harness
+from dismd import harness, oracle
 from dismd.config import load_config
 from dismd.graphs import Topology, build_graph, spectra
-from dismd.mirror_maps import RegularizedDualHessian
+from dismd.mirror_maps import EntropyMap, RegularizedDualHessian
 from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
+from dismd.oracle import INTERIOR_TOL, OptimalPair, OracleError, _stacked_multiplier
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 REL_TOL = 1e-12
@@ -63,6 +71,43 @@ def ref_dual_constants(self):
         hf[i * d:(i + 1) * d, i * d:(i + 1) * d] = h
     eigvals = np.linalg.eigvalsh(lbi @ hf @ lbi)
     return 1.0 / float(eigvals[-1]), 1.0 / float(eigvals[0])
+
+
+def ref_solve_simplex(problem, graph, tol=1e-10):
+    """Entropic mirror descent on the aggregate objective until
+    ||x_{k+1} - x_k|| <= tol * dt, then the simplex KKT check to 1e-6."""
+    d = problem.d
+    hess = problem.aggregate_hessian()
+    dt = min(0.1, 1.0 / max(float(np.linalg.eigvalsh(hess)[-1]), 1e-12))
+    rhs = -problem.aggregate_grad(np.zeros(d))
+    mmap = EntropyMap(d)
+    x = np.full(d, 1.0 / d)
+    z = mmap.forward(x)
+    for _ in range(10_000_000):
+        z -= dt * (hess.dot(x) - rhs)
+        x_new = mmap.backward(z)
+        diff = x_new - x
+        x = x_new
+        if math.sqrt(diff.dot(diff)) <= tol * dt:
+            break
+    else:
+        raise OracleError("simplex solve did not stall")
+
+    g = hess @ x - rhs
+    support = x > INTERIOR_TOL
+    nu = float(np.mean(g[support]))
+    stat_res = float(np.max(np.abs(g[support] - nu)))
+    comp_res = float(np.max(np.maximum(nu - g[~support], 0.0), initial=0.0))
+    residual = max(stat_res, comp_res, abs(float(np.sum(x)) - 1.0))
+    lam = None
+    if bool(np.all(support)):
+        lam, lam_res = _stacked_multiplier(problem, graph, x, center=True)
+        residual = max(residual, lam_res)
+    if residual > 1e-6:
+        raise OracleError(f"simplex KKT residual {residual:g} above tolerance")
+    return OptimalPair(
+        x_star=x, lambda_star=lam, f_star=problem.aggregate_value(x), kkt_residual=residual
+    )
 
 
 def _abs_sandwich(outer, inner, rows):
@@ -176,6 +221,7 @@ def _columns(csv_bytes: bytes) -> np.ndarray:
     ids=[stem + "".join(f"-{k}={v}" for k, v in ov.items()) for stem, ov, _ in TRAJECTORY_CASES],
 )
 def test_trajectory_matches_einsum_references(tmp_path, monkeypatch, stem, overrides, digest_010):
+    monkeypatch.setattr(oracle, "solve_simplex", ref_solve_simplex)
     shipped = _columns(_metrics(tmp_path / "shipped", stem, overrides))
     monkeypatch.setattr(DistributedProblem, "grads", ref_grads)
     monkeypatch.setattr(DistributedProblem, "block_values", ref_block_values)
