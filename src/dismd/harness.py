@@ -348,8 +348,7 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
 
 
 def graph_info_report(cfg: RunConfig) -> str:
-    n = cfg["problem"]["n"]
-    graph, spec = build_graph_and_spectra(cfg, n)
+    graph, spec = build_graph_and_spectra(cfg, build_problem(cfg).n)
     lines = [
         f"nodes: {graph.n}",
         f"edges: {len(graph.edges)}",
@@ -364,7 +363,7 @@ def graph_info_report(cfg: RunConfig) -> str:
 
 
 def export_graph_matrices(cfg: RunConfig, out_dir: Path | str) -> None:
-    graph, _ = build_graph_and_spectra(cfg, cfg["problem"]["n"])
+    graph, _ = build_graph_and_spectra(cfg, build_problem(cfg).n)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, mat in (("adjacency.csv", graph.adjacency), ("laplacian.csv", graph.laplacian)):

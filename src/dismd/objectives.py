@@ -214,6 +214,9 @@ def save_problem_bundle(problem: DistributedProblem, out_dir: Path | str) -> Pat
 def load_problem_bundle(bundle_dir: Path | str) -> DistributedProblem:
     root = Path(bundle_dir)
     manifest = json.loads((root / BUNDLE_MANIFEST).read_text())
+    missing = [key for key in ("n", "m", "d", "domain", "blocks") if key not in manifest]
+    if missing:
+        raise ValueError(f"bundle manifest {root / BUNDLE_MANIFEST} lacks {', '.join(missing)}")
     declared = (manifest["n"], manifest["m"], manifest["d"])
     # np.stack raises ValueError on blocks of unequal shapes
     q = np.stack([load_matrix(root / entry["q"]) for entry in manifest["blocks"]])

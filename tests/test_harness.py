@@ -183,6 +183,31 @@ def test_graph_info_report(tmp_path):
     assert "degenerate" in harness.graph_info_report(single)
 
 
+def test_graph_info_takes_the_particle_count_from_the_bundle(tmp_path, capsys):
+    # the config's n (default 10) does not apply to a bundle's problem
+    cfg_path = write_config(tmp_path, MINIMAL.replace("n = 2", "n = 6"), "gen.ini")
+    assert cli.main(["problem-gen", "--config", str(cfg_path), "--out", str(tmp_path / "b6"),
+                     "--quiet"]) == 0
+    text = f"[problem]\nkind = bundle\nbundle = {tmp_path / 'b6'}\n"
+    cfg_path = write_config(tmp_path, text, "bundle.ini")
+    out = tmp_path / "graph"
+    assert cli.main(["graph-info", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    assert "nodes: 6" in capsys.readouterr().out
+    assert load_matrix(out / "laplacian.csv").shape == (6, 6)
+
+
+def test_cli_reports_a_bundle_manifest_without_a_required_key(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "manifest.json").write_text('{"n": 2}\n')
+    text = f"[problem]\nkind = bundle\nbundle = {bundle}\n"
+    cfg_path = write_config(tmp_path, text)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bundle manifest") and "lacks m, d, domain, blocks" in err
+    assert "Traceback" not in err
+
+
 def test_graph_info_triangle_kappa(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL.replace("n = 2", "n = 3"), "tri.ini"))
     report = harness.graph_info_report(cfg)
