@@ -117,13 +117,13 @@ def solve_simplex(problem: DistributedProblem, graph: WeightedGraph) -> OptimalP
         kkt[:k, :k] = hess[np.ix_(idx, idx)]
         kkt[k, k] = 0.0
         sol = np.linalg.solve(kkt, np.append(rhs[idx], 1.0))
-        target = sol[:k]
+        target, current = sol[:k], x[idx]
         blocking = target < 0.0
         if np.any(blocking):
             # x_i >= 0 > target_i: x_i reaches 0 after this fraction of the step
-            ratios = x[idx][blocking] / (x[idx][blocking] - target[blocking])
-            first = int(np.argmin(ratios))
-            x[idx] = np.maximum(x[idx] + ratios[first] * (target - x[idx]), 0.0)
+            ratios = current[blocking] / (current[blocking] - target[blocking])
+            first = np.argmin(ratios)
+            x[idx] = np.maximum(current + ratios[first] * (target - current), 0.0)
             held = idx[blocking][first]
             x[held] = 0.0
             free[held] = False
