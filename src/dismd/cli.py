@@ -66,9 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str, seed: int | None) -> RunConfig:
     cfg = load_config(path)
-    if seed is not None:
-        cfg.set("run", "seed", seed)
-    return cfg
+    if seed is None:
+        return cfg
+    mapping = cfg.to_mapping()
+    mapping["run"]["seed"] = seed
+    return RunConfig.from_mapping(mapping)
 
 
 def _out_dir(args, cfg: RunConfig | None = None) -> Path:

@@ -97,15 +97,6 @@ class RunConfig:
     def __getitem__(self, key: str) -> dict[str, Any]:
         return self.values[key]
 
-    def set(self, section: str, key: str, value: Any) -> None:
-        """Set one parameter, converted and validated as a loaded value is;
-        an invalid value raises ConfigError and leaves the config unchanged."""
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"unknown parameter path '{section}.{key}'")
-        mapping = self.to_mapping()
-        mapping[section][key] = value
-        self.values = RunConfig.from_mapping(mapping).values
-
     def hyperparams(self) -> Hyperparams:
         h = self.values["hyperparams"]
         return Hyperparams(

@@ -60,12 +60,11 @@ def csv_header() -> str:
 
 @dataclass(frozen=True)
 class ConvexityConstants:
-    """Strong convexity / smoothness constants that enter the rate formula."""
+    """Convexity and smoothness constants: ``default_c`` reads them, the manifest reports them."""
 
     mu_phi: float
     l_phi: float
     mu_psi: float
-    l_psi: float
     mu_f: float
     l_f: float
     alpha_phi: float  # l_f * l_phi / mu_phi (inf for the entropy map)
@@ -84,7 +83,6 @@ def compute_constants(
     mu_f = float(block_eigs[:, 0].min())
     l_f = float(block_eigs[:, -1].max())
     mu_psi = float(dual.mu) if dual is not None else 1.0
-    l_psi = float(dual.lip) if dual is not None else 1.0
     if dual is not None and dual.kind == "dual_hessian":
         mu_hat = min(mmap.mu, mu_psi)
     else:
@@ -94,7 +92,6 @@ def compute_constants(
         mu_phi=mmap.mu,
         l_phi=mmap.lip,
         mu_psi=mu_psi,
-        l_psi=l_psi,
         mu_f=mu_f,
         l_f=l_f,
         alpha_phi=alpha_phi,

@@ -232,7 +232,6 @@ def build_manifest(cfg: RunConfig, setup: RunSetup, timings: dict, n_records: in
             "mu_phi": cst.mu_phi,
             "l_phi": _float_or_none(cst.l_phi),
             "mu_psi": cst.mu_psi,
-            "l_psi": cst.l_psi,
             "alpha_phi": _float_or_none(cst.alpha_phi),
             "mu_hat": cst.mu_hat,
             "c": setup.c,
@@ -276,7 +275,11 @@ def cmd_run(cfg: RunConfig, out_dir: Path | str) -> tuple[Path, Path]:
 
 
 def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str) -> Path:
-    """Run several configs and emit one label-keyed CSV of aligned records."""
+    """Run several configs and emit one label-keyed CSV of aligned records.
+
+    A run that diverges contributes the records taken before the blow-up,
+    and its manifest entry says where it diverged; the other runs complete.
+    Once both files are written, the first divergence is raised again."""
     if len(configs) < 2:
         raise ConfigError("compare needs at least two configs")
     if len(set(labels)) < len(labels):
@@ -294,13 +297,32 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
     out.mkdir(parents=True, exist_ok=True)
     all_rows = []
     manifests = {}
+    first_divergence = None
     for cfg, label in zip(configs, labels):
-        records, manifest = execute(cfg)
+        try:
+            records, manifest = execute(cfg)
+        except dynamics.DivergenceError as exc:
+            first_divergence = first_divergence or exc
+            records = exc.records
+            manifest = {
+                "artifact_version": __version__,
+                "config": cfg.to_mapping(),
+                "records": len(records),
+                "diverged": {
+                    "step": exc.step,
+                    "array": exc.array,
+                    "particle": exc.particle,
+                    "coordinate": exc.coordinate,
+                    "value": _float_or_none(exc.value),
+                },
+            }
         manifests[label] = manifest
         all_rows.extend(f"{label},{rec.to_csv_row()}" for rec in records)
-    csv_text = "run," + csv_header() + "\n" + "\n".join(all_rows) + "\n"
+    csv_text = "\n".join(["run," + csv_header(), *all_rows]) + "\n"
     _write_atomic(out / "compare.csv", csv_text)
     _write_atomic(out / MANIFEST_FILE, json.dumps(manifests, indent=2) + "\n")
+    if first_divergence is not None:
+        raise first_divergence
     return out / "compare.csv"
 
 

@@ -24,7 +24,7 @@ Hessian inside the integration loop.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -257,7 +257,6 @@ class IdentityDual:
 
     kind = "identity"
     mu = 1.0
-    lip = 1.0
 
     def forward(self, lam: np.ndarray) -> np.ndarray:
         return np.asarray(lam, dtype=float).copy()
@@ -305,7 +304,6 @@ class RegularizedDualHessian:
         self._lap_beta_inv = spec.lap_beta_inv
         self._hess = hess
         self._hess_inv = np.linalg.inv(hess)
-        self._extremes: tuple[float, float] | None = None
 
     def _sandwich(self, outer: np.ndarray, inner: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """(outer kron I_d) blockdiag(inner) (outer kron I_d) applied to
@@ -327,23 +325,9 @@ class RegularizedDualHessian:
         w = self._lap_beta @ diff
         return 0.5 * float(np.einsum("ni,nij,nj->", w, self._hess_inv, w))
 
-    def _constants(self) -> tuple[float, float]:
-        if self._extremes is None:
-            # psi's constants: mu is the reciprocal of the conjugate Hessian's
-            # largest eigenvalue, lip the largest eigenvalue of psi's own
-            # Hessian. inv() leaves the inverse blocks asymmetric by about
-            # eps * cond(H), and Lanczos needs a symmetric operator.
-            hess_inv = 0.5 * (self._hess_inv + self._hess_inv.transpose(0, 2, 1))
-            shape = (self.n, self.d)
-            conj = _lanczos_max(partial(self._sandwich, self._lap_beta_inv, self._hess), shape)
-            own = _lanczos_max(partial(self._sandwich, self._lap_beta, hess_inv), shape)
-            self._extremes = (1.0 / conj, own)
-        return self._extremes
-
-    @property
+    @cached_property
     def mu(self) -> float:
-        return self._constants()[0]
-
-    @property
-    def lip(self) -> float:
-        return self._constants()[1]
+        """psi's strong convexity: the reciprocal of the conjugate Hessian's
+        largest eigenvalue."""
+        conj = partial(self._sandwich, self._lap_beta_inv, self._hess)
+        return 1.0 / _lanczos_max(conj, (self.n, self.d))

@@ -136,27 +136,15 @@ seed = 11
     assert clone.to_mapping() == cfg.to_mapping()
 
 
-def test_set_checks_parameter_path():
-    cfg = default_config()
-    cfg.set("hyperparams", "sigma", 0.2)
-    assert cfg["hyperparams"]["sigma"] == 0.2
-    cfg.set("hyperparams", "epochs", "300")
-    assert cfg["hyperparams"]["epochs"] == 300
-    with pytest.raises(ConfigError):
-        cfg.set("hyperparams", "sgima", 0.2)
-    # set converts and validates like a loaded value and keeps the old config on error
-    before = cfg.to_mapping()
-    with pytest.raises(ConfigError, match=re.escape("hyperparams.dt")):
-        cfg.set("hyperparams", "dt", float("inf"))
-    with pytest.raises(ConfigError, match=re.escape("hyperparams.eta")):
-        cfg.set("hyperparams", "eta", float("nan"))
-    assert cfg.to_mapping() == before
-    barbell = RunConfig.from_mapping(
-        {"problem": {"n": 10}, "graph": {"topology": "barbell", "cluster": 5}}
-    )
-    with pytest.raises(ConfigError, match=re.escape("graph.cluster")):
-        barbell.set("problem", "n", 9)
-    assert barbell["problem"]["n"] == 10
+def test_from_mapping_converts_strings_and_cites_unknown_keys():
+    # library callers override values through a mapping; a string is
+    # converted as a loaded value is, and an unknown key is named
+    mapping = default_config().to_mapping()
+    mapping["hyperparams"]["epochs"] = "300"
+    assert RunConfig.from_mapping(mapping)["hyperparams"]["epochs"] == 300
+    mapping["hyperparams"]["sgima"] = 0.2
+    with pytest.raises(ConfigError, match="sgima"):
+        RunConfig.from_mapping(mapping)
 
 
 def test_comments_and_inline_comments(tmp_path):

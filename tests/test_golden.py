@@ -3,14 +3,14 @@ configs.
 
 Each case runs a shipped config, cut to a short horizon, through
 ``harness.cmd_run`` and compares the SHA-256 of the metrics file with a
-hash recorded for artifact version 0.4.0 (only the problem_b_simplex hashes
-differ from 0.3.0's, and 0.3.0 changed only the barbell's). A change that
-alters any diagnostic in any digit fails here; such a change must bump
-``artifact_version`` and record new hashes. The manifest's ``constants``
+hash recorded for artifact version 0.4.0 and kept by 0.5.0 (only the
+problem_b_simplex hashes differ from 0.3.0's, and 0.3.0 changed only the
+barbell's). A change that alters any diagnostic in any digit fails here;
+such a change must bump ``artifact_version`` and record new hashes. The manifest's ``constants``
 and ``oracle`` blocks are compared, as parsed JSON, with values recorded
 for version 0.1.0; 0.3.0 changed the barbell's dual-map constants, and
 0.4.0 the problem_b_simplex oracle block and the two constants every
-manifest dropped.
+manifest dropped; 0.5.0 dropped l_psi.
 """
 
 import hashlib
@@ -33,7 +33,7 @@ from dismd.objectives import (
     save_problem_bundle,
 )
 from dismd.oracle import solve_simplex
-from test_kernel_reference import ref_solve_simplex
+from test_kernel_reference import ref_solve_simplex, shipped_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -73,13 +73,8 @@ GOLDEN_OVERRIDES = {
 
 def _metrics_digest(out_dir, stem: str, overrides: dict) -> str:
     """SHA-256 of metrics.csv of a shipped config cut to 2,000 epochs."""
-    assert __version__ == "0.4.0", "a new artifact version needs new golden hashes"
-    cfg = load_config(CONFIGS / f"{stem}.ini")
-    cfg.set("hyperparams", "epochs", 2000)
-    cfg.set("hyperparams", "metrics_every", 10)
-    for path, value in overrides.items():
-        cfg.set(*path.split("."), value)
-    metrics_path, _ = harness.cmd_run(cfg, out_dir)
+    assert __version__ == "0.5.0", "a new artifact version needs new golden hashes"
+    metrics_path, _ = harness.cmd_run(shipped_config(stem, overrides), out_dir)
     return hashlib.sha256(metrics_path.read_bytes()).hexdigest()
 
 
@@ -120,7 +115,6 @@ _PROBLEM_A_MANIFEST = {
         "mu_phi": 1.0,
         "l_phi": 1.0,
         "mu_psi": 1.0,
-        "l_psi": 1.0,
         "alpha_phi": 0.6000000000000004,
         "mu_hat": 1.0,
         "c": 3.591111111111111,
@@ -145,7 +139,6 @@ GOLDEN_MANIFEST = {
             "mu_phi": 1.0,
             "l_phi": 1.0,
             "mu_psi": 0.0004363760545945213,
-            "l_psi": 376.13720775397564,
             "alpha_phi": 0.600000000000001,
             "mu_hat": 0.0004363760545945213,
             "c": 5774.841281675103,
@@ -169,7 +162,6 @@ GOLDEN_MANIFEST = {
             "mu_phi": 1.0,
             "l_phi": None,
             "mu_psi": 1.0,
-            "l_psi": 1.0,
             "alpha_phi": None,
             "mu_hat": 1.0,
             "c": 3.591111111111111,
@@ -191,11 +183,8 @@ def test_golden_manifest_covers_every_shipped_config():
 
 @pytest.mark.parametrize("stem", sorted(GOLDEN_MANIFEST))
 def test_manifest_constants_and_oracle_match_golden(tmp_path, stem):
-    assert __version__ == "0.4.0", "a new artifact version needs new golden values"
-    cfg = load_config(CONFIGS / f"{stem}.ini")
-    cfg.set("hyperparams", "epochs", 2000)
-    cfg.set("hyperparams", "metrics_every", 10)
-    _, manifest_path = harness.cmd_run(cfg, tmp_path)
+    assert __version__ == "0.5.0", "a new artifact version needs new golden values"
+    _, manifest_path = harness.cmd_run(shipped_config(stem, {}), tmp_path)
     manifest = json.loads(manifest_path.read_text())
     assert {k: manifest[k] for k in ("constants", "oracle")} == GOLDEN_MANIFEST[stem]
 
@@ -316,7 +305,7 @@ def _oracle_digest(opt) -> tuple:
 
 @pytest.mark.parametrize("seed", list(GOLDEN_SIMPLEX_ORACLE), ids=str)
 def test_exact_simplex_oracle_matches_golden(seed):
-    assert __version__ == "0.4.0", "a new artifact version needs new golden values"
+    assert __version__ == "0.5.0", "a new artifact version needs new golden values"
     assert _oracle_digest(solve_simplex(*_simplex_case(seed))) == GOLDEN_SIMPLEX_ORACLE[seed]
 
 

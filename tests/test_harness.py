@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from dismd import cli, harness
+from dismd.diagnostics import csv_header
+from dismd.dynamics import DivergenceError
 from dismd.config import ConfigError, RunConfig, load_config
 from dismd.objectives import load_matrix
+from test_kernel_reference import with_values
 
 MINIMAL = """
 [problem]
@@ -25,6 +28,15 @@ sigma = 0.0
 [run]
 seed = 0
 """
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which JSON does not have."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def write_config(tmp_path, text, name="run.ini"):
@@ -65,8 +77,7 @@ def test_manifest_timings_are_present_and_non_negative(tmp_path):
     assert timings["dual_s"] + timings["oracle_s"] + timings["constants_s"] <= timings["prepare_s"]
     assert manifest["wall_clock_seconds"] == timings["integrate_s"]
     assert manifest["steps_per_second"] == pytest.approx(100 / timings["integrate_s"])
-    cfg.set("hyperparams", "epochs", 0)
-    _, manifest_path = harness.cmd_run(cfg, tmp_path / "zero")
+    _, manifest_path = harness.cmd_run(with_values(cfg, {"hyperparams.epochs": 0}), tmp_path / "zero")
     assert json.loads(manifest_path.read_text())["steps_per_second"] is None
 
 
@@ -83,9 +94,7 @@ def test_seed_changes_noisy_metrics(tmp_path):
     noisy = MINIMAL.replace("sigma = 0.0", "sigma = 0.1")
     cfg = load_config(write_config(tmp_path, noisy))
     a, _ = harness.cmd_run(cfg, tmp_path / "a")
-    cfg2 = load_config(write_config(tmp_path, noisy))
-    cfg2.set("run", "seed", 1)
-    b, _ = harness.cmd_run(cfg2, tmp_path / "b")
+    b, _ = harness.cmd_run(with_values(cfg, {"run.seed": 1}), tmp_path / "b")
     assert a.read_bytes() != b.read_bytes()
 
 
@@ -102,8 +111,7 @@ def test_compare_eismd_epismd_identity_regression_guard(tmp_path):
     cfg_p = load_config(
         write_config(tmp_path, base + "\n[algorithm]\nname = epismd\ndual = identity\n", "epismd.ini")
     )
-    for cfg in (cfg_e, cfg_p):
-        cfg.set("run", "seed", 5)
+    cfg_e, cfg_p = (with_values(cfg, {"run.seed": 5}) for cfg in (cfg_e, cfg_p))
     csv_path = harness.cmd_compare([cfg_e, cfg_p], ["eismd", "epismd"], tmp_path / "cmp")
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0].startswith("run,step,t,")
@@ -322,6 +330,55 @@ def test_cli_divergence_message_locates_the_entry(tmp_path, capsys):
     assert re.search(r"diverged at step \d+: (z|lam|mu) is .+ at particle [01], coordinate 0", err)
 
 
+def test_cli_compare_writes_both_files_around_a_diverged_run(tmp_path, capsys):
+    # compare needs one dt for all runs, so a huge eta makes one diverge
+    blown = write_config(tmp_path, MINIMAL.replace("dt = 0.01", "dt = 0.01\neta = 1e5"), "blown.ini")
+    healthy = write_config(tmp_path, MINIMAL, "healthy.ini")
+    other = write_config(tmp_path, MINIMAL, "other.ini")
+
+    def compare(first, out):
+        argv = ["compare", "--config", str(first), "--config", str(healthy), "--out", str(out)]
+        code = cli.main(argv + ["--quiet"])
+        lines = (out / "compare.csv").read_text().strip().split("\n")
+        manifest = strict_json((out / "manifest.json").read_text())
+        return code, lines, manifest
+
+    code, lines, manifest = compare(blown, tmp_path / "mixed")
+    assert code == 2
+    assert "diverged" in capsys.readouterr().err
+    code_ok, lines_ok, _ = compare(other, tmp_path / "clean")
+    assert code_ok == 0
+    assert lines[0] == lines_ok[0] == "run," + csv_header()
+    assert [l for l in lines if l.startswith("healthy,")] == [
+        l for l in lines_ok if l.startswith("healthy,")
+    ]
+    assert manifest["healthy"]["records"] == 11
+    entry = manifest["blown"]
+    assert set(entry) == {"artifact_version", "config", "records", "diverged"}
+    assert entry["config"] == load_config(blown).to_mapping()
+    assert entry["records"] == sum(l.startswith("blown,") for l in lines) >= 1
+    where = entry["diverged"]
+    assert set(where) == {"step", "array", "particle", "coordinate", "value"}
+    assert where["step"] >= 1 and where["array"] in ("z", "lam")
+    assert abs(where["value"]) > 1e150  # past the state limit, still finite
+
+
+def test_compare_manifest_stays_json_for_a_non_finite_divergence(tmp_path, monkeypatch):
+    cfg = load_config(write_config(tmp_path, MINIMAL))
+
+    def nan_run(*args, **kwargs):
+        raise DivergenceError(7, [], "lam", 1, 0, float("nan"))
+
+    monkeypatch.setattr(harness.dynamics, "run", nan_run)
+    with pytest.raises(DivergenceError):
+        harness.cmd_compare([cfg, cfg], ["a", "b"], tmp_path / "cmp")
+    manifest = strict_json((tmp_path / "cmp" / "manifest.json").read_text())
+    where = {"step": 7, "array": "lam", "particle": 1, "coordinate": 0, "value": None}
+    assert manifest["a"]["diverged"] == manifest["b"]["diverged"] == where
+    assert manifest["a"]["records"] == 0
+    assert (tmp_path / "cmp" / "compare.csv").read_text() == "run," + csv_header() + "\n"
+
+
 def test_cli_exit_code_on_io_error(tmp_path, capsys):
     cfg_path = write_config(tmp_path, MINIMAL)
     blocker = tmp_path / "blocker"
@@ -364,6 +421,10 @@ def test_cli_seed_override(tmp_path):
         ["run", "--config", str(cfg_path), "--out", str(tmp_path / "b"), "--seed", "9", "--quiet"]
     ) == 0
     assert (tmp_path / "a" / "metrics.csv").read_bytes() != (tmp_path / "b" / "metrics.csv").read_bytes()
+    # the override is converted and validated as a loaded value is
+    assert cli._load(str(cfg_path), 9)["run"]["seed"] == 9
+    with pytest.raises(ConfigError, match=re.escape("run.seed")):
+        cli._load(str(cfg_path), "nine")
 
 
 def test_cli_problem_gen_and_bundle_round_trip(tmp_path):

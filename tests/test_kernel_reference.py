@@ -8,7 +8,7 @@ references: a kernel that sums in another order may differ from them in the
 last bits, but never by more than a small multiple of the rounding error of
 its operands. The trajectory check runs the golden cases once as shipped and
 once with these references patched in, and bounds every metrics.csv column;
-patched in, together with the dense eigvalsh constants of the dual-Hessian
+patched in, together with the dense eigvalsh mu_psi of the dual-Hessian
 preconditioner that 0.1.0 and 0.2.0 shipped, the references reproduce the
 0.1.0 bytes.
 
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from dismd import harness, oracle
-from dismd.config import load_config
+from dismd.config import RunConfig, load_config
 from dismd.graphs import Topology, build_graph, spectra
 from dismd.mirror_maps import EntropyMap, RegularizedDualHessian
 from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
@@ -62,15 +62,14 @@ def ref_dual_forward(self, lam):
     return _ref_sandwich(self, self._lap_beta, self._hess_inv, lam)
 
 
-def ref_dual_constants(self):
-    """(mu, lip) from a dense eigvalsh of  L_beta^{-1} H L_beta^{-1}."""
+def ref_dual_mu(self):
+    """mu from a dense eigvalsh of  L_beta^{-1} H L_beta^{-1}."""
     d = self.d
     lbi = np.kron(self._lap_beta_inv, np.eye(d))
     hf = np.zeros((self.n * d, self.n * d))
     for i, h in enumerate(self._hess):
         hf[i * d:(i + 1) * d, i * d:(i + 1) * d] = h
-    eigvals = np.linalg.eigvalsh(lbi @ hf @ lbi)
-    return 1.0 / float(eigvals[-1]), 1.0 / float(eigvals[0])
+    return 1.0 / float(np.linalg.eigvalsh(lbi @ hf @ lbi)[-1])
 
 
 def ref_solve_simplex(problem, graph, tol=1e-10):
@@ -201,13 +200,23 @@ TRAJECTORY_CASES = [
 ]
 
 
-def _metrics(out_dir, stem, overrides) -> bytes:
-    cfg = load_config(CONFIGS / f"{stem}.ini")
-    cfg.set("hyperparams", "epochs", 2000)
-    cfg.set("hyperparams", "metrics_every", 10)
+def with_values(cfg: RunConfig, overrides: dict) -> RunConfig:
+    """A copy of cfg with each ``section.key`` override applied and validated."""
+    mapping = cfg.to_mapping()
     for path, value in overrides.items():
-        cfg.set(*path.split("."), value)
-    metrics_path, _ = harness.cmd_run(cfg, out_dir)
+        section, key = path.split(".")
+        mapping[section][key] = value
+    return RunConfig.from_mapping(mapping)
+
+
+def shipped_config(stem, overrides) -> RunConfig:
+    """A shipped config cut to 2,000 epochs, recorded every 10, with overrides."""
+    cut = {"hyperparams.epochs": 2000, "hyperparams.metrics_every": 10}
+    return with_values(load_config(CONFIGS / f"{stem}.ini"), {**cut, **overrides})
+
+
+def _metrics(out_dir, stem, overrides) -> bytes:
+    metrics_path, _ = harness.cmd_run(shipped_config(stem, overrides), out_dir)
     return metrics_path.read_bytes()
 
 
@@ -227,7 +236,7 @@ def test_trajectory_matches_einsum_references(tmp_path, monkeypatch, stem, overr
     monkeypatch.setattr(DistributedProblem, "block_values", ref_block_values)
     monkeypatch.setattr(RegularizedDualHessian, "backward", ref_dual_backward)
     monkeypatch.setattr(RegularizedDualHessian, "forward", ref_dual_forward)
-    monkeypatch.setattr(RegularizedDualHessian, "_constants", ref_dual_constants)
+    monkeypatch.setattr(RegularizedDualHessian, "mu", property(ref_dual_mu))
     reference_bytes = _metrics(tmp_path / "reference", stem, overrides)
     assert hashlib.sha256(reference_bytes).hexdigest() == digest_010
     reference = _columns(reference_bytes)
