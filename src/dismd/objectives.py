@@ -73,18 +73,18 @@ class DistributedProblem:
         r = self.q @ x - self.b
         return np.einsum("nmd,nm->nd", self.q, r)
 
-    def block_values(self, x_rows: np.ndarray) -> np.ndarray:
-        """f_i(x^i) for each particle."""
-        # the residual form: with a shared minimizer f_i -> 0, and the expanded
-        # x^T H x / 2 - c^T x + |b|^2 / 2 would cancel catastrophically
-        r = (self.q @ x_rows[..., None])[..., 0] - self.b
-        return 0.5 * np.sum(r * r, axis=-1)
-
-    def aggregate_value(self, x: np.ndarray) -> float | np.ndarray:
-        """sum_i f_i(x) at a consensus point x, or a (k,) array for (k, d) rows."""
-        x = np.asarray(x, dtype=float)
+    def check_domain(self, x: np.ndarray) -> None:
+        """Raise ValueError if a simplex problem gets a negative coordinate."""
         if self.domain == "simplex" and np.any(x < 0.0):
             raise ValueError("simplex problem evaluated at a point with negative coordinates")
+
+    def aggregate_value(self, x: np.ndarray) -> float | np.ndarray:
+        """sum_i f_i(x) at a consensus point x, or a (k,) array for (k, d) rows.
+
+        The residual form: with a shared minimizer f_i -> 0, and the expanded
+        x^T H x / 2 - c^T x + |b|^2 / 2 would cancel catastrophically."""
+        x = np.asarray(x, dtype=float)
+        self.check_domain(x)
         # batched matmul keeps each row's bits equal to the single-point form
         r = (self.q @ x[..., None, :, None])[..., 0] - self.b
         values = 0.5 * np.sum(r * r, axis=(-2, -1))

@@ -33,6 +33,7 @@ from dismd.objectives import (
     generate_problem,
 )
 from dismd.oracle import solve_simplex, solve_unconstrained
+from test_objectives import block_values
 
 DESK = GeneratorConfig(seed=7, d=20, m=20, n=10, condition_number=15.0)
 
@@ -348,7 +349,7 @@ def test_criterion_8_math_kernel_invariants():
         for j in range(d):
             e = np.zeros((1, d))
             e[0, j] = h
-            fd = (prob.block_values(x + e)[0] - prob.block_values(x - e)[0]) / (2 * h)
+            fd = (block_values(prob, x + e)[0] - block_values(prob, x - e)[0]) / (2 * h)
             assert abs(fd - grad[j]) <= 1e-5 * (1.0 + abs(grad[j]))
             col = (prob.grads(x + e)[0] - prob.grads(x - e)[0]) / (2 * h)
             assert np.max(np.abs(col - hess[:, j])) <= 1e-5 * (1.0 + np.max(np.abs(hess)))

@@ -349,8 +349,6 @@ def test_recorder_record_fields_and_bregman_column():
         bregman_to_opt(states[-1].x, opt.x_star, mmap), rel=1e-12
     )
     assert r.loss_best <= r.loss_worst
-    losses = [prob.aggregate_value(xi) for xi in states[-1].x]
-    assert (r.loss_best, r.loss_worst) == (min(losses), max(losses))
     row = r.to_csv_row()
     assert len(row.split(",")) == len(CSV_COLUMNS)
     assert csv_header().startswith("step,t,loss_mean")

@@ -3,10 +3,10 @@ configs.
 
 Each case runs a shipped config, cut to a short horizon, through
 ``harness.cmd_run`` and compares the SHA-256 of the metrics file with a
-hash recorded for artifact version 0.4.0 and kept by 0.5.0 (only the
-problem_b_simplex hashes differ from 0.3.0's, and 0.3.0 changed only the
-barbell's). A change that alters any diagnostic in any digit fails here;
-such a change must bump ``artifact_version`` and record new hashes. The manifest's ``constants``
+hash recorded for artifact version 0.6.0, whose x*-centred recorder changed
+the loss columns, V3 and V of every case in their last bits. A change that
+alters any diagnostic in any digit fails here; such a change must bump
+``artifact_version`` and record new hashes. The manifest's ``constants``
 and ``oracle`` blocks are compared, as parsed JSON, with values recorded
 for version 0.1.0; 0.3.0 changed the barbell's dual-map constants, and
 0.4.0 the problem_b_simplex oracle block and the two constants every
@@ -40,15 +40,15 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # (config stem, sigma override or None) -> sha256 of metrics.csv
 GOLDEN = {
     ("barbell_epismd", None):
-        "1ea781b7dccc166fe59c69bb39f0dc7a1468f4cad57d3d7a25bedb75cfd031fe",
+        "993b98b64a2dbac1b33f047cd57b045d9a3e1c38ff33e248786feabedf9030e1",
     ("problem_a_eismd", None):
-        "86bd87beddbaa907ad53a8e8a0ac0e16e387f70dbc14de0b06bbfe53bb178b8b",
+        "ae62bc86fdbd6c3cd9916d6e32a39e48133cd2f4c6a93dbb890134eef1ab6564",
     ("problem_a_ismd", None):
-        "30f4ddcc328ef0df7058f94d82de4d635402bc48e8fd6c0445f93fd5cbea6445",
+        "3b5e1f745528d2597c95afc354d2da359f40af75119d1e2f129b1591e0681a75",
     ("problem_b_simplex", None):
-        "24eab6330e69faca29ab467ec2201124422c1e75b20f330d97b0eb5ecede2c3c",
+        "7a5769d4440da1cce637927f0b18a10dc007073d52c3bbc01c0894574a2b9119",
     ("problem_a_eismd", 0.1):
-        "57a802e9e1b356b843627d40a13098d4ceb829859f4dd45df9f2ac48f9cbdc87",
+        "9d098b00ab00e6ce4cf3ed557b7010bef9cbaffd9d3738b0af16b56a9bf984c1",
 }
 
 
@@ -59,21 +59,21 @@ GOLDEN = {
 # bytes of their x-coupled runs; the entropy map is where L z and L x differ.
 GOLDEN_OVERRIDES = {
     ("problem_a_eismd", "algorithm.interaction_on", "z"):
-        "86bd87beddbaa907ad53a8e8a0ac0e16e387f70dbc14de0b06bbfe53bb178b8b",
+        "ae62bc86fdbd6c3cd9916d6e32a39e48133cd2f4c6a93dbb890134eef1ab6564",
     ("barbell_epismd", "algorithm.interaction_on", "z"):
-        "1ea781b7dccc166fe59c69bb39f0dc7a1468f4cad57d3d7a25bedb75cfd031fe",
+        "993b98b64a2dbac1b33f047cd57b045d9a3e1c38ff33e248786feabedf9030e1",
     ("problem_b_simplex", "algorithm.interaction_on", "z"):
-        "0062789a41431e0d1ed9f6b99485f4c1eb662068efe2a253c5aa76739c77af9d",
+        "7711d1e68760fef683fea3d75fad728df9ea91c64bad453af982a57e4d23a84c",
     ("problem_a_ismd", "hyperparams.sigma", 0.1):
-        "0d012d4ff4bbec30ac61abcfbdcb0afde9227bd81628f8843591714df485c5cd",
+        "f17649fae8afba9ebd4264d7b3e088771d7cfd25cc1a7bdc31e5de30ba9b3462",
     ("barbell_epismd", "hyperparams.sigma", 0.1):
-        "14fff8d0f5dbcf429438b839fc29659e734f25f21e45f1f3326bf7d0f9484b49",
+        "dc27f85b86e7acd078762b189426f18f6ae29b5e8024d21dd5e5019a78861f4a",
 }
 
 
 def _metrics_digest(out_dir, stem: str, overrides: dict) -> str:
     """SHA-256 of metrics.csv of a shipped config cut to 2,000 epochs."""
-    assert __version__ == "0.5.0", "a new artifact version needs new golden hashes"
+    assert __version__ == "0.6.0", "a new artifact version needs new golden hashes"
     metrics_path, _ = harness.cmd_run(shipped_config(stem, overrides), out_dir)
     return hashlib.sha256(metrics_path.read_bytes()).hexdigest()
 
@@ -183,7 +183,7 @@ def test_golden_manifest_covers_every_shipped_config():
 
 @pytest.mark.parametrize("stem", sorted(GOLDEN_MANIFEST))
 def test_manifest_constants_and_oracle_match_golden(tmp_path, stem):
-    assert __version__ == "0.5.0", "a new artifact version needs new golden values"
+    assert __version__ == "0.6.0", "a new artifact version needs new golden values"
     _, manifest_path = harness.cmd_run(shipped_config(stem, {}), tmp_path)
     manifest = json.loads(manifest_path.read_text())
     assert {k: manifest[k] for k in ("constants", "oracle")} == GOLDEN_MANIFEST[stem]
@@ -305,7 +305,7 @@ def _oracle_digest(opt) -> tuple:
 
 @pytest.mark.parametrize("seed", list(GOLDEN_SIMPLEX_ORACLE), ids=str)
 def test_exact_simplex_oracle_matches_golden(seed):
-    assert __version__ == "0.5.0", "a new artifact version needs new golden values"
+    assert __version__ == "0.6.0", "a new artifact version needs new golden values"
     assert _oracle_digest(solve_simplex(*_simplex_case(seed))) == GOLDEN_SIMPLEX_ORACLE[seed]
 
 

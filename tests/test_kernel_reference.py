@@ -1,16 +1,19 @@
-"""The per-step kernels against the einsum forms of artifact version 0.1.0.
+"""The per-step kernels and the recorder against the forms of artifact
+version 0.1.0.
 
-``DistributedProblem.grads`` and ``block_values`` and the dual-Hessian
-preconditioner's ``backward`` and ``forward`` are the kernels the
-integration loop and the recorder call on every step or record. The forms
-below are the ones artifact version 0.1.0 shipped, kept here as independent
-references: a kernel that sums in another order may differ from them in the
-last bits, but never by more than a small multiple of the rounding error of
-its operands. The trajectory check runs the golden cases once as shipped and
-once with these references patched in, and bounds every metrics.csv column;
-patched in, together with the dense eigvalsh mu_psi of the dual-Hessian
-preconditioner that 0.1.0 and 0.2.0 shipped, the references reproduce the
-0.1.0 bytes.
+``DistributedProblem.grads`` and the dual-Hessian preconditioner's
+``backward`` are the kernels the integration loop calls on every step. The
+forms below are the ones artifact version 0.1.0 shipped, kept here as
+independent references: a kernel that sums in another order may differ from
+them in the last bits, but never by more than a small multiple of the
+rounding error of its operands. ``ref_record`` is the recorder that versions
+0.1.0 to 0.5.0 shipped: residual-form losses row by row, D_f as
+sum_i f_i(x_i) - f* - <grad f(x*), dx> over the einsum ``ref_block_values``,
+and the consensus term as <x, L x> / 2. The trajectory check runs the golden
+cases once as shipped and once with these references patched in, and bounds
+every metrics.csv column; patched in, together with the dense eigvalsh mu_psi
+of the dual-Hessian preconditioner that 0.1.0 and 0.2.0 shipped, the
+references reproduce the 0.1.0 bytes.
 
 ``ref_solve_simplex`` is the simplex oracle that versions 0.1.0 to 0.3.0
 shipped: centralized entropic mirror descent, certified to 1e-6. The
@@ -29,6 +32,7 @@ import pytest
 
 from dismd import harness, oracle
 from dismd.config import RunConfig, load_config
+from dismd.diagnostics import MetricsRecord, MetricsRecorder, bregman_to_opt, consensus_spread
 from dismd.graphs import Topology, build_graph, spectra
 from dismd.mirror_maps import EntropyMap, RegularizedDualHessian
 from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
@@ -47,6 +51,41 @@ def ref_grads(self, x_rows):
 def ref_block_values(self, x_rows):
     r = np.einsum("nmd,nd->nm", self.q, x_rows) - self.b
     return 0.5 * np.sum(r * r, axis=-1)
+
+
+def ref_record(self, state):
+    """MetricsRecorder.__call__ of artifact versions 0.1.0 to 0.5.0."""
+    x, lap, problem = state.x, self.graph.laplacian, self.problem
+    losses = problem.aggregate_value(x)
+    lap_x = lap @ x
+    v1 = bregman_to_opt(x, self.x_star, self.mmap)
+    v2 = self.dual.bregman(self.lambda_star, state.lam)
+    dx = x - self.x_star
+    d_f = float(
+        np.sum(ref_block_values(problem, x))
+        - problem.aggregate_value(self.x_star)
+        - np.vdot(problem.grads_at(self.x_star), dx)
+    )
+    v3 = (
+        d_f
+        + float(np.vdot(dx, lap @ (state.lam - self.lambda_star)))
+        + 0.5 * float(np.vdot(x, lap_x))
+    )
+    return MetricsRecord(
+        step=state.step,
+        t=state.t,
+        loss_mean=problem.aggregate_value(x.mean(axis=0)),
+        loss_best=float(losses.min()),
+        loss_worst=float(losses.max()),
+        consensus_spread=consensus_spread(x, losses),
+        kkt_primal=float(np.linalg.norm(problem.grads(x) + lap @ state.lam)),
+        kkt_consensus=float(np.linalg.norm(lap_x)),
+        V=self.c * (v1 + v2) + v3,
+        V1=v1,
+        V2=v2,
+        V3=v3,
+        bregman_to_opt=v1,
+    )
 
 
 def _ref_sandwich(self, outer, inner, rows):
@@ -153,9 +192,6 @@ def test_kernels_match_einsum_references_property():
 
         scale = np.max((np.abs(hess) @ np.abs(x)[..., None])[..., 0] + np.abs(c))
         _assert_close(prob.grads(x), ref_grads(prob, x), scale)
-        resid = (np.abs(q) @ np.abs(x)[..., None])[..., 0] + np.abs(b)
-        scale = np.max(0.5 * np.sum(resid * resid, axis=-1))
-        _assert_close(prob.block_values(x), ref_block_values(prob, x), scale)
 
         spec = spectra(build_graph(Topology("cyclic", n)), beta)
         dual = RegularizedDualHessian(spec, prob.hess_blocks())
@@ -233,7 +269,7 @@ def test_trajectory_matches_einsum_references(tmp_path, monkeypatch, stem, overr
     monkeypatch.setattr(oracle, "solve_simplex", ref_solve_simplex)
     shipped = _columns(_metrics(tmp_path / "shipped", stem, overrides))
     monkeypatch.setattr(DistributedProblem, "grads", ref_grads)
-    monkeypatch.setattr(DistributedProblem, "block_values", ref_block_values)
+    monkeypatch.setattr(MetricsRecorder, "__call__", ref_record)
     monkeypatch.setattr(RegularizedDualHessian, "backward", ref_dual_backward)
     monkeypatch.setattr(RegularizedDualHessian, "forward", ref_dual_forward)
     monkeypatch.setattr(RegularizedDualHessian, "mu", property(ref_dual_mu))

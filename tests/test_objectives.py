@@ -12,11 +12,17 @@ from dismd.objectives import (
 )
 
 
+def block_values(prob, x_rows):
+    """f_i(x^i) = ||Q_i x^i - b_i||^2 / 2 for each particle, in residual form."""
+    r = np.einsum("nmd,nd->nm", prob.q, x_rows) - prob.b
+    return 0.5 * np.sum(r * r, axis=-1)
+
+
 def test_local_grad_identity_block():
     prob = DistributedProblem(q=np.eye(2)[None], b=np.zeros((1, 2)), domain="unconstrained")
     x = np.array([[1.0, 1.0]])
     assert prob.grads(x) == pytest.approx(np.ones((1, 2)))
-    assert prob.block_values(x) == pytest.approx([1.0])
+    assert block_values(prob, x) == pytest.approx([1.0])
 
 
 def test_local_grad_vanishes_at_minimizer():
@@ -43,7 +49,7 @@ def test_local_grad_matches_finite_differences():
         q=rng.standard_normal((3, 7, 5)), b=rng.standard_normal((3, 7)), domain="unconstrained"
     )
     x = rng.standard_normal((3, 5))
-    fd = _central_differences(prob.block_values, x)
+    fd = _central_differences(lambda rows: block_values(prob, rows), x)
     assert fd == pytest.approx(prob.grads(x), rel=1e-6, abs=1e-8)
 
 
@@ -181,10 +187,8 @@ def test_grads_match_per_block_loops():
     prob = generate_problem(GeneratorConfig(seed=8, d=4, m=5, n=6, condition_number=3.0))
     x_rows = rng.standard_normal((6, 4))
     g = prob.grads(x_rows)
-    vals = prob.block_values(x_rows)
     for i, (q, b) in enumerate(zip(prob.q, prob.b)):
         assert np.allclose(g[i], q.T @ (q @ x_rows[i] - b), atol=1e-12)
-        assert vals[i] == pytest.approx(_value(q, b, x_rows[i]))
 
 
 def test_hess_blocks_is_one_cached_read_only_array():

@@ -93,22 +93,6 @@ def _ids(cases):
     return [f"{name}-{dist:g}" for name, dist in cases]
 
 
-# the V3 cases that artifact 0.5.0's expanded D_f and <x, L x> / 2 miss by
-# more than the tolerance: differences of sums of size f* and |x|^2
-EXPANDED_FORM_FAILS = {
-    ("problem_a_eismd", 1e-8), ("problem_a_eismd", 1e-4), ("problem_a_eismd", 1e-2),
-    ("barbell_epismd", 1e-8), ("barbell_epismd", 1e-6), ("barbell_epismd", 1e-4),
-    ("barbell_epismd", 1e-2),
-}
-V3_CASES = [
-    pytest.param(
-        *case, id=_ids([case])[0],
-        marks=pytest.mark.xfail(strict=True, reason="expanded form cancels"),
-    ) if case in EXPANDED_FORM_FAILS else pytest.param(*case, id=_ids([case])[0])
-    for case in CASES
-]
-
-
 @pytest.mark.parametrize("name, dist", CASES, ids=_ids(CASES))
 def test_recorder_losses_match_residual_form(name, dist):
     setup = _setup(name)
@@ -121,7 +105,7 @@ def test_recorder_losses_match_residual_form(name, dist):
     _assert_close(record.loss_mean, float(mean))
 
 
-@pytest.mark.parametrize("name, dist", V3_CASES)
+@pytest.mark.parametrize("name, dist", CASES, ids=_ids(CASES))
 def test_recorder_v3_matches_centred_form(name, dist):
     setup = _setup(name)
     state = _state(name, dist)
