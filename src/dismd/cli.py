@@ -101,7 +101,12 @@ def _dispatch(args) -> int:
                 suffix += 1
             labels.append(label)
         out = _out_dir(args, configs[0])
-        csv_path = harness.cmd_compare(configs, labels, out)
+        try:
+            csv_path = harness.cmd_compare(configs, labels, out)
+        except DivergenceError as exc:
+            print(f"error: {exc}; wrote {out / 'compare.csv'} and {out / harness.MANIFEST_FILE} "
+                  "with its records up to the blow-up", file=sys.stderr)
+            return EXIT_DIVERGED
         if not args.quiet:
             print(f"wrote {csv_path}")
         return EXIT_OK

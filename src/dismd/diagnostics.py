@@ -6,14 +6,11 @@ The Lyapunov function evaluated here is
     V(x, lam) = c * (V1 + V2) + V3
     V1 = sum_i D_phi(x*, x^i)
     V2 = D_psi(lam*, lam)                (||lam - lam*||^2 / 2 without a dual map)
-    V3 = D_f(x, x*) + <dx, L (lam - lam*)> + <dx, L dx> / 2
-    D_f(x, x*) = sum_i dx_i^T H_i dx_i / 2
+    V3 = sum_i dx_i^T H_i dx_i / 2 + <dx, L (lam - lam*)> + <dx, L dx> / 2
 
 with dx = x - x*, H_i the block Hessians and (x*, lam*) supplied by the
-reference oracle. The consensus term <dx, L dx> / 2 equals <x, L x> / 2
-because x* is a consensus point and L 1 = 0, and D_f is the Bregman
-divergence sum_i f_i(x_i) - f_i(x*) - <grad f_i(x*), dx_i>, exact for
-quadratic blocks; neither form subtracts sums of size f* or |x|^2. The scale factor c is
+reference oracle. The first term is D_f(x, x*), exact for quadratic blocks,
+and <dx, L dx> = <x, L x> since L 1 = 0. The scale factor c is
 chosen by ``default_c`` as a small safety margin above every threshold the
 convergence analysis needs for non-negativity and descent.
 """
@@ -211,12 +208,10 @@ def rate_fit(t: np.ndarray, v: np.ndarray, window: float = 0.5) -> RateFit:
 class MetricsRecorder:
     """Turns a ParticleSystem into a MetricsRecord, each column computed once.
 
-    Every column that depends on the objective comes from one quadratic
-    model centred at x*, exact for these quadratic objectives. With
-    dx = x - x*, the aggregate loss is f* + g*^T dx + dx^T H dx / 2, where g*
-    and H sum the block gradients at x* and the block Hessians; f* and g*
-    are evaluated once, in residual form. Near the optimum every term is
-    then small, where a difference of sums of size f* would be rounding noise.
+    The objective columns come from one exact quadratic model centred at
+    x*: the aggregate loss is f* + g*^T dx + dx^T H dx / 2, with g* and H
+    the summed block gradients at x* and block Hessians, and f* and g* taken
+    once in residual form. No term is a difference of sums of size f*.
     """
 
     def __init__(

@@ -47,16 +47,19 @@ class DivergenceError(RuntimeError):
 
     ``array`` ("z", "lam" or "mu"), ``particle`` and ``coordinate`` locate the
     first offending entry (arrays in that order, row-major within one), and
-    ``value`` is that entry.
+    ``value`` is that entry. ``run`` labels the run when a caller runs several.
     """
 
     def __init__(
-        self, step: int, records: list, array: str, particle: int, coordinate: int, value: float
+        self, step: int, records: list, array: str, particle: int, coordinate: int, value: float,
+        run: str | None = None,
     ):
+        where = "" if run is None else f"run {run!r}: "
         super().__init__(
-            f"integration diverged at step {step}: {array} is {value!r} "
+            f"{where}integration diverged at step {step}: {array} is {value!r} "
             f"at particle {particle}, coordinate {coordinate}"
         )
+        self.run = run
         self.step = step
         self.records = records  # metrics collected before the blow-up
         self.array = array
@@ -271,8 +274,8 @@ def run(
         raise ValueError(f"unknown algorithm {algorithm!r}")
     if interaction_on not in ("x", "z"):
         raise ValueError(f"interaction_on must be 'x' or 'z', got {interaction_on!r}")
-    if algorithm == "epismd" and dual is None:
-        raise ValueError("epismd needs a dual preconditioner")
+    if (dual is None) == (algorithm == "epismd"):  # only epismd integrates a dual map
+        raise ValueError(f"{algorithm} {'needs a' if dual is None else 'takes no'} dual map")
     if metrics_every < 1:
         raise ValueError(f"metrics_every must be >= 1, got {metrics_every}")
     if recorder is None:

@@ -279,7 +279,8 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
 
     A run that diverges contributes the records taken before the blow-up,
     and its manifest entry says where it diverged; the other runs complete.
-    Once both files are written, the first divergence is raised again."""
+    Once both files are written, the first divergence is raised again,
+    labelled with its run."""
     if len(configs) < 2:
         raise ConfigError("compare needs at least two configs")
     if len(set(labels)) < len(labels):
@@ -302,7 +303,9 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
         try:
             records, manifest = execute(cfg)
         except dynamics.DivergenceError as exc:
-            first_divergence = first_divergence or exc
+            first_divergence = first_divergence or dynamics.DivergenceError(
+                exc.step, exc.records, exc.array, exc.particle, exc.coordinate, exc.value, label
+            )
             records = exc.records
             manifest = {
                 "artifact_version": __version__,

@@ -13,8 +13,9 @@ Each map exposes the gradient (``forward``), the conjugate gradient
 conjugate Hessian. All operations are pure functions of their inputs and
 act on the last axis: a single d-vector or a (..., n, d) array of rows.
 
-The Lagrangian-dual preconditioner mirrors the primal API for the (n, d)
-multiplier rows: either the identity (which reduces the preconditioned
+The Lagrangian-dual preconditioner acts on the (n, d) multiplier rows
+through its conjugate gradient (``backward``) and its Bregman divergence:
+either the identity (which reduces the preconditioned
 dynamics to the plain exact dynamics) or the regularized-Laplacian-sandwiched
 problem Hessian, whose conjugate Hessian is
 ``L_beta^{-1} (d^2 f) L_beta^{-1}`` and never requires inverting the problem
@@ -75,17 +76,6 @@ class MirrorMap:
         inner = np.sum(self.forward(y) * (x - y), axis=-1)
         return gap - inner
 
-    def conj_value(self, z: np.ndarray):
-        """Conjugate value via the Fenchel identity <z, x(z)> - phi(x(z))."""
-        x = self.backward(np.asarray(z, dtype=float))
-        return np.sum(z * x, axis=-1) - self.value(x)
-
-    def conj_bregman(self, z: np.ndarray, zp: np.ndarray):
-        z = np.asarray(z, dtype=float)
-        zp = np.asarray(zp, dtype=float)
-        inner = np.sum(self.backward(zp) * (z - zp), axis=-1)
-        return self.conj_value(z) - self.conj_value(zp) - inner
-
 
 class EuclideanMap(MirrorMap):
     kind = "euclidean"
@@ -144,12 +134,6 @@ class EntropyMap(MirrorMap):
         x = self.backward(z)
         v = np.asarray(v, dtype=float)
         return x * v - x * np.sum(x * v, axis=-1, keepdims=True)
-
-    def conj_value(self, z):
-        # Closed form: 1 + log sum exp(z - 1), kept overflow-safe.
-        z = np.asarray(z, dtype=float)
-        m = np.max(z, axis=-1)
-        return m + np.log(np.sum(np.exp(z - np.expand_dims(m, -1)), axis=-1))
 
 
 class QuadraticMap(MirrorMap):
@@ -258,9 +242,6 @@ class IdentityDual:
     kind = "identity"
     mu = 1.0
 
-    def forward(self, lam: np.ndarray) -> np.ndarray:
-        return np.asarray(lam, dtype=float).copy()
-
     def backward(self, mu: np.ndarray) -> np.ndarray:
         return np.asarray(mu, dtype=float).copy()
 
@@ -314,10 +295,6 @@ class RegularizedDualHessian:
     def backward(self, mu: np.ndarray) -> np.ndarray:
         """Conjugate gradient: mu -> lambda."""
         return self._sandwich(self._lap_beta_inv, self._hess, mu)
-
-    def forward(self, lam: np.ndarray) -> np.ndarray:
-        """Map gradient: lambda -> mu."""
-        return self._sandwich(self._lap_beta, self._hess_inv, lam)
 
     def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray) -> float:
         """D_psi between (n, d) multiplier rows (quadratic, so a weighted norm)."""

@@ -79,12 +79,11 @@ class DistributedProblem:
             raise ValueError("simplex problem evaluated at a point with negative coordinates")
 
     def aggregate_value(self, x: np.ndarray) -> float | np.ndarray:
-        """sum_i f_i(x) at a consensus point x, or a (k,) array for (k, d) rows.
-
-        The residual form: with a shared minimizer f_i -> 0, and the expanded
-        x^T H x / 2 - c^T x + |b|^2 / 2 would cancel catastrophically."""
+        """sum_i f_i(x) at a consensus point x, or a (k,) array for (k, d) rows."""
         x = np.asarray(x, dtype=float)
         self.check_domain(x)
+        # the residual form: with a shared minimizer f_i -> 0, and the expanded
+        # x^T H x / 2 - c^T x + |b|^2 / 2 would cancel catastrophically
         # batched matmul keeps each row's bits equal to the single-point form
         r = (self.q @ x[..., None, :, None])[..., 0] - self.b
         values = 0.5 * np.sum(r * r, axis=(-2, -1))
@@ -217,6 +216,9 @@ def load_problem_bundle(bundle_dir: Path | str) -> DistributedProblem:
     missing = [key for key in ("n", "m", "d", "domain", "blocks") if key not in manifest]
     if missing:
         raise ValueError(f"bundle manifest {root / BUNDLE_MANIFEST} lacks {', '.join(missing)}")
+    if manifest.get("bundle_version") != BUNDLE_VERSION:
+        raise ValueError(f"bundle {root} has bundle_version {manifest.get('bundle_version')!r}, "
+                         f"but this dismd reads bundle_version {BUNDLE_VERSION}")
     declared = (manifest["n"], manifest["m"], manifest["d"])
     # np.stack raises ValueError on blocks of unequal shapes
     q = np.stack([load_matrix(root / entry["q"]) for entry in manifest["blocks"]])

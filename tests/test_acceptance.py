@@ -317,8 +317,6 @@ def test_criterion_8_math_kernel_invariants():
             else:
                 x, y, w = (rng.standard_normal(d) for _ in range(3))
             assert np.max(np.abs(m.backward(m.forward(x)) - x)) <= 1e-10
-            z, zp = m.forward(x), m.forward(y)
-            assert abs(float(m.conj_bregman(z, zp)) - float(m.bregman(y, x))) <= 1e-9
             lhs = float((x - y) @ (m.forward(w) - m.forward(y)))
             rhs = float(m.bregman(x, y) + m.bregman(y, w) - m.bregman(x, w))
             assert abs(lhs - rhs) <= 1e-9

@@ -185,6 +185,17 @@ def test_eismd_interaction_switch_changes_trajectory_only_for_nonlinear_maps():
     assert not np.array_equal(a[-1].z, b[-1].z)
 
 
+@pytest.mark.parametrize("algorithm", ["ismd", "eismd"])
+def test_run_rejects_a_dual_map_outside_epismd(algorithm):
+    # the dual map enters only epismd's step; elsewhere it would be ignored
+    prob = generate_problem(GeneratorConfig(seed=4, d=3, m=4, n=5, condition_number=4.0))
+    g = build_graph(Topology("cyclic", 5))
+    with pytest.raises(ValueError, match=f"{algorithm} takes no dual map"):
+        run(algorithm, prob, EuclideanMap(3), g, Hyperparams(epochs=1), dual=IdentityDual())
+    with pytest.raises(ValueError, match="epismd needs a dual map"):
+        run("epismd", prob, EuclideanMap(3), g, Hyperparams(epochs=1))
+
+
 def test_epismd_identity_dual_is_bitwise_eismd():
     prob = generate_problem(GeneratorConfig(seed=4, d=3, m=4, n=5, condition_number=4.0))
     g = build_graph(Topology("cyclic", 5))

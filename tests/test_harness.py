@@ -345,7 +345,10 @@ def test_cli_compare_writes_both_files_around_a_diverged_run(tmp_path, capsys):
 
     code, lines, manifest = compare(blown, tmp_path / "mixed")
     assert code == 2
-    assert "diverged" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: run 'blown': integration diverged at step ")
+    mixed = tmp_path / "mixed"
+    assert f"wrote {mixed / 'compare.csv'} and {mixed / 'manifest.json'}" in err
     code_ok, lines_ok, _ = compare(other, tmp_path / "clean")
     assert code_ok == 0
     assert lines[0] == lines_ok[0] == "run," + csv_header()

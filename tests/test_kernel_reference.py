@@ -97,10 +97,6 @@ def ref_dual_backward(self, mu):
     return _ref_sandwich(self, self._lap_beta_inv, self._hess, mu)
 
 
-def ref_dual_forward(self, lam):
-    return _ref_sandwich(self, self._lap_beta, self._hess_inv, lam)
-
-
 def ref_dual_mu(self):
     """mu from a dense eigvalsh of  L_beta^{-1} H L_beta^{-1}."""
     d = self.d
@@ -195,16 +191,12 @@ def test_kernels_match_einsum_references_property():
 
         spec = spectra(build_graph(Topology("cyclic", n)), beta)
         dual = RegularizedDualHessian(spec, prob.hess_blocks())
-        for outer, inner, new, ref in (
-            (spec.lap_beta_inv, hess, dual.backward, ref_dual_backward),
-            (spec.lap_beta, dual._hess_inv, dual.forward, ref_dual_forward),
-        ):
-            scale = np.max(_abs_sandwich(outer, inner, x))
-            _assert_close(new(x), ref(dual, x), scale)
-            # a leading replica axis acts on each (n, d) slice alone
-            batch = new(np.stack([x, -2.0 * x]))
-            _assert_close(batch[0], ref(dual, x), scale)
-            _assert_close(batch[1], ref(dual, -2.0 * x), 2.0 * scale)
+        scale = np.max(_abs_sandwich(spec.lap_beta_inv, hess, x))
+        _assert_close(dual.backward(x), ref_dual_backward(dual, x), scale)
+        # a leading replica axis acts on each (n, d) slice alone
+        batch = dual.backward(np.stack([x, -2.0 * x]))
+        _assert_close(batch[0], ref_dual_backward(dual, x), scale)
+        _assert_close(batch[1], ref_dual_backward(dual, -2.0 * x), 2.0 * scale)
 
     agrees()
 
@@ -271,7 +263,6 @@ def test_trajectory_matches_einsum_references(tmp_path, monkeypatch, stem, overr
     monkeypatch.setattr(DistributedProblem, "grads", ref_grads)
     monkeypatch.setattr(MetricsRecorder, "__call__", ref_record)
     monkeypatch.setattr(RegularizedDualHessian, "backward", ref_dual_backward)
-    monkeypatch.setattr(RegularizedDualHessian, "forward", ref_dual_forward)
     monkeypatch.setattr(RegularizedDualHessian, "mu", property(ref_dual_mu))
     reference_bytes = _metrics(tmp_path / "reference", stem, overrides)
     assert hashlib.sha256(reference_bytes).hexdigest() == digest_010

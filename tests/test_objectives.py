@@ -235,6 +235,17 @@ def test_bundle_whose_manifest_disagrees_with_its_files_is_rejected(tmp_path, ke
         load_problem_bundle(tmp_path)
 
 
+@pytest.mark.parametrize("version", [0, 2, "1", None])
+def test_bundle_of_another_version_is_rejected(tmp_path, version):
+    prob = generate_problem(GeneratorConfig(seed=12, d=3, m=4, n=2, condition_number=2.0))
+    manifest_path = save_problem_bundle(prob, tmp_path)
+    manifest = json.loads(manifest_path.read_text())
+    manifest["bundle_version"] = version
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=rf"bundle_version {version!r}, but .* bundle_version 1$"):
+        load_problem_bundle(tmp_path)
+
+
 def test_bundle_with_blocks_of_unequal_shapes_is_rejected(tmp_path):
     prob = generate_problem(GeneratorConfig(seed=12, d=3, m=4, n=2, condition_number=2.0))
     save_problem_bundle(prob, tmp_path)
