@@ -304,7 +304,7 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
             records, manifest = execute(cfg)
         except dynamics.DivergenceError as exc:
             first_divergence = first_divergence or dynamics.DivergenceError(
-                exc.step, exc.records, exc.array, exc.particle, exc.coordinate, exc.value, label
+                exc.step, exc.records, exc.array, exc.particle, exc.coordinate, exc.value, run=label
             )
             records = exc.records
             manifest = {
