@@ -7,7 +7,7 @@ Subcommands and the options each reads:
   problem-gen            --config, --out, --quiet
   oracle                 --config
 Exit codes: 0 ok, 1 usage, config or validation error, 2 numerical
-divergence, 3 I/O.
+divergence (after the command has written all its files), 3 I/O.
 """
 
 from __future__ import annotations
@@ -84,8 +84,7 @@ def _out_dir(args, cfg: RunConfig | None = None) -> Path:
 def _dispatch(args) -> int:
     if args.command == "run":
         cfg = _load(args.config, args.seed)
-        out = _out_dir(args, cfg)
-        metrics_path, manifest_path = harness.cmd_run(cfg, out)
+        metrics_path, manifest_path = harness.cmd_run(cfg, _out_dir(args, cfg))
         if not args.quiet:
             print(f"wrote {metrics_path} and {manifest_path}")
         return EXIT_OK
@@ -100,13 +99,7 @@ def _dispatch(args) -> int:
                 label = f"{stem}_{suffix}"
                 suffix += 1
             labels.append(label)
-        out = _out_dir(args, configs[0])
-        try:
-            csv_path = harness.cmd_compare(configs, labels, out)
-        except DivergenceError as exc:
-            print(f"error: {exc}; wrote {out / 'compare.csv'} and {out / harness.MANIFEST_FILE} "
-                  "with its records up to the blow-up", file=sys.stderr)
-            return EXIT_DIVERGED
+        csv_path = harness.cmd_compare(configs, labels, _out_dir(args, configs[0]))
         if not args.quiet:
             print(f"wrote {csv_path}")
         return EXIT_OK
@@ -114,8 +107,7 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         cfg = _load(args.config, args.seed)
         values = [v.strip() for v in args.values.split(",") if v.strip()]
-        out = _out_dir(args, cfg)
-        summary = harness.cmd_sweep(cfg, args.param, values, out)
+        summary = harness.cmd_sweep(cfg, args.param, values, _out_dir(args, cfg))
         if not args.quiet:
             print(f"wrote {summary}")
         return EXIT_OK
@@ -156,11 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, GraphError, OracleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergenceError as exc:
+    except DivergenceError as exc:  # run, compare and sweep have written every file
         print(f"error: {exc}", file=sys.stderr)
-        if exc.records:
-            last = exc.records[-1]
-            print(f"last finite metrics: step {last.step}, t {last.t!r}", file=sys.stderr)
         return EXIT_DIVERGED
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

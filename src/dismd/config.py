@@ -150,6 +150,8 @@ def _validate(cfg: RunConfig) -> None:
     _require(p["kind"] in ("generate", "bundle"), f"problem.kind must be generate|bundle, got {p['kind']!r}")
     if p["kind"] == "bundle":
         _require(p["bundle"] is not None, "problem.kind = bundle requires problem.bundle")
+    else:
+        _require(p["bundle"] is None, "problem.bundle is read only by problem.kind = bundle")
     _require(p["domain"] in DOMAINS, f"problem.domain must be one of {DOMAINS}, got {p['domain']!r}")
     _require(p["d"] >= 1 and p["m"] >= 1 and p["n"] >= 1, "problem.d, problem.m, problem.n must be >= 1")
     _require(p["condition_number"] >= 1.0, "problem.condition_number must be >= 1")
@@ -157,6 +159,9 @@ def _validate(cfg: RunConfig) -> None:
     g = cfg["graph"]
     kinds = TOPOLOGY_KINDS + ("matrix",)
     _require(g["topology"] in kinds, f"graph.topology must be one of {kinds}, got {g['topology']!r}")
+    for key, topology in (("p", "erdos_renyi"), ("cluster", "barbell"), ("weights", "matrix")):
+        if g["topology"] != topology:
+            _require(g[key] is None, f"graph.{key} is read only by graph.topology = {topology}, got {g['topology']!r}")
     if g["topology"] == "erdos_renyi":
         _require(g["p"] is not None, "graph.topology = erdos_renyi requires graph.p")
         _require(0.0 < g["p"] <= 1.0, f"graph.p must be in (0, 1], got {g['p']}")
@@ -175,6 +180,8 @@ def _validate(cfg: RunConfig) -> None:
     a = cfg["algorithm"]
     _require(a["name"] in ALGORITHMS, f"algorithm.name must be one of {ALGORITHMS}, got {a['name']!r}")
     _require(a["interaction_on"] in ("x", "z"), f"algorithm.interaction_on must be x|z, got {a['interaction_on']!r}")
+    if a["name"] == "ismd":
+        _require(a["interaction_on"] == "x", "algorithm.interaction_on = z is not read by algorithm.name = ismd, which couples on z")
     _require(a["map"] in MAP_KINDS, f"algorithm.map must be one of {MAP_KINDS}, got {a['map']!r}")
     if a["map"] == "quadratic":
         _require(a["map_matrix"] is not None, "algorithm.map = quadratic requires algorithm.map_matrix")
@@ -187,6 +194,7 @@ def _validate(cfg: RunConfig) -> None:
     if a["dual"] == "dual_hessian":
         _require(a["name"] == "epismd", f"algorithm.dual = dual_hessian needs algorithm.name = epismd, got {a['name']!r}")
     if a["dual_beta"] is not None:
+        _require(a["dual"] == "dual_hessian", "algorithm.dual_beta is read only by algorithm.dual = dual_hessian")
         _require(a["dual_beta"] > 0, f"algorithm.dual_beta must be positive, got {a['dual_beta']}")
     if p["domain"] == "simplex":
         _require(a["map"] == "entropy", "simplex problems pair only with the entropy mirror map")

@@ -30,7 +30,7 @@ is scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -42,30 +42,36 @@ from .objectives import DistributedProblem
 ALGORITHMS = ("ismd", "eismd", "epismd")
 
 
+@dataclass(eq=False)
 class DivergenceError(RuntimeError):
     """A state coordinate became non-finite during integration.
 
     ``array`` ("z", "lam" or "mu"), ``particle`` and ``coordinate`` locate the
     first offending entry (arrays in that order, row-major within one), and
-    ``value`` is that entry. ``run`` labels the run when a caller runs several.
+    ``value`` is that entry. ``records`` holds the metrics taken before the
+    blow-up. A command that writes the run's outputs sets ``run``, its label,
+    and ``written``, the paths it wrote; the message names both.
     """
 
-    def __init__(
-        self, step: int, records: list, array: str, particle: int, coordinate: int, value: float,
-        run: str | None = None,
-    ):
-        where = "" if run is None else f"run {run!r}: "
-        super().__init__(
-            f"{where}integration diverged at step {step}: {array} is {value!r} "
-            f"at particle {particle}, coordinate {coordinate}"
+    step: int
+    records: list = field(repr=False)
+    array: str
+    particle: int
+    coordinate: int
+    value: float
+    run: str | None = None
+    written: tuple = ()
+
+    def __str__(self) -> str:
+        where = "" if self.run is None else f"run {self.run!r}: "
+        text = (
+            f"{where}integration diverged at step {self.step}: {self.array} is {self.value!r} "
+            f"at particle {self.particle}, coordinate {self.coordinate}"
         )
-        self.run = run
-        self.step = step
-        self.records = records  # metrics collected before the blow-up
-        self.array = array
-        self.particle = particle
-        self.coordinate = coordinate
-        self.value = value
+        if self.written:
+            *rest, last = map(str, self.written)
+            text += f"; wrote {', '.join(rest)}{' and ' if rest else ''}{last}"
+        return text
 
 
 @dataclass(frozen=True)

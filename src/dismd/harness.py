@@ -125,7 +125,6 @@ class RunSetup:
     opt: oracle.OptimalPair
     timings: dict[str, float]  # dual_s, oracle_s and constants_s, parts of prepare
     constants: diagnostics.ConvexityConstants
-    c: float
     recorder: MetricsRecorder
 
 
@@ -145,15 +144,13 @@ def prepare(cfg: RunConfig) -> RunSetup:
     dual, dual_s = _timed(build_dual, cfg, graph, problem)
     opt, oracle_s = _timed(oracle.solve, problem, graph)
     constants, constants_s = _timed(diagnostics.compute_constants, problem, spec, mmap, dual)
-    c = diagnostics.default_c(constants)
     if mmap.kind != "entropy":
         # kappa_g is 0 by construction (see kappa_g_estimate); the call checks
         # that the conjugate map Hessian is nonsingular at the consensus optimum
         consensus_point = np.broadcast_to(opt.x_star, (problem.n, problem.d))
         diagnostics.kappa_g_estimate(problem, graph, mmap, [consensus_point])
-    recorder = MetricsRecorder(
-        problem, graph, mmap, opt.x_star, opt.lambda_star, c, dual=dual
-    )
+    c = diagnostics.default_c(constants)
+    recorder = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c, dual=dual)
     return RunSetup(
         problem=problem,
         graph=graph,
@@ -162,38 +159,42 @@ def prepare(cfg: RunConfig) -> RunSetup:
         opt=opt,
         timings={"dual_s": dual_s, "oracle_s": oracle_s, "constants_s": constants_s},
         constants=constants,
-        c=c,
         recorder=recorder,
     )
 
 
-def execute(cfg: RunConfig) -> tuple[list[diagnostics.MetricsRecord], dict]:
-    """Run the configured experiment; returns (records, manifest mapping)."""
+def execute(cfg: RunConfig) -> tuple[list, dict, dynamics.DivergenceError | None]:
+    """Run the configured experiment; returns (records, manifest mapping,
+    divergence), where a run that diverged holds the records taken before
+    the blow-up and its DivergenceError, and any other run None."""
     started = time.perf_counter()
     setup = prepare(cfg)
     prepare_s = time.perf_counter() - started
     a = cfg["algorithm"]
     started = time.perf_counter()
-    records = dynamics.run(
-        a["name"],
-        setup.problem,
-        setup.mmap,
-        setup.graph,
-        cfg.hyperparams(),
-        seed=cfg["run"]["seed"],
-        dual=setup.dual,
-        interaction_on=a["interaction_on"],
-        metrics_every=cfg["hyperparams"]["metrics_every"],
-        recorder=setup.recorder,
-        x0_rows=load_x0(cfg, setup.problem),
-    )
+    divergence = None
+    try:
+        records = dynamics.run(
+            a["name"],
+            setup.problem,
+            setup.mmap,
+            setup.graph,
+            cfg.hyperparams(),
+            seed=cfg["run"]["seed"],
+            dual=setup.dual,
+            interaction_on=a["interaction_on"],
+            metrics_every=cfg["hyperparams"]["metrics_every"],
+            recorder=setup.recorder,
+            x0_rows=load_x0(cfg, setup.problem),
+        )
+    except dynamics.DivergenceError as exc:
+        records, divergence = exc.records, exc
     timings = {
         "prepare_s": prepare_s,
         **setup.timings,
         "integrate_s": time.perf_counter() - started,
     }
-    manifest = build_manifest(cfg, setup, timings, len(records))
-    return records, manifest
+    return records, build_manifest(cfg, setup, timings, len(records), divergence), divergence
 
 
 def _float_or_none(v) -> float | None:
@@ -203,15 +204,17 @@ def _float_or_none(v) -> float | None:
     return v if np.isfinite(v) else None
 
 
-def build_manifest(cfg: RunConfig, setup: RunSetup, timings: dict, n_records: int) -> dict:
+def build_manifest(
+    cfg: RunConfig, setup: RunSetup, timings: dict, n_records: int, divergence
+) -> dict:
     """Run manifest; ``timings`` holds prepare_s and integrate_s, the seconds
     spent in ``prepare`` and in ``dynamics.run``, and the parts of prepare_s
     spent building the dual map (dual_s), in the oracle (oracle_s) and in
-    the constants (constants_s)."""
+    the constants (constants_s). A diverged run gains a ``diverged`` block."""
     opt = setup.opt
     cst = setup.constants
-    epochs = cfg["hyperparams"]["epochs"]
-    return {
+    steps = cfg["hyperparams"]["epochs"] if divergence is None else divergence.step
+    manifest = {
         "artifact_version": __version__,
         "config": cfg.to_mapping(),
         "problem_hash": setup.problem.content_hash(),
@@ -234,13 +237,18 @@ def build_manifest(cfg: RunConfig, setup: RunSetup, timings: dict, n_records: in
             "mu_psi": cst.mu_psi,
             "alpha_phi": _float_or_none(cst.alpha_phi),
             "mu_hat": cst.mu_hat,
-            "c": setup.c,
+            "c": setup.recorder.c,
         },
         "wall_clock_seconds": timings["integrate_s"],
         "timings": timings,
-        "steps_per_second": epochs / timings["integrate_s"] if epochs else None,
+        "steps_per_second": steps / timings["integrate_s"] if steps else None,
         "records": n_records,
     }
+    if divergence is not None:
+        where = ("step", "array", "particle", "coordinate")
+        manifest["diverged"] = {key: getattr(divergence, key) for key in where}
+        manifest["diverged"]["value"] = _float_or_none(divergence.value)
+    return manifest
 
 
 def records_to_csv(records: list[diagnostics.MetricsRecord]) -> str:
@@ -269,9 +277,22 @@ def write_run_outputs(out_dir: Path | str, records, manifest) -> tuple[Path, Pat
     return metrics_path, manifest_path
 
 
+def _raise_first(divergences, written: list[Path]) -> None:
+    """Raise the first divergence of (run label, divergence or None) pairs,
+    labelled with its run and naming the files its command wrote."""
+    for label, divergence in divergences:
+        if divergence is not None:
+            divergence.run, divergence.written = label, tuple(written)
+            raise divergence
+
+
 def cmd_run(cfg: RunConfig, out_dir: Path | str) -> tuple[Path, Path]:
-    records, manifest = execute(cfg)
-    return write_run_outputs(out_dir, records, manifest)
+    """Run one config and write its metrics CSV and manifest; a run that
+    diverged writes both and then raises its DivergenceError."""
+    records, manifest, divergence = execute(cfg)
+    paths = write_run_outputs(out_dir, records, manifest)
+    _raise_first([(None, divergence)], paths)
+    return paths
 
 
 def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str) -> Path:
@@ -279,8 +300,8 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
 
     A run that diverges contributes the records taken before the blow-up,
     and its manifest entry says where it diverged; the other runs complete.
-    Once both files are written, the first divergence is raised again,
-    labelled with its run."""
+    Once both files are written, the first divergence is raised, labelled
+    with its run."""
     if len(configs) < 2:
         raise ConfigError("compare needs at least two configs")
     if len(set(labels)) < len(labels):
@@ -298,34 +319,15 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
     out.mkdir(parents=True, exist_ok=True)
     all_rows = []
     manifests = {}
-    first_divergence = None
+    divergences = []
     for cfg, label in zip(configs, labels):
-        try:
-            records, manifest = execute(cfg)
-        except dynamics.DivergenceError as exc:
-            first_divergence = first_divergence or dynamics.DivergenceError(
-                exc.step, exc.records, exc.array, exc.particle, exc.coordinate, exc.value, run=label
-            )
-            records = exc.records
-            manifest = {
-                "artifact_version": __version__,
-                "config": cfg.to_mapping(),
-                "records": len(records),
-                "diverged": {
-                    "step": exc.step,
-                    "array": exc.array,
-                    "particle": exc.particle,
-                    "coordinate": exc.coordinate,
-                    "value": _float_or_none(exc.value),
-                },
-            }
-        manifests[label] = manifest
+        records, manifests[label], divergence = execute(cfg)
+        divergences.append((label, divergence))
         all_rows.extend(f"{label},{rec.to_csv_row()}" for rec in records)
     csv_text = "\n".join(["run," + csv_header(), *all_rows]) + "\n"
     _write_atomic(out / "compare.csv", csv_text)
     _write_atomic(out / MANIFEST_FILE, json.dumps(manifests, indent=2) + "\n")
-    if first_divergence is not None:
-        raise first_divergence
+    _raise_first(divergences, [out / "compare.csv", out / MANIFEST_FILE])
     return out / "compare.csv"
 
 
@@ -333,7 +335,9 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     """One independent seeded run per parameter value plus a summary CSV.
 
     Each raw value is converted and validated by the config schema, as a
-    loaded value is, before any run starts."""
+    loaded value is, before any run starts. A diverged value writes its run
+    as ``cmd_run`` does and its last finite record as its summary row; once
+    every file is written, the first divergence is raised."""
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter path {param!r}; choose from {SWEEPABLE}")
     if not raw_values:
@@ -351,24 +355,23 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
         raise ConfigError(f"sweep values must be distinct, got {','.join(raw_values)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary_lines = [
-        "value,seed," + csv_header() + ",rate_r,rate_r_squared"
-    ]
-    for index, (raw, run_cfg) in enumerate(zip(raw_values, run_cfgs)):
-        records, manifest = execute(run_cfg)
+    summary_lines = ["value,seed," + csv_header() + ",rate_r,rate_r_squared"]
+    divergences = []
+    for raw, run_cfg in zip(raw_values, run_cfgs):
+        records, manifest, divergence = execute(run_cfg)
         run_dir = out / f"{key}_{raw}"
         write_run_outputs(run_dir, records, manifest)
-        ts = np.array([r.t for r in records])
-        vs = np.array([r.V for r in records])
+        divergences.append((run_dir.name, divergence))
         try:
-            fit = rate_fit(ts, vs, window=0.5)
+            fit = rate_fit([r.t for r in records], [r.V for r in records], window=0.5)
             r, r2 = fit.r, fit.r_squared
         except ValueError:
             r, r2 = float("nan"), float("nan")
         summary_lines.append(
-            f"{raw},{base_seed + index},{records[-1].to_csv_row()},{r!r},{r2!r}"
+            f"{raw},{run_cfg['run']['seed']},{records[-1].to_csv_row()},{r!r},{r2!r}"
         )
     _write_atomic(out / "summary.csv", "\n".join(summary_lines) + "\n")
+    _raise_first(divergences, [*(out / name for name, _ in divergences), out / "summary.csv"])
     return out / "summary.csv"
 
 

@@ -280,7 +280,6 @@ class RegularizedDualHessian:
             )
         self.n = n
         self.d = hess.shape[1]
-        self.beta = spec.beta
         self._lap_beta = spec.lap_beta
         self._lap_beta_inv = spec.lap_beta_inv
         self._hess = hess

@@ -99,6 +99,14 @@ def test_validation_rules(tmp_path):
         ("[algorithm]\nname = epismd\ndual = dual_hessian\ndual_beta = -1\n", "algorithm.dual_beta"),
         ("[algorithm]\ndual_beta = 0\n", "algorithm.dual_beta"),
         ("[algorithm]\nmap_matrix = nonexistent.csv\n", "algorithm.map_matrix"),
+        # keys the chosen options never read
+        ("[graph]\np = 0.5\n", "graph.p"),
+        ("[graph]\ncluster = 5\n", "graph.cluster"),
+        ("[graph]\nweights = /nonexistent.csv\n", "graph.weights"),
+        ("[algorithm]\nname = eismd\ndual_beta = 0.1\n", "algorithm.dual_beta"),
+        ("[algorithm]\nname = epismd\ndual = identity\ndual_beta = 0.1\n", "algorithm.dual_beta"),
+        ("[algorithm]\nname = ismd\ninteraction_on = z\n", "algorithm.interaction_on"),
+        ("[problem]\nkind = generate\nbundle = /nonexistent\n", "problem.bundle"),
     ]:
         with pytest.raises(ConfigError, match=key):
             load_config(write(tmp_path, text))
@@ -169,6 +177,9 @@ def test_mapping_round_trip_and_invalid_combinations_property():
         cluster = draw(st.integers(1, 6))
         topology = draw(st.sampled_from(["cyclic", "erdos_renyi", "barbell"]))
         algorithm = draw(st.sampled_from(["ismd", "eismd", "epismd"]))
+        dual = draw(st.sampled_from(
+            ["identity", "dual_hessian"] if algorithm == "epismd" else ["identity"]
+        ))
         simplex = draw(st.booleans())
         return {
             "problem": {
@@ -187,10 +198,10 @@ def test_mapping_round_trip_and_invalid_combinations_property():
             "algorithm": {
                 "name": algorithm,
                 "map": "entropy" if simplex else "euclidean",
-                "dual": draw(st.sampled_from(
-                    ["identity", "dual_hessian"] if algorithm == "epismd" else ["identity"]
-                )),
-                "dual_beta": draw(st.one_of(st.none(), st.floats(1e-6, 1e6, **finite))),
+                "dual": dual,
+                # dual_beta is read only by the dual-Hessian preconditioner
+                "dual_beta": draw(st.one_of(st.none(), st.floats(1e-6, 1e6, **finite)))
+                if dual == "dual_hessian" else None,
             },
             "hyperparams": {
                 "sigma": draw(st.floats(0.0, 10.0, **finite)),

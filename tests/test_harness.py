@@ -319,7 +319,61 @@ def test_cli_exit_code_on_divergence(tmp_path, capsys):
     code = cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "diverged" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "metrics.csv").exists()
+    assert (tmp_path / "out" / "metrics.csv").exists()
+    assert "diverged" in json.loads((tmp_path / "out" / "manifest.json").read_text())
+
+
+def test_cli_run_replaces_stale_outputs_on_divergence(tmp_path, capsys):
+    out = tmp_path / "out"
+    healthy = write_config(tmp_path, MINIMAL, "healthy.ini")
+    assert cli.main(["run", "--config", str(healthy), "--out", str(out), "--quiet"]) == 0
+    stale = (out / "metrics.csv").read_bytes(), (out / "manifest.json").read_bytes()
+    blown = write_config(tmp_path, MINIMAL.replace("dt = 0.01", "dt = 0.01\neta = 1e5"), "blown.ini")
+    assert cli.main(["run", "--config", str(blown), "--out", str(out), "--quiet"]) == 2
+    assert (out / "metrics.csv").read_bytes() != stale[0]
+    assert (out / "manifest.json").read_bytes() != stale[1]
+    err = capsys.readouterr().err
+    assert err.startswith("error: integration diverged at step ")
+    assert f"wrote {out / 'metrics.csv'} and {out / 'manifest.json'}" in err
+    manifest = strict_json((out / "manifest.json").read_text())
+    assert {"diverged", "oracle", "constants"} <= set(manifest)
+    rows = (out / "metrics.csv").read_text().strip().split("\n")[1:]
+    assert manifest["records"] == len(rows) >= 1
+    where = manifest["diverged"]
+    assert int(rows[-1].split(",")[0]) < where["step"] < 100
+    # the speed counts the steps taken, not the configured epochs
+    taken = where["step"] / manifest["timings"]["integrate_s"]
+    assert manifest["steps_per_second"] == pytest.approx(taken, rel=1e-12)
+
+
+def test_sweep_runs_past_a_diverged_value(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, MINIMAL)
+
+    def sweep(values, out):
+        argv = ["sweep", "--config", str(cfg_path), "--out", str(out), "--quiet",
+                "--param", "hyperparams.eta", "--values", values]
+        return cli.main(argv)
+
+    assert sweep("1,2,3", tmp_path / "clean") == 0
+    assert sweep("1,1e5,3", tmp_path / "mixed") == 2
+    err = capsys.readouterr().err
+    mixed = tmp_path / "mixed"
+    assert err.startswith("error: run 'eta_1e5': integration diverged at step ")
+    assert f"{mixed / 'summary.csv'}" in err
+    assert sorted(p.name for p in mixed.iterdir()) == ["eta_1", "eta_1e5", "eta_3", "summary.csv"]
+    for name in ("eta_1", "eta_3"):
+        clean = (tmp_path / "clean" / name / "metrics.csv").read_bytes()
+        assert (mixed / name / "metrics.csv").read_bytes() == clean
+    rows = (mixed / "summary.csv").read_text().strip().split("\n")
+    rows_clean = (tmp_path / "clean" / "summary.csv").read_text().strip().split("\n")
+    assert len(rows) == 4
+    assert [rows[0], rows[1], rows[3]] == [rows_clean[0], rows_clean[1], rows_clean[3]]
+    blown = rows[2].split(",")
+    manifest = strict_json((mixed / "eta_1e5" / "manifest.json").read_text())
+    assert blown[:2] == ["1e5", "1"]
+    assert int(blown[2]) < manifest["diverged"]["step"] < 100
+    assert float(blown[-2]) < 0  # the rate fit over its records: V grows
+    assert manifest["records"] == len((mixed / "eta_1e5" / "metrics.csv").read_text().split()) - 1
 
 
 def test_cli_divergence_message_locates_the_entry(tmp_path, capsys):
@@ -357,7 +411,7 @@ def test_cli_compare_writes_both_files_around_a_diverged_run(tmp_path, capsys):
     ]
     assert manifest["healthy"]["records"] == 11
     entry = manifest["blown"]
-    assert set(entry) == {"artifact_version", "config", "records", "diverged"}
+    assert set(entry) == set(manifest["healthy"]) | {"diverged"}
     assert entry["config"] == load_config(blown).to_mapping()
     assert entry["records"] == sum(l.startswith("blown,") for l in lines) >= 1
     where = entry["diverged"]
