@@ -1,7 +1,11 @@
 """Euler-Maruyama integration of the interacting mirror descent dynamics.
 
 One kernel, ``_step``, holds the explicit update of all three flavors, and
-``ismd_step``, ``eismd_step`` and ``epismd_step`` are its entry points. With
+``ismd_step``, ``eismd_step`` and ``epismd_step`` are its entry points. It
+writes the new state into ``out`` with in-place numpy calls, in the order of
+operations and operands of the allocating update; ``run`` passes its own
+state as ``out`` and one set of work arrays, and a call without ``out``
+returns a new state. With
 per-particle dual states z^i, multipliers lambda^i and mirrored multipliers
 mu^i, one step of length dt reads (L is the graph Laplacian applied
 blockwise, B the Gaussian increment with variance sigma^2 dt per coordinate):
@@ -83,6 +87,11 @@ class Hyperparams:
     epochs: int = 1000
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.eta, self.epsilon, self.sigma, self.dt))):
+            raise ValueError(
+                "eta, epsilon, sigma and dt must be finite, got "
+                f"{self.eta}, {self.epsilon}, {self.sigma} and {self.dt}"
+            )
         if self.eta <= 0 or self.epsilon <= 0 or self.dt <= 0:
             raise ValueError("eta, epsilon and dt must be positive")
         if self.sigma < 0:
@@ -107,8 +116,9 @@ class NoiseStream:
         self._gen = Generator(Philox(key=key))
         self._state = self._gen.bit_generator.state
 
-    def block(self, step: int) -> np.ndarray:
-        """The draw of a fresh Philox at counter [0, 0, step, 0], scaled.
+    def block(self, step: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The draw of a fresh Philox at counter [0, 0, step, 0], scaled,
+        written into ``out`` (C-contiguous, (n, d)) when given.
 
         One generator serves every step: its counter is moved to the step's
         block and its buffer emptied, which reproduces the fresh generator's
@@ -119,15 +129,20 @@ class NoiseStream:
         state["buffer_pos"] = 4
         state["has_uint32"] = 0
         self._gen.bit_generator.state = state
-        return self.scale * self._gen.standard_normal((self.n, self.d))
+        if out is None:
+            out = np.empty((self.n, self.d))
+        self._gen.standard_normal(out=out)
+        out *= self.scale
+        return out
 
 
-@dataclass(frozen=True)
+@dataclass
 class ParticleSystem:
     """Stacked state of the particle system at one step.
 
     x rows always satisfy x^i = backward(z^i); lam is zero for ISMD and mu is
-    carried only by the preconditioned dynamics.
+    carried only by the preconditioned dynamics. The step kernel updates a
+    state in place, so a state kept past the next step is a ``copy()``.
     """
 
     z: np.ndarray
@@ -139,17 +154,42 @@ class ParticleSystem:
 
     @classmethod
     def initial(cls, mmap: MirrorMap, x0_rows: np.ndarray, with_mu: bool = False) -> "ParticleSystem":
-        x0 = np.asarray(x0_rows, dtype=float)
-        z0 = mmap.forward(x0)
-        zeros = np.zeros_like(x0)
-        return cls(
-            z=z0,
-            x=mmap.backward(z0),
-            lam=zeros,
-            mu=zeros.copy() if with_mu else None,
-            step=0,
-            t=0.0,
-        )
+        return _initial(mmap, x0_rows, with_mu)[0]
+
+    def copy(self) -> "ParticleSystem":
+        """A state with copies of every array."""
+        mu = None if self.mu is None else self.mu.copy()
+        return ParticleSystem(z=self.z.copy(), x=self.x.copy(), lam=self.lam.copy(), mu=mu,
+                              step=self.step, t=self.t)
+
+
+def _stacked(n: int, d: int, with_mu: bool) -> tuple[ParticleSystem, np.ndarray]:
+    """An unfilled step-0 state whose z, lam and (with_mu) mu are views of one
+    (k, n, d) buffer, and that buffer."""
+    stack = np.empty((3 if with_mu else 2, n, d))
+    mu = stack[2] if with_mu else None
+    return ParticleSystem(z=stack[0], x=np.empty((n, d)), lam=stack[1], mu=mu, step=0, t=0.0), stack
+
+
+def _initial(mmap: MirrorMap, x0_rows: np.ndarray,
+             with_mu: bool) -> tuple[ParticleSystem, np.ndarray]:
+    """The step-0 state, z_0 = forward(x_0) with zero multipliers, in a
+    stacked buffer, and that buffer."""
+    x0 = np.asarray(x0_rows, dtype=float)
+    state, stack = _stacked(*x0.shape, with_mu)
+    stack.fill(0.0)
+    state.z[...] = mmap.forward(x0)
+    mmap.backward(state.z, out=state.x)
+    return state, stack
+
+
+class StepScratch:
+    """Work arrays of the step kernel for (n, d) states."""
+
+    def __init__(self, n: int, d: int):
+        self.drift = np.empty((n, d))
+        self.work = np.empty((n, d))
+        self.lap_x = np.empty((n, d))
 
 
 def default_initial_rows(problem: DistributedProblem, mmap: MirrorMap, seed: int) -> np.ndarray:
@@ -161,32 +201,51 @@ def default_initial_rows(problem: DistributedProblem, mmap: MirrorMap, seed: int
     return rng.standard_normal((problem.n, problem.d))
 
 
-def _step(state, problem, mmap, graph, hp, noise, interaction_on, dual=None) -> ParticleSystem:
-    """One Euler-Maruyama step of any of the three dynamics.
+def _scale(c: float, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """c * a in ``out``, or ``a`` itself when c is 1: that product is exact."""
+    return a if c == 1.0 else np.multiply(c, a, out=out)
+
+
+def _step(state, problem, mmap, graph, hp, noise, interaction_on, dual, out,
+          scratch) -> ParticleSystem:
+    """One Euler-Maruyama step of any of the three dynamics, written into
+    ``out``, which may be ``state`` itself; None allocates a new state.
 
     ``interaction_on`` is None for the plain dynamics, which couple on z and
     carry no multiplier. The exact dynamics integrate lam directly when
-    ``dual`` is None and mu, with lam = dual.backward(mu), otherwise.
+    ``dual`` is None and mu, with lam = dual.backward(mu), otherwise. Every
+    read of ``state`` precedes the write of the same array of ``out``.
     """
-    lap = graph.laplacian
-    drift = hp.eta * problem.grads(state.x)
-    lam, mu = state.lam, None
+    if out is None:
+        out, _ = _stacked(*state.z.shape, dual is not None)
+    if scratch is None:
+        scratch = StepScratch(*state.z.shape)
+    lap, drift, work, lap_x = graph.laplacian, scratch.drift, scratch.work, scratch.lap_x
+    # drift = eta * grad + eps * (L z or L x) [+ L lam], as in the allocating form
+    _scale(hp.eta, problem.grads(state.x, out=drift), drift)
+    if interaction_on is not None:
+        np.matmul(lap, state.x, out=lap_x)
+    inter = lap_x if interaction_on == "x" else np.matmul(lap, state.z, out=work)
+    np.add(drift, _scale(hp.epsilon, inter, work), out=drift)
     if interaction_on is None:
-        drift = drift + hp.epsilon * (lap @ state.z)
+        if out.lam is not state.lam:
+            np.copyto(out.lam, state.lam)
     else:
-        lap_x = lap @ state.x
-        inter = lap_x if interaction_on == "x" else lap @ state.z
-        drift = drift + hp.epsilon * inter + lap @ lam
+        np.add(drift, np.matmul(lap, state.lam, out=work), out=drift)
+        np.multiply(hp.dt, lap_x, out=lap_x)
         if dual is None:
-            lam = lam + hp.dt * lap_x
+            np.add(state.lam, lap_x, out=out.lam)
         else:
-            mu = state.mu + hp.dt * lap_x
-            lam = dual.backward(mu)
-    z = state.z - hp.dt * drift
+            np.add(state.mu, lap_x, out=out.mu)
+            dual.backward(out.mu, out=out.lam)
+    np.multiply(hp.dt, drift, out=drift)
+    np.subtract(state.z, drift, out=out.z)
     if noise is not None:
-        z = z + noise
-    k = state.step + 1
-    return ParticleSystem(z=z, x=mmap.backward(z), lam=lam, mu=mu, step=k, t=k * hp.dt)
+        np.add(out.z, noise, out=out.z)
+    mmap.backward(out.z, out=out.x)
+    out.step = state.step + 1
+    out.t = out.step * hp.dt
+    return out
 
 
 def ismd_step(
@@ -196,8 +255,11 @@ def ismd_step(
     graph: WeightedGraph,
     hp: Hyperparams,
     noise: np.ndarray | None = None,
+    *,
+    out: ParticleSystem | None = None,
+    scratch: StepScratch | None = None,
 ) -> ParticleSystem:
-    return _step(state, problem, mmap, graph, hp, noise, None)
+    return _step(state, problem, mmap, graph, hp, noise, None, None, out, scratch)
 
 
 def eismd_step(
@@ -208,8 +270,11 @@ def eismd_step(
     hp: Hyperparams,
     noise: np.ndarray | None = None,
     interaction_on: str = "x",
+    *,
+    out: ParticleSystem | None = None,
+    scratch: StepScratch | None = None,
 ) -> ParticleSystem:
-    return _step(state, problem, mmap, graph, hp, noise, interaction_on)
+    return _step(state, problem, mmap, graph, hp, noise, interaction_on, None, out, scratch)
 
 
 def epismd_step(
@@ -221,13 +286,21 @@ def epismd_step(
     hp: Hyperparams,
     noise: np.ndarray | None = None,
     interaction_on: str = "x",
+    *,
+    out: ParticleSystem | None = None,
+    scratch: StepScratch | None = None,
 ) -> ParticleSystem:
-    return _step(state, problem, mmap, graph, hp, noise, interaction_on, dual)
+    return _step(state, problem, mmap, graph, hp, noise, interaction_on, dual, out, scratch)
 
 
 # Magnitudes beyond this overflow the quadratic forms every diagnostic needs,
 # so they are treated as divergence just like non-finite values.
 _STATE_LIMIT = 1e150
+# run's first tier: a sum of squares at most this bounds every |entry| by
+# _STATE_LIMIT / sqrt(2), which the rounding of the sum cannot carry past the
+# limit, so a state it accepts is one _finite accepts. Any other state, NaN
+# and inf included (the comparison is False for them), goes to _finite.
+_FAST_SUM_LIMIT = 0.5 * _STATE_LIMIT**2
 
 
 def _finite(state: ParticleSystem) -> bool:
@@ -271,10 +344,14 @@ def run(
     """Iterate the chosen step function for hp.epochs steps.
 
     A record is emitted at step 0, every ``metrics_every`` steps and at the
-    final step. ``recorder`` maps a ParticleSystem to whatever should be kept
-    (default: the state itself). On a non-finite state the run aborts with a
-    DivergenceError carrying the step index, the records collected so far and
-    the location of the first offending entry.
+    final step. ``recorder`` maps a copy of the state to whatever should be
+    kept (default: the copy itself). On a non-finite state the run aborts with
+    a DivergenceError carrying the step index, the records collected so far
+    and the location of the first offending entry.
+
+    The run owns one state, whose z, lam and mu share one buffer, and updates
+    it in place each step; the guard takes that buffer's sum of squares and
+    asks ``_finite`` only when the sum is large or not a number.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -287,24 +364,33 @@ def run(
     if recorder is None:
         recorder = lambda s: s  # noqa: E731 - identity recorder keeps raw states
 
+    shape = (problem.n, problem.d)
     if x0_rows is None:
         x0_rows = default_initial_rows(problem, mmap, seed)
-    state = ParticleSystem.initial(mmap, x0_rows, with_mu=(algorithm == "epismd"))
-    noise = None
+    elif np.shape(x0_rows) != shape:
+        raise ValueError(f"x0_rows must have shape {shape}, got {np.shape(x0_rows)}")
+    state, stack = _initial(mmap, x0_rows, with_mu=(algorithm == "epismd"))
+    flat = stack.reshape(-1)
+    noise = b = None
     if hp.sigma > 0:
         noise = NoiseStream(seed, problem.n, problem.d, hp.sigma, hp.dt)
+        b = np.empty(shape)
+    scratch = StepScratch(*shape)
 
-    records = [recorder(state)]
+    records = [recorder(state.copy())]
     for k in range(hp.epochs):
-        b = noise.block(k) if noise is not None else None
+        if noise is not None:
+            noise.block(k, out=b)
         if algorithm == "ismd":
-            state = ismd_step(state, problem, mmap, graph, hp, b)
+            ismd_step(state, problem, mmap, graph, hp, b, out=state, scratch=scratch)
         elif algorithm == "eismd":
-            state = eismd_step(state, problem, mmap, graph, hp, b, interaction_on)
+            eismd_step(state, problem, mmap, graph, hp, b, interaction_on,
+                       out=state, scratch=scratch)
         else:
-            state = epismd_step(state, problem, mmap, dual, graph, hp, b, interaction_on)
-        if not _finite(state):
+            epismd_step(state, problem, mmap, dual, graph, hp, b, interaction_on,
+                        out=state, scratch=scratch)
+        if not np.vdot(flat, flat) <= _FAST_SUM_LIMIT and not _finite(state):
             raise _divergence(state, records)
         if state.step % metrics_every == 0 or state.step == hp.epochs:
-            records.append(recorder(state))
+            records.append(recorder(state.copy()))
     return records

@@ -110,6 +110,12 @@ def load_x0(cfg: RunConfig, problem: DistributedProblem) -> np.ndarray | None:
         raise ConfigError(
             f"algorithm.x0 must be ({problem.n}, {problem.d}) or a single row, got {rows.shape}"
         )
+    if not np.all(np.isfinite(rows)):
+        particle, coordinate = np.argwhere(~np.isfinite(rows))[0]
+        raise ConfigError(
+            f"algorithm.x0 must be finite, got {float(rows[particle, coordinate])!r} "
+            f"at particle {particle}, coordinate {coordinate}"
+        )
     if problem.domain == "simplex":
         if np.any(rows <= 0) or np.max(np.abs(rows.sum(axis=1) - 1.0)) > 1e-8:
             raise ConfigError("algorithm.x0 rows must lie in the open simplex")

@@ -12,6 +12,8 @@ Each map exposes the gradient (``forward``), the conjugate gradient
 (``backward``), the value, the Bregman divergence and the action of the
 conjugate Hessian. All operations are pure functions of their inputs and
 act on the last axis: a single d-vector or a (..., n, d) array of rows.
+Each ``backward``, primal and dual, writes its result into ``out`` when
+given one, so the integration loop can reuse its buffers.
 
 The Lagrangian-dual preconditioner acts on the (n, d) multiplier rows
 through its conjugate gradient (``backward``) and its Bregman divergence:
@@ -32,6 +34,14 @@ import numpy as np
 from .graphs import LaplacianSpectra
 
 MAP_KINDS = ("euclidean", "entropy", "quadratic")
+
+
+def _copy(a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """The identity map: a float copy of ``a``, in ``out`` when given."""
+    if out is None:
+        out = np.empty(np.shape(a))
+    np.copyto(out, a)
+    return out
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -55,7 +65,7 @@ class MirrorMap:
         """Gradient of the map: primal point -> dual point z."""
         raise NotImplementedError
 
-    def backward(self, z: np.ndarray) -> np.ndarray:
+    def backward(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient of the conjugate: dual point z -> primal point."""
         raise NotImplementedError
 
@@ -91,8 +101,8 @@ class EuclideanMap(MirrorMap):
     def forward(self, x):
         return np.asarray(x, dtype=float).copy()
 
-    def backward(self, z):
-        return np.asarray(z, dtype=float).copy()
+    def backward(self, z, out=None):
+        return _copy(z, out)
 
     def hess_conj_apply(self, z, v):
         return np.asarray(v, dtype=float).copy()
@@ -123,9 +133,9 @@ class EntropyMap(MirrorMap):
             raise ValueError("entropy map requires strictly positive coordinates")
         return 1.0 + np.log(x)
 
-    def backward(self, z):
+    def backward(self, z, out=None):
         z = np.asarray(z, dtype=float)
-        out = np.subtract(z, z.max(axis=-1, keepdims=True))
+        out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
         np.exp(out, out=out)
         out /= out.sum(axis=-1, keepdims=True)
         return out
@@ -163,8 +173,8 @@ class QuadraticMap(MirrorMap):
     def forward(self, x):
         return np.asarray(x, dtype=float) @ self.matrix
 
-    def backward(self, z):
-        return np.asarray(z, dtype=float) @ self.matrix_inv
+    def backward(self, z, out=None):
+        return np.matmul(np.asarray(z, dtype=float), self.matrix_inv, out=out)
 
     def hess_conj_apply(self, z, v):
         return np.asarray(v, dtype=float) @ self.matrix_inv
@@ -242,8 +252,8 @@ class IdentityDual:
     kind = "identity"
     mu = 1.0
 
-    def backward(self, mu: np.ndarray) -> np.ndarray:
-        return np.asarray(mu, dtype=float).copy()
+    def backward(self, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return _copy(mu, out)
 
     def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray) -> float:
         diff = np.asarray(lam_a, dtype=float) - np.asarray(lam_b, dtype=float)
@@ -285,15 +295,17 @@ class RegularizedDualHessian:
         self._hess = hess
         self._hess_inv = np.linalg.inv(hess)
 
-    def _sandwich(self, outer: np.ndarray, inner: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def _sandwich(self, outer: np.ndarray, inner: np.ndarray, rows: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
         """(outer kron I_d) blockdiag(inner) (outer kron I_d) applied to
-        (..., n, d) rows."""
-        w = (inner @ (outer @ np.asarray(rows, dtype=float))[..., None])[..., 0]
-        return outer @ w
+        (..., n, d) rows; ``out``, when given, also holds the first product."""
+        w = np.matmul(outer, np.asarray(rows, dtype=float), out=out)
+        w = (inner @ w[..., None])[..., 0]
+        return np.matmul(outer, w, out=out)
 
-    def backward(self, mu: np.ndarray) -> np.ndarray:
+    def backward(self, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Conjugate gradient: mu -> lambda."""
-        return self._sandwich(self._lap_beta_inv, self._hess, mu)
+        return self._sandwich(self._lap_beta_inv, self._hess, mu, out)
 
     def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray) -> float:
         """D_psi between (n, d) multiplier rows (quadratic, so a weighted norm)."""

@@ -64,9 +64,13 @@ class DistributedProblem:
         self._hess.flags.writeable = False
         self._c = np.einsum("nmd,nm->nd", self.q, self.b)
 
-    def grads(self, x_rows: np.ndarray) -> np.ndarray:
-        """Per-particle gradients: row i is grad f_i(x^i). x_rows is (n, d)."""
-        return (self._hess @ x_rows[..., None])[..., 0] - self._c
+    def grads(self, x_rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Per-particle gradients: row i is grad f_i(x^i). x_rows is (n, d);
+        the result is written into ``out`` when given."""
+        if out is None:
+            return (self._hess @ x_rows[..., None])[..., 0] - self._c
+        np.matmul(self._hess, x_rows[..., None], out=out[..., None])
+        return np.subtract(out, self._c, out=out)
 
     def grads_at(self, x: np.ndarray) -> np.ndarray:
         """All block gradients evaluated at one common point; (n, d)."""

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 
+from dismd import dynamics
 from dismd.dynamics import (
     DivergenceError,
     Hyperparams,
@@ -34,6 +37,20 @@ def test_hyperparams_validation():
         Hyperparams(dt=0.0)
     with pytest.raises(ValueError):
         Hyperparams(epochs=-1)
+
+
+@pytest.mark.parametrize("name", ["eta", "epsilon", "sigma", "dt"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_hyperparams_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        Hyperparams(**{name: value})
+
+
+def test_run_rejects_x0_rows_of_the_wrong_shape():
+    prob = generate_problem(GeneratorConfig(seed=4, d=3, m=4, n=5, condition_number=4.0))
+    g = build_graph(Topology("cyclic", 5))
+    with pytest.raises(ValueError, match=r"\(5, 3\), got \(3, 5\)"):
+        run("eismd", prob, EuclideanMap(3), g, Hyperparams(epochs=1), x0_rows=np.zeros((3, 5)))
 
 
 def test_noise_stream_is_counter_keyed():
@@ -377,3 +394,86 @@ def test_self_convergence_order_ratio():
     e1 = np.linalg.norm(terminal(0.02) - ref)
     e2 = np.linalg.norm(terminal(0.01) - ref)
     assert 1.5 <= e1 / e2 <= 3.0
+
+
+GUARD_CASES = {"z": "eismd", "lam": "eismd", "mu": "epismd"}
+
+
+def _guard_setup():
+    prob = generate_problem(GeneratorConfig(seed=4, d=3, m=4, n=5, condition_number=4.0))
+    return prob, EuclideanMap(3), build_graph(Topology("cyclic", 5))
+
+
+def _inject(monkeypatch, algorithm, fill):
+    """Make the step function of ``algorithm`` call ``fill`` on each state it
+    returns, and collect a copy of each filled state."""
+    name = f"{algorithm}_step"
+    step_fn = getattr(dynamics, name)
+    seen = []
+
+    def filled(*args, **kwargs):
+        state = step_fn(*args, **kwargs)
+        fill(state)
+        seen.append(state.copy())
+        return state
+
+    monkeypatch.setattr(dynamics, name, filled)
+    return seen
+
+
+def _run(algorithm, epochs):
+    prob, mmap, g = _guard_setup()
+    dual = IdentityDual() if algorithm == "epismd" else None
+    return run(algorithm, prob, mmap, g, Hyperparams(dt=0.01, epochs=epochs), dual=dual)
+
+
+@pytest.mark.parametrize("array", sorted(GUARD_CASES))
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2e150, -2e150, 1e155, 1e200])
+def test_guard_names_the_entry_the_reference_guard_names(monkeypatch, array, value):
+    algorithm = GUARD_CASES[array]
+
+    def fill(state):
+        getattr(state, array)[2, 1] = value
+
+    seen = _inject(monkeypatch, algorithm, fill)
+    with pytest.raises(DivergenceError) as err:
+        _run(algorithm, 10)
+    exc = err.value
+    assert not _finite(seen[-1])
+    want = _divergence(seen[-1], [])
+    assert (exc.step, exc.array, exc.particle, exc.coordinate) == (1, array, 2, 1)
+    assert (exc.step, exc.array, exc.particle, exc.coordinate) == (
+        want.step, want.array, want.particle, want.coordinate)
+    assert np.array_equal(exc.value, want.value, equal_nan=True)
+    assert len(exc.records) == 1
+
+
+@pytest.mark.parametrize("algorithm", ["eismd", "epismd"])
+def test_guard_accepts_a_state_above_the_sum_threshold(monkeypatch, algorithm):
+    # every entry of z, lam and mu at 9e149: the sum of squares is far past
+    # the fast tier's threshold, yet each entry is inside the limit
+    def fill(state):
+        for arr in (state.z, state.lam, state.mu):
+            if arr is not None:
+                arr[...] = 9e149
+
+    _inject(monkeypatch, algorithm, fill)
+    records = _run(algorithm, 1)
+    assert [s.step for s in records] == [0, 1]
+    assert np.all(records[-1].z == 9e149)
+
+
+def test_guard_raises_on_a_one_step_jump_without_a_warning():
+    # block 1's target, and with it its gradient, sits near -1e162: one step
+    # of dt = 0.01 moves z[1, 0] to about 1e160
+    b = np.zeros((3, 2))
+    b[1, 0] = 1e162
+    prob = DistributedProblem(q=np.tile(np.eye(2), (3, 1, 1)), b=b, domain="unconstrained")
+    g = metropolis_weights(((0, 1), (1, 2)), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            run("eismd", prob, EuclideanMap(2), g, Hyperparams(dt=0.01, epochs=5))
+    exc = err.value
+    assert (exc.step, exc.array, exc.particle, exc.coordinate) == (1, "z", 1, 0)
+    assert exc.value == pytest.approx(1e160, rel=1e-6)

@@ -275,6 +275,19 @@ def test_x0_override_from_csv(tmp_path):
         harness.cmd_run(cfg3, tmp_path / "c")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_x0_is_a_config_error(tmp_path, capsys, value):
+    (tmp_path / "x0.csv").write_text(f"0.5\n{value}\n")
+    text = MINIMAL + f"\n[algorithm]\nx0 = {tmp_path / 'x0.csv'}\n"
+    cfg_path = write_config(tmp_path, text, "x0.ini")
+    with pytest.raises(ConfigError,
+                       match=rf"algorithm\.x0 must be finite, got {value} at particle 1, coordinate 0"):
+        harness.cmd_run(load_config(cfg_path), tmp_path / "lib")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert "algorithm.x0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_quadratic_map_from_matrix_file(tmp_path):
     np.savetxt(tmp_path / "p.csv", np.diag([2.0, 3.0]), delimiter=",")
     text = MINIMAL.replace("d = 1", "d = 2").replace("m = 1", "m = 2")

@@ -4,9 +4,10 @@ version 0.1.0.
 ``DistributedProblem.grads`` and the dual-Hessian preconditioner's
 ``backward`` are the kernels the integration loop calls on every step. The
 forms below are the ones artifact version 0.1.0 shipped, kept here as
-independent references: a kernel that sums in another order may differ from
-them in the last bits, but never by more than a small multiple of the
-rounding error of its operands. ``ref_record`` is the recorder that versions
+independent references (with the ``out=`` keyword of the in-place step
+kernel, which only copies the result): a kernel that sums in another order
+may differ from them in the last bits, but never by more than a small
+multiple of the rounding error of its operands. ``ref_record`` is the recorder that versions
 0.1.0 to 0.5.0 shipped: residual-form losses row by row, D_f as
 sum_i f_i(x_i) - f* - <grad f(x*), dx> over the einsum ``ref_block_values``,
 and the consensus term as <x, L x> / 2. The trajectory check runs the golden
@@ -14,6 +15,12 @@ cases once as shipped and once with these references patched in, and bounds
 every metrics.csv column; patched in, together with the dense eigvalsh mu_psi
 of the dual-Hessian preconditioner that 0.1.0 and 0.2.0 shipped, the
 references reproduce the 0.1.0 bytes.
+
+``ref_step`` is the allocating Euler-Maruyama step that versions 0.1.0 to
+0.6.0 shipped as ``dynamics._step``: a fresh state and temporaries per
+step. The state-level check runs every golden case once through
+``dynamics.run`` and once through ``ref_step``, and asks for equal bits in
+every state array at every record step.
 
 ``ref_solve_simplex`` is the simplex oracle that versions 0.1.0 to 0.3.0
 shipped: centralized entropic mirror descent, certified to 1e-6. The
@@ -30,7 +37,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dismd import harness, oracle
+from dismd import dynamics, harness, oracle
 from dismd.config import RunConfig, load_config
 from dismd.diagnostics import MetricsRecord, MetricsRecorder, bregman_to_opt, consensus_spread
 from dismd.graphs import Topology, build_graph, spectra
@@ -43,9 +50,17 @@ REL_TOL = 1e-12
 ABS_FLOOR = 1e-15
 
 
-def ref_grads(self, x_rows):
+def _into(value, out):
+    """``value``, copied into ``out`` when the caller passes one."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
+def ref_grads(self, x_rows, out=None):
     r = np.einsum("nmd,nd->nm", self.q, x_rows) - self.b
-    return np.einsum("nmd,nm->nd", self.q, r)
+    return _into(np.einsum("nmd,nm->nd", self.q, r), out)
 
 
 def ref_block_values(self, x_rows):
@@ -93,8 +108,8 @@ def _ref_sandwich(self, outer, inner, rows):
     return outer @ w
 
 
-def ref_dual_backward(self, mu):
-    return _ref_sandwich(self, self._lap_beta_inv, self._hess, mu)
+def ref_dual_backward(self, mu, out=None):
+    return _into(_ref_sandwich(self, self._lap_beta_inv, self._hess, mu), out)
 
 
 def ref_dual_mu(self):
@@ -105,6 +120,29 @@ def ref_dual_mu(self):
     for i, h in enumerate(self._hess):
         hf[i * d:(i + 1) * d, i * d:(i + 1) * d] = h
     return 1.0 / float(np.linalg.eigvalsh(lbi @ hf @ lbi)[-1])
+
+
+def ref_step(state, problem, mmap, graph, hp, noise, interaction_on, dual=None):
+    """One step of any of the three dynamics, allocating its result."""
+    lap = graph.laplacian
+    drift = hp.eta * problem.grads(state.x)
+    lam, mu = state.lam, None
+    if interaction_on is None:
+        drift = drift + hp.epsilon * (lap @ state.z)
+    else:
+        lap_x = lap @ state.x
+        inter = lap_x if interaction_on == "x" else lap @ state.z
+        drift = drift + hp.epsilon * inter + lap @ lam
+        if dual is None:
+            lam = lam + hp.dt * lap_x
+        else:
+            mu = state.mu + hp.dt * lap_x
+            lam = dual.backward(mu)
+    z = state.z - hp.dt * drift
+    if noise is not None:
+        z = z + noise
+    k = state.step + 1
+    return dynamics.ParticleSystem(z=z, x=mmap.backward(z), lam=lam, mu=mu, step=k, t=k * hp.dt)
 
 
 def ref_solve_simplex(problem, graph, tol=1e-10):
@@ -270,3 +308,79 @@ def test_trajectory_matches_einsum_references(tmp_path, monkeypatch, stem, overr
     assert shipped.shape == reference.shape
     col_scale = np.max(np.abs(shipped), axis=0)
     assert np.all(np.abs(shipped - reference) <= REL_TOL * col_scale)
+
+
+def _ref_states(cfg, setup):
+    """The record-step states of ``ref_step`` iterated from run's start."""
+    a, hp = cfg["algorithm"], cfg.hyperparams()
+    seed, every = cfg["run"]["seed"], cfg["hyperparams"]["metrics_every"]
+    x0 = harness.load_x0(cfg, setup.problem)
+    if x0 is None:
+        x0 = dynamics.default_initial_rows(setup.problem, setup.mmap, seed)
+    state = dynamics.ParticleSystem.initial(setup.mmap, x0, with_mu=a["name"] == "epismd")
+    noise = None
+    if hp.sigma > 0:
+        noise = dynamics.NoiseStream(seed, setup.problem.n, setup.problem.d, hp.sigma, hp.dt)
+    interaction_on = None if a["name"] == "ismd" else a["interaction_on"]
+    states = [state]
+    for k in range(hp.epochs):
+        b = None if noise is None else noise.block(k)
+        state = ref_step(state, setup.problem, setup.mmap, setup.graph, hp, b,
+                         interaction_on, setup.dual)
+        if state.step % every == 0 or state.step == hp.epochs:
+            states.append(state)
+    return states
+
+
+@pytest.mark.parametrize(
+    "stem, overrides",
+    [case[:2] for case in TRAJECTORY_CASES],
+    ids=[stem + "".join(f"-{k}={v}" for k, v in ov.items()) for stem, ov, _ in TRAJECTORY_CASES],
+)
+def test_run_states_equal_the_allocating_step(stem, overrides):
+    cfg = shipped_config(stem, overrides)
+    setup = harness.prepare(cfg)
+    a = cfg["algorithm"]
+    got = dynamics.run(
+        a["name"], setup.problem, setup.mmap, setup.graph, cfg.hyperparams(),
+        seed=cfg["run"]["seed"], dual=setup.dual, interaction_on=a["interaction_on"],
+        metrics_every=cfg["hyperparams"]["metrics_every"],
+        x0_rows=harness.load_x0(cfg, setup.problem),
+    )
+    want = _ref_states(cfg, setup)
+    assert [s.step for s in got] == [s.step for s in want]
+    for g, w in zip(got, want):
+        assert g.t == w.t
+        for name in ("z", "x", "lam"):
+            assert np.array_equal(getattr(g, name), getattr(w, name)), (g.step, name)
+        assert (g.mu is None) == (w.mu is None)
+        if w.mu is not None:
+            assert np.array_equal(g.mu, w.mu), (g.step, "mu")
+
+
+@pytest.mark.parametrize("stem", ["problem_a_ismd", "problem_a_eismd", "barbell_epismd"])
+def test_entry_point_without_out_leaves_its_input_untouched(stem):
+    cfg = shipped_config(stem, {"hyperparams.sigma": 0.1})
+    setup = harness.prepare(cfg)
+    name, hp = cfg["algorithm"]["name"], cfg.hyperparams()
+    state = _ref_states(cfg, setup)[3]
+    before = state.copy()
+    noise = dynamics.NoiseStream(5, setup.problem.n, setup.problem.d, hp.sigma, hp.dt).block(7)
+    args = (state, setup.problem, setup.mmap, setup.graph, hp, noise)
+    if name == "ismd":
+        got = dynamics.ismd_step(*args)
+        want = ref_step(*args, None)
+    elif name == "eismd":
+        got = dynamics.eismd_step(*args, "x")
+        want = ref_step(*args, "x")
+    else:
+        got = dynamics.epismd_step(state, setup.problem, setup.mmap, setup.dual, setup.graph, hp,
+                                   noise, "x")
+        want = ref_step(*args, "x", setup.dual)
+    assert (got.step, got.t) == (want.step, want.t)
+    for field_name in ("z", "x", "lam", "mu"):
+        old, new = getattr(before, field_name), getattr(state, field_name)
+        assert (old is None and new is None) or np.array_equal(old, new), field_name
+        g, w = getattr(got, field_name), getattr(want, field_name)
+        assert (g is None and w is None) or np.array_equal(g, w), field_name
+        assert g is None or not np.shares_memory(g, new)
