@@ -201,11 +201,6 @@ def default_initial_rows(problem: DistributedProblem, mmap: MirrorMap, seed: int
     return rng.standard_normal((problem.n, problem.d))
 
 
-def _scale(c: float, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """c * a in ``out``, or ``a`` itself when c is 1: that product is exact."""
-    return a if c == 1.0 else np.multiply(c, a, out=out)
-
-
 def _step(state, problem, mmap, graph, hp, noise, interaction_on, dual, out,
           scratch) -> ParticleSystem:
     """One Euler-Maruyama step of any of the three dynamics, written into
@@ -222,11 +217,11 @@ def _step(state, problem, mmap, graph, hp, noise, interaction_on, dual, out,
         scratch = StepScratch(*state.z.shape)
     lap, drift, work, lap_x = graph.laplacian, scratch.drift, scratch.work, scratch.lap_x
     # drift = eta * grad + eps * (L z or L x) [+ L lam], as in the allocating form
-    _scale(hp.eta, problem.grads(state.x, out=drift), drift)
+    np.multiply(hp.eta, problem.grads(state.x, out=drift), out=drift)
     if interaction_on is not None:
         np.matmul(lap, state.x, out=lap_x)
     inter = lap_x if interaction_on == "x" else np.matmul(lap, state.z, out=work)
-    np.add(drift, _scale(hp.epsilon, inter, work), out=drift)
+    np.add(drift, np.multiply(hp.epsilon, inter, out=work), out=drift)
     if interaction_on is None:
         if out.lam is not state.lam:
             np.copyto(out.lam, state.lam)

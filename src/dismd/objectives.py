@@ -68,7 +68,7 @@ class DistributedProblem:
         """Per-particle gradients: row i is grad f_i(x^i). x_rows is (n, d);
         the result is written into ``out`` when given."""
         if out is None:
-            return (self._hess @ x_rows[..., None])[..., 0] - self._c
+            out = np.empty(np.shape(x_rows))
         np.matmul(self._hess, x_rows[..., None], out=out[..., None])
         return np.subtract(out, self._c, out=out)
 
