@@ -155,6 +155,12 @@ def _validate(cfg: RunConfig) -> None:
     _require(p["domain"] in DOMAINS, f"problem.domain must be one of {DOMAINS}, got {p['domain']!r}")
     _require(p["d"] >= 1 and p["m"] >= 1 and p["n"] >= 1, "problem.d, problem.m, problem.n must be >= 1")
     _require(p["condition_number"] >= 1.0, "problem.condition_number must be >= 1")
+    if p["kind"] == "generate":
+        _require(
+            p["condition_number"] == 1.0 or min(p["m"], p["d"]) >= 2,
+            f"problem.condition_number = {p['condition_number']} > 1 needs at least two singular "
+            f"values, but min(problem.m, problem.d) = {min(p['m'], p['d'])}",
+        )
 
     g = cfg["graph"]
     kinds = TOPOLOGY_KINDS + ("matrix",)
@@ -167,8 +173,9 @@ def _validate(cfg: RunConfig) -> None:
         _require(0.0 < g["p"] <= 1.0, f"graph.p must be in (0, 1], got {g['p']}")
     if g["topology"] == "barbell":
         _require(g["cluster"] is not None, "graph.topology = barbell requires graph.cluster")
+        _require(g["cluster"] >= 1, f"graph.cluster must be >= 1, got {g['cluster']}")
         if p["kind"] == "generate":
-            # a bundle's own particle count decides; build_graph checks it after loading
+            # a bundle's own particle count decides; build_graph_and_spectra checks it
             _require(
                 p["n"] == 2 * g["cluster"],
                 f"graph.cluster = {g['cluster']} needs problem.n = {2 * g['cluster']}, got {p['n']}",
@@ -224,6 +231,3 @@ def load_config(path: Path | str) -> RunConfig:
     raw = {section: dict(parser.items(section)) for section in parser.sections()}
     return _build(raw)
 
-
-def default_config() -> RunConfig:
-    return _build({})

@@ -128,38 +128,30 @@ def bregman_to_opt(x_rows: np.ndarray, x_star: np.ndarray, mmap: MirrorMap) -> f
     return float(np.sum(mmap.bregman(target, x_rows)))
 
 
-def kappa_g_estimate(
-    problem: DistributedProblem,
-    graph: WeightedGraph,
-    mmap: MirrorMap,
-    points: list[np.ndarray],
-) -> float:
+def kappa_g_estimate(mmap: MirrorMap, x_rows: np.ndarray) -> float:
     """Infimum of the generalized Rayleigh quotient, which is exactly zero.
 
     The quotient is |A d|_W^2 / |d|^2 over directions d = (d_x, d_lambda),
     with A = [H_f + L, L] (L applied blockwise) and W the conjugate map
-    Hessian at z = forward(x) for sampled (n, d) rows x. A maps R^(2nd)
-    to R^(nd), so by rank-nullity its kernel has dimension at least nd. A
-    kernel direction makes the quotient zero, and W is positive semidefinite,
-    so the quotient is never negative: its infimum is exactly 0 for every
-    problem and every sample.
+    Hessian at z = forward(x) for (n, d) rows x. A maps R^(2nd) to R^(nd),
+    so by rank-nullity its kernel has dimension at least nd. A kernel
+    direction makes the quotient zero, and W is positive semidefinite, so the
+    quotient is never negative: its infimum is exactly 0 for every problem,
+    graph and point.
 
-    What remains to check is that W is nonsingular at every sample point.
-    W is block diagonal; its n blocks are the conjugate Hessian applied to
-    the d identity rows at each particle, and one batched eigenvalue call
-    checks them. At each point the smallest block eigenvalue must exceed
-    1e-14 times the largest one (or 1e-14 if that is below one). ``graph``
-    does not enter the result.
+    What remains to check is that W is nonsingular at ``x_rows``. W is block
+    diagonal; its blocks are the conjugate Hessian applied to the d identity
+    rows at each row of ``x_rows``, and one batched eigenvalue call checks
+    them. The smallest block eigenvalue must exceed 1e-14 times the largest
+    one (or 1e-14 if that is below one).
     """
-    if not points:
-        raise ValueError("kappa_g_estimate needs at least one sample point")
-    n, d = problem.n, problem.d
+    x_rows = np.asarray(x_rows, dtype=float)
+    n, d = x_rows.shape
     eye = np.broadcast_to(np.eye(d), (n, d, d))
-    for x_rows in points:
-        z_rows = mmap.forward(np.asarray(x_rows, dtype=float))
-        block_eigs = np.linalg.eigvalsh(mmap.hess_conj_apply(z_rows[:, None, :], eye))
-        if block_eigs[:, 0].min() <= 1e-14 * max(block_eigs[:, -1].max(), 1.0):
-            raise ValueError("conjugate map Hessian is singular at a sample point")
+    z_rows = mmap.forward(x_rows)
+    block_eigs = np.linalg.eigvalsh(mmap.hess_conj_apply(z_rows[:, None, :], eye))
+    if block_eigs[:, 0].min() <= 1e-14 * max(block_eigs[:, -1].max(), 1.0):
+        raise ValueError("conjugate map Hessian is singular at x_rows")
     return 0.0
 
 

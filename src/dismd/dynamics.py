@@ -293,21 +293,15 @@ def epismd_step(
 _STATE_LIMIT = 1e150
 # run's first tier: a sum of squares at most this bounds every |entry| by
 # _STATE_LIMIT / sqrt(2), which the rounding of the sum cannot carry past the
-# limit, so a state it accepts is one _finite accepts. Any other state, NaN
-# and inf included (the comparison is False for them), goes to _finite.
+# limit, so _divergence finds no bad entry in a state it accepts. Any other
+# state, NaN and inf included (the comparison is False for them), goes to
+# _divergence.
 _FAST_SUM_LIMIT = 0.5 * _STATE_LIMIT**2
 
 
-def _finite(state: ParticleSystem) -> bool:
-    # the max propagates NaN, and NaN <= limit is False
-    for arr in (state.z, state.lam, state.mu):
-        if arr is not None and not np.abs(arr).max(initial=0.0) <= _STATE_LIMIT:
-            return False
-    return True
-
-
-def _divergence(state: ParticleSystem, records: list) -> DivergenceError:
-    """The error for a state ``_finite`` rejects, naming its first bad entry."""
+def _divergence(state: ParticleSystem, records: list) -> DivergenceError | None:
+    """The error naming the first entry of z, lam or mu outside
+    [-_STATE_LIMIT, _STATE_LIMIT], NaN included; None if there is none."""
     for name in ("z", "lam", "mu"):
         arr = getattr(state, name)
         if arr is None:
@@ -319,7 +313,7 @@ def _divergence(state: ParticleSystem, records: list) -> DivergenceError:
             return DivergenceError(
                 state.step, records, name, int(particle), int(coordinate), value
             )
-    raise AssertionError("the state has no entry outside the finite range")
+    return None
 
 
 def run(
@@ -346,7 +340,8 @@ def run(
 
     The run owns one state, whose z, lam and mu share one buffer, and updates
     it in place each step; the guard takes that buffer's sum of squares and
-    asks ``_finite`` only when the sum is large or not a number.
+    scans the entries with ``_divergence`` only when the sum is large or not
+    a number.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -384,8 +379,10 @@ def run(
         else:
             epismd_step(state, problem, mmap, dual, graph, hp, b, interaction_on,
                         out=state, scratch=scratch)
-        if not np.vdot(flat, flat) <= _FAST_SUM_LIMIT and not _finite(state):
-            raise _divergence(state, records)
+        if not np.vdot(flat, flat) <= _FAST_SUM_LIMIT:
+            error = _divergence(state, records)
+            if error is not None:
+                raise error
         if state.step % metrics_every == 0 or state.step == hp.epochs:
             records.append(recorder(state.copy()))
     return records

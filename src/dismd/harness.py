@@ -83,6 +83,12 @@ def build_graph_and_spectra(cfg: RunConfig, n: int) -> tuple[WeightedGraph, Lapl
                 f"graph.weights has {graph.n} nodes but the problem has {n} particles"
             )
     else:
+        if g["topology"] == "barbell" and n != 2 * g["cluster"]:
+            # a generated problem's n is checked with the config; a bundle's only here
+            raise ConfigError(
+                f"graph.cluster = {g['cluster']} needs {2 * g['cluster']} particles "
+                f"but the problem has {n}"
+            )
         graph = build_graph(
             Topology(kind=g["topology"], n=n, p=g["p"], cluster=g["cluster"], seed=g["seed"])
         )
@@ -152,9 +158,9 @@ def prepare(cfg: RunConfig) -> RunSetup:
     constants, constants_s = _timed(diagnostics.compute_constants, problem, spec, mmap, dual)
     if mmap.kind != "entropy":
         # kappa_g is 0 by construction (see kappa_g_estimate); the call checks
-        # that the conjugate map Hessian is nonsingular at the consensus optimum
-        consensus_point = np.broadcast_to(opt.x_star, (problem.n, problem.d))
-        diagnostics.kappa_g_estimate(problem, graph, mmap, [consensus_point])
+        # that the conjugate map Hessian is nonsingular at the consensus
+        # optimum, where every particle's block is the same, so one row decides
+        diagnostics.kappa_g_estimate(mmap, opt.x_star[None, :])
     c = diagnostics.default_c(constants)
     recorder = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c, dual=dual)
     return RunSetup(

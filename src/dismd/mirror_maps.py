@@ -27,7 +27,7 @@ Hessian inside the integration loop.
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -295,17 +295,13 @@ class RegularizedDualHessian:
         self._hess = hess
         self._hess_inv = np.linalg.inv(hess)
 
-    def _sandwich(self, outer: np.ndarray, inner: np.ndarray, rows: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        """(outer kron I_d) blockdiag(inner) (outer kron I_d) applied to
-        (..., n, d) rows; ``out``, when given, also holds the first product."""
-        w = np.matmul(outer, np.asarray(rows, dtype=float), out=out)
-        w = (inner @ w[..., None])[..., 0]
-        return np.matmul(outer, w, out=out)
-
     def backward(self, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Conjugate gradient: mu -> lambda."""
-        return self._sandwich(self._lap_beta_inv, self._hess, mu, out)
+        """Conjugate gradient: mu -> lambda, (L_beta^{-1} kron I_d)
+        blockdiag(H_i) (L_beta^{-1} kron I_d) applied to (..., n, d) rows;
+        ``out``, when given, also holds the first product."""
+        w = np.matmul(self._lap_beta_inv, np.asarray(mu, dtype=float), out=out)
+        w = (self._hess @ w[..., None])[..., 0]
+        return np.matmul(self._lap_beta_inv, w, out=out)
 
     def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray) -> float:
         """D_psi between (n, d) multiplier rows (quadratic, so a weighted norm)."""
@@ -317,5 +313,4 @@ class RegularizedDualHessian:
     def mu(self) -> float:
         """psi's strong convexity: the reciprocal of the conjugate Hessian's
         largest eigenvalue."""
-        conj = partial(self._sandwich, self._lap_beta_inv, self._hess)
-        return 1.0 / _lanczos_max(conj, (self.n, self.d))
+        return 1.0 / _lanczos_max(self.backward, (self.n, self.d))

@@ -36,10 +36,6 @@ class OptimalPair:
     kkt_residual: float
 
 
-def _laplacian_pinv(graph: WeightedGraph) -> np.ndarray:
-    return spectra(graph, beta=1.0).lap_pinv
-
-
 def _stacked_multiplier(
     problem: DistributedProblem, graph: WeightedGraph, x_star: np.ndarray, center: bool
 ) -> tuple[np.ndarray, float]:
@@ -51,7 +47,7 @@ def _stacked_multiplier(
     g = problem.grads_at(x_star)
     if center:
         g = g - g.mean(axis=1, keepdims=True)
-    lam = -(_laplacian_pinv(graph) @ g)
+    lam = -(spectra(graph, beta=1.0).lap_pinv @ g)
     residual = float(np.linalg.norm(g + graph.laplacian @ lam))
     return lam, residual
 

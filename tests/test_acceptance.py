@@ -368,7 +368,7 @@ def test_criterion_8_math_kernel_invariants():
         opt = solve_unconstrained(prob, g)
         cst = compute_constants(prob, spec, mmap)
         c = default_c(cst)
-        kg = kappa_g_estimate(prob, g, mmap, [np.broadcast_to(opt.x_star, (n, d))])
+        kg = kappa_g_estimate(mmap, np.broadcast_to(opt.x_star, (n, d)))
         evals, evecs = np.linalg.eigh(g.laplacian)
         basis = evecs[:, evals > 1e-12]
         hf = prob.hess_blocks()

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from dismd.config import ConfigError, RunConfig, default_config, load_config
+from dismd.config import ConfigError, RunConfig, load_config
 
 
 def write(tmp_path, text):
@@ -12,7 +12,7 @@ def write(tmp_path, text):
 
 
 def test_defaults_resolve():
-    cfg = default_config()
+    cfg = RunConfig.from_mapping({})
     assert cfg["problem"]["d"] == 20
     assert cfg["problem"]["condition_number"] == 15.0
     assert cfg["hyperparams"]["dt"] == 0.01
@@ -107,6 +107,13 @@ def test_validation_rules(tmp_path):
         ("[algorithm]\nname = epismd\ndual = identity\ndual_beta = 0.1\n", "algorithm.dual_beta"),
         ("[algorithm]\nname = ismd\ninteraction_on = z\n", "algorithm.interaction_on"),
         ("[problem]\nkind = generate\nbundle = /nonexistent\n", "problem.bundle"),
+        # a generated problem needs two singular values to spread
+        ("[problem]\nd = 1\n", "problem.condition_number"),
+        ("[problem]\nm = 1\ncondition_number = 1.5\n", "problem.condition_number"),
+        # a barbell needs a positive cluster size, whatever the problem kind
+        ("[graph]\ntopology = barbell\ncluster = 0\n", "graph.cluster"),
+        ("[problem]\nkind = bundle\nbundle = b\n[graph]\ntopology = barbell\ncluster = 0\n",
+         "graph.cluster"),
     ]:
         with pytest.raises(ConfigError, match=key):
             load_config(write(tmp_path, text))
@@ -147,7 +154,7 @@ seed = 11
 def test_from_mapping_converts_strings_and_cites_unknown_keys():
     # library callers override values through a mapping; a string is
     # converted as a loaded value is, and an unknown key is named
-    mapping = default_config().to_mapping()
+    mapping = RunConfig.from_mapping({}).to_mapping()
     mapping["hyperparams"]["epochs"] = "300"
     assert RunConfig.from_mapping(mapping)["hyperparams"]["epochs"] == 300
     mapping["hyperparams"]["sgima"] = 0.2
@@ -181,11 +188,13 @@ def test_mapping_round_trip_and_invalid_combinations_property():
             ["identity", "dual_hessian"] if algorithm == "epismd" else ["identity"]
         ))
         simplex = draw(st.booleans())
+        d = draw(st.integers(1, 8))
         return {
             "problem": {
                 "n": 2 * cluster if topology == "barbell" else draw(st.integers(1, 12)),
-                "d": draw(st.integers(1, 8)),
-                "condition_number": draw(st.floats(1.0, 1e6, **finite)),
+                "d": d,
+                # one coordinate leaves a single singular value, so no spread
+                "condition_number": draw(st.floats(1.0, 1e6, **finite)) if d > 1 else 1.0,
                 "domain": "simplex" if simplex else "unconstrained",
                 "shared_minimizer": draw(st.booleans()),
             },

@@ -11,7 +11,6 @@ from dismd.dynamics import (
     NoiseStream,
     ParticleSystem,
     _divergence,
-    _finite,
     eismd_step,
     epismd_step,
     ismd_step,
@@ -350,16 +349,15 @@ def _state_with(array, value, particle=1, coordinate=2):
 @pytest.mark.parametrize("array", ["z", "lam", "mu"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2e150, -2e150])
 def test_finite_guard_flags_bad_entries(array, value):
-    state = _state_with(array, value)
-    assert not _finite(state)
-    err = _divergence(state, [])
+    err = _divergence(_state_with(array, value), [])
+    assert err is not None
     assert (err.step, err.array, err.particle, err.coordinate) == (9, array, 1, 2)
 
 
 @pytest.mark.parametrize("array", ["z", "lam", "mu"])
 @pytest.mark.parametrize("value", [1e150, -1e150])
 def test_finite_guard_accepts_the_limit(array, value):
-    assert _finite(_state_with(array, value))
+    assert _divergence(_state_with(array, value), []) is None
 
 
 def test_divergence_names_array_particle_and_coordinate():
@@ -439,8 +437,8 @@ def test_guard_names_the_entry_the_reference_guard_names(monkeypatch, array, val
     with pytest.raises(DivergenceError) as err:
         _run(algorithm, 10)
     exc = err.value
-    assert not _finite(seen[-1])
     want = _divergence(seen[-1], [])
+    assert want is not None
     assert (exc.step, exc.array, exc.particle, exc.coordinate) == (1, array, 2, 1)
     assert (exc.step, exc.array, exc.particle, exc.coordinate) == (
         want.step, want.array, want.particle, want.coordinate)

@@ -204,6 +204,23 @@ def test_graph_info_takes_the_particle_count_from_the_bundle(tmp_path, capsys):
     assert load_matrix(out / "laplacian.csv").shape == (6, 6)
 
 
+def test_barbell_cluster_is_checked_against_the_bundle(tmp_path, capsys):
+    # only the loaded bundle knows its particle count
+    cfg_path = write_config(tmp_path, MINIMAL.replace("n = 2", "n = 4"), "gen.ini")
+    assert cli.main(["problem-gen", "--config", str(cfg_path), "--out", str(tmp_path / "b4"),
+                     "--quiet"]) == 0
+    text = f"[problem]\nkind = bundle\nbundle = {tmp_path / 'b4'}\n[graph]\ntopology = barbell\n"
+    with pytest.raises(ConfigError, match=re.escape("graph.cluster must be >= 1, got 0")):
+        load_config(write_config(tmp_path, text + "cluster = 0\n", "c0.ini"))
+    cfg_path = write_config(tmp_path, text + "cluster = 3\n", "c3.ini")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph.cluster = 3 needs 6 particles but the problem has 4")
+    assert "Traceback" not in err
+    cfg = load_config(write_config(tmp_path, text + "cluster = 2\n", "c2.ini"))
+    assert harness.build_graph_and_spectra(cfg, 4)[0].n == 4
+
+
 def test_cli_reports_a_bundle_manifest_without_a_required_key(tmp_path, capsys):
     bundle = tmp_path / "bundle"
     bundle.mkdir()

@@ -14,8 +14,16 @@ minimizer (f* = 0), the barbell, and the simplex problem, whose particles
 move from x* towards random simplex points, so that the largest distance it
 reaches is the move onto those points. The tolerance is 1e-12 relative or
 1e-15 absolute.
+
+``V1`` (and ``bregman_to_opt``, the same value) is checked against
+sum_i ||x^i - x*||^2 / 2 for the euclidean map, and for the entropy map
+against sum_ij x*_j ln(x*_j / x_ij) - x*_j + x_ij, the KL divergence plus the
+rows' mass difference, in 50-digit decimals. The recorder evaluates
+phi(x*) - phi(x) - <grad phi(x), x* - x>, which cancels near x*: the cases
+it fails are strict xfails, each with its measured |error| / tolerance.
 """
 
+from decimal import Decimal, localcontext
 from functools import lru_cache
 from pathlib import Path
 
@@ -78,6 +86,21 @@ def _centred_v3(setup, state):
     return d_f + coupling + consensus
 
 
+def _exact_v1(setup, x):
+    x_star = setup.recorder.x_star
+    if setup.mmap.kind == "euclidean":
+        dx = x - x_star
+        return 0.5 * float(np.sum(dx * dx))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        star = [Decimal(a) for a in x_star.tolist()]
+        total = Decimal(0)
+        for row in x.tolist():
+            for a, b in zip(star, map(Decimal, row)):
+                total += (a * (a.ln() - b.ln()) if a else 0) - a + b
+        return float(total)
+
+
 def _assert_close(got, want):
     assert abs(got - want) <= REL_TOL * abs(want) + ABS_TOL, (got, want, abs(got - want))
 
@@ -119,3 +142,38 @@ def test_recorder_rejects_negative_simplex_coordinates():
     x[0, 0] = -1e-3
     with pytest.raises(ValueError, match="negative"):
         setup.recorder(ParticleSystem(z=x, x=x, lam=state.lam, mu=None, step=0, t=0.0))
+
+
+# |error| / tolerance of the recorder's V1 where it fails the reference
+V1_CANCELS = {
+    ("problem_a_eismd", 1e-8): 22.1,
+    ("problem_a_eismd", 1e-6): 14.0,
+    ("problem_a_eismd", 1e-4): 19.8,
+    ("problem_a_eismd", 1e-2): 14.6,
+    ("problem_a_shared", 1e-8): 1.76,
+    ("problem_a_shared", 1e-6): 4.53,
+    ("problem_a_shared", 1e-4): 3.22,
+    ("barbell_epismd", 1e-8): 2.40,
+    ("barbell_epismd", 1e-6): 3.82,
+    ("barbell_epismd", 1e-4): 3.07,
+    ("barbell_epismd", 1e-2): 3.91,
+}
+V1_CASES = [
+    pytest.param(
+        name, dist, id=f"{name}-{dist:g}",
+        marks=[pytest.mark.xfail(
+            strict=True,
+            reason=f"V1 cancels near x*: |error| / tolerance = {V1_CANCELS[name, dist]}",
+        )] if (name, dist) in V1_CANCELS else [],
+    )
+    for name, dist in CASES
+]
+
+
+@pytest.mark.parametrize("name, dist", V1_CASES)
+def test_recorder_v1_matches_exact_form(name, dist):
+    setup = _setup(name)
+    state = _state(name, dist)
+    record = setup.recorder(state)
+    assert record.bregman_to_opt == record.V1
+    _assert_close(record.V1, _exact_v1(setup, state.x))
