@@ -5,7 +5,7 @@ exact, and dual-preconditioned) over communication graphs, with Lyapunov,
 consensus and KKT diagnostics.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .dynamics import DivergenceError, Hyperparams, NoiseStream, ParticleSystem, run
 from .graphs import (

@@ -10,9 +10,18 @@ The Lyapunov function evaluated here is
 
 with dx = x - x*, H_i the block Hessians and (x*, lam*) supplied by the
 reference oracle. The first term is D_f(x, x*), exact for quadratic blocks,
-and <dx, L dx> = <x, L x> since L 1 = 0. The scale factor c is
-chosen by ``default_c`` as a small safety margin above every threshold the
+and <dx, L dx> = <x, L x> since L 1 = 0. V1 is evaluated in the same
+x*-centred form where the map allows it: sum_i ||dx_i||^2 / 2 for the
+euclidean map and sum_i dx_i^T P dx_i / 2 for the quadratic one; the
+entropy map keeps its KL form. The scale factor c is chosen by
+``default_c`` as a small safety margin above every threshold the
 convergence analysis needs for non-negativity and descent.
+
+``MetricsRecorder`` takes a block of R snapshots (``dynamics.Snapshots``)
+and computes every column over the leading axis: each matrix product runs
+once per snapshot with the shape a single state would give it, and each
+squared norm is one BLAS dot per snapshot, so a record does not depend on
+the block it was computed in. A single state is the block R = 1.
 """
 
 from __future__ import annotations
@@ -22,9 +31,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .dynamics import ParticleSystem
+from .dynamics import Snapshots
 from .graphs import LaplacianSpectra, WeightedGraph
-from .mirror_maps import IdentityDual, MirrorMap
+from .mirror_maps import IdentityDual, MirrorMap, stacked_vdot
 from .objectives import DistributedProblem
 
 C_SAFETY_FACTOR = 1.01
@@ -115,10 +124,14 @@ def default_c(constants: ConvexityConstants) -> float:
     )
 
 
-def consensus_spread(x_rows: np.ndarray, losses: np.ndarray) -> float:
-    """Squared distance between the best and worst particle by aggregate loss."""
-    diff = x_rows[int(np.argmin(losses))] - x_rows[int(np.argmax(losses))]
-    return float(diff @ diff)
+def consensus_spread(x_rows: np.ndarray, losses: np.ndarray):
+    """Squared distance between the best and worst particle by aggregate loss,
+    for (n, d) rows and (n,) losses (a float) or per snapshot of (R, n, d)
+    rows and (R, n) losses (an (R,) array)."""
+    best = np.take_along_axis(x_rows, losses.argmin(axis=-1)[..., None, None], axis=-2)
+    worst = np.take_along_axis(x_rows, losses.argmax(axis=-1)[..., None, None], axis=-2)
+    diff = best - worst
+    return stacked_vdot(diff, diff)
 
 
 def bregman_to_opt(x_rows: np.ndarray, x_star: np.ndarray, mmap: MirrorMap) -> float:
@@ -198,7 +211,8 @@ def rate_fit(t: np.ndarray, v: np.ndarray, window: float = 0.5) -> RateFit:
 
 
 class MetricsRecorder:
-    """Turns a ParticleSystem into a MetricsRecord, each column computed once.
+    """Turns a block of snapshots into one MetricsRecord per snapshot, each
+    column computed once.
 
     The objective columns come from one exact quadratic model centred at
     x*: the aggregate loss is f* + g*^T dx + dx^T H dx / 2, with g* and H
@@ -229,46 +243,37 @@ class MetricsRecorder:
         self._g_star = problem.grads_at(self.x_star).sum(axis=0)
         self._hess = problem.hess_blocks().sum(axis=0)
 
-    def _losses(self, dx: np.ndarray) -> float | np.ndarray:
-        """Aggregate loss at x* + dx, for a d-vector or (k, d) rows."""
+    def _losses(self, dx: np.ndarray) -> np.ndarray:
+        """Aggregate loss at x* + dx for each row of (..., k, d) rows."""
         quad = 0.5 * np.sum((dx @ self._hess) * dx, axis=-1)
         return self._f_star + (dx @ self._g_star + quad)
 
-    def lyapunov(self, state: ParticleSystem) -> tuple[float, float, float, float]:
-        """(V, V1, V2, V3) at the current state; see the module docstring."""
-        return self._lyapunov(state, state.x - self.x_star)
+    def _v1(self, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        """sum_i D_phi(x*, x^i) per snapshot, x*-centred for the euclidean and
+        quadratic maps, in the KL form of ``MirrorMap.bregman`` for entropy."""
+        if self.mmap.kind == "euclidean":
+            return 0.5 * stacked_vdot(dx, dx)
+        if self.mmap.kind == "quadratic":
+            return 0.5 * stacked_vdot(dx, dx @ self.mmap.matrix)
+        return self.mmap.bregman(self.x_star, x).sum(axis=-1)
 
-    def _lyapunov(
-        self, state: ParticleSystem, dx: np.ndarray
-    ) -> tuple[float, float, float, float]:
-        v1 = bregman_to_opt(state.x, self.x_star, self.mmap)
-        v2 = self.dual.bregman(self.lambda_star, state.lam)
-        d_f = 0.5 * float(np.vdot(dx, (self.problem.hess_blocks() @ dx[..., None])[..., 0]))
-        # <dx, L (lam - lam*)> + <dx, L dx> / 2 in one product
-        coupling = np.vdot(dx, self.graph.laplacian @ (state.lam - self.lambda_star + 0.5 * dx))
-        v3 = d_f + float(coupling)
-        return self.c * (v1 + v2) + v3, v1, v2, v3
-
-    def __call__(self, state: ParticleSystem) -> MetricsRecord:
-        x = state.x
+    def __call__(self, snaps: Snapshots) -> list[MetricsRecord]:
+        x, lam, lap = snaps.x, snaps.lam, self.graph.laplacian
         self.problem.check_domain(x)
         dx = x - self.x_star
         losses = self._losses(dx)
-        lap_x = self.graph.laplacian @ x
-        v, v1, v2, v3 = self._lyapunov(state, dx)
-        primal = self.problem.grads(x) + self.graph.laplacian @ state.lam
-        return MetricsRecord(
-            step=state.step,
-            t=state.t,
-            loss_mean=float(self._losses(dx.mean(axis=0))),
-            loss_best=float(losses.min()),
-            loss_worst=float(losses.max()),
-            consensus_spread=consensus_spread(x, losses),
-            kkt_primal=float(np.linalg.norm(primal)),
-            kkt_consensus=float(np.linalg.norm(lap_x)),
-            V=v,
-            V1=v1,
-            V2=v2,
-            V3=v3,
-            bregman_to_opt=v1,
+        loss_mean = self._losses(dx.mean(axis=-2, keepdims=True))[..., 0]
+        lap_x = lap @ x
+        primal = self.problem.grads(x) + lap @ lam
+        v1 = self._v1(x, dx)
+        v2 = self.dual.bregman(self.lambda_star, lam)
+        d_f = 0.5 * stacked_vdot(dx, (self.problem.hess_blocks() @ dx[..., None])[..., 0])
+        # <dx, L (lam - lam*)> + <dx, L dx> / 2 in one product
+        v3 = d_f + stacked_vdot(dx, lap @ (lam - self.lambda_star + 0.5 * dx))
+        v = self.c * (v1 + v2) + v3
+        columns = (
+            snaps.step, snaps.t, loss_mean, losses.min(axis=-1), losses.max(axis=-1),
+            consensus_spread(x, losses), np.sqrt(stacked_vdot(primal, primal)),
+            np.sqrt(stacked_vdot(lap_x, lap_x)), v, v1, v2, v3, v1,
         )
+        return [MetricsRecord(*row) for row in zip(*(col.tolist() for col in columns))]

@@ -183,6 +183,14 @@ def execute(cfg: RunConfig) -> tuple[list, dict, dynamics.DivergenceError | None
     setup = prepare(cfg)
     prepare_s = time.perf_counter() - started
     a = cfg["algorithm"]
+    record_s = 0.0
+
+    def recorder(snaps):
+        nonlocal record_s
+        records, seconds = _timed(setup.recorder, snaps)
+        record_s += seconds
+        return records
+
     started = time.perf_counter()
     divergence = None
     try:
@@ -196,7 +204,7 @@ def execute(cfg: RunConfig) -> tuple[list, dict, dynamics.DivergenceError | None
             dual=setup.dual,
             interaction_on=a["interaction_on"],
             metrics_every=cfg["hyperparams"]["metrics_every"],
-            recorder=setup.recorder,
+            recorder=recorder,
             x0_rows=load_x0(cfg, setup.problem),
         )
     except dynamics.DivergenceError as exc:
@@ -205,6 +213,7 @@ def execute(cfg: RunConfig) -> tuple[list, dict, dynamics.DivergenceError | None
         "prepare_s": prepare_s,
         **setup.timings,
         "integrate_s": time.perf_counter() - started,
+        "record_s": record_s,
     }
     return records, build_manifest(cfg, setup, timings, len(records), divergence), divergence
 
@@ -220,9 +229,11 @@ def build_manifest(
     cfg: RunConfig, setup: RunSetup, timings: dict, n_records: int, divergence
 ) -> dict:
     """Run manifest; ``timings`` holds prepare_s and integrate_s, the seconds
-    spent in ``prepare`` and in ``dynamics.run``, and the parts of prepare_s
+    spent in ``prepare`` and in ``dynamics.run``, the parts of prepare_s
     spent building the dual map (dual_s), in the oracle (oracle_s) and in
-    the constants (constants_s). A diverged run gains a ``diverged`` block."""
+    the constants (constants_s), and the part of integrate_s spent in the
+    recorder (record_s), timed per snapshot block. ``record_share`` is
+    record_s / integrate_s. A diverged run gains a ``diverged`` block."""
     opt = setup.opt
     cst = setup.constants
     steps = cfg["hyperparams"]["epochs"] if divergence is None else divergence.step
@@ -254,6 +265,7 @@ def build_manifest(
         "wall_clock_seconds": timings["integrate_s"],
         "timings": timings,
         "steps_per_second": steps / timings["integrate_s"] if steps else None,
+        "record_share": timings["record_s"] / timings["integrate_s"],
         "records": n_records,
     }
     if divergence is not None:

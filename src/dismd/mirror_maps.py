@@ -44,6 +44,16 @@ def _copy(a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
+def stacked_vdot(a: np.ndarray, b: np.ndarray):
+    """np.vdot of the trailing (n, d) blocks of ``a`` and ``b``: a float for
+    (n, d) arrays, an (R,) array for (R, n, d) ones. Each value is one BLAS
+    dot over the block's entries, with the bits np.vdot gives that block."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    lead = a.shape[:-2]
+    return (a.reshape(*lead, 1, -1) @ b.reshape(*lead, -1, 1))[..., 0, 0]
+
+
 def _xlogx(x: np.ndarray) -> np.ndarray:
     # 0 log 0 := 0; the tiny clamp only matters for boundary diagnostics.
     safe = np.maximum(x, 1e-300)
@@ -255,9 +265,10 @@ class IdentityDual:
     def backward(self, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return _copy(mu, out)
 
-    def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray) -> float:
+    def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray):
+        """||lam_a - lam_b||^2 / 2 over (..., n, d) rows, per leading index."""
         diff = np.asarray(lam_a, dtype=float) - np.asarray(lam_b, dtype=float)
-        return 0.5 * float(np.vdot(diff, diff))
+        return 0.5 * stacked_vdot(diff, diff)
 
 
 class RegularizedDualHessian:
@@ -303,11 +314,12 @@ class RegularizedDualHessian:
         w = (self._hess @ w[..., None])[..., 0]
         return np.matmul(self._lap_beta_inv, w, out=out)
 
-    def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray) -> float:
-        """D_psi between (n, d) multiplier rows (quadratic, so a weighted norm)."""
+    def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray):
+        """D_psi between (..., n, d) multiplier rows, per leading index
+        (quadratic, so a weighted norm)."""
         diff = np.asarray(lam_a, dtype=float) - np.asarray(lam_b, dtype=float)
         w = self._lap_beta @ diff
-        return 0.5 * float(np.einsum("ni,nij,nj->", w, self._hess_inv, w))
+        return 0.5 * np.einsum("...ni,nij,...nj->...", w, self._hess_inv, w)
 
     @cached_property
     def mu(self) -> float:

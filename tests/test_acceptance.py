@@ -11,14 +11,13 @@ import pytest
 
 from dismd.diagnostics import (
     MetricsRecorder,
-    bregman_to_opt,
     compute_constants,
     consensus_spread,
     default_c,
     kappa_g_estimate,
     rate_fit,
 )
-from dismd.dynamics import Hyperparams, ParticleSystem, run
+from dismd.dynamics import Hyperparams, ParticleSystem, Snapshots, run
 from dismd.graphs import Topology, build_graph, spectra
 from dismd.mirror_maps import (
     EntropyMap,
@@ -100,17 +99,12 @@ def test_criterion_2_ismd_inexactness():
 
 def test_criterion_3_ismd_exact_under_common_minimizer():
     cfg = GeneratorConfig(seed=5, d=20, m=20, n=10, condition_number=15.0, shared_minimizer=True)
-    problem = generate_problem(cfg)
-    graph = build_graph(Topology("cyclic", 10))
-    mmap = EuclideanMap(20)
-    opt = solve_unconstrained(problem, graph)
+    problem, graph, spec, mmap, opt, c = _desk_setup(cfg)
     assert np.allclose(opt.x_star, problem.minimizer, atol=1e-9)
+    rec = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c)
     hp = Hyperparams(sigma=0.0, dt=0.01, epochs=50_000)
-    series = run(
-        "ismd", problem, mmap, graph, hp, seed=0, metrics_every=1,
-        recorder=lambda s: bregman_to_opt(s.x, opt.x_star, mmap),
-    )
-    b = np.asarray(series)
+    records = run("ismd", problem, mmap, graph, hp, seed=0, metrics_every=1, recorder=rec)
+    b = np.array([r.V1 for r in records])
     increase = float(np.max(b[1:] - b[:-1], initial=0.0))
     ok = b[-1] <= 1e-8 and increase <= 1e-9
     _report(
@@ -124,12 +118,9 @@ def test_criterion_4_lyapunov_monotone_linear_rate():
     problem, graph, spec, mmap, opt, c = _desk_setup()
     rec = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c)
     hp = Hyperparams(sigma=0.0, dt=1e-3, epochs=60_000)
-    series = run(
-        "eismd", problem, mmap, graph, hp, seed=0, metrics_every=1,
-        recorder=lambda s: (s.t, rec.lyapunov(s)[0]),
-    )
-    ts = np.array([p[0] for p in series])
-    vs = np.array([p[1] for p in series])
+    records = run("eismd", problem, mmap, graph, hp, seed=0, metrics_every=1, recorder=rec)
+    ts = np.array([r.t for r in records])
+    vs = np.array([r.V for r in records])
     slack = 1e-8 * (1.0 + vs[:-1])
     worst = float(np.max(vs[1:] - vs[:-1] - slack))
     fit = rate_fit(ts, vs, window=0.5)
@@ -149,11 +140,10 @@ def test_criterion_5_noise_floor_sigma_squared_scaling():
         tails = []
         for seed in range(5):
             hp = Hyperparams(sigma=sigma, dt=0.01, epochs=20_000)
-            series = run(
-                "eismd", problem, mmap, graph, hp, seed=seed, metrics_every=20,
-                recorder=lambda s: rec.lyapunov(s)[0],
+            records = run(
+                "eismd", problem, mmap, graph, hp, seed=seed, metrics_every=20, recorder=rec,
             )
-            v = np.asarray(series)
+            v = np.array([r.V for r in records])
             tails.append(v[int(0.8 * len(v)):].mean())
         floors[sigma] = float(np.mean(tails))
     ratio = floors[0.1] / floors[0.05]
@@ -243,15 +233,18 @@ def test_criterion_7_simplex_entropy_run():
     mmap = EntropyMap(10)
     opt = solve_simplex(problem, graph)
     assert opt.x_star.min() > 0  # interior-optimum instance
+    # c scales V alone, and only V1 is read
+    rec = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c=1.0)
+
+    def recorder(snaps):
+        """(V1, min coordinate, max |row sum - 1|) of each snapshot of a block."""
+        v1 = [r.V1 for r in rec(snaps)]
+        min_coord = snaps.x.min(axis=(1, 2))
+        sum_err = np.max(np.abs(snaps.x.sum(axis=2) - 1.0), axis=1)
+        return zip(v1, min_coord.tolist(), sum_err.tolist())
+
     hp = Hyperparams(eta=30.0, epsilon=15.0, sigma=0.0, dt=0.02, epochs=100_000)
-    series = run(
-        "eismd", problem, mmap, graph, hp, seed=0, metrics_every=1,
-        recorder=lambda s: (
-            bregman_to_opt(s.x, opt.x_star, mmap),
-            float(s.x.min()),
-            float(np.max(np.abs(s.x.sum(axis=1) - 1.0))),
-        ),
-    )
+    series = run("eismd", problem, mmap, graph, hp, seed=0, metrics_every=1, recorder=recorder)
     terminal = series[-1][0]
     min_coord = min(p[1] for p in series)
     sum_err = max(p[2] for p in series)
@@ -407,7 +400,7 @@ def test_criterion_8_math_kernel_invariants():
         if trial % 20 == 0:
             st = ParticleSystem(z=x[0], x=x[0], lam=lam[0], mu=None, step=0, t=0.0)
             rec = MetricsRecorder(prob, g, mmap, opt.x_star, opt.lambda_star, c)
-            vv, vv1, vv2, vv3 = rec.lyapunov(st)
+            vv = rec(Snapshots.of(st))[0].V
             assert vv == pytest.approx(float(v[0]), rel=1e-9, abs=1e-9)
 
     elapsed = time.perf_counter() - started

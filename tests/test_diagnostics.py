@@ -14,7 +14,7 @@ from dismd.diagnostics import (
     kappa_g_estimate,
     rate_fit,
 )
-from dismd.dynamics import Hyperparams, ParticleSystem, run
+from dismd.dynamics import Hyperparams, ParticleSystem, Snapshots, run
 from dismd.graphs import Topology, build_graph, metropolis_weights, spectra
 from dismd.mirror_maps import EntropyMap, EuclideanMap, QuadraticMap, RegularizedDualHessian
 from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
@@ -30,6 +30,12 @@ def euclid_setup(seed=0, n=4, d=3, cond=4.0, beta=1.0):
     return prob, graph, spec, mmap, opt
 
 
+def lyapunov(rec, state):
+    """(V, V1, V2, V3) of the recorder's record of one state."""
+    r = rec(Snapshots.of(state))[0]
+    return r.V, r.V1, r.V2, r.V3
+
+
 def test_lyapunov_zero_at_optimum():
     prob, graph, spec, mmap, opt = euclid_setup()
     state = ParticleSystem(
@@ -41,7 +47,7 @@ def test_lyapunov_zero_at_optimum():
         t=0.0,
     )
     rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c=2.5)
-    v, v1, v2, v3 = rec.lyapunov(state)
+    v, v1, v2, v3 = lyapunov(rec, state)
     assert abs(v) <= 1e-18 * (1 + abs(opt.f_star))
     assert v1 == pytest.approx(0.0, abs=1e-20)
     assert v2 == pytest.approx(0.0, abs=1e-20)
@@ -62,7 +68,7 @@ def test_lyapunov_consensus_state_reduces_to_lambda_term():
     )
     c = 3.0
     rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c=c)
-    v, v1, v2, v3 = rec.lyapunov(state)
+    v, v1, v2, v3 = lyapunov(rec, state)
     diff = lam - opt.lambda_star
     assert v1 == pytest.approx(0.0, abs=1e-18)
     assert v2 == pytest.approx(0.5 * float(np.vdot(diff, diff)), rel=1e-12)
@@ -88,7 +94,7 @@ def test_lyapunov_matches_dense_assembly_oracle():
             z=x.reshape(n, d).copy(), x=x.reshape(n, d).copy(),
             lam=lam.reshape(n, d).copy(), mu=None, step=0, t=0.0,
         )
-        v, v1, v2, v3 = rec.lyapunov(state)
+        v, v1, v2, v3 = lyapunov(rec, state)
         # term-by-term dense evaluation
         want_v1 = 0.5 * float((x - xs) @ (x - xs))
         want_v2 = 0.5 * float((lam - ls) @ (lam - ls))
@@ -295,7 +301,8 @@ def test_kkt_residuals_zero_at_kkt_pair():
         step=0,
         t=0.0,
     )
-    r = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c=1.0)(state)
+    rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c=1.0)
+    r = rec(Snapshots.of(state))[0]
     assert r.kkt_primal <= 1e-10
     assert r.kkt_consensus <= 1e-12
 
@@ -326,7 +333,7 @@ def test_recorder_record_fields_and_bregman_column():
     c = default_c(cst)
     rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c)
     states = run("eismd", prob, mmap, graph, Hyperparams(dt=0.01, epochs=10), metrics_every=5)
-    r = rec(states[-1])
+    r = rec(Snapshots.of(states[-1]))[0]
     assert r.step == 10
     assert r.t == pytest.approx(0.1)
     assert r.bregman_to_opt == pytest.approx(
@@ -351,7 +358,7 @@ def test_recorder_epismd_v2_uses_dual_bregman():
         "epismd", prob, mmap, graph, Hyperparams(dt=0.01, epochs=20),
         dual=dual, metrics_every=20,
     )
-    r = rec(states[-1])
+    r = rec(Snapshots.of(states[-1]))[0]
     assert r.V2 == pytest.approx(dual.bregman(opt.lambda_star, states[-1].lam), rel=1e-10)
 
 

@@ -3,8 +3,10 @@ configs.
 
 Each case runs a shipped config, cut to a short horizon, through
 ``harness.cmd_run`` and compares the SHA-256 of the metrics file with a
-hash recorded for artifact version 0.6.0, whose x*-centred recorder changed
-the loss columns, V3 and V of every case in their last bits. A change that
+hash recorded for artifact version 0.7.0, whose x*-centred V1 changed V1,
+bregman_to_opt and V of every euclidean case in their last bits; the two
+simplex hashes are those of 0.6.0, since the entropy map keeps its KL form
+of V1 and every other column kept its bits. A change that
 alters any diagnostic in any digit fails here; such a change must bump
 ``artifact_version`` and record new hashes. The manifest's ``constants``
 and ``oracle`` blocks are compared, as parsed JSON, with values recorded
@@ -40,15 +42,15 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # (config stem, sigma override or None) -> sha256 of metrics.csv
 GOLDEN = {
     ("barbell_epismd", None):
-        "993b98b64a2dbac1b33f047cd57b045d9a3e1c38ff33e248786feabedf9030e1",
+        "76f43f2c0082f876bf12ed258ea62848cf50ee75871968c03bb1c21a4aa8880e",
     ("problem_a_eismd", None):
-        "ae62bc86fdbd6c3cd9916d6e32a39e48133cd2f4c6a93dbb890134eef1ab6564",
+        "ec694f5c77d0d467dd45ad776cde374360f677b435998a7d86021a4c449eae42",
     ("problem_a_ismd", None):
-        "3b5e1f745528d2597c95afc354d2da359f40af75119d1e2f129b1591e0681a75",
+        "48ab7475844093b5dff5c14615a26c6389e17318ea27dc128ce3d81e3df1a444",
     ("problem_b_simplex", None):
         "7a5769d4440da1cce637927f0b18a10dc007073d52c3bbc01c0894574a2b9119",
     ("problem_a_eismd", 0.1):
-        "9d098b00ab00e6ce4cf3ed557b7010bef9cbaffd9d3738b0af16b56a9bf984c1",
+        "620e6321979c3a20b82db31ce0eecbf73f3a30ae18cb584073c9f7edc6e4df5c",
 }
 
 
@@ -59,21 +61,21 @@ GOLDEN = {
 # bytes of their x-coupled runs; the entropy map is where L z and L x differ.
 GOLDEN_OVERRIDES = {
     ("problem_a_eismd", "algorithm.interaction_on", "z"):
-        "ae62bc86fdbd6c3cd9916d6e32a39e48133cd2f4c6a93dbb890134eef1ab6564",
+        "ec694f5c77d0d467dd45ad776cde374360f677b435998a7d86021a4c449eae42",
     ("barbell_epismd", "algorithm.interaction_on", "z"):
-        "993b98b64a2dbac1b33f047cd57b045d9a3e1c38ff33e248786feabedf9030e1",
+        "76f43f2c0082f876bf12ed258ea62848cf50ee75871968c03bb1c21a4aa8880e",
     ("problem_b_simplex", "algorithm.interaction_on", "z"):
         "7711d1e68760fef683fea3d75fad728df9ea91c64bad453af982a57e4d23a84c",
     ("problem_a_ismd", "hyperparams.sigma", 0.1):
-        "f17649fae8afba9ebd4264d7b3e088771d7cfd25cc1a7bdc31e5de30ba9b3462",
+        "2864fd1dd4a064c476da684f5987eaceea276ecf7f1de21ba556d9527d410977",
     ("barbell_epismd", "hyperparams.sigma", 0.1):
-        "dc27f85b86e7acd078762b189426f18f6ae29b5e8024d21dd5e5019a78861f4a",
+        "d417e60bf5d79fd69077b079f6d023fa48d5af9928b180b0c5585c82e24b1740",
 }
 
 
 def _metrics_digest(out_dir, stem: str, overrides: dict) -> str:
     """SHA-256 of metrics.csv of a shipped config cut to 2,000 epochs."""
-    assert __version__ == "0.6.0", "a new artifact version needs new golden hashes"
+    assert __version__ == "0.7.0", "a new artifact version needs new golden hashes"
     metrics_path, _ = harness.cmd_run(shipped_config(stem, overrides), out_dir)
     return hashlib.sha256(metrics_path.read_bytes()).hexdigest()
 
@@ -183,7 +185,7 @@ def test_golden_manifest_covers_every_shipped_config():
 
 @pytest.mark.parametrize("stem", sorted(GOLDEN_MANIFEST))
 def test_manifest_constants_and_oracle_match_golden(tmp_path, stem):
-    assert __version__ == "0.6.0", "a new artifact version needs new golden values"
+    assert __version__ == "0.7.0", "a new artifact version needs new golden values"
     _, manifest_path = harness.cmd_run(shipped_config(stem, {}), tmp_path)
     manifest = json.loads(manifest_path.read_text())
     assert {k: manifest[k] for k in ("constants", "oracle")} == GOLDEN_MANIFEST[stem]
@@ -305,7 +307,7 @@ def _oracle_digest(opt) -> tuple:
 
 @pytest.mark.parametrize("seed", list(GOLDEN_SIMPLEX_ORACLE), ids=str)
 def test_exact_simplex_oracle_matches_golden(seed):
-    assert __version__ == "0.6.0", "a new artifact version needs new golden values"
+    assert __version__ == "0.7.0", "a new artifact version needs new golden values"
     assert _oracle_digest(solve_simplex(*_simplex_case(seed))) == GOLDEN_SIMPLEX_ORACLE[seed]
 
 

@@ -71,14 +71,33 @@ def test_manifest_timings_are_present_and_non_negative(tmp_path):
     _, manifest_path = harness.cmd_run(cfg, tmp_path / "out")
     manifest = json.loads(manifest_path.read_text())
     timings = manifest["timings"]
-    assert set(timings) == {"prepare_s", "dual_s", "oracle_s", "constants_s", "integrate_s"}
+    assert set(timings) == {
+        "prepare_s", "dual_s", "oracle_s", "constants_s", "integrate_s", "record_s"
+    }
     assert all(v >= 0.0 for v in timings.values())
     # three disjoint parts of prepare
     assert timings["dual_s"] + timings["oracle_s"] + timings["constants_s"] <= timings["prepare_s"]
+    assert 0.0 < timings["record_s"] <= timings["integrate_s"]
+    assert manifest["record_share"] == timings["record_s"] / timings["integrate_s"]
     assert manifest["wall_clock_seconds"] == timings["integrate_s"]
     assert manifest["steps_per_second"] == pytest.approx(100 / timings["integrate_s"])
     _, manifest_path = harness.cmd_run(with_values(cfg, {"hyperparams.epochs": 0}), tmp_path / "zero")
     assert json.loads(manifest_path.read_text())["steps_per_second"] is None
+
+
+def test_metrics_csv_does_not_depend_on_the_timings(tmp_path, monkeypatch):
+    cfg = load_config(write_config(tmp_path, MINIMAL))
+    metrics_a, manifest_a = harness.cmd_run(cfg, tmp_path / "a")
+    ticks = iter(range(0, 10**9, 7))
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: float(next(ticks)))
+    metrics_b, manifest_b = harness.cmd_run(cfg, tmp_path / "b")
+    assert metrics_a.read_bytes() == metrics_b.read_bytes()
+    a, b = (json.loads(p.read_text()) for p in (manifest_a, manifest_b))
+    timed = ("timings", "wall_clock_seconds", "steps_per_second", "record_share")
+    assert all(a[key] != b[key] for key in timed)
+    assert {k: v for k, v in a.items() if k not in timed} == {
+        k: v for k, v in b.items() if k not in timed
+    }
 
 
 def test_rerun_from_manifest_echo_reproduces_metrics(tmp_path):

@@ -103,6 +103,12 @@ def ref_record(self, state):
     )
 
 
+def ref_block_record(self, snaps):
+    """``ref_record`` on each snapshot of a block, in the block recorder's
+    place."""
+    return [ref_record(self, snaps[r]) for r in range(len(snaps))]
+
+
 def _ref_sandwich(self, outer, inner, rows):
     w = np.einsum("nij,nj->ni", inner, outer @ rows)
     return outer @ w
@@ -299,7 +305,7 @@ def test_trajectory_matches_einsum_references(tmp_path, monkeypatch, stem, overr
     monkeypatch.setattr(oracle, "solve_simplex", ref_solve_simplex)
     shipped = _columns(_metrics(tmp_path / "shipped", stem, overrides))
     monkeypatch.setattr(DistributedProblem, "grads", ref_grads)
-    monkeypatch.setattr(MetricsRecorder, "__call__", ref_record)
+    monkeypatch.setattr(MetricsRecorder, "__call__", ref_block_record)
     monkeypatch.setattr(RegularizedDualHessian, "backward", ref_dual_backward)
     monkeypatch.setattr(RegularizedDualHessian, "mu", property(ref_dual_mu))
     reference_bytes = _metrics(tmp_path / "reference", stem, overrides)

@@ -18,9 +18,12 @@ reaches is the move onto those points. The tolerance is 1e-12 relative or
 ``V1`` (and ``bregman_to_opt``, the same value) is checked against
 sum_i ||x^i - x*||^2 / 2 for the euclidean map, and for the entropy map
 against sum_ij x*_j ln(x*_j / x_ij) - x*_j + x_ij, the KL divergence plus the
-rows' mass difference, in 50-digit decimals. The recorder evaluates
-phi(x*) - phi(x) - <grad phi(x), x* - x>, which cancels near x*: the cases
-it fails are strict xfails, each with its measured |error| / tolerance.
+rows' mass difference, in 50-digit decimals. Since artifact 0.7.0 the
+recorder evaluates the euclidean V1 in that x*-centred form; the form of
+0.1.0 to 0.6.0, phi(x*) - phi(x) - <grad phi(x), x* - x>, cancelled near x*
+and missed the tolerance by up to 22 times at distances 1e-8 to 1e-2.
+
+Each state goes to the recorder as the one-snapshot block R = 1.
 """
 
 from decimal import Decimal, localcontext
@@ -32,7 +35,7 @@ import pytest
 
 from dismd import harness
 from dismd.config import load_config
-from dismd.dynamics import ParticleSystem
+from dismd.dynamics import ParticleSystem, Snapshots
 from test_kernel_reference import with_values
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -101,6 +104,10 @@ def _exact_v1(setup, x):
         return float(total)
 
 
+def _record(setup, state):
+    return setup.recorder(Snapshots.of(state))[0]
+
+
 def _assert_close(got, want):
     assert abs(got - want) <= REL_TOL * abs(want) + ABS_TOL, (got, want, abs(got - want))
 
@@ -120,7 +127,7 @@ def _ids(cases):
 def test_recorder_losses_match_residual_form(name, dist):
     setup = _setup(name)
     state = _state(name, dist)
-    record = setup.recorder(state)
+    record = _record(setup, state)
     rows = _residual_losses(setup.problem, state.x)
     _assert_close(record.loss_best, float(rows.min()))
     _assert_close(record.loss_worst, float(rows.max()))
@@ -132,7 +139,7 @@ def test_recorder_losses_match_residual_form(name, dist):
 def test_recorder_v3_matches_centred_form(name, dist):
     setup = _setup(name)
     state = _state(name, dist)
-    _assert_close(setup.recorder(state).V3, _centred_v3(setup, state))
+    _assert_close(_record(setup, state).V3, _centred_v3(setup, state))
 
 
 def test_recorder_rejects_negative_simplex_coordinates():
@@ -141,39 +148,13 @@ def test_recorder_rejects_negative_simplex_coordinates():
     x = state.x.copy()
     x[0, 0] = -1e-3
     with pytest.raises(ValueError, match="negative"):
-        setup.recorder(ParticleSystem(z=x, x=x, lam=state.lam, mu=None, step=0, t=0.0))
+        _record(setup, ParticleSystem(z=x, x=x, lam=state.lam, mu=None, step=0, t=0.0))
 
 
-# |error| / tolerance of the recorder's V1 where it fails the reference
-V1_CANCELS = {
-    ("problem_a_eismd", 1e-8): 22.1,
-    ("problem_a_eismd", 1e-6): 14.0,
-    ("problem_a_eismd", 1e-4): 19.8,
-    ("problem_a_eismd", 1e-2): 14.6,
-    ("problem_a_shared", 1e-8): 1.76,
-    ("problem_a_shared", 1e-6): 4.53,
-    ("problem_a_shared", 1e-4): 3.22,
-    ("barbell_epismd", 1e-8): 2.40,
-    ("barbell_epismd", 1e-6): 3.82,
-    ("barbell_epismd", 1e-4): 3.07,
-    ("barbell_epismd", 1e-2): 3.91,
-}
-V1_CASES = [
-    pytest.param(
-        name, dist, id=f"{name}-{dist:g}",
-        marks=[pytest.mark.xfail(
-            strict=True,
-            reason=f"V1 cancels near x*: |error| / tolerance = {V1_CANCELS[name, dist]}",
-        )] if (name, dist) in V1_CANCELS else [],
-    )
-    for name, dist in CASES
-]
-
-
-@pytest.mark.parametrize("name, dist", V1_CASES)
+@pytest.mark.parametrize("name, dist", CASES, ids=_ids(CASES))
 def test_recorder_v1_matches_exact_form(name, dist):
     setup = _setup(name)
     state = _state(name, dist)
-    record = setup.recorder(state)
+    record = _record(setup, state)
     assert record.bregman_to_opt == record.V1
     _assert_close(record.V1, _exact_v1(setup, state.x))
