@@ -336,7 +336,8 @@ def epismd_step(
 # Bytes of one (B, n, d) array of run's snapshot block, which sets B: 64
 # snapshots at n = 10, d = 20 and 8 at n = d = 40. Large enough that the
 # recorder's per-call costs spread over many snapshots, small enough that the
-# block adds nothing measurable to a run's peak memory.
+# block and the recorder's temporaries over it add about 0.4 MB to a run's
+# peak memory.
 _BLOCK_BYTES = 102_400
 # Magnitudes beyond this overflow the quadratic forms every diagnostic needs,
 # so they are treated as divergence just like non-finite values.

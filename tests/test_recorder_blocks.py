@@ -68,13 +68,13 @@ def test_a_block_gives_the_records_of_its_snapshots_one_by_one(stem):
         a["name"], setup.problem, setup.mmap, setup.graph, cfg.hyperparams(),
         dual=setup.dual, interaction_on=a["interaction_on"], metrics_every=50,
     )
-    stacked = {
-        name: None if states[0].mu is None and name == "mu"
-        else np.stack([getattr(s, name) for s in states])
-        for name in ("z", "x", "lam", "mu")
-    }
-    block = Snapshots(**stacked, step=np.array([s.step for s in states]),
-                      t=np.array([s.t for s in states]))
+
+    def stacked(name):
+        arrays = [getattr(s, name) for s in states]
+        return None if arrays[0] is None else np.stack(arrays)
+
+    block = Snapshots(z=stacked("z"), x=stacked("x"), lam=stacked("lam"), mu=stacked("mu"),
+                      step=np.array([s.step for s in states]), t=np.array([s.t for s in states]))
     got = setup.recorder(block)
     assert len(got) == len(states) == 13
     for record, state in zip(got, states):
