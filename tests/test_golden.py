@@ -25,6 +25,7 @@ import pytest
 
 from dismd import __version__, harness
 from dismd.config import load_config
+from dismd.dynamics import DivergenceError
 from dismd.graphs import Topology, build_graph, metropolis_weights
 from dismd.mirror_maps import EntropyMap
 from dismd.objectives import (
@@ -105,6 +106,49 @@ def test_metrics_csv_matches_golden_hash(tmp_path, stem, sigma):
 def test_metrics_csv_with_override_matches_golden_hash(tmp_path, stem, path, value):
     digest = _metrics_digest(tmp_path, stem, {path: value})
     assert digest == GOLDEN_OVERRIDES[(stem, path, value)]
+
+
+# (parameter path, values) -> {file under the sweep directory: sha256}, for
+# sweeps of problem_a_eismd cut to 2,000 epochs. The sigma sweep mixes a
+# noise-free value with noisy ones; under eta = 1e5 the run diverges at step
+# 54, inside its first block of snapshots, while its neighbours complete.
+GOLDEN_SWEEPS = {
+    ("hyperparams.sigma", ("0", "0.05", "0.1")): {
+        "sigma_0/metrics.csv":
+            "ec694f5c77d0d467dd45ad776cde374360f677b435998a7d86021a4c449eae42",
+        "sigma_0.05/metrics.csv":
+            "474f884a62d6900ccaecb1eb1dd75ecf41b32400b299393dbfeb5e15c723d02f",
+        "sigma_0.1/metrics.csv":
+            "792fbb180d5ccc1aa543e9c7ec923fe23e105b807ba1afe36e26db24acf8502c",
+        "summary.csv":
+            "81ed5ef9541f7879168c5843ecb8cac5b331cd35911231f73d33bd3d150c966d",
+    },
+    ("hyperparams.eta", ("1", "1e5", "3")): {
+        "eta_1/metrics.csv":
+            "ec694f5c77d0d467dd45ad776cde374360f677b435998a7d86021a4c449eae42",
+        "eta_1e5/metrics.csv":
+            "e0af552a8a721a1dd8c00b2e734291bf72d06099e7b870f44259cb3f801ca78d",
+        "eta_3/metrics.csv":
+            "dc6aa90669c43c03403a3c939e0709f4574a573478d9295a95f7eb70a87ee3f0",
+        "summary.csv":
+            "cc5d1261c6e0cb38bbfd1a5fe1af8adfedcdf46800d59a7f0647da71ef7cff8a",
+    },
+}
+
+
+@pytest.mark.parametrize("param, values", list(GOLDEN_SWEEPS), ids=lambda v: str(v))
+def test_sweep_csv_files_match_golden_hashes(tmp_path, param, values):
+    assert __version__ == "0.7.0", "a new artifact version needs new golden hashes"
+    cfg = shipped_config("problem_a_eismd", {})
+    diverged = None
+    try:
+        harness.cmd_sweep(cfg, param, list(values), tmp_path)
+    except DivergenceError as exc:
+        diverged = (exc.run, exc.step, exc.array, exc.particle, exc.coordinate)
+    assert diverged == (None if "1e5" not in values else ("eta_1e5", 54, "z", 0, 9))
+    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.rglob("*.csv")}
+    assert got == GOLDEN_SWEEPS[(param, values)]
 
 
 # manifest values of the shipped configs that are common to both problem_a runs
