@@ -27,7 +27,8 @@ the block it was computed in. A single state is the block R = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,9 @@ from .objectives import DistributedProblem
 C_SAFETY_FACTOR = 1.01
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
+    """One row of metrics.csv: the record of one snapshot."""
+
     step: int
     t: float
     loss_mean: float
@@ -56,13 +58,10 @@ class MetricsRecord:
     bregman_to_opt: float
 
     def to_csv_row(self) -> str:
-        vals = [str(self.step)] + [
-            repr(float(getattr(self, name))) for name in CSV_COLUMNS[1:]
-        ]
-        return ",".join(vals)
+        return ",".join([str(self.step), *(repr(float(v)) for v in self[1:])])
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+CSV_COLUMNS = MetricsRecord._fields
 
 
 def csv_header() -> str:
@@ -276,4 +275,4 @@ class MetricsRecorder:
             consensus_spread(x, losses), np.sqrt(stacked_vdot(primal, primal)),
             np.sqrt(stacked_vdot(lap_x, lap_x)), v, v1, v2, v3, v1,
         )
-        return [MetricsRecord(*row) for row in zip(*(col.tolist() for col in columns))]
+        return list(map(MetricsRecord._make, zip(*(col.tolist() for col in columns))))

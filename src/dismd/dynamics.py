@@ -33,12 +33,18 @@ is scheduled.
 ``run`` copies the state at each record step into a preallocated block of
 ``Snapshots`` and hands the recorder whole blocks, so the metrics are
 computed over a leading snapshot axis rather than one state at a time.
+
+``run`` also integrates R replicas of one run at once: the same problem,
+maps, graph, dt and horizon, each with its own eta, epsilon, sigma, seed and
+x_0. Their states stack on a leading replica axis, every kernel call covers
+all of them, and each replica's arithmetic is its single run's, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -118,7 +124,17 @@ class NoiseStream:
         self.scale = sigma * math.sqrt(dt)
         key = SeedSequence(seed).generate_state(2, np.uint64)
         self._gen = Generator(Philox(key=key))
-        self._state = self._gen.bit_generator.state
+        # a fresh generator's state with an empty buffer, in plain Python ints,
+        # which the state setter reads faster than numpy arrays
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._counter, "key": key.tolist()},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def block(self, step: int, out: np.ndarray | None = None) -> np.ndarray:
         """The draw of a fresh Philox at counter [0, 0, step, 0], scaled,
@@ -128,11 +144,8 @@ class NoiseStream:
         block and its buffer emptied, which reproduces the fresh generator's
         output bit for bit.
         """
-        state = self._state
-        state["state"]["counter"][:] = (0, 0, step, 0)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        self._gen.bit_generator.state = state
+        self._counter[2] = step
+        self._gen.bit_generator.state = self._state
         if out is None:
             out = np.empty((self.n, self.d))
         self._gen.standard_normal(out=out)
@@ -142,7 +155,8 @@ class NoiseStream:
 
 @dataclass
 class ParticleSystem:
-    """Stacked state of the particle system at one step.
+    """Stacked state of the particle system at one step: (n, d) arrays, or
+    (R, n, d) for R replicas.
 
     x rows always satisfy x^i = backward(z^i); lam is zero for ISMD and mu is
     carried only by the preconditioned dynamics. The step kernel updates a
@@ -208,20 +222,20 @@ def _states(snaps: Snapshots) -> list[ParticleSystem]:
     return [snaps[r].copy() for r in range(len(snaps))]
 
 
-def _stacked(n: int, d: int, with_mu: bool) -> tuple[ParticleSystem, np.ndarray]:
-    """An unfilled step-0 state whose z, lam and (with_mu) mu are views of one
-    (k, n, d) buffer, and that buffer."""
-    stack = np.empty((3 if with_mu else 2, n, d))
+def _stacked(shape: tuple[int, ...], with_mu: bool) -> tuple[ParticleSystem, np.ndarray]:
+    """An unfilled step-0 state of ``shape`` arrays whose z, lam and
+    (with_mu) mu are views of one (k, *shape) buffer, and that buffer."""
+    stack = np.empty((3 if with_mu else 2, *shape))
     mu = stack[2] if with_mu else None
-    return ParticleSystem(z=stack[0], x=np.empty((n, d)), lam=stack[1], mu=mu, step=0, t=0.0), stack
+    return ParticleSystem(z=stack[0], x=np.empty(shape), lam=stack[1], mu=mu, step=0, t=0.0), stack
 
 
 def _initial(mmap: MirrorMap, x0_rows: np.ndarray,
              with_mu: bool) -> tuple[ParticleSystem, np.ndarray]:
-    """The step-0 state, z_0 = forward(x_0) with zero multipliers, in a
-    stacked buffer, and that buffer."""
+    """The step-0 state, z_0 = forward(x_0) with zero multipliers, of (n, d)
+    or (R, n, d) rows in a stacked buffer, and that buffer."""
     x0 = np.asarray(x0_rows, dtype=float)
-    state, stack = _stacked(*x0.shape, with_mu)
+    state, stack = _stacked(x0.shape, with_mu)
     stack.fill(0.0)
     state.z[...] = mmap.forward(x0)
     mmap.backward(state.z, out=state.x)
@@ -229,12 +243,32 @@ def _initial(mmap: MirrorMap, x0_rows: np.ndarray,
 
 
 class StepScratch:
-    """Work arrays of the step kernel for (n, d) states."""
+    """Work arrays of the step kernel for (n, d) or (R, n, d) states."""
 
-    def __init__(self, n: int, d: int):
-        self.drift = np.empty((n, d))
-        self.work = np.empty((n, d))
-        self.lap_x = np.empty((n, d))
+    def __init__(self, *shape: int):
+        self.drift = np.empty(shape)
+        self.work = np.empty(shape)
+        self.lap_x = np.empty(shape)
+
+
+@dataclass(frozen=True)
+class ReplicaRates:
+    """What the step kernel reads of the hyperparameters of R > 1 replicas:
+    eta and epsilon as (R, 1, 1) arrays, which broadcast against (R, n, d)
+    states, and the dt they share. Each replica's own sigma scales its
+    NoiseStream; ``sigma`` is the largest of them, so, as in Hyperparams, it
+    is positive exactly when noise is drawn."""
+
+    eta: np.ndarray
+    epsilon: np.ndarray
+    sigma: float
+    dt: float
+
+    @classmethod
+    def of(cls, hps: list[Hyperparams]) -> "ReplicaRates":
+        eta, epsilon = (np.array([getattr(h, k) for h in hps])[:, None, None]
+                        for k in ("eta", "epsilon"))
+        return cls(eta=eta, epsilon=epsilon, sigma=max(h.sigma for h in hps), dt=hps[0].dt)
 
 
 def default_initial_rows(problem: DistributedProblem, mmap: MirrorMap, seed: int) -> np.ndarray:
@@ -254,10 +288,12 @@ def _step(state, problem, mmap, graph, hp, noise, interaction_on, dual, out,
     ``interaction_on`` is None for the plain dynamics, which couple on z and
     carry no multiplier. The exact dynamics integrate lam directly when
     ``dual`` is None and mu, with lam = dual.backward(mu), otherwise. Every
-    read of ``state`` precedes the write of the same array of ``out``.
+    read of ``state`` precedes the write of the same array of ``out``. ``hp``
+    is a Hyperparams for (n, d) states, or the ReplicaRates of (R, n, d)
+    states of R replicas.
     """
     if out is None:
-        out, _ = _stacked(*state.z.shape, dual is not None)
+        out, _ = _stacked(state.z.shape, dual is not None)
     if scratch is None:
         scratch = StepScratch(*state.z.shape)
     lap, drift, work, lap_x = graph.laplacian, scratch.drift, scratch.work, scratch.lap_x
@@ -333,11 +369,12 @@ def epismd_step(
     return _step(state, problem, mmap, graph, hp, noise, interaction_on, dual, out, scratch)
 
 
-# Bytes of one (B, n, d) array of run's snapshot block, which sets B: 64
-# snapshots at n = 10, d = 20 and 8 at n = d = 40. Large enough that the
-# recorder's per-call costs spread over many snapshots, small enough that the
-# block and the recorder's temporaries over it add about 0.4 MB to a run's
-# peak memory.
+# Bytes of one (B, n, d) array of a run's snapshot block, which sets B:
+# 64 snapshots at n = 10, d = 20 and 8 at n = d = 40. The budget covers all
+# of a run's replicas, B snapshots of each taking (R, B, n, d), so memory does
+# not grow with R. Large enough that the recorder's per-call costs spread over
+# many snapshots, small enough that the block and the recorder's temporaries
+# over it add about 0.4 MB to a run's peak memory.
 _BLOCK_BYTES = 102_400
 # Magnitudes beyond this overflow the quadratic forms every diagnostic needs,
 # so they are treated as divergence just like non-finite values.
@@ -367,32 +404,128 @@ def _divergence(state: ParticleSystem, records: list) -> DivergenceError | None:
     return None
 
 
+class _Replica(NamedTuple):
+    index: int  # position in the caller's list of replicas
+    hp: Hyperparams
+    noise: NoiseStream | None
+    recorder: object
+    records: list
+
+
+class _Batch:
+    """The replicas a run still integrates: their state over one (k, R, n, d)
+    buffer, what the step kernel reads, and their block of snapshots.
+
+    A batch of one steps (n, d) views of the buffer with its replica's own
+    Hyperparams, as a single run always has; R > 1 replicas step (R, n, d)
+    arrays with their ReplicaRates. Replicas without noise add -0.0 to z when
+    others draw noise: x + (-0.0) is x for every x, -0.0 included, so their
+    bits are those of a noise-free step.
+    """
+
+    def __init__(self, replicas: list[_Replica], stack: np.ndarray, x: np.ndarray,
+                 step: int, t: float, n_records: int):
+        self.replicas, self.n_records = replicas, n_records
+        self.stack, self.x = stack, x
+        self.flat = stack.reshape(-1)
+        with_mu = len(stack) == 3
+        if len(replicas) == 1:
+            views, x_view, self.rates = stack[:, 0], x[0], replicas[0].hp
+        else:
+            views, x_view, self.rates = stack, x, ReplicaRates.of([r.hp for r in replicas])
+        self.state = ParticleSystem(z=views[0], x=x_view, lam=views[1],
+                                    mu=views[2] if with_mu else None, step=step, t=t)
+        self.scratch = StepScratch(*x_view.shape)
+        self.noise = None
+        self.draws = []
+        if any(r.noise is not None for r in replicas):
+            b = np.full(x.shape, -0.0)
+            self.noise = b[0] if len(replicas) == 1 else b
+            self.draws = [(r.noise, b[row]) for row, r in enumerate(replicas) if r.noise is not None]
+        size = min(n_records, max(1, _BLOCK_BYTES // stack[0].nbytes))
+        # z, lam and mu of each snapshot, in the order of the buffer
+        self.block = np.empty((len(stack), len(replicas), size, *x.shape[1:]))
+        self.xs = np.empty((len(replicas), size, *x.shape[1:]))
+        self.steps = np.empty(size, dtype=np.int64)
+        self.ts = np.empty(size)
+        self.filled = 0
+
+    def replica_state(self, row: int) -> ParticleSystem:
+        """The state of the replica in ``row``, of views of the buffer."""
+        mu = self.stack[2, row] if len(self.stack) == 3 else None
+        return ParticleSystem(z=self.stack[0, row], x=self.x[row], lam=self.stack[1, row],
+                              mu=mu, step=self.state.step, t=self.state.t)
+
+    def take(self) -> None:
+        """Copy the state into the next snapshot of each replica."""
+        filled = self.filled
+        self.block[:, :, filled] = self.stack
+        self.xs[:, filled] = self.x
+        self.steps[filled] = self.state.step
+        self.ts[filled] = self.state.t
+        self.filled += 1
+        if self.filled == len(self.steps):
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand each replica's snapshots, a contiguous block, to its recorder."""
+        filled, self.filled = self.filled, 0
+        if not filled:
+            return
+        for row, r in enumerate(self.replicas):
+            mu = self.block[2, row, :filled] if len(self.block) == 3 else None
+            snaps = Snapshots(z=self.block[0, row, :filled], x=self.xs[row, :filled],
+                              lam=self.block[1, row, :filled], mu=mu,
+                              step=self.steps[:filled], t=self.ts[:filled])
+            r.records.extend(r.recorder(snaps))
+
+    def without(self, rows) -> "_Batch":
+        """The batch of the other replicas, with their current state; call
+        after ``flush``."""
+        keep = [row for row in range(len(self.replicas)) if row not in rows]
+        # indexing the replica axis need not give a C-contiguous array, and
+        # the guard's flat view of the buffer needs one
+        stack = np.ascontiguousarray(self.stack[:, keep])
+        return _Batch([self.replicas[row] for row in keep], stack, self.x[keep],
+                      self.state.step, self.state.t, self.n_records)
+
+
 def run(
     algorithm: str,
     problem: DistributedProblem,
     mmap: MirrorMap,
     graph: WeightedGraph,
-    hp: Hyperparams,
+    hp,
     *,
-    seed: int = 0,
+    seed=0,
     dual=None,
     interaction_on: str = "x",
     metrics_every: int = 50,
     recorder=None,
-    x0_rows: np.ndarray | None = None,
+    x0_rows=None,
 ) -> list:
-    """Iterate the chosen step function for hp.epochs steps.
+    """Iterate the chosen step function for hp.epochs steps, for one run or
+    for a batch of replicas.
+
+    A single run takes one Hyperparams, one seed, one recorder and (n, d)
+    x0_rows, and returns its records. A batch takes a sequence of
+    Hyperparams, one per replica, which share dt and epochs, and a sequence
+    of seeds; x0_rows and recorder are then None or sequences with one entry
+    per replica, and an x0_rows entry may be None. It returns one outcome
+    per replica, in order: its records, or the DivergenceError that carries
+    them. Each replica's outcome is that of its single run, bit for bit.
 
     A record is taken at step 0, every ``metrics_every`` steps and at the
     final step: the state is copied into the next slot of a preallocated
     ``Snapshots`` block. Each full block, and the partial block at the end,
     goes to ``recorder`` in one call, which returns one record per snapshot
     (the default returns a copy of each state). The block holds at most
-    ``_BLOCK_BYTES`` per (B, n, d) array, and where its boundaries fall
-    changes no record. On a non-finite state the run hands the partial block
-    to the recorder, then raises a DivergenceError carrying the step index,
-    the records taken before the blow-up and the location of the first
-    offending entry.
+    ``_BLOCK_BYTES`` per (B, n, d) array over all replicas, and where its
+    boundaries fall changes no record. On a non-finite state the run hands
+    the partial block to the recorder, then raises a DivergenceError
+    carrying the step index, the records taken before the blow-up and the
+    location of the first offending entry; in a batch that replica's
+    outcome is the error, and the other replicas carry on without it.
 
     The run owns one state, whose z, lam and mu share one buffer, and updates
     it in place each step; the guard takes that buffer's sum of squares and
@@ -407,66 +540,64 @@ def run(
         raise ValueError(f"{algorithm} {'needs a' if dual is None else 'takes no'} dual map")
     if metrics_every < 1:
         raise ValueError(f"metrics_every must be >= 1, got {metrics_every}")
-    if recorder is None:
-        recorder = _states
+    single = isinstance(hp, Hyperparams)
+    if single:  # a single run is the batch of one
+        hp, seed, x0_rows, recorder = [hp], [seed], [x0_rows], [recorder]
+    hps, seeds = list(hp), list(seed)
+    x0s = [None] * len(hps) if x0_rows is None else list(x0_rows)
+    recorders = [None] * len(hps) if recorder is None else list(recorder)
+    if not hps or not len(seeds) == len(x0s) == len(recorders) == len(hps):
+        raise ValueError("a batch needs at least one replica, and one seed, x0_rows and "
+                         "recorder entry per replica")
+    dt, epochs = hps[0].dt, hps[0].epochs
+    if any(h.dt != dt or h.epochs != epochs for h in hps):
+        raise ValueError("the replicas of a batch must share dt and epochs")
 
     shape = (problem.n, problem.d)
-    if x0_rows is None:
-        x0_rows = default_initial_rows(problem, mmap, seed)
-    elif np.shape(x0_rows) != shape:
-        raise ValueError(f"x0_rows must have shape {shape}, got {np.shape(x0_rows)}")
-    state, stack = _initial(mmap, x0_rows, with_mu=(algorithm == "epismd"))
-    flat = stack.reshape(-1)
-    noise = b = None
-    if hp.sigma > 0:
-        noise = NoiseStream(seed, problem.n, problem.d, hp.sigma, hp.dt)
-        b = np.empty(shape)
-    scratch = StepScratch(*shape)
+    for i, (s, x0) in enumerate(zip(seeds, x0s)):
+        if x0 is None:
+            x0s[i] = default_initial_rows(problem, mmap, s)
+        elif np.shape(x0) != shape:
+            raise ValueError(f"x0_rows must have shape {shape}, got {np.shape(x0)}")
+    state, stack = _initial(mmap, np.array(x0s, dtype=float), with_mu=(algorithm == "epismd"))
+    replicas = [
+        _Replica(i, h, NoiseStream(s, *shape, h.sigma, dt) if h.sigma > 0 else None,
+                 rec or _states, [])
+        for i, (h, s, rec) in enumerate(zip(hps, seeds, recorders))
+    ]
+    outcomes: list = [r.records for r in replicas]
+    batch = _Batch(replicas, stack, state.x, 0, 0.0, 1 + math.ceil(epochs / metrics_every))
 
-    n_records = 1 + math.ceil(hp.epochs / metrics_every)
-    size = min(n_records, max(1, _BLOCK_BYTES // stack[0].nbytes))
-    # z, lam and mu of each snapshot, in the order of the state's buffer
-    block = np.empty((len(stack), size, *shape))
-    snaps = Snapshots(z=block[0], x=np.empty((size, *shape)), lam=block[1],
-                      mu=block[2] if state.mu is not None else None,
-                      step=np.empty(size, dtype=np.int64), t=np.empty(size))
-    records: list = []
-    filled = 0
-
-    def flush() -> None:
-        nonlocal filled
-        if filled:
-            records.extend(recorder(snaps[:filled]))
-            filled = 0
-
-    def take() -> None:
-        nonlocal filled
-        block[:, filled] = stack
-        snaps.x[filled] = state.x
-        snaps.step[filled] = state.step
-        snaps.t[filled] = state.t
-        filled += 1
-        if filled == size:
-            flush()
-
-    take()
-    for k in range(hp.epochs):
-        if noise is not None:
-            noise.block(k, out=b)
+    batch.take()
+    for k in range(epochs):
+        for noise, out in batch.draws:
+            noise.block(k, out=out)
+        state = batch.state
         if algorithm == "ismd":
-            ismd_step(state, problem, mmap, graph, hp, b, out=state, scratch=scratch)
+            ismd_step(state, problem, mmap, graph, batch.rates, batch.noise, out=state,
+                      scratch=batch.scratch)
         elif algorithm == "eismd":
-            eismd_step(state, problem, mmap, graph, hp, b, interaction_on,
-                       out=state, scratch=scratch)
+            eismd_step(state, problem, mmap, graph, batch.rates, batch.noise, interaction_on,
+                       out=state, scratch=batch.scratch)
         else:
-            epismd_step(state, problem, mmap, dual, graph, hp, b, interaction_on,
-                        out=state, scratch=scratch)
-        if not np.vdot(flat, flat) <= _FAST_SUM_LIMIT:
-            error = _divergence(state, records)
-            if error is not None:
-                flush()  # the error holds this list, so the block's records reach it
-                raise error
-        if state.step % metrics_every == 0 or state.step == hp.epochs:
-            take()
-    flush()
-    return records
+            epismd_step(state, problem, mmap, dual, graph, batch.rates, batch.noise,
+                        interaction_on, out=state, scratch=batch.scratch)
+        if not np.vdot(batch.flat, batch.flat) <= _FAST_SUM_LIMIT:
+            errors = {}
+            for row, r in enumerate(batch.replicas):
+                error = _divergence(batch.replica_state(row), r.records)
+                if error is not None:
+                    errors[row] = outcomes[r.index] = error
+            if errors:
+                batch.flush()  # each error holds its list, so the block's records reach it
+                if len(errors) == len(batch.replicas):
+                    break
+                batch = batch.without(errors)
+        if batch.state.step % metrics_every == 0 or batch.state.step == epochs:
+            batch.take()
+    batch.flush()
+    if not single:
+        return outcomes
+    if isinstance(outcomes[0], DivergenceError):
+        raise outcomes[0]
+    return outcomes[0]

@@ -45,6 +45,9 @@ SWEEPABLE = (
     "graph.beta",
     "problem.condition_number",
 )
+# The sweep parameters whose values run as the replicas of one batch: each
+# replica has its own, while everything else in the config is shared.
+BATCHED = ("hyperparams.eta", "hyperparams.epsilon", "hyperparams.sigma")
 
 METRICS_FILE = "metrics.csv"
 MANIFEST_FILE = "manifest.json"
@@ -175,47 +178,63 @@ def prepare(cfg: RunConfig) -> RunSetup:
     )
 
 
-def execute(cfg: RunConfig) -> tuple[list, dict, dynamics.DivergenceError | None]:
-    """Run the configured experiment; returns (records, manifest mapping,
-    divergence), where a run that diverged holds the records taken before
-    the blow-up and its DivergenceError, and any other run None."""
+def _shared(cfg: RunConfig) -> dict:
+    """The config without the keys in which the replicas of a batch differ."""
+    mapping = cfg.to_mapping()
+    for path in (*BATCHED, "run.seed"):
+        section, key = path.split(".")
+        del mapping[section][key]
+    return mapping
+
+
+def execute(cfgs: list[RunConfig]) -> list[tuple[list, dict, dynamics.DivergenceError | None]]:
+    """Run configs that differ at most in eta, epsilon, sigma and the run
+    seed as one batch, through one ``prepare``; returns (records, manifest
+    mapping, divergence) per config, where a run that diverged holds the
+    records taken before the blow-up and its DivergenceError, and any other
+    run None. One config is a batch of one."""
+    if any(_shared(cfg) != _shared(cfgs[0]) for cfg in cfgs[1:]):
+        raise ValueError(f"configs of a batch may differ only in {', '.join(BATCHED)} and run.seed")
     started = time.perf_counter()
-    setup = prepare(cfg)
+    setup = prepare(cfgs[0])
     prepare_s = time.perf_counter() - started
-    a = cfg["algorithm"]
-    record_s = 0.0
+    a = cfgs[0]["algorithm"]
+    record_s = [0.0] * len(cfgs)
 
-    def recorder(snaps):
-        nonlocal record_s
-        records, seconds = _timed(setup.recorder, snaps)
-        record_s += seconds
-        return records
+    def recorder(index):
+        """The recorder of replica ``index``, timed into record_s[index]."""
+
+        def timed(snaps):
+            records, seconds = _timed(setup.recorder, snaps)
+            record_s[index] += seconds
+            return records
+
+        return timed
 
     started = time.perf_counter()
-    divergence = None
-    try:
-        records = dynamics.run(
-            a["name"],
-            setup.problem,
-            setup.mmap,
-            setup.graph,
-            cfg.hyperparams(),
-            seed=cfg["run"]["seed"],
-            dual=setup.dual,
-            interaction_on=a["interaction_on"],
-            metrics_every=cfg["hyperparams"]["metrics_every"],
-            recorder=recorder,
-            x0_rows=load_x0(cfg, setup.problem),
-        )
-    except dynamics.DivergenceError as exc:
-        records, divergence = exc.records, exc
-    timings = {
-        "prepare_s": prepare_s,
-        **setup.timings,
-        "integrate_s": time.perf_counter() - started,
-        "record_s": record_s,
-    }
-    return records, build_manifest(cfg, setup, timings, len(records), divergence), divergence
+    outcomes = dynamics.run(
+        a["name"],
+        setup.problem,
+        setup.mmap,
+        setup.graph,
+        [cfg.hyperparams() for cfg in cfgs],
+        seed=[cfg["run"]["seed"] for cfg in cfgs],
+        dual=setup.dual,
+        interaction_on=a["interaction_on"],
+        metrics_every=cfgs[0]["hyperparams"]["metrics_every"],
+        recorder=[recorder(index) for index in range(len(cfgs))],
+        x0_rows=[load_x0(cfgs[0], setup.problem)] * len(cfgs),
+    )
+    integrate_s = time.perf_counter() - started
+    results = []
+    for cfg, outcome, seconds in zip(cfgs, outcomes, record_s):
+        divergence = outcome if isinstance(outcome, dynamics.DivergenceError) else None
+        records = outcome if divergence is None else divergence.records
+        timings = {"prepare_s": prepare_s, **setup.timings, "integrate_s": integrate_s,
+                   "record_s": seconds}
+        manifest = build_manifest(cfg, setup, timings, len(records), divergence)
+        results.append((records, manifest, divergence))
+    return results
 
 
 def _float_or_none(v) -> float | None:
@@ -232,8 +251,10 @@ def build_manifest(
     spent in ``prepare`` and in ``dynamics.run``, the parts of prepare_s
     spent building the dual map (dual_s), in the oracle (oracle_s) and in
     the constants (constants_s), and the part of integrate_s spent in the
-    recorder (record_s), timed per snapshot block. ``record_share`` is
-    record_s / integrate_s. A diverged run gains a ``diverged`` block."""
+    recorder (record_s), timed per snapshot block. In a batch, prepare_s,
+    its parts and integrate_s are the batch's and record_s is the run's own.
+    ``record_share`` is record_s / integrate_s. A diverged run gains a
+    ``diverged`` block."""
     opt = setup.opt
     cst = setup.constants
     steps = cfg["hyperparams"]["epochs"] if divergence is None else divergence.step
@@ -313,7 +334,7 @@ def _raise_first(divergences, written: list[Path]) -> None:
 def cmd_run(cfg: RunConfig, out_dir: Path | str) -> tuple[Path, Path]:
     """Run one config and write its metrics CSV and manifest; a run that
     diverged writes both and then raises its DivergenceError."""
-    records, manifest, divergence = execute(cfg)
+    [(records, manifest, divergence)] = execute([cfg])
     paths = write_run_outputs(out_dir, records, manifest)
     _raise_first([(None, divergence)], paths)
     return paths
@@ -345,7 +366,7 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
     manifests = {}
     divergences = []
     for cfg, label in zip(configs, labels):
-        records, manifests[label], divergence = execute(cfg)
+        [(records, manifests[label], divergence)] = execute([cfg])
         divergences.append((label, divergence))
         all_rows.extend(f"{label},{rec.to_csv_row()}" for rec in records)
     csv_text = "\n".join(["run," + csv_header(), *all_rows]) + "\n"
@@ -359,9 +380,12 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     """One independent seeded run per parameter value plus a summary CSV.
 
     Each raw value is converted and validated by the config schema, as a
-    loaded value is, before any run starts. A diverged value writes its run
-    as ``cmd_run`` does and its last finite record as its summary row; once
-    every file is written, the first divergence is raised."""
+    loaded value is, before any run starts. The values of a ``BATCHED``
+    parameter run as one batch, the others one after another; either way
+    value i runs with seed base + i and writes the same bytes. A diverged
+    value writes its run as ``cmd_run`` does and its last finite record as
+    its summary row; once every file is written, the first divergence is
+    raised."""
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter path {param!r}; choose from {SWEEPABLE}")
     if not raw_values:
@@ -381,8 +405,11 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     out.mkdir(parents=True, exist_ok=True)
     summary_lines = ["value,seed," + csv_header() + ",rate_r,rate_r_squared"]
     divergences = []
-    for raw, run_cfg in zip(raw_values, run_cfgs):
-        records, manifest, divergence = execute(run_cfg)
+    if param in BATCHED:
+        results = execute(run_cfgs)
+    else:
+        results = (execute([run_cfg])[0] for run_cfg in run_cfgs)
+    for raw, run_cfg, (records, manifest, divergence) in zip(raw_values, run_cfgs, results):
         run_dir = out / f"{key}_{raw}"
         write_run_outputs(run_dir, records, manifest)
         divergences.append((run_dir.name, divergence))

@@ -135,17 +135,19 @@ def test_criterion_4_lyapunov_monotone_linear_rate():
 def test_criterion_5_noise_floor_sigma_squared_scaling():
     problem, graph, spec, mmap, opt, c = _desk_setup()
     rec = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c)
-    floors = {}
-    for sigma in (0.05, 0.1):
-        tails = []
-        for seed in range(5):
-            hp = Hyperparams(sigma=sigma, dt=0.01, epochs=20_000)
-            records = run(
-                "eismd", problem, mmap, graph, hp, seed=seed, metrics_every=20, recorder=rec,
-            )
-            v = np.array([r.V for r in records])
-            tails.append(v[int(0.8 * len(v)):].mean())
-        floors[sigma] = float(np.mean(tails))
+    sigmas, seeds = (0.05, 0.1), range(5)
+    # the ten runs, five seeds per sigma, as the replicas of one batch
+    hps = [Hyperparams(sigma=sigma, dt=0.01, epochs=20_000) for sigma in sigmas for _ in seeds]
+    outcomes = run(
+        "eismd", problem, mmap, graph, hps, seed=[seed for _ in sigmas for seed in seeds],
+        metrics_every=20, recorder=[rec] * len(hps),
+    )
+    tails = []
+    for records in outcomes:
+        v = np.array([r.V for r in records])
+        tails.append(v[int(0.8 * len(v)):].mean())
+    k = len(seeds)
+    floors = {sigma: float(np.mean(tails[i * k:(i + 1) * k])) for i, sigma in enumerate(sigmas)}
     ratio = floors[0.1] / floors[0.05]
     ok = 2.0 <= ratio <= 8.0
     _report(

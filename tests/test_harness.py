@@ -149,6 +149,36 @@ def test_sweep_writes_runs_and_summary(tmp_path):
     assert (tmp_path / "sweep" / "epsilon_10" / "manifest.json").exists()
 
 
+def test_a_batched_sweep_shares_its_set_up_and_integration(tmp_path):
+    cfg = load_config(write_config(tmp_path, MINIMAL))
+    for param, values, batched in [("hyperparams.sigma", ["0", "0.1", "0.2"], True),
+                                   ("hyperparams.dt", ["0.01", "0.02"], False)]:
+        out = tmp_path / param
+        harness.cmd_sweep(cfg, param, values, out)
+        key = param.split(".")[1]
+        manifests = [json.loads((out / f"{key}_{v}" / "manifest.json").read_text())
+                     for v in values]
+        timings = [m["timings"] for m in manifests]
+        shared = {(t["prepare_s"], t["oracle_s"], t["integrate_s"]) for t in timings}
+        assert len(shared) == (1 if batched else len(values))
+        for m, t in zip(manifests, timings):
+            assert 0.0 < t["record_s"] <= t["integrate_s"]
+            assert m["record_share"] == t["record_s"] / t["integrate_s"]
+            assert m["steps_per_second"] == 100 / t["integrate_s"]
+
+
+def test_execute_batches_only_configs_that_differ_in_batched_keys(tmp_path):
+    cfg = load_config(write_config(tmp_path, MINIMAL))
+    batch = [with_values(cfg, {"hyperparams.eta": 2.0, "run.seed": 5}),
+             with_values(cfg, {"hyperparams.epsilon": 3.0, "hyperparams.sigma": 0.1})]
+    assert [m["config"] for _, m, _ in harness.execute(batch)] == [
+        c.to_mapping() for c in batch]
+    for path, value in [("hyperparams.dt", 0.02), ("hyperparams.metrics_every", 5),
+                        ("problem.seed", 4), ("run.out", "elsewhere")]:
+        with pytest.raises(ValueError, match="may differ only in"):
+            harness.execute([cfg, with_values(cfg, {path: value})])
+
+
 def test_sweep_rejects_unknown_or_empty(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL))
     with pytest.raises(ConfigError, match="parameter path"):
@@ -472,8 +502,9 @@ def test_cli_compare_writes_both_files_around_a_diverged_run(tmp_path, capsys):
 def test_compare_manifest_stays_json_for_a_non_finite_divergence(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path, MINIMAL))
 
-    def nan_run(*args, **kwargs):
-        raise DivergenceError(7, [], "lam", 1, 0, float("nan"))
+    def nan_run(*args, seed, **kwargs):
+        # a batch's outcome per replica: the error of a run that diverged
+        return [DivergenceError(7, [], "lam", 1, 0, float("nan")) for _ in seed]
 
     monkeypatch.setattr(harness.dynamics, "run", nan_run)
     with pytest.raises(DivergenceError):
