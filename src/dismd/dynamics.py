@@ -582,7 +582,8 @@ def run(
         else:
             epismd_step(state, problem, mmap, dual, graph, batch.rates, batch.noise,
                         interaction_on, out=state, scratch=batch.scratch)
-        if not np.vdot(batch.flat, batch.flat) <= _FAST_SUM_LIMIT:
+        flat = batch.flat
+        if not np.vdot(flat, flat) <= _FAST_SUM_LIMIT:
             errors = {}
             for row, r in enumerate(batch.replicas):
                 error = _divergence(batch.replica_state(row), r.records)
@@ -593,7 +594,7 @@ def run(
                 if len(errors) == len(batch.replicas):
                     break
                 batch = batch.without(errors)
-        if batch.state.step % metrics_every == 0 or batch.state.step == epochs:
+        if state.step % metrics_every == 0 or state.step == epochs:
             batch.take()
     batch.flush()
     if not single:

@@ -12,6 +12,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -194,22 +195,20 @@ def execute(cfgs: list[RunConfig]) -> list[tuple[list, dict, dynamics.Divergence
     records taken before the blow-up and its DivergenceError, and any other
     run None. One config is a batch of one."""
     if any(_shared(cfg) != _shared(cfgs[0]) for cfg in cfgs[1:]):
-        raise ValueError(f"configs of a batch may differ only in {', '.join(BATCHED)} and run.seed")
+        raise ValueError(
+            f"configs of a batch may differ only in {', '.join(BATCHED)} and run.seed"
+        )
     started = time.perf_counter()
     setup = prepare(cfgs[0])
     prepare_s = time.perf_counter() - started
     a = cfgs[0]["algorithm"]
     record_s = [0.0] * len(cfgs)
 
-    def recorder(index):
-        """The recorder of replica ``index``, timed into record_s[index]."""
-
-        def timed(snaps):
-            records, seconds = _timed(setup.recorder, snaps)
-            record_s[index] += seconds
-            return records
-
-        return timed
+    def recorder(index, snaps):
+        """The records of replica ``index``, timed into record_s[index]."""
+        records, seconds = _timed(setup.recorder, snaps)
+        record_s[index] += seconds
+        return records
 
     started = time.perf_counter()
     outcomes = dynamics.run(
@@ -222,7 +221,7 @@ def execute(cfgs: list[RunConfig]) -> list[tuple[list, dict, dynamics.Divergence
         dual=setup.dual,
         interaction_on=a["interaction_on"],
         metrics_every=cfgs[0]["hyperparams"]["metrics_every"],
-        recorder=[recorder(index) for index in range(len(cfgs))],
+        recorder=[partial(recorder, index) for index in range(len(cfgs))],
         x0_rows=[load_x0(cfgs[0], setup.problem)] * len(cfgs),
     )
     integrate_s = time.perf_counter() - started
