@@ -448,6 +448,10 @@ class _Batch:
         self.xs = np.empty((len(replicas), size, *x.shape[1:]))
         self.steps = np.empty(size, dtype=np.int64)
         self.ts = np.empty(size)
+        # each replica's snapshots, contiguous views of the block
+        self.snaps = [Snapshots(z=self.block[0, row], x=self.xs[row], lam=self.block[1, row],
+                                mu=self.block[2, row] if with_mu else None,
+                                step=self.steps, t=self.ts) for row in range(len(replicas))]
         self.filled = 0
 
     def replica_state(self, row: int) -> ParticleSystem:
@@ -470,14 +474,9 @@ class _Batch:
     def flush(self) -> None:
         """Hand each replica's snapshots, a contiguous block, to its recorder."""
         filled, self.filled = self.filled, 0
-        if not filled:
-            return
-        for row, r in enumerate(self.replicas):
-            mu = self.block[2, row, :filled] if len(self.block) == 3 else None
-            snaps = Snapshots(z=self.block[0, row, :filled], x=self.xs[row, :filled],
-                              lam=self.block[1, row, :filled], mu=mu,
-                              step=self.steps[:filled], t=self.ts[:filled])
-            r.records.extend(r.recorder(snaps))
+        if filled:
+            for r, snaps in zip(self.replicas, self.snaps):
+                r.records.extend(r.recorder(snaps[:filled]))
 
     def without(self, rows) -> "_Batch":
         """The batch of the other replicas, with their current state; call
