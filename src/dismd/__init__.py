@@ -34,7 +34,7 @@ from .objectives import (
     load_problem_bundle,
     save_problem_bundle,
 )
-from .oracle import OptimalPair, centralized_md_baseline, solve_simplex, solve_unconstrained
+from .oracle import OptimalPair, solve_simplex, solve_unconstrained
 
 __all__ = [
     "DivergenceError",
@@ -56,7 +56,6 @@ __all__ = [
     "WeightedGraph",
     "build_graph",
     "build_topology",
-    "centralized_md_baseline",
     "generate_problem",
     "load_problem_bundle",
     "make_mirror_map",

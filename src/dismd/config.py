@@ -165,9 +165,12 @@ def _validate(cfg: RunConfig) -> None:
     g = cfg["graph"]
     kinds = TOPOLOGY_KINDS + ("matrix",)
     _require(g["topology"] in kinds, f"graph.topology must be one of {kinds}, got {g['topology']!r}")
-    for key, topology in (("p", "erdos_renyi"), ("cluster", "barbell"), ("weights", "matrix")):
+    # a key left at its default (None, or seed 0 as to_mapping echoes it) is not set
+    for key, topology in (("p", "erdos_renyi"), ("seed", "erdos_renyi"), ("cluster", "barbell"),
+                          ("weights", "matrix")):
         if g["topology"] != topology:
-            _require(g[key] is None, f"graph.{key} is read only by graph.topology = {topology}, got {g['topology']!r}")
+            _require(g[key] == SCHEMA["graph"][key][1],
+                     f"graph.{key} is read only by graph.topology = {topology}, got {g['topology']!r}")
     if g["topology"] == "erdos_renyi":
         _require(g["p"] is not None, "graph.topology = erdos_renyi requires graph.p")
         _require(0.0 < g["p"] <= 1.0, f"graph.p must be in (0, 1], got {g['p']}")

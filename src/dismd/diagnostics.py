@@ -133,13 +133,6 @@ def consensus_spread(x_rows: np.ndarray, losses: np.ndarray):
     return stacked_vdot(diff, diff)
 
 
-def bregman_to_opt(x_rows: np.ndarray, x_star: np.ndarray, mmap: MirrorMap) -> float:
-    """sum_i D_phi(x*, x^i)."""
-    x_rows = np.asarray(x_rows, dtype=float)
-    target = np.broadcast_to(x_star, x_rows.shape)
-    return float(np.sum(mmap.bregman(target, x_rows)))
-
-
 def kappa_g_estimate(mmap: MirrorMap, x_rows: np.ndarray) -> float:
     """Infimum of the generalized Rayleigh quotient, which is exactly zero.
 

@@ -170,10 +170,6 @@ class ParticleSystem:
     step: int
     t: float
 
-    @classmethod
-    def initial(cls, mmap: MirrorMap, x0_rows: np.ndarray, with_mu: bool = False) -> "ParticleSystem":
-        return _initial(mmap, x0_rows, with_mu)[0]
-
     def copy(self) -> "ParticleSystem":
         """A state with copies of every array."""
         mu = None if self.mu is None else self.mu.copy()

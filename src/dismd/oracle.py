@@ -1,4 +1,4 @@
-"""Ground-truth optima and centralized baselines.
+"""Ground-truth optima.
 
 Both solves need a positive definite aggregate Hessian, so that the
 consensus optimum is unique. The unconstrained solve goes through the
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics
 from .graphs import WeightedGraph, spectra
-from .mirror_maps import MirrorMap
 from .objectives import DistributedProblem
 
 KKT_TOL = 1e-8  # times (1 + ||x*||)
@@ -160,44 +158,3 @@ def solve(problem: DistributedProblem, graph: WeightedGraph) -> OptimalPair:
     if problem.domain == "simplex":
         return solve_simplex(problem, graph)
     return solve_unconstrained(problem, graph)
-
-
-def merge_blocks(problem: DistributedProblem) -> DistributedProblem:
-    """Collapse the N local objectives into one block for a centralized run."""
-    return DistributedProblem(
-        q=problem.q.reshape(1, problem.n * problem.m, problem.d),
-        b=problem.b.reshape(1, problem.n * problem.m),
-        domain=problem.domain,
-        minimizer=problem.minimizer,
-    )
-
-
-def centralized_md_baseline(
-    problem: DistributedProblem,
-    mmap: MirrorMap,
-    hp: dynamics.Hyperparams,
-    seed: int = 0,
-    x0: np.ndarray | None = None,
-    sample_every: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-server mirror descent on the aggregate objective.
-
-    Runs the plain dynamics with one particle (so the interaction vanishes)
-    and returns the sampled times and primal iterates as arrays.
-    """
-    merged = merge_blocks(problem)
-    graph = WeightedGraph.from_adjacency(np.ones((1, 1)))
-    x0_rows = None if x0 is None else np.asarray(x0, dtype=float).reshape(1, -1)
-    states = dynamics.run(
-        "ismd",
-        merged,
-        mmap,
-        graph,
-        hp,
-        seed=seed,
-        metrics_every=sample_every,
-        x0_rows=x0_rows,
-    )
-    ts = np.array([s.t for s in states])
-    xs = np.stack([s.x[0] for s in states])
-    return ts, xs

@@ -102,6 +102,8 @@ def test_validation_rules(tmp_path):
         # keys the chosen options never read
         ("[graph]\np = 0.5\n", "graph.p"),
         ("[graph]\ncluster = 5\n", "graph.cluster"),
+        ("[graph]\nseed = 5\n", "graph.seed"),
+        ("[problem]\nn = 4\n[graph]\ntopology = barbell\ncluster = 2\nseed = -1\n", "graph.seed"),
         ("[graph]\nweights = /nonexistent.csv\n", "graph.weights"),
         ("[algorithm]\nname = eismd\ndual_beta = 0.1\n", "algorithm.dual_beta"),
         ("[algorithm]\nname = epismd\ndual = identity\ndual_beta = 0.1\n", "algorithm.dual_beta"),
@@ -123,6 +125,15 @@ def test_validation_rules(tmp_path):
             text = f"[{section}]\n{name} = {value}\n"
             with pytest.raises(ConfigError, match=re.escape(key)):
                 load_config(write(tmp_path, text))
+
+
+def test_graph_seed_accepted_where_read_and_at_its_default():
+    # test_validation_rules rejects a seed elsewhere; 0 is the default, which
+    # to_mapping echoes, so every topology accepts it
+    er = RunConfig.from_mapping({"graph": {"topology": "erdos_renyi", "p": 0.5, "seed": 5}})
+    assert er["graph"]["seed"] == 5
+    cyclic = RunConfig.from_mapping({"graph": {"topology": "cyclic", "seed": 0}})
+    assert RunConfig.from_mapping(cyclic.to_mapping()).to_mapping() == cyclic.to_mapping()
 
 
 def test_missing_file_raises():

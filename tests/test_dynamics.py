@@ -89,7 +89,8 @@ def test_ismd_single_particle_is_centralized_md():
     g = metropolis_weights((), 1)
     mmap = EuclideanMap(1)
     hp = Hyperparams(eta=0.7, epsilon=1.0, dt=0.1, epochs=1)
-    state = ParticleSystem.initial(mmap, np.array([[1.0]]))
+    z = mmap.forward(np.array([[1.0]]))
+    state = ParticleSystem(z=z, x=mmap.backward(z), lam=np.zeros_like(z), mu=None, step=0, t=0.0)
     out = ismd_step(state, prob, mmap, g, hp)
     # centralized step: z <- z - eta * dt * grad f(x) = 1 - 0.07*(1-3)
     assert out.z[0, 0] == pytest.approx(1.0 - 0.7 * 0.1 * (1.0 - 3.0), abs=1e-15)
@@ -103,7 +104,8 @@ def test_ismd_fixed_point_at_shared_minimizer():
     mmap = EuclideanMap(3)
     hp = Hyperparams(dt=0.05, epochs=1)
     x0 = np.tile(prob.minimizer, (4, 1))
-    state = ParticleSystem.initial(mmap, x0)
+    z = mmap.forward(x0)
+    state = ParticleSystem(z=z, x=mmap.backward(z), lam=np.zeros_like(z), mu=None, step=0, t=0.0)
     out = ismd_step(state, prob, mmap, g, hp)
     assert np.max(np.abs(out.z - state.z)) <= 1e-14
     assert np.max(np.abs(out.x - state.x)) <= 1e-14
@@ -116,7 +118,8 @@ def test_ismd_scalar_hand_recursion():
     mmap = EuclideanMap(1)
     eta, eps, dt = 1.0, 1.0, 0.1
     hp = Hyperparams(eta=eta, epsilon=eps, dt=dt, epochs=1)
-    state = ParticleSystem.initial(mmap, np.zeros((2, 1)))
+    z = mmap.forward(np.zeros((2, 1)))
+    state = ParticleSystem(z=z, x=mmap.backward(z), lam=np.zeros_like(z), mu=None, step=0, t=0.0)
     out = ismd_step(state, prob, mmap, g, hp)
     # hand recursion with plain floats: z_i -= dt*(eta*(x_i - b_i) + eps*(L z)_i)
     z1, z2 = 0.0, 0.0
@@ -152,7 +155,8 @@ def test_eismd_lambda_frozen_on_consensus():
     g = build_graph(Topology("cyclic", 4))
     mmap = EuclideanMap(2)
     x0 = np.tile(np.array([0.3, -1.2]), (4, 1))
-    state = ParticleSystem.initial(mmap, x0)
+    z = mmap.forward(x0)
+    state = ParticleSystem(z=z, x=mmap.backward(z), lam=np.zeros_like(z), mu=None, step=0, t=0.0)
     out = eismd_step(state, prob, mmap, g, Hyperparams(dt=0.1, epochs=1))
     assert np.max(np.abs(out.lam)) <= 1e-15
 
@@ -232,7 +236,9 @@ def test_epismd_mu_frozen_on_consensus():
     dual = RegularizedDualHessian(spec, prob.hess_blocks())
     mmap = EuclideanMap(2)
     x0 = np.tile(np.array([0.4, 0.6]), (4, 1))
-    state = ParticleSystem.initial(mmap, x0, with_mu=True)
+    z = mmap.forward(x0)
+    state = ParticleSystem(z=z, x=mmap.backward(z), lam=np.zeros_like(z), mu=np.zeros_like(z),
+                           step=0, t=0.0)
     out = epismd_step(state, prob, mmap, dual, g, Hyperparams(dt=0.1, epochs=1))
     assert np.max(np.abs(out.mu)) <= 1e-15
 

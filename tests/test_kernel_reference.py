@@ -8,7 +8,8 @@ independent references (with the ``out=`` keyword of the in-place step
 kernel, which only copies the result): a kernel that sums in another order
 may differ from them in the last bits, but never by more than a small
 multiple of the rounding error of its operands. ``ref_record`` is the recorder that versions
-0.1.0 to 0.5.0 shipped: residual-form losses row by row, D_f as
+0.1.0 to 0.5.0 shipped: residual-form losses row by row, V1 as
+``bregman_to_opt``, sum_i D_phi(x*, x^i) in the map's own form, D_f as
 sum_i f_i(x_i) - f* - <grad f(x*), dx> over the einsum ``ref_block_values``,
 and the consensus term as <x, L x> / 2. The trajectory check runs the golden
 cases once as shipped and once with these references patched in, and bounds
@@ -39,7 +40,7 @@ import pytest
 
 from dismd import dynamics, harness, oracle
 from dismd.config import RunConfig, load_config
-from dismd.diagnostics import MetricsRecord, MetricsRecorder, bregman_to_opt, consensus_spread
+from dismd.diagnostics import MetricsRecord, MetricsRecorder, consensus_spread
 from dismd.graphs import Topology, build_graph, spectra
 from dismd.mirror_maps import EntropyMap, RegularizedDualHessian
 from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
@@ -61,6 +62,13 @@ def _into(value, out):
 def ref_grads(self, x_rows, out=None):
     r = np.einsum("nmd,nd->nm", self.q, x_rows) - self.b
     return _into(np.einsum("nmd,nm->nd", self.q, r), out)
+
+
+def bregman_to_opt(x_rows, x_star, mmap):
+    """sum_i D_phi(x*, x^i)."""
+    x_rows = np.asarray(x_rows, dtype=float)
+    target = np.broadcast_to(x_star, x_rows.shape)
+    return float(np.sum(mmap.bregman(target, x_rows)))
 
 
 def ref_block_values(self, x_rows):
@@ -323,7 +331,10 @@ def _ref_states(cfg, setup):
     x0 = harness.load_x0(cfg, setup.problem)
     if x0 is None:
         x0 = dynamics.default_initial_rows(setup.problem, setup.mmap, seed)
-    state = dynamics.ParticleSystem.initial(setup.mmap, x0, with_mu=a["name"] == "epismd")
+    z = setup.mmap.forward(x0)
+    mu = np.zeros_like(z) if a["name"] == "epismd" else None
+    state = dynamics.ParticleSystem(z=z, x=setup.mmap.backward(z), lam=np.zeros_like(z), mu=mu,
+                                    step=0, t=0.0)
     noise = None
     if hp.sigma > 0:
         noise = dynamics.NoiseStream(seed, setup.problem.n, setup.problem.d, hp.sigma, hp.dt)

@@ -3,17 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from dismd.dynamics import Hyperparams
 from dismd.graphs import Topology, build_graph, metropolis_weights, spectra
-from dismd.mirror_maps import EuclideanMap
 from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
-from dismd.oracle import (
-    OracleError,
-    centralized_md_baseline,
-    merge_blocks,
-    solve_simplex,
-    solve_unconstrained,
-)
+from dismd.oracle import OracleError, solve_simplex, solve_unconstrained
 
 
 def test_identity_blocks_optimum_is_mean_of_targets():
@@ -225,55 +217,3 @@ def test_rank_deficient_simplex_problem_raises(shared):
     ))
     with pytest.raises(OracleError, match="not unique"):
         solve_simplex(prob, build_graph(Topology("cyclic", 2)))
-
-
-def test_centralized_baseline_converges_to_oracle():
-    prob = generate_problem(GeneratorConfig(seed=7, d=4, m=5, n=5, condition_number=4.0))
-    g = build_graph(Topology("cyclic", 5))
-    opt = solve_unconstrained(prob, g)
-    ts, xs = centralized_md_baseline(
-        prob, EuclideanMap(4), Hyperparams(dt=0.05, epochs=4000), sample_every=4000
-    )
-    assert np.linalg.norm(xs[-1] - opt.x_star) <= 1e-6
-
-
-def test_centralized_baseline_fixed_point_at_optimum():
-    prob = generate_problem(GeneratorConfig(seed=8, d=3, m=4, n=4, condition_number=3.0))
-    g = build_graph(Topology("cyclic", 4))
-    opt = solve_unconstrained(prob, g)
-    ts, xs = centralized_md_baseline(
-        prob, EuclideanMap(3), Hyperparams(dt=0.05, epochs=50),
-        x0=opt.x_star, sample_every=50,
-    )
-    assert np.max(np.abs(xs[-1] - opt.x_star)) <= 1e-12
-
-
-def test_centralized_baseline_noise_floor_scales_with_sigma_squared():
-    prob = generate_problem(GeneratorConfig(seed=9, d=3, m=4, n=4, condition_number=2.0))
-    g = build_graph(Topology("cyclic", 4))
-    opt = solve_unconstrained(prob, g)
-    mmap = EuclideanMap(3)
-
-    def tail_average(sigma):
-        tails = []
-        for seed in range(4):
-            ts, xs = centralized_md_baseline(
-                prob, mmap, Hyperparams(sigma=sigma, dt=0.02, epochs=30000),
-                seed=seed, x0=opt.x_star, sample_every=20,
-            )
-            breg = 0.5 * np.sum((xs - opt.x_star) ** 2, axis=1)
-            tails.append(breg[int(0.5 * len(breg)):].mean())
-        return float(np.mean(tails))
-
-    ratio = tail_average(0.1) / tail_average(0.05)
-    assert 2.0 <= ratio <= 8.0  # nominal 4: floor proportional to sigma^2
-
-
-def test_merge_blocks_preserves_aggregate_objective():
-    prob = generate_problem(GeneratorConfig(seed=10, d=3, m=4, n=5, condition_number=3.0))
-    merged = merge_blocks(prob)
-    assert merged.n == 1
-    rng = np.random.default_rng(1)
-    for _ in range(5):
-        x = rng.standard_normal(3)
-        assert merged.aggregate_value(x) == pytest.approx(prob.aggregate_value(x), rel=1e-12)
