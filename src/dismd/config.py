@@ -150,6 +150,11 @@ def _validate(cfg: RunConfig) -> None:
     _require(p["kind"] in ("generate", "bundle"), f"problem.kind must be generate|bundle, got {p['kind']!r}")
     if p["kind"] == "bundle":
         _require(p["bundle"] is not None, "problem.kind = bundle requires problem.bundle")
+        # the bundle's own arrays decide; a key left at its default, as
+        # to_mapping echoes it, is not set
+        for key in ("seed", "d", "m", "n", "condition_number", "shared_minimizer", "domain"):
+            _require(p[key] == SCHEMA["problem"][key][1],
+                     f"problem.{key} is read only by problem.kind = generate, got 'bundle'")
     else:
         _require(p["bundle"] is None, "problem.bundle is read only by problem.kind = bundle")
     _require(p["domain"] in DOMAINS, f"problem.domain must be one of {DOMAINS}, got {p['domain']!r}")

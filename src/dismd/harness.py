@@ -4,6 +4,11 @@ and oracle, run the dynamics, and emit metrics CSV plus a run manifest.
 CSV numbers use the shortest round-trip decimal representation, and the
 manifest echoes the fully resolved config, so identical (config, seed,
 version) reproduce byte-identical outputs.
+
+Each CSV is written while its runs integrate: the records of each snapshot
+block are formatted and appended to ``<name>.tmp`` as they are taken, and
+the file is renamed to its own name once its runs are done. A command keeps only what it still reads of a run's records (see
+``RunLog``), so its memory does not grow with the record count.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import json
 import os
 import time
+from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -52,6 +59,11 @@ BATCHED = ("hyperparams.eta", "hyperparams.epsilon", "hyperparams.sigma")
 
 METRICS_FILE = "metrics.csv"
 MANIFEST_FILE = "manifest.json"
+# Snapshots a replica's recorder turns into records at once. The snapshot
+# block of a small problem holds thousands (6,400 at n = 2, d = 1), whose
+# records would be all of a short run's; 128, the largest block of the
+# shipped problem shapes, bounds the records alive at once.
+_RECORDS_PER_WRITE = 128
 
 
 def build_problem(cfg: RunConfig) -> DistributedProblem:
@@ -188,16 +200,89 @@ def _shared(cfg: RunConfig) -> dict:
     return mapping
 
 
-def execute(cfgs: list[RunConfig]) -> list[tuple[list, dict, dynamics.DivergenceError | None]]:
+class CsvStream:
+    """A CSV written as its runs go: the header and each appended block go
+    to ``<name>.tmp``, which ``publish`` renames to the CSV's own name.
+    Each append opens the file, writes one block and closes it, so no file
+    stays open between blocks."""
+
+    def __init__(self, path: Path, header: str):
+        self.path = path
+        self.tmp = path.with_name(path.name + ".tmp")
+        # the directories this stream makes, deepest first, for discard
+        self.made = []
+        for directory in (path.parent, *path.parent.parents):
+            if directory.exists():
+                break
+            self.made.append(directory)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.tmp.write_text(header + "\n")
+
+    def append(self, text: str) -> None:
+        with open(self.tmp, "a") as f:
+            f.write(text)
+
+    def publish(self) -> Path:
+        os.replace(self.tmp, self.path)
+        return self.path
+
+    def discard(self) -> None:
+        """Remove the unpublished file and the directories made for it."""
+        if self.tmp.exists():
+            self.tmp.unlink()
+            for directory in self.made:
+                directory.rmdir()
+
+
+@contextmanager
+def _discard_on_failure(streams: list[CsvStream]):
+    """Discard every stream of ``streams`` not yet published if the block
+    raises, so a failed command leaves no partial CSV."""
+    try:
+        yield
+    except BaseException:
+        for stream in streams:
+            stream.discard()
+        raise
+
+
+class RunLog:
+    """What a command keeps of one run's records as they stream into its
+    CSV: their count, the last one and, with ``fit``, the t and V columns
+    that ``rate_fit`` reads. Rows go to ``csv`` led by ``label`` when one is
+    given; without a csv the records are only counted."""
+
+    def __init__(self, csv: CsvStream | None = None, label: str | None = None,
+                 fit: bool = False):
+        self.csv, self.lead = csv, "" if label is None else f"{label},"
+        self.count, self.last = 0, None
+        self.t, self.V = (array("d"), array("d")) if fit else (None, None)
+
+    def add(self, records: list[diagnostics.MetricsRecord]) -> None:
+        if self.csv is not None:
+            self.csv.append(records_to_csv(records, self.lead))
+        self.count += len(records)
+        self.last = records[-1]
+        if self.t is not None:
+            self.t.extend(r.t for r in records)
+            self.V.extend(r.V for r in records)
+
+
+def execute(cfgs: list[RunConfig], logs: list[RunLog] | None = None
+            ) -> list[tuple[RunLog, dict, dynamics.DivergenceError | None]]:
     """Run configs that differ at most in eta, epsilon, sigma and the run
-    seed as one batch, through one ``prepare``; returns (records, manifest
-    mapping, divergence) per config, where a run that diverged holds the
-    records taken before the blow-up and its DivergenceError, and any other
-    run None. One config is a batch of one."""
+    seed as one batch, through one ``prepare``. Each run's records go to
+    its entry of ``logs`` (by default logs that only count them) block by
+    block, as they are taken. Returns (log, manifest mapping, divergence)
+    per config, where a run that diverged has logged the records taken
+    before the blow-up and holds its DivergenceError, whose ``records`` is
+    empty, and any other run None. One config is a batch of one."""
     if any(_shared(cfg) != _shared(cfgs[0]) for cfg in cfgs[1:]):
         raise ValueError(
             f"configs of a batch may differ only in {', '.join(BATCHED)} and run.seed"
         )
+    if logs is None:
+        logs = [RunLog() for _ in cfgs]
     started = time.perf_counter()
     setup = prepare(cfgs[0])
     prepare_s = time.perf_counter() - started
@@ -205,10 +290,13 @@ def execute(cfgs: list[RunConfig]) -> list[tuple[list, dict, dynamics.Divergence
     record_s = [0.0] * len(cfgs)
 
     def recorder(index, snaps):
-        """The records of replica ``index``, timed into record_s[index]."""
-        records, seconds = _timed(setup.recorder, snaps)
-        record_s[index] += seconds
-        return records
+        """Log the records of replica ``index``, the recorder timed into
+        record_s[index]; returns none, so dynamics.run keeps none."""
+        for start in range(0, len(snaps), _RECORDS_PER_WRITE):
+            records, seconds = _timed(setup.recorder, snaps[start:start + _RECORDS_PER_WRITE])
+            record_s[index] += seconds
+            logs[index].add(records)
+        return []
 
     started = time.perf_counter()
     outcomes = dynamics.run(
@@ -226,13 +314,12 @@ def execute(cfgs: list[RunConfig]) -> list[tuple[list, dict, dynamics.Divergence
     )
     integrate_s = time.perf_counter() - started
     results = []
-    for cfg, outcome, seconds in zip(cfgs, outcomes, record_s):
+    for cfg, log, outcome, seconds in zip(cfgs, logs, outcomes, record_s):
         divergence = outcome if isinstance(outcome, dynamics.DivergenceError) else None
-        records = outcome if divergence is None else divergence.records
         timings = {"prepare_s": prepare_s, **setup.timings, "integrate_s": integrate_s,
                    "record_s": seconds}
-        manifest = build_manifest(cfg, setup, timings, len(records), divergence)
-        results.append((records, manifest, divergence))
+        manifest = build_manifest(cfg, setup, timings, log.count, divergence)
+        results.append((log, manifest, divergence))
     return results
 
 
@@ -250,7 +337,8 @@ def build_manifest(
     spent in ``prepare`` and in ``dynamics.run``, the parts of prepare_s
     spent building the dual map (dual_s), in the oracle (oracle_s) and in
     the constants (constants_s), and the part of integrate_s spent in the
-    recorder (record_s), timed per snapshot block. In a batch, prepare_s,
+    recorder (record_s), timed per snapshot block; integrate_s also holds
+    the writing of the records' CSV rows. In a batch, prepare_s,
     its parts and integrate_s are the batch's and record_s is the run's own.
     ``record_share`` is record_s / integrate_s. A diverged run gains a
     ``diverged`` block."""
@@ -295,10 +383,9 @@ def build_manifest(
     return manifest
 
 
-def records_to_csv(records: list[diagnostics.MetricsRecord]) -> str:
-    lines = [csv_header()]
-    lines.extend(rec.to_csv_row() for rec in records)
-    return "\n".join(lines) + "\n"
+def records_to_csv(records: list[diagnostics.MetricsRecord], lead: str = "") -> str:
+    """The CSV rows of ``records``, each led by ``lead`` and ended by a newline."""
+    return "".join(f"{lead}{rec.to_csv_row()}\n" for rec in records)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -311,12 +398,10 @@ def _write_atomic(path: Path, text: str) -> None:
             tmp.unlink()
 
 
-def write_run_outputs(out_dir: Path | str, records, manifest) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    metrics_path = out / METRICS_FILE
-    manifest_path = out / MANIFEST_FILE
-    _write_atomic(metrics_path, records_to_csv(records))
+def write_run_outputs(csv: CsvStream, manifest) -> tuple[Path, Path]:
+    """Publish a run's streamed metrics CSV and write its manifest beside it."""
+    manifest_path = csv.path.parent / MANIFEST_FILE
+    metrics_path = csv.publish()
     _write_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return metrics_path, manifest_path
 
@@ -333,14 +418,17 @@ def _raise_first(divergences, written: list[Path]) -> None:
 def cmd_run(cfg: RunConfig, out_dir: Path | str) -> tuple[Path, Path]:
     """Run one config and write its metrics CSV and manifest; a run that
     diverged writes both and then raises its DivergenceError."""
-    [(records, manifest, divergence)] = execute([cfg])
-    paths = write_run_outputs(out_dir, records, manifest)
+    csv = CsvStream(Path(out_dir) / METRICS_FILE, csv_header())
+    with _discard_on_failure([csv]):
+        [(_, manifest, divergence)] = execute([cfg], [RunLog(csv)])
+        paths = write_run_outputs(csv, manifest)
     _raise_first([(None, divergence)], paths)
     return paths
 
 
 def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str) -> Path:
-    """Run several configs and emit one label-keyed CSV of aligned records.
+    """Run several configs, in order, and emit one label-keyed CSV of
+    aligned records.
 
     A run that diverges contributes the records taken before the blow-up,
     and its manifest entry says where it diverged; the other runs complete.
@@ -361,15 +449,14 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
                 )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    all_rows = []
+    csv = CsvStream(out / "compare.csv", "run," + csv_header())
     manifests = {}
     divergences = []
-    for cfg, label in zip(configs, labels):
-        [(records, manifests[label], divergence)] = execute([cfg])
-        divergences.append((label, divergence))
-        all_rows.extend(f"{label},{rec.to_csv_row()}" for rec in records)
-    csv_text = "\n".join(["run," + csv_header(), *all_rows]) + "\n"
-    _write_atomic(out / "compare.csv", csv_text)
+    with _discard_on_failure([csv]):
+        for cfg, label in zip(configs, labels):
+            [(_, manifests[label], divergence)] = execute([cfg], [RunLog(csv, label)])
+            divergences.append((label, divergence))
+        csv.publish()
     _write_atomic(out / MANIFEST_FILE, json.dumps(manifests, indent=2) + "\n")
     _raise_first(divergences, [out / "compare.csv", out / MANIFEST_FILE])
     return out / "compare.csv"
@@ -381,10 +468,10 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     Each raw value is converted and validated by the config schema, as a
     loaded value is, before any run starts. The values of a ``BATCHED``
     parameter run as one batch, the others one after another; either way
-    value i runs with seed base + i and writes the same bytes. A diverged
-    value writes its run as ``cmd_run`` does and its last finite record as
-    its summary row; once every file is written, the first divergence is
-    raised."""
+    value i runs with seed base + i, streams its own metrics CSV and writes
+    the same bytes. A diverged value writes its run as ``cmd_run`` does and
+    its last finite record as its summary row; once every file is written,
+    the first divergence is raised."""
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter path {param!r}; choose from {SWEEPABLE}")
     if not raw_values:
@@ -404,22 +491,27 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     out.mkdir(parents=True, exist_ok=True)
     summary_lines = ["value,seed," + csv_header() + ",rate_r,rate_r_squared"]
     divergences = []
-    if param in BATCHED:
-        results = execute(run_cfgs)
-    else:
-        results = (execute([run_cfg])[0] for run_cfg in run_cfgs)
-    for raw, run_cfg, (records, manifest, divergence) in zip(raw_values, run_cfgs, results):
-        run_dir = out / f"{key}_{raw}"
-        write_run_outputs(run_dir, records, manifest)
-        divergences.append((run_dir.name, divergence))
-        try:
-            fit = rate_fit([r.t for r in records], [r.V for r in records], window=0.5)
-            r, r2 = fit.r, fit.r_squared
-        except ValueError:
-            r, r2 = float("nan"), float("nan")
-        summary_lines.append(
-            f"{raw},{run_cfg['run']['seed']},{records[-1].to_csv_row()},{r!r},{r2!r}"
-        )
+    runs = list(zip(raw_values, run_cfgs))
+    batches = [runs] if param in BATCHED else [[run] for run in runs]
+    streams = []
+    with _discard_on_failure(streams):
+        for batch in batches:
+            logs = []
+            for raw, _ in batch:
+                streams.append(CsvStream(out / f"{key}_{raw}" / METRICS_FILE, csv_header()))
+                logs.append(RunLog(streams[-1], fit=True))
+            results = execute([run_cfg for _, run_cfg in batch], logs)
+            for (raw, run_cfg), (log, manifest, divergence) in zip(batch, results):
+                write_run_outputs(log.csv, manifest)
+                divergences.append((log.csv.path.parent.name, divergence))
+                try:
+                    fit = rate_fit(log.t, log.V, window=0.5)
+                    r, r2 = fit.r, fit.r_squared
+                except ValueError:
+                    r, r2 = float("nan"), float("nan")
+                summary_lines.append(
+                    f"{raw},{run_cfg['run']['seed']},{log.last.to_csv_row()},{r!r},{r2!r}"
+                )
     _write_atomic(out / "summary.csv", "\n".join(summary_lines) + "\n")
     _raise_first(divergences, [*(out / name for name, _ in divergences), out / "summary.csv"])
     return out / "summary.csv"

@@ -116,6 +116,10 @@ def test_validation_rules(tmp_path):
         ("[graph]\ntopology = barbell\ncluster = 0\n", "graph.cluster"),
         ("[problem]\nkind = bundle\nbundle = b\n[graph]\ntopology = barbell\ncluster = 0\n",
          "graph.cluster"),
+        # a bundle's own arrays decide what the generator's keys would
+        *((f"[problem]\nkind = bundle\nbundle = b\n{key} = {value}\n", f"problem.{key}")
+          for key, value in [("seed", 5), ("d", 3), ("m", 2), ("n", 7), ("condition_number", 4.0),
+                             ("shared_minimizer", "true"), ("domain", "simplex")]),
     ]:
         with pytest.raises(ConfigError, match=key):
             load_config(write(tmp_path, text))
@@ -134,6 +138,13 @@ def test_graph_seed_accepted_where_read_and_at_its_default():
     assert er["graph"]["seed"] == 5
     cyclic = RunConfig.from_mapping({"graph": {"topology": "cyclic", "seed": 0}})
     assert RunConfig.from_mapping(cyclic.to_mapping()).to_mapping() == cyclic.to_mapping()
+
+
+def test_bundle_accepts_the_generator_keys_at_their_defaults():
+    # test_validation_rules rejects them when set; to_mapping echoes the
+    # defaults, so a bundle config round-trips
+    bundle = RunConfig.from_mapping({"problem": {"kind": "bundle", "bundle": "b", "n": 10}})
+    assert RunConfig.from_mapping(bundle.to_mapping()).to_mapping() == bundle.to_mapping()
 
 
 def test_missing_file_raises():

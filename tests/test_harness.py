@@ -1,10 +1,11 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dismd import cli, harness
+from dismd import cli, diagnostics, harness
 from dismd.diagnostics import csv_header
 from dismd.dynamics import DivergenceError
 from dismd.config import ConfigError, RunConfig, load_config
@@ -177,6 +178,64 @@ def test_execute_batches_only_configs_that_differ_in_batched_keys(tmp_path):
                         ("problem.seed", 4), ("run.out", "elsewhere")]:
         with pytest.raises(ValueError, match="may differ only in"):
             harness.execute([cfg, with_values(cfg, {path: value})])
+
+
+def test_cmd_run_memory_does_not_grow_with_the_record_count(tmp_path):
+    # each block of records goes to the CSV as it is taken, and the command
+    # keeps only their count and the last one
+    cfg = load_config(write_config(tmp_path, MINIMAL))
+    peaks = {}
+    for epochs in (500, 5000):
+        dense = with_values(cfg, {"hyperparams.epochs": epochs, "hyperparams.metrics_every": 1})
+        tracemalloc.start()
+        try:
+            metrics_path, _ = harness.cmd_run(dense, tmp_path / str(epochs))
+            peaks[epochs] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(metrics_path.read_text().splitlines()) == epochs + 2
+    assert abs(peaks[5000] - peaks[500]) < 0.5 * 2**20, peaks
+
+
+RECORD = diagnostics.MetricsRecorder.__call__
+
+
+def fail_the_recorder(monkeypatch, after_calls, tmp):
+    """Make MetricsRecorder raise ValueError on its call after_calls + 1,
+    checking that ``tmp`` then holds streamed rows past its header."""
+    calls = []
+
+    def flaky(self, snaps):
+        calls.append(len(snaps))
+        if len(calls) > after_calls:
+            assert len(tmp.read_text().splitlines()) > 1
+            raise ValueError("recorder failed")
+        return RECORD(self, snaps)
+
+    monkeypatch.setattr(diagnostics.MetricsRecorder, "__call__", flaky)
+
+
+def test_a_failed_command_leaves_no_partial_csv(tmp_path, monkeypatch):
+    # each run records 301 snapshots, three recorder calls of at most 128
+    cfg = load_config(write_config(tmp_path, MINIMAL))
+    cfg = with_values(cfg, {"hyperparams.epochs": 300, "hyperparams.metrics_every": 1})
+    out = tmp_path / "run"
+    fail_the_recorder(monkeypatch, 1, out / "metrics.csv.tmp")
+    with pytest.raises(ValueError, match="recorder failed"):
+        harness.cmd_run(cfg, out)
+    assert not out.exists()  # the directory made for the stream goes too
+
+    out = tmp_path / "compare"
+    fail_the_recorder(monkeypatch, 4, out / "compare.csv.tmp")  # part-way through run b
+    with pytest.raises(ValueError, match="recorder failed"):
+        harness.cmd_compare([cfg, cfg], ["a", "b"], out)
+    assert list(out.iterdir()) == []
+
+    out = tmp_path / "sweep"
+    fail_the_recorder(monkeypatch, 4, out / "sigma_0.1" / "metrics.csv.tmp")
+    with pytest.raises(ValueError, match="recorder failed"):
+        harness.cmd_sweep(cfg, "hyperparams.sigma", ["0", "0.1", "0.2"], out)
+    assert list(out.iterdir()) == []
 
 
 def test_sweep_rejects_unknown_or_empty(tmp_path):
@@ -564,14 +623,20 @@ def test_cli_seed_override(tmp_path):
         cli._load(str(cfg_path), "nine")
 
 
+def bundle_config(bundle):
+    """MINIMAL with its problem loaded from ``bundle``, whose own arrays
+    decide what the generator's keys would."""
+    generated = "[problem]\nn = 2\nd = 1\nm = 1\ncondition_number = 1\nseed = 3\n"
+    assert generated in MINIMAL
+    return MINIMAL.replace(generated, f"[problem]\nkind = bundle\nbundle = {bundle}\n")
+
+
 def test_cli_problem_gen_and_bundle_round_trip(tmp_path):
     cfg_path = write_config(tmp_path, MINIMAL)
     assert cli.main(
         ["problem-gen", "--config", str(cfg_path), "--out", str(tmp_path / "bundle"), "--quiet"]
     ) == 0
-    text = MINIMAL.replace("kind = generate", "").replace(
-        "[problem]", f"[problem]\nkind = bundle\nbundle = {tmp_path/'bundle'}"
-    )
+    text = bundle_config(tmp_path / "bundle")
     cfg_path2 = write_config(tmp_path, text, "bundle.ini")
     out_a = tmp_path / "gen_run"
     out_b = tmp_path / "bundle_run"
@@ -585,9 +650,7 @@ def test_bundle_domain_decides_the_entropy_map_check(tmp_path):
     assert cli.main(
         ["problem-gen", "--config", str(cfg_path), "--out", str(tmp_path / "bundle"), "--quiet"]
     ) == 0
-    text = MINIMAL.replace(
-        "[problem]", f"[problem]\nkind = bundle\nbundle = {tmp_path/'bundle'}"
-    ) + "\n[algorithm]\nmap = entropy\n"
+    text = bundle_config(tmp_path / "bundle") + "\n[algorithm]\nmap = entropy\n"
     # the config itself is valid: only the loaded bundle knows its domain
     cfg = load_config(write_config(tmp_path, text, "bundle.ini"))
     with pytest.raises(ConfigError, match="entropy"):
