@@ -151,6 +151,23 @@ def test_sweep_csv_files_match_golden_hashes(tmp_path, param, values):
     assert got == GOLDEN_SWEEPS[(param, values)]
 
 
+# (compared config stems, in order) -> sha256 of compare.csv, each cut to
+# 2,000 epochs recorded every 10
+GOLDEN_COMPARE = {
+    ("problem_a_eismd", "problem_a_ismd", "barbell_epismd"):
+        "c92d9e5ebffb0de192fda3a760b598e9446470fd2e5c519a3febde072330222f",
+}
+
+
+@pytest.mark.parametrize("stems", list(GOLDEN_COMPARE), ids=lambda v: "-".join(v))
+def test_compare_csv_matches_golden_hash(tmp_path, stems):
+    assert __version__ == "0.7.0", "a new artifact version needs new golden hashes"
+    configs = [shipped_config(stem, {}) for stem in stems]
+    csv_path = harness.cmd_compare(configs, list(stems), tmp_path)
+    assert len(csv_path.read_text().splitlines()) == 1 + 3 * 201
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == GOLDEN_COMPARE[stems]
+
+
 # manifest values of the shipped configs that are common to both problem_a runs
 _PROBLEM_A_MANIFEST = {
     "constants": {
