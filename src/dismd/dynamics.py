@@ -372,6 +372,10 @@ def epismd_step(
 # many snapshots, small enough that the block and the recorder's temporaries
 # over it add about 0.4 MB to a run's peak memory.
 _BLOCK_BYTES = 102_400
+# Snapshots of a block at most: _BLOCK_BYTES alone gives a small problem
+# thousands (6,400 at n = 2, d = 1). 128, the largest block of the shipped
+# problem shapes, bounds the records one recorder call returns.
+_BLOCK_RECORDS = 128
 # Magnitudes beyond this overflow the quadratic forms every diagnostic needs,
 # so they are treated as divergence just like non-finite values.
 _STATE_LIMIT = 1e150
@@ -438,7 +442,7 @@ class _Batch:
             b = np.full(x.shape, -0.0)
             self.noise = b[0] if len(replicas) == 1 else b
             self.draws = [(r.noise, b[row]) for row, r in enumerate(replicas) if r.noise is not None]
-        size = min(n_records, max(1, _BLOCK_BYTES // stack[0].nbytes))
+        size = min(n_records, _BLOCK_RECORDS, max(1, _BLOCK_BYTES // stack[0].nbytes))
         # z, lam and mu of each snapshot, in the order of the buffer
         self.block = np.empty((len(stack), len(replicas), size, *x.shape[1:]))
         self.xs = np.empty((len(replicas), size, *x.shape[1:]))
@@ -541,12 +545,13 @@ def run(
     ``Snapshots`` block. Each full block, and the partial block at the end,
     goes to ``recorder`` in one call, which returns one record per snapshot
     (the default returns a copy of each state). The block holds at most
-    ``_BLOCK_BYTES`` per (B, n, d) array over all replicas, and where its
-    boundaries fall changes no record. On a non-finite state the run hands
-    the partial block to the recorder, then raises a DivergenceError
-    carrying the step index, the records taken before the blow-up and the
-    location of the first offending entry; in a batch that replica's
-    outcome is the error, and the other replicas carry on without it.
+    ``_BLOCK_RECORDS`` snapshots and ``_BLOCK_BYTES`` per (B, n, d) array over
+    all replicas, and where its boundaries fall changes no record. On a
+    non-finite state the run hands the partial block to the recorder, then
+    raises a DivergenceError carrying the step index, the records taken
+    before the blow-up and the location of the first offending entry; in a
+    batch that replica's outcome is the error, and the other replicas carry
+    on without it.
 
     The run owns one state, whose z, lam and mu share one buffer, and updates
     it in place each step; the guard takes that buffer's sum of squares and

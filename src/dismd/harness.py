@@ -59,11 +59,6 @@ BATCHED = ("hyperparams.eta", "hyperparams.epsilon", "hyperparams.sigma")
 
 METRICS_FILE = "metrics.csv"
 MANIFEST_FILE = "manifest.json"
-# Snapshots a replica's recorder turns into records at once. The snapshot
-# block of a small problem holds thousands (6,400 at n = 2, d = 1), whose
-# records would be all of a short run's; 128, the largest block of the
-# shipped problem shapes, bounds the records alive at once.
-_RECORDS_PER_WRITE = 128
 
 
 def build_problem(cfg: RunConfig) -> DistributedProblem:
@@ -151,9 +146,11 @@ class RunSetup:
     mmap: object
     dual: object | None
     opt: oracle.OptimalPair
-    timings: dict[str, float]  # dual_s, oracle_s and constants_s, parts of prepare
+    # prepare_s and its parts dual_s, oracle_s and constants_s
+    timings: dict[str, float]
     constants: diagnostics.ConvexityConstants
     recorder: MetricsRecorder
+    x0: np.ndarray | None  # algorithm.x0's rows, None for the default start
 
 
 def _timed(fn, *args):
@@ -164,6 +161,9 @@ def _timed(fn, *args):
 
 
 def prepare(cfg: RunConfig) -> RunSetup:
+    """Everything a run of ``cfg`` needs before it integrates, its inputs
+    loaded and checked."""
+    started = time.perf_counter()
     problem = build_problem(cfg)
     graph, spec = build_graph_and_spectra(cfg, problem.n)
     a = cfg["algorithm"]
@@ -179,16 +179,29 @@ def prepare(cfg: RunConfig) -> RunSetup:
         diagnostics.kappa_g_estimate(mmap, opt.x_star[None, :])
     c = diagnostics.default_c(constants)
     recorder = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c, dual=dual)
+    x0 = load_x0(cfg, problem)
+    prepare_s = time.perf_counter() - started
     return RunSetup(
         problem=problem,
         graph=graph,
         mmap=mmap,
         dual=dual,
         opt=opt,
-        timings={"dual_s": dual_s, "oracle_s": oracle_s, "constants_s": constants_s},
+        timings={"prepare_s": prepare_s, "dual_s": dual_s, "oracle_s": oracle_s,
+                 "constants_s": constants_s},
         constants=constants,
         recorder=recorder,
+        x0=x0,
     )
+
+
+def _prepared(cfg: RunConfig, where: str) -> RunSetup:
+    """``prepare(cfg)``, a set-up failure raised as a ConfigError led by
+    ``where``, which names the config among a command's others."""
+    try:
+        return prepare(cfg)
+    except (ValueError, oracle.OracleError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _shared(cfg: RunConfig) -> dict:
@@ -249,18 +262,16 @@ def _discard_on_failure(streams: list[CsvStream]):
 class RunLog:
     """What a command keeps of one run's records as they stream into its
     CSV: their count, the last one and, with ``fit``, the t and V columns
-    that ``rate_fit`` reads. Rows go to ``csv`` led by ``label`` when one is
-    given; without a csv the records are only counted."""
+    that ``rate_fit`` reads. Rows go to ``csv``, led by ``label`` when one
+    is given."""
 
-    def __init__(self, csv: CsvStream | None = None, label: str | None = None,
-                 fit: bool = False):
+    def __init__(self, csv: CsvStream, label: str | None = None, fit: bool = False):
         self.csv, self.lead = csv, "" if label is None else f"{label},"
         self.count, self.last = 0, None
         self.t, self.V = (array("d"), array("d")) if fit else (None, None)
 
     def add(self, records: list[diagnostics.MetricsRecord]) -> None:
-        if self.csv is not None:
-            self.csv.append(records_to_csv(records, self.lead))
+        self.csv.append(records_to_csv(records, self.lead))
         self.count += len(records)
         self.last = records[-1]
         if self.t is not None:
@@ -268,34 +279,28 @@ class RunLog:
             self.V.extend(r.V for r in records)
 
 
-def execute(cfgs: list[RunConfig], logs: list[RunLog] | None = None
+def execute(setup: RunSetup, cfgs: list[RunConfig], logs: list[RunLog]
             ) -> list[tuple[RunLog, dict, dynamics.DivergenceError | None]]:
-    """Run configs that differ at most in eta, epsilon, sigma and the run
-    seed as one batch, through one ``prepare``. Each run's records go to
-    its entry of ``logs`` (by default logs that only count them) block by
-    block, as they are taken. Returns (log, manifest mapping, divergence)
-    per config, where a run that diverged has logged the records taken
-    before the blow-up and holds its DivergenceError, whose ``records`` is
-    empty, and any other run None. One config is a batch of one."""
+    """Integrate configs that differ at most in eta, epsilon, sigma and the
+    run seed as one batch, from ``setup``, the ``prepare`` of the first.
+    Each run's records go to its entry of ``logs`` block by block, as they
+    are taken. Returns (log, manifest mapping, divergence) per config, where
+    a run that diverged has logged the records taken before the blow-up and
+    holds its DivergenceError, whose ``records`` is empty, and any other run
+    None. One config is a batch of one."""
     if any(_shared(cfg) != _shared(cfgs[0]) for cfg in cfgs[1:]):
         raise ValueError(
             f"configs of a batch may differ only in {', '.join(BATCHED)} and run.seed"
         )
-    if logs is None:
-        logs = [RunLog() for _ in cfgs]
-    started = time.perf_counter()
-    setup = prepare(cfgs[0])
-    prepare_s = time.perf_counter() - started
     a = cfgs[0]["algorithm"]
     record_s = [0.0] * len(cfgs)
 
     def recorder(index, snaps):
         """Log the records of replica ``index``, the recorder timed into
         record_s[index]; returns none, so dynamics.run keeps none."""
-        for start in range(0, len(snaps), _RECORDS_PER_WRITE):
-            records, seconds = _timed(setup.recorder, snaps[start:start + _RECORDS_PER_WRITE])
-            record_s[index] += seconds
-            logs[index].add(records)
+        records, seconds = _timed(setup.recorder, snaps)
+        record_s[index] += seconds
+        logs[index].add(records)
         return []
 
     started = time.perf_counter()
@@ -310,14 +315,13 @@ def execute(cfgs: list[RunConfig], logs: list[RunLog] | None = None
         interaction_on=a["interaction_on"],
         metrics_every=cfgs[0]["hyperparams"]["metrics_every"],
         recorder=[partial(recorder, index) for index in range(len(cfgs))],
-        x0_rows=[load_x0(cfgs[0], setup.problem)] * len(cfgs),
+        x0_rows=[setup.x0] * len(cfgs),
     )
     integrate_s = time.perf_counter() - started
     results = []
     for cfg, log, outcome, seconds in zip(cfgs, logs, outcomes, record_s):
         divergence = outcome if isinstance(outcome, dynamics.DivergenceError) else None
-        timings = {"prepare_s": prepare_s, **setup.timings, "integrate_s": integrate_s,
-                   "record_s": seconds}
+        timings = {**setup.timings, "integrate_s": integrate_s, "record_s": seconds}
         manifest = build_manifest(cfg, setup, timings, log.count, divergence)
         results.append((log, manifest, divergence))
     return results
@@ -417,10 +421,12 @@ def _raise_first(divergences, written: list[Path]) -> None:
 
 def cmd_run(cfg: RunConfig, out_dir: Path | str) -> tuple[Path, Path]:
     """Run one config and write its metrics CSV and manifest; a run that
-    diverged writes both and then raises its DivergenceError."""
+    diverged writes both and then raises its DivergenceError. A set-up
+    failure writes nothing."""
+    setup = prepare(cfg)
     csv = CsvStream(Path(out_dir) / METRICS_FILE, csv_header())
     with _discard_on_failure([csv]):
-        [(_, manifest, divergence)] = execute([cfg], [RunLog(csv)])
+        [(_, manifest, divergence)] = execute(setup, [cfg], [RunLog(csv)])
         paths = write_run_outputs(csv, manifest)
     _raise_first([(None, divergence)], paths)
     return paths
@@ -430,7 +436,9 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
     """Run several configs, in order, and emit one label-keyed CSV of
     aligned records.
 
-    A run that diverges contributes the records taken before the blow-up,
+    Every config is set up before any runs; a set-up failure is a
+    ConfigError naming the config's label, and writes nothing. A run that
+    diverges contributes the records taken before the blow-up,
     and its manifest entry says where it diverged; the other runs complete.
     Once both files are written, the first divergence is raised, labelled
     with its run."""
@@ -447,14 +455,15 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
                     f"compare configs must share hyperparams.{key} "
                     f"({h[key]} != {base[key]})"
                 )
+    setups = [_prepared(cfg, f"config {label}") for cfg, label in zip(configs, labels)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv = CsvStream(out / "compare.csv", "run," + csv_header())
     manifests = {}
     divergences = []
     with _discard_on_failure([csv]):
-        for cfg, label in zip(configs, labels):
-            [(_, manifests[label], divergence)] = execute([cfg], [RunLog(csv, label)])
+        for setup, cfg, label in zip(setups, configs, labels):
+            [(_, manifests[label], divergence)] = execute(setup, [cfg], [RunLog(csv, label)])
             divergences.append((label, divergence))
         csv.publish()
     _write_atomic(out / MANIFEST_FILE, json.dumps(manifests, indent=2) + "\n")
@@ -466,8 +475,10 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     """One independent seeded run per parameter value plus a summary CSV.
 
     Each raw value is converted and validated by the config schema, as a
-    loaded value is, before any run starts. The values of a ``BATCHED``
-    parameter run as one batch, the others one after another; either way
+    loaded value is, and set up before any run starts; a set-up failure is
+    a ConfigError naming the parameter and the value, and writes nothing.
+    The values of a ``BATCHED`` parameter run as one batch, sharing one
+    set-up, the others one after another; either way
     value i runs with seed base + i, streams its own metrics CSV and writes
     the same bytes. A diverged value writes its run as ``cmd_run`` does and
     its last finite record as its summary row; once every file is written,
@@ -487,20 +498,22 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     values = [run_cfg[section][key] for run_cfg in run_cfgs]
     if len(set(values)) < len(values):
         raise ConfigError(f"sweep values must be distinct, got {','.join(raw_values)}")
+    runs = list(zip(raw_values, run_cfgs))
+    batches = [runs] if param in BATCHED else [[run] for run in runs]
+    setups = [_prepared(batch[0][1], f"{param} = {','.join(raw for raw, _ in batch)}")
+              for batch in batches]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary_lines = ["value,seed," + csv_header() + ",rate_r,rate_r_squared"]
     divergences = []
-    runs = list(zip(raw_values, run_cfgs))
-    batches = [runs] if param in BATCHED else [[run] for run in runs]
     streams = []
     with _discard_on_failure(streams):
-        for batch in batches:
+        for setup, batch in zip(setups, batches):
             logs = []
             for raw, _ in batch:
                 streams.append(CsvStream(out / f"{key}_{raw}" / METRICS_FILE, csv_header()))
                 logs.append(RunLog(streams[-1], fit=True))
-            results = execute([run_cfg for _, run_cfg in batch], logs)
+            results = execute(setup, [run_cfg for _, run_cfg in batch], logs)
             for (raw, run_cfg), (log, manifest, divergence) in zip(batch, results):
                 write_run_outputs(log.csv, manifest)
                 divergences.append((log.csv.path.parent.name, divergence))

@@ -150,12 +150,17 @@ def test_sweep_writes_runs_and_summary(tmp_path):
     assert (tmp_path / "sweep" / "epsilon_10" / "manifest.json").exists()
 
 
-def test_a_batched_sweep_shares_its_set_up_and_integration(tmp_path):
+def test_a_batched_sweep_shares_its_set_up_and_integration(tmp_path, monkeypatch):
     cfg = load_config(write_config(tmp_path, MINIMAL))
+    prepared = []
+    prepare = harness.prepare
+    monkeypatch.setattr(harness, "prepare", lambda c: prepared.append(c) or prepare(c))
     for param, values, batched in [("hyperparams.sigma", ["0", "0.1", "0.2"], True),
                                    ("hyperparams.dt", ["0.01", "0.02"], False)]:
         out = tmp_path / param
+        prepared.clear()
         harness.cmd_sweep(cfg, param, values, out)
+        assert len(prepared) == (1 if batched else len(values))
         key = param.split(".")[1]
         manifests = [json.loads((out / f"{key}_{v}" / "manifest.json").read_text())
                      for v in values]
@@ -170,14 +175,48 @@ def test_a_batched_sweep_shares_its_set_up_and_integration(tmp_path):
 
 def test_execute_batches_only_configs_that_differ_in_batched_keys(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL))
+    setup = harness.prepare(cfg)
+
+    def logs(k):
+        return [harness.RunLog(harness.CsvStream(tmp_path / f"{i}.csv", csv_header()))
+                for i in range(k)]
+
     batch = [with_values(cfg, {"hyperparams.eta": 2.0, "run.seed": 5}),
              with_values(cfg, {"hyperparams.epsilon": 3.0, "hyperparams.sigma": 0.1})]
-    assert [m["config"] for _, m, _ in harness.execute(batch)] == [
+    assert [m["config"] for _, m, _ in harness.execute(setup, batch, logs(2))] == [
         c.to_mapping() for c in batch]
     for path, value in [("hyperparams.dt", 0.02), ("hyperparams.metrics_every", 5),
                         ("problem.seed", 4), ("run.out", "elsewhere")]:
         with pytest.raises(ValueError, match="may differ only in"):
-            harness.execute([cfg, with_values(cfg, {path: value})])
+            harness.execute(setup, [cfg, with_values(cfg, {path: value})], logs(2))
+
+
+ERDOS_RENYI = MINIMAL.replace("n = 2", "n = 10") + "\n[graph]\ntopology = erdos_renyi\np = 0.5\n"
+
+
+def test_a_sweep_sets_up_every_value_before_it_runs_any(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, ERDOS_RENYI)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(out), "--quiet",
+            "--param", "graph.p", "--values", "0.5,0.001,0.9"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph.p = 0.001: ") and "disconnected" in err
+    assert not out.exists()
+    argv[argv.index("--values") + 1] = "0.5,0.9"
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["p_0.5", "p_0.9", "summary.csv"]
+
+
+def test_a_compare_sets_up_every_config_before_it_runs_any(tmp_path, monkeypatch):
+    good = load_config(write_config(tmp_path, ERDOS_RENYI))
+    bad = with_values(good, {"graph.p": 0.001})
+    runs = []
+    monkeypatch.setattr(harness.dynamics, "run", lambda *a, **k: runs.append(a))
+    with pytest.raises(ConfigError, match="^config bad: .*disconnected"):
+        harness.cmd_compare([good, bad], ["good", "bad"], tmp_path / "cmp")
+    assert runs == []
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_cmd_run_memory_does_not_grow_with_the_record_count(tmp_path):

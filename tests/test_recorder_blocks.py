@@ -1,8 +1,8 @@
 """The snapshot blocks between ``dynamics.run`` and the recorder.
 
 ``run`` copies the state at each record step into a block of at most
-``dynamics._BLOCK_BYTES`` per (B, n, d) array and hands the recorder whole
-blocks. Where the block boundaries fall must change no record: each case
+``dynamics._BLOCK_RECORDS`` snapshots and ``dynamics._BLOCK_BYTES`` per
+(B, n, d) array and hands the recorder whole blocks. Where the block boundaries fall must change no record: each case
 below writes metrics.csv with blocks of one snapshot (the per-state
 recorder of artifacts up to 0.6.0), of three snapshots, and of the default
 size, and over a horizon whose records end in a partial block.
@@ -110,6 +110,22 @@ def test_divergence_mid_block_carries_the_records_before_it(monkeypatch):
     where = ("step", "array", "particle", "coordinate", "value")
     assert [getattr(err, k) for k in where] == [getattr(by_state.value, k) for k in where] == [
         getattr(one_each.value, k) for k in where]
+
+
+def test_a_small_problem_gets_blocks_of_at_most_128_snapshots():
+    # at n = 2, d = 1 the byte budget alone would hold all 1,001 snapshots
+    prob, graph, mmap, rec = _stiff_setup()
+    sizes = []
+
+    def recorder(snaps):
+        sizes.append(len(snaps))
+        return rec(snaps)
+
+    # dt = 0.001 keeps the stiff mode stable
+    records = run("eismd", prob, mmap, graph, Hyperparams(dt=0.001, epochs=1000),
+                  metrics_every=1, recorder=recorder)
+    assert len(records) == sum(sizes) == 1001
+    assert sizes == [128] * 7 + [105]
 
 
 def test_negative_simplex_coordinate_in_a_block_raises():
