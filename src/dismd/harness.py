@@ -477,12 +477,12 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     Each raw value is converted and validated by the config schema, as a
     loaded value is, and set up before any run starts; a set-up failure is
     a ConfigError naming the parameter and the value, and writes nothing.
-    The values of a ``BATCHED`` parameter run as one batch, sharing one
-    set-up, the others one after another; either way
-    value i runs with seed base + i, streams its own metrics CSV and writes
-    the same bytes. A diverged value writes its run as ``cmd_run`` does and
-    its last finite record as its summary row; once every file is written,
-    the first divergence is raised."""
+    The values of a ``BATCHED`` parameter run as one batch with one set-up,
+    the others one after another; either way value i runs with seed
+    base + i, streams its own metrics CSV and writes the same bytes. A
+    diverged value writes its run as ``cmd_run`` does and its last finite
+    record as its summary row; once every file is written, the first
+    divergence is raised."""
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter path {param!r}; choose from {SWEEPABLE}")
     if not raw_values:

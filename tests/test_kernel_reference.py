@@ -328,7 +328,7 @@ def _ref_states(cfg, setup):
     """The record-step states of ``ref_step`` iterated from run's start."""
     a, hp = cfg["algorithm"], cfg.hyperparams()
     seed, every = cfg["run"]["seed"], cfg["hyperparams"]["metrics_every"]
-    x0 = harness.load_x0(cfg, setup.problem)
+    x0 = setup.x0
     if x0 is None:
         x0 = dynamics.default_initial_rows(setup.problem, setup.mmap, seed)
     z = setup.mmap.forward(x0)
@@ -362,7 +362,7 @@ def test_run_states_equal_the_allocating_step(stem, overrides):
         a["name"], setup.problem, setup.mmap, setup.graph, cfg.hyperparams(),
         seed=cfg["run"]["seed"], dual=setup.dual, interaction_on=a["interaction_on"],
         metrics_every=cfg["hyperparams"]["metrics_every"],
-        x0_rows=harness.load_x0(cfg, setup.problem),
+        x0_rows=setup.x0,
     )
     want = _ref_states(cfg, setup)
     assert [s.step for s in got] == [s.step for s in want]

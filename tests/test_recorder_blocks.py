@@ -2,10 +2,11 @@
 
 ``run`` copies the state at each record step into a block of at most
 ``dynamics._BLOCK_RECORDS`` snapshots and ``dynamics._BLOCK_BYTES`` per
-(B, n, d) array and hands the recorder whole blocks. Where the block boundaries fall must change no record: each case
-below writes metrics.csv with blocks of one snapshot (the per-state
-recorder of artifacts up to 0.6.0), of three snapshots, and of the default
-size, and over a horizon whose records end in a partial block.
+(B, n, d) array and hands the recorder whole blocks. Where the block
+boundaries fall must change no record: each case below writes metrics.csv
+with blocks of one snapshot (the per-state recorder of artifacts up to
+0.6.0), of three snapshots, and of the default size, and over a horizon
+whose records end in a partial block.
 """
 
 from pathlib import Path
