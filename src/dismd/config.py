@@ -224,6 +224,8 @@ def _validate(cfg: RunConfig) -> None:
     _require(h["dt"] > 0, f"hyperparams.dt must be positive, got {h['dt']}")
     _require(h["epochs"] >= 0, f"hyperparams.epochs must be >= 0, got {h['epochs']}")
     _require(h["metrics_every"] >= 1, f"hyperparams.metrics_every must be >= 1, got {h['metrics_every']}")
+    for key, seed in (("problem.seed", p["seed"]), ("graph.seed", g["seed"]), ("run.seed", cfg["run"]["seed"])):
+        _require(seed >= 0, f"{key} must be >= 0, got {seed}")
 
 
 def load_config(path: Path | str) -> RunConfig:

@@ -5,10 +5,10 @@ CSV numbers use the shortest round-trip decimal representation, and the
 manifest echoes the fully resolved config, so identical (config, seed,
 version) reproduce byte-identical outputs.
 
-Each CSV is written while its runs integrate: the records of each snapshot
-block are formatted and appended to ``<name>.tmp`` as they are taken, and
-the file is renamed to its own name once its runs are done. A command keeps only what it still reads of a run's records (see
-``RunLog``), so its memory does not grow with the record count.
+Every output file is an ``OutputFile``, written through one open handle to
+``<name>.tmp`` and renamed when complete. Each run's ``RunLog`` appends the
+CSV rows of each snapshot block as it is taken and keeps only what its
+command still reads, so memory does not grow with the record count.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import time
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +145,7 @@ class RunSetup:
     mmap: object
     dual: object | None
     opt: oracle.OptimalPair
-    # prepare_s and its parts dual_s, oracle_s and constants_s
+    # prepare_s and its parts generate_s, spectra_s, dual_s, oracle_s and constants_s
     timings: dict[str, float]
     constants: diagnostics.ConvexityConstants
     recorder: MetricsRecorder
@@ -164,8 +163,8 @@ def prepare(cfg: RunConfig) -> RunSetup:
     """Everything a run of ``cfg`` needs before it integrates, its inputs
     loaded and checked."""
     started = time.perf_counter()
-    problem = build_problem(cfg)
-    graph, spec = build_graph_and_spectra(cfg, problem.n)
+    problem, generate_s = _timed(build_problem, cfg)
+    (graph, spec), spectra_s = _timed(build_graph_and_spectra, cfg, problem.n)
     a = cfg["algorithm"]
     matrix = load_matrix(a["map_matrix"]) if a["map_matrix"] else None
     mmap = make_mirror_map(a["map"], problem.d, matrix)
@@ -187,8 +186,8 @@ def prepare(cfg: RunConfig) -> RunSetup:
         mmap=mmap,
         dual=dual,
         opt=opt,
-        timings={"prepare_s": prepare_s, "dual_s": dual_s, "oracle_s": oracle_s,
-                 "constants_s": constants_s},
+        timings={"prepare_s": prepare_s, "generate_s": generate_s, "spectra_s": spectra_s,
+                 "dual_s": dual_s, "oracle_s": oracle_s, "constants_s": constants_s},
         constants=constants,
         recorder=recorder,
         x0=x0,
@@ -213,34 +212,36 @@ def _shared(cfg: RunConfig) -> dict:
     return mapping
 
 
-class CsvStream:
-    """A CSV written as its runs go: the header and each appended block go
-    to ``<name>.tmp``, which ``publish`` renames to the CSV's own name.
-    Each append opens the file, writes one block and closes it, so no file
-    stays open between blocks."""
+class OutputFile:
+    """A file written through ``<name>.tmp``, in the directories it makes:
+    ``text`` first, then whatever runs ``write`` through the open handle,
+    until ``publish`` closes it and renames the file to its own name."""
 
-    def __init__(self, path: Path, header: str):
+    def __init__(self, path: Path, text: str):
         self.path = path
         self.tmp = path.with_name(path.name + ".tmp")
-        # the directories this stream makes, deepest first, for discard
+        # the directories this file makes, deepest first, for discard
         self.made = []
         for directory in (path.parent, *path.parent.parents):
             if directory.exists():
                 break
             self.made.append(directory)
         path.parent.mkdir(parents=True, exist_ok=True)
-        self.tmp.write_text(header + "\n")
+        self.file = self.tmp.open("w")
+        with _discard_on_failure([self]):
+            self.write(text)
 
-    def append(self, text: str) -> None:
-        with open(self.tmp, "a") as f:
-            f.write(text)
+    def write(self, text: str) -> None:
+        self.file.write(text)
 
     def publish(self) -> Path:
+        self.file.close()
         os.replace(self.tmp, self.path)
         return self.path
 
     def discard(self) -> None:
-        """Remove the unpublished file and the directories made for it."""
+        """Close and remove the unpublished file and the directories made for it."""
+        self.file.close()
         if self.tmp.exists():
             self.tmp.unlink()
             for directory in self.made:
@@ -248,61 +249,60 @@ class CsvStream:
 
 
 @contextmanager
-def _discard_on_failure(streams: list[CsvStream]):
-    """Discard every stream of ``streams`` not yet published if the block
-    raises, so a failed command leaves no partial CSV."""
+def _discard_on_failure(files: list[OutputFile]):
+    """Discard every file of ``files`` not yet published if the block
+    raises, so a failed command leaves no partial output."""
     try:
         yield
     except BaseException:
-        for stream in streams:
-            stream.discard()
+        for file in files:
+            file.discard()
         raise
 
 
 class RunLog:
-    """What a command keeps of one run's records as they stream into its
-    CSV: their count, the last one and, with ``fit``, the t and V columns
-    that ``rate_fit`` reads. Rows go to ``csv``, led by ``label`` when one
-    is given."""
+    """One run's recorder for ``dynamics.run``. Per snapshot block it times
+    ``recorder`` into ``record_s``, then formatting and appending the rows,
+    led by ``label`` when given, to ``csv`` into ``write_s``. It keeps the
+    record count, the last record and, with ``fit``, the t and V columns
+    that ``rate_fit`` reads; it returns no records, so the run keeps none."""
 
-    def __init__(self, csv: CsvStream, label: str | None = None, fit: bool = False):
-        self.csv, self.lead = csv, "" if label is None else f"{label},"
+    def __init__(self, csv: OutputFile, recorder: MetricsRecorder, label: str | None = None,
+                 fit: bool = False):
+        self.csv, self.recorder, self.lead = csv, recorder, "" if label is None else f"{label},"
         self.count, self.last = 0, None
+        self.record_s = self.write_s = 0.0
         self.t, self.V = (array("d"), array("d")) if fit else (None, None)
 
-    def add(self, records: list[diagnostics.MetricsRecord]) -> None:
-        self.csv.append(records_to_csv(records, self.lead))
+    def __call__(self, snaps: dynamics.Snapshots) -> tuple:
+        started = time.perf_counter()
+        records = self.recorder(snaps)
+        recorded = time.perf_counter()
+        self.csv.write(records_to_csv(records, self.lead))
+        self.record_s += recorded - started
+        self.write_s += time.perf_counter() - recorded
         self.count += len(records)
         self.last = records[-1]
         if self.t is not None:
             self.t.extend(r.t for r in records)
             self.V.extend(r.V for r in records)
+        return ()
 
 
 def execute(setup: RunSetup, cfgs: list[RunConfig], logs: list[RunLog]
-            ) -> list[tuple[RunLog, dict, dynamics.DivergenceError | None]]:
+            ) -> list[tuple[dict, dynamics.DivergenceError | None]]:
     """Integrate configs that differ at most in eta, epsilon, sigma and the
     run seed as one batch, from ``setup``, the ``prepare`` of the first.
-    Each run's records go to its entry of ``logs`` block by block, as they
-    are taken. Returns (log, manifest mapping, divergence) per config, where
-    a run that diverged has logged the records taken before the blow-up and
-    holds its DivergenceError, whose ``records`` is empty, and any other run
-    None. One config is a batch of one."""
+    Each run's snapshot blocks go to its entry of ``logs`` as they are
+    taken. Returns (manifest mapping, divergence) per config, where a run
+    that diverged has logged the records taken before the blow-up and holds
+    its DivergenceError, whose ``records`` is empty, and any other run None.
+    One config is a batch of one."""
     if any(_shared(cfg) != _shared(cfgs[0]) for cfg in cfgs[1:]):
         raise ValueError(
             f"configs of a batch may differ only in {', '.join(BATCHED)} and run.seed"
         )
     a = cfgs[0]["algorithm"]
-    record_s = [0.0] * len(cfgs)
-
-    def recorder(index, snaps):
-        """Log the records of replica ``index``, the recorder timed into
-        record_s[index]; returns none, so dynamics.run keeps none."""
-        records, seconds = _timed(setup.recorder, snaps)
-        record_s[index] += seconds
-        logs[index].add(records)
-        return []
-
     started = time.perf_counter()
     outcomes = dynamics.run(
         a["name"],
@@ -314,16 +314,16 @@ def execute(setup: RunSetup, cfgs: list[RunConfig], logs: list[RunLog]
         dual=setup.dual,
         interaction_on=a["interaction_on"],
         metrics_every=cfgs[0]["hyperparams"]["metrics_every"],
-        recorder=[partial(recorder, index) for index in range(len(cfgs))],
+        recorder=logs,
         x0_rows=[setup.x0] * len(cfgs),
     )
     integrate_s = time.perf_counter() - started
     results = []
-    for cfg, log, outcome, seconds in zip(cfgs, logs, outcomes, record_s):
+    for cfg, log, outcome in zip(cfgs, logs, outcomes):
         divergence = outcome if isinstance(outcome, dynamics.DivergenceError) else None
-        timings = {**setup.timings, "integrate_s": integrate_s, "record_s": seconds}
-        manifest = build_manifest(cfg, setup, timings, log.count, divergence)
-        results.append((log, manifest, divergence))
+        timings = {**setup.timings, "integrate_s": integrate_s, "record_s": log.record_s,
+                   "write_s": log.write_s}
+        results.append((build_manifest(cfg, setup, timings, log.count, divergence), divergence))
     return results
 
 
@@ -338,14 +338,14 @@ def build_manifest(
     cfg: RunConfig, setup: RunSetup, timings: dict, n_records: int, divergence
 ) -> dict:
     """Run manifest; ``timings`` holds prepare_s and integrate_s, the seconds
-    spent in ``prepare`` and in ``dynamics.run``, the parts of prepare_s
-    spent building the dual map (dual_s), in the oracle (oracle_s) and in
-    the constants (constants_s), and the part of integrate_s spent in the
-    recorder (record_s), timed per snapshot block; integrate_s also holds
-    the writing of the records' CSV rows. In a batch, prepare_s,
-    its parts and integrate_s are the batch's and record_s is the run's own.
-    ``record_share`` is record_s / integrate_s. A diverged run gains a
-    ``diverged`` block."""
+    spent in ``prepare`` and in ``dynamics.run``; the parts of prepare_s
+    spent on the problem (generate_s), the graph and its spectra
+    (spectra_s), the dual map (dual_s), the oracle (oracle_s) and the
+    constants (constants_s); and the parts of integrate_s spent in the
+    recorder (record_s) and on the records' CSV rows (write_s), both timed
+    per snapshot block. In a batch, prepare_s, its parts and integrate_s
+    are the batch's and record_s and write_s the run's own. ``record_share``
+    is record_s / integrate_s. A diverged run gains a ``diverged`` block."""
     opt = setup.opt
     cst = setup.constants
     steps = cfg["hyperparams"]["epochs"] if divergence is None else divergence.step
@@ -393,16 +393,13 @@ def records_to_csv(records: list[diagnostics.MetricsRecord], lead: str = "") -> 
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+    """Write ``text`` to ``path`` through its tmp file, which no failure leaves behind."""
+    out = OutputFile(path, text)
+    with _discard_on_failure([out]):
+        out.publish()
 
 
-def write_run_outputs(csv: CsvStream, manifest) -> tuple[Path, Path]:
+def write_run_outputs(csv: OutputFile, manifest) -> tuple[Path, Path]:
     """Publish a run's streamed metrics CSV and write its manifest beside it."""
     manifest_path = csv.path.parent / MANIFEST_FILE
     metrics_path = csv.publish()
@@ -424,9 +421,9 @@ def cmd_run(cfg: RunConfig, out_dir: Path | str) -> tuple[Path, Path]:
     diverged writes both and then raises its DivergenceError. A set-up
     failure writes nothing."""
     setup = prepare(cfg)
-    csv = CsvStream(Path(out_dir) / METRICS_FILE, csv_header())
+    csv = OutputFile(Path(out_dir) / METRICS_FILE, csv_header() + "\n")
     with _discard_on_failure([csv]):
-        [(_, manifest, divergence)] = execute(setup, [cfg], [RunLog(csv)])
+        [(manifest, divergence)] = execute(setup, [cfg], [RunLog(csv, setup.recorder)])
         paths = write_run_outputs(csv, manifest)
     _raise_first([(None, divergence)], paths)
     return paths
@@ -458,12 +455,13 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
     setups = [_prepared(cfg, f"config {label}") for cfg, label in zip(configs, labels)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv = CsvStream(out / "compare.csv", "run," + csv_header())
+    csv = OutputFile(out / "compare.csv", "run," + csv_header() + "\n")
     manifests = {}
     divergences = []
     with _discard_on_failure([csv]):
         for setup, cfg, label in zip(setups, configs, labels):
-            [(_, manifests[label], divergence)] = execute(setup, [cfg], [RunLog(csv, label)])
+            [(manifests[label], divergence)] = execute(setup, [cfg],
+                                                       [RunLog(csv, setup.recorder, label)])
             divergences.append((label, divergence))
         csv.publish()
     _write_atomic(out / MANIFEST_FILE, json.dumps(manifests, indent=2) + "\n")
@@ -506,15 +504,15 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     out.mkdir(parents=True, exist_ok=True)
     summary_lines = ["value,seed," + csv_header() + ",rate_r,rate_r_squared"]
     divergences = []
-    streams = []
-    with _discard_on_failure(streams):
+    files = []
+    with _discard_on_failure(files):
         for setup, batch in zip(setups, batches):
             logs = []
             for raw, _ in batch:
-                streams.append(CsvStream(out / f"{key}_{raw}" / METRICS_FILE, csv_header()))
-                logs.append(RunLog(streams[-1], fit=True))
+                files.append(OutputFile(out / f"{key}_{raw}" / METRICS_FILE, csv_header() + "\n"))
+                logs.append(RunLog(files[-1], setup.recorder, fit=True))
             results = execute(setup, [run_cfg for _, run_cfg in batch], logs)
-            for (raw, run_cfg), (log, manifest, divergence) in zip(batch, results):
+            for (raw, run_cfg), log, (manifest, divergence) in zip(batch, logs, results):
                 write_run_outputs(log.csv, manifest)
                 divergences.append((log.csv.path.parent.name, divergence))
                 try:
@@ -548,7 +546,6 @@ def graph_info_report(cfg: RunConfig) -> str:
 def export_graph_matrices(cfg: RunConfig, out_dir: Path | str) -> None:
     graph, _ = build_graph_and_spectra(cfg, build_problem(cfg).n)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for name, mat in (("adjacency.csv", graph.adjacency), ("laplacian.csv", graph.laplacian)):
         rows = "\n".join(",".join(repr(float(v)) for v in row) for row in mat)
         _write_atomic(out / name, rows + "\n")

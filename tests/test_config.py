@@ -105,6 +105,10 @@ def test_validation_rules(tmp_path):
         ("[graph]\nseed = 5\n", "graph.seed"),
         ("[problem]\nn = 4\n[graph]\ntopology = barbell\ncluster = 2\nseed = -1\n", "graph.seed"),
         ("[graph]\nweights = /nonexistent.csv\n", "graph.weights"),
+        # seeds are non-negative
+        ("[problem]\nseed = -3\n", "problem.seed must be >= 0, got -3"),
+        ("[graph]\ntopology = erdos_renyi\np = 0.5\nseed = -2\n", "graph.seed must be >= 0, got -2"),
+        ("[run]\nseed = -1\n", "run.seed must be >= 0, got -1"),
         ("[algorithm]\nname = eismd\ndual_beta = 0.1\n", "algorithm.dual_beta"),
         ("[algorithm]\nname = epismd\ndual = identity\ndual_beta = 0.1\n", "algorithm.dual_beta"),
         ("[algorithm]\nname = ismd\ninteraction_on = z\n", "algorithm.interaction_on"),

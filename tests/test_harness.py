@@ -1,4 +1,7 @@
+import builtins
+import io
 import json
+import os
 import re
 import tracemalloc
 
@@ -72,13 +75,13 @@ def test_manifest_timings_are_present_and_non_negative(tmp_path):
     _, manifest_path = harness.cmd_run(cfg, tmp_path / "out")
     manifest = json.loads(manifest_path.read_text())
     timings = manifest["timings"]
-    assert set(timings) == {
-        "prepare_s", "dual_s", "oracle_s", "constants_s", "integrate_s", "record_s"
-    }
+    parts = ("generate_s", "spectra_s", "dual_s", "oracle_s", "constants_s")
+    assert set(timings) == {"prepare_s", *parts, "integrate_s", "record_s", "write_s"}
     assert all(v >= 0.0 for v in timings.values())
-    # three disjoint parts of prepare
-    assert timings["dual_s"] + timings["oracle_s"] + timings["constants_s"] <= timings["prepare_s"]
-    assert 0.0 < timings["record_s"] <= timings["integrate_s"]
+    # disjoint parts of prepare, and of integrate
+    assert sum(timings[key] for key in parts) <= timings["prepare_s"]
+    assert 0.0 < timings["record_s"] and 0.0 < timings["write_s"]
+    assert timings["record_s"] + timings["write_s"] <= timings["integrate_s"]
     assert manifest["record_share"] == timings["record_s"] / timings["integrate_s"]
     assert manifest["wall_clock_seconds"] == timings["integrate_s"]
     assert manifest["steps_per_second"] == pytest.approx(100 / timings["integrate_s"])
@@ -176,19 +179,41 @@ def test_a_batched_sweep_shares_its_set_up_and_integration(tmp_path, monkeypatch
 def test_execute_batches_only_configs_that_differ_in_batched_keys(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL))
     setup = harness.prepare(cfg)
-
-    def logs(k):
-        return [harness.RunLog(harness.CsvStream(tmp_path / f"{i}.csv", csv_header()))
-                for i in range(k)]
-
+    files = [harness.OutputFile(tmp_path / f"{i}.csv", csv_header() + "\n") for i in range(2)]
+    logs = [harness.RunLog(file, setup.recorder) for file in files]
     batch = [with_values(cfg, {"hyperparams.eta": 2.0, "run.seed": 5}),
              with_values(cfg, {"hyperparams.epsilon": 3.0, "hyperparams.sigma": 0.1})]
-    assert [m["config"] for _, m, _ in harness.execute(setup, batch, logs(2))] == [
-        c.to_mapping() for c in batch]
-    for path, value in [("hyperparams.dt", 0.02), ("hyperparams.metrics_every", 5),
-                        ("problem.seed", 4), ("run.out", "elsewhere")]:
-        with pytest.raises(ValueError, match="may differ only in"):
-            harness.execute(setup, [cfg, with_values(cfg, {path: value})], logs(2))
+    try:
+        assert [m["config"] for m, _ in harness.execute(setup, batch, logs)] == [
+            c.to_mapping() for c in batch]
+        for path, value in [("hyperparams.dt", 0.02), ("hyperparams.metrics_every", 5),
+                            ("problem.seed", 4), ("run.out", "elsewhere")]:
+            with pytest.raises(ValueError, match="may differ only in"):
+                harness.execute(setup, [cfg, with_values(cfg, {path: value})], logs)
+    finally:
+        for file in files:
+            file.discard()
+
+
+def test_a_sweep_opens_each_output_file_once(tmp_path, monkeypatch):
+    # three CSVs, three manifests and one summary, each through one .tmp handle
+    cfg = load_config(write_config(tmp_path, MINIMAL.replace("epochs = 100", "epochs = 3000")))
+    out = tmp_path / "sweep"
+    opened = []
+    original = io.open
+
+    def counting(file, mode="r", *args, **kwargs):
+        if str(file).endswith(".tmp") and set(mode) & set("wa"):
+            opened.append(os.path.relpath(str(file), out))
+        return original(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting)
+    monkeypatch.setattr(builtins, "open", counting)
+    harness.cmd_sweep(cfg, "hyperparams.sigma", ["0", "0.1", "0.2"], out)
+    assert sorted(opened) == sorted(
+        [os.path.join(f"sigma_{v}", f"{name}.tmp") for v in ("0", "0.1", "0.2")
+         for name in ("metrics.csv", "manifest.json")] + ["summary.csv.tmp"])
+    assert not list(out.rglob("*.tmp"))
 
 
 ERDOS_RENYI = MINIMAL.replace("n = 2", "n = 10") + "\n[graph]\ntopology = erdos_renyi\np = 0.5\n"
@@ -277,7 +302,7 @@ def test_a_failed_command_leaves_no_partial_csv(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
-def test_sweep_rejects_unknown_or_empty(tmp_path):
+def test_sweep_rejects_unknown_or_empty(tmp_path, capsys):
     cfg = load_config(write_config(tmp_path, MINIMAL))
     with pytest.raises(ConfigError, match="parameter path"):
         harness.cmd_sweep(cfg, "hyperparams.sgima", ["1"], tmp_path / "s")
@@ -305,6 +330,11 @@ def test_sweep_rejects_unknown_or_empty(tmp_path):
             "--param", "hyperparams.epochs", "--values", "10,1e2"]
     assert cli.main(argv) == 1
     assert not (tmp_path / "s").exists()
+    for param in ("hyperparams.sigma", "hyperparams.dt"):  # batched and serial
+        argv[-4:] = ["--seed", "-1", "--param", param, "--values", "0.01,0.02"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.endswith("error: run.seed must be >= 0, got -1\n")
+        assert not (tmp_path / "s").exists()
 
 
 def test_sweep_strips_spaced_values(tmp_path):
