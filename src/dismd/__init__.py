@@ -18,6 +18,7 @@ from .graphs import (
     metropolis_weights,
     spectra,
 )
+from .harness import load_problem_bundle, save_problem_bundle
 from .mirror_maps import (
     EntropyMap,
     EuclideanMap,
@@ -27,13 +28,7 @@ from .mirror_maps import (
     RegularizedDualHessian,
     make_mirror_map,
 )
-from .objectives import (
-    DistributedProblem,
-    GeneratorConfig,
-    generate_problem,
-    load_problem_bundle,
-    save_problem_bundle,
-)
+from .objectives import DistributedProblem, GeneratorConfig, generate_problem
 from .oracle import OptimalPair, solve_simplex, solve_unconstrained
 
 __all__ = [

@@ -20,7 +20,6 @@ from . import harness
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import DivergenceError
 from .graphs import GraphError
-from .objectives import save_problem_bundle
 from .oracle import OracleError
 
 EXIT_OK = 0
@@ -125,7 +124,7 @@ def _dispatch(args) -> int:
         cfg = load_config(args.config)
         out = _out_dir(args, cfg)
         problem = harness.build_problem(cfg)
-        manifest = save_problem_bundle(problem, out)
+        manifest = harness.save_problem_bundle(problem, out)
         if not args.quiet:
             print(f"wrote problem bundle to {manifest.parent}")
         return EXIT_OK

@@ -5,14 +5,16 @@ CSV numbers use the shortest round-trip decimal representation, and the
 manifest echoes the fully resolved config, so identical (config, seed,
 version) reproduce byte-identical outputs.
 
-Every output file is an ``OutputFile``, written through one open handle to
-``<name>.tmp`` and renamed when complete. Each run's ``RunLog`` appends the
+Every output file, problem bundles and graph matrices included, is an
+``OutputFile``, written through one open handle to ``<name>.tmp`` and
+renamed when complete. Each run's ``RunLog`` appends the
 CSV rows of each snapshot block as it is taken and keeps only what its
 command still reads, so memory does not grow with the record count.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import time
@@ -34,13 +36,7 @@ from .graphs import (
     spectra,
 )
 from .mirror_maps import IdentityDual, RegularizedDualHessian, make_mirror_map
-from .objectives import (
-    DistributedProblem,
-    GeneratorConfig,
-    generate_problem,
-    load_matrix,
-    load_problem_bundle,
-)
+from .objectives import DistributedProblem, GeneratorConfig, generate_problem
 
 SWEEPABLE = (
     "hyperparams.eta",
@@ -57,7 +53,8 @@ SWEEPABLE = (
 BATCHED = ("hyperparams.eta", "hyperparams.epsilon", "hyperparams.sigma")
 
 METRICS_FILE = "metrics.csv"
-MANIFEST_FILE = "manifest.json"
+MANIFEST_FILE = "manifest.json"  # a run's manifest, and a problem bundle's
+BUNDLE_VERSION = 1
 
 
 def build_problem(cfg: RunConfig) -> DistributedProblem:
@@ -87,7 +84,7 @@ def build_problem(cfg: RunConfig) -> DistributedProblem:
 def build_graph_and_spectra(cfg: RunConfig, n: int) -> tuple[WeightedGraph, LaplacianSpectra]:
     g = cfg["graph"]
     if g["topology"] == "matrix":
-        graph = WeightedGraph.from_adjacency(load_matrix(g["weights"]))
+        graph = WeightedGraph.from_adjacency(load_matrix(g["weights"], "graph.weights"))
         if graph.n != n:
             raise ConfigError(
                 f"graph.weights has {graph.n} nodes but the problem has {n} particles"
@@ -115,26 +112,28 @@ def build_dual(cfg: RunConfig, graph: WeightedGraph, problem: DistributedProblem
     return RegularizedDualHessian(spectra(graph, dual_beta), problem.hess_blocks())
 
 
-def load_x0(cfg: RunConfig, problem: DistributedProblem) -> np.ndarray | None:
+def load_x0(cfg: RunConfig, problem: DistributedProblem, mmap) -> np.ndarray | None:
     path = cfg["algorithm"]["x0"]
     if path is None:
         return None
-    rows = load_matrix(path)
+    rows = load_matrix(path, "algorithm.x0", ("particle", "coordinate"))
     if rows.shape == (1, problem.d):
         rows = np.repeat(rows, problem.n, axis=0)
     if rows.shape != (problem.n, problem.d):
         raise ConfigError(
             f"algorithm.x0 must be ({problem.n}, {problem.d}) or a single row, got {rows.shape}"
         )
-    if not np.all(np.isfinite(rows)):
-        particle, coordinate = np.argwhere(~np.isfinite(rows))[0]
-        raise ConfigError(
-            f"algorithm.x0 must be finite, got {float(rows[particle, coordinate])!r} "
-            f"at particle {particle}, coordinate {coordinate}"
-        )
     if problem.domain == "simplex":
         if np.any(rows <= 0) or np.max(np.abs(rows.sum(axis=1) - 1.0)) > 1e-8:
             raise ConfigError("algorithm.x0 rows must lie in the open simplex")
+    z0 = mmap.forward(rows)  # the run's divergence guard would stop it at step 1
+    beyond = np.argwhere(~(np.abs(z0) <= dynamics._STATE_LIMIT))
+    if len(beyond):
+        particle, coordinate = beyond[0]
+        raise ConfigError(
+            f"algorithm.x0 starts z beyond the divergence limit {dynamics._STATE_LIMIT:g}: "
+            f"z = {float(z0[particle, coordinate])!r} at particle {particle}, coordinate {coordinate}"
+        )
     return rows
 
 
@@ -166,7 +165,7 @@ def prepare(cfg: RunConfig) -> RunSetup:
     problem, generate_s = _timed(build_problem, cfg)
     (graph, spec), spectra_s = _timed(build_graph_and_spectra, cfg, problem.n)
     a = cfg["algorithm"]
-    matrix = load_matrix(a["map_matrix"]) if a["map_matrix"] else None
+    matrix = load_matrix(a["map_matrix"], "algorithm.map_matrix") if a["map_matrix"] else None
     mmap = make_mirror_map(a["map"], problem.d, matrix)
     dual, dual_s = _timed(build_dual, cfg, graph, problem)
     opt, oracle_s = _timed(oracle.solve, problem, graph)
@@ -178,7 +177,7 @@ def prepare(cfg: RunConfig) -> RunSetup:
         diagnostics.kappa_g_estimate(mmap, opt.x_star[None, :])
     c = diagnostics.default_c(constants)
     recorder = MetricsRecorder(problem, graph, mmap, opt.x_star, opt.lambda_star, c, dual=dual)
-    x0 = load_x0(cfg, problem)
+    x0 = load_x0(cfg, problem, mmap)
     prepare_s = time.perf_counter() - started
     return RunSetup(
         problem=problem,
@@ -218,6 +217,8 @@ class OutputFile:
     until ``publish`` closes it and renames the file to its own name."""
 
     def __init__(self, path: Path, text: str):
+        if path.is_dir():  # os.replace would find it only after the command's work
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         self.path = path
         self.tmp = path.with_name(path.name + ".tmp")
         # the directories this file makes, deepest first, for discard
@@ -251,11 +252,12 @@ class OutputFile:
 @contextmanager
 def _discard_on_failure(files: list[OutputFile]):
     """Discard every file of ``files`` not yet published if the block
-    raises, so a failed command leaves no partial output."""
+    raises, last first, so a failed command leaves no partial output and the
+    directories a file made are empty when it removes them."""
     try:
         yield
     except BaseException:
-        for file in files:
+        for file in reversed(files):
             file.discard()
         raise
 
@@ -392,18 +394,90 @@ def records_to_csv(records: list[diagnostics.MetricsRecord], lead: str = "") -> 
     return "".join(f"{lead}{rec.to_csv_row()}\n" for rec in records)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through its tmp file, which no failure leaves behind."""
-    out = OutputFile(path, text)
-    with _discard_on_failure([out]):
-        out.publish()
+def _write_atomic(texts: dict[Path, str]) -> None:
+    """Write each text to its path through its tmp file, in order, and
+    rename none until all are written. No failure leaves a tmp file behind."""
+    files = []
+    with _discard_on_failure(files):
+        for path, text in texts.items():
+            files.append(OutputFile(path, text))
+            files[-1].file.close()  # a bundle of many blocks holds no handle per block
+        for file in files:
+            file.publish()
+
+
+def _matrix_csv(arr: np.ndarray) -> str:
+    """The rows of ``arr``, a vector as one row, in the shortest round-trip decimals."""
+    return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.atleast_2d(arr))
+
+
+def load_matrix(path: Path | str, key: str | None = None, axes=("row", "column")) -> np.ndarray:
+    """The matrix in the CSV file at ``path``. A non-finite entry raises a
+    ConfigError that names ``key``, or without one a ValueError that names
+    the file, and the entry's place along ``axes``."""
+    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    bad = np.argwhere(~np.isfinite(rows))
+    if len(bad):
+        (i, j), error = bad[0], ValueError if key is None else ConfigError
+        raise error(f"{key or path} must be finite, got {float(rows[i, j])!r} "
+                    f"at {axes[0]} {i}, {axes[1]} {j}")
+    return rows
+
+
+def save_problem_bundle(problem: DistributedProblem, out_dir: Path | str) -> Path:
+    """Write one CSV per matrix plus a manifest, last, so runs can be replayed."""
+    out = Path(out_dir)
+    texts, entries = {}, []
+    for i, (q, b) in enumerate(zip(problem.q, problem.b)):
+        qname, bname = f"q_{i:03d}.csv", f"b_{i:03d}.csv"
+        texts[out / qname], texts[out / bname] = _matrix_csv(q), _matrix_csv(b)
+        entries.append({"q": qname, "b": bname})
+    manifest = {
+        "bundle_version": BUNDLE_VERSION,
+        "d": problem.d,
+        "m": problem.m,
+        "n": problem.n,
+        "domain": problem.domain,
+        "blocks": entries,
+        "minimizer": None,
+    }
+    if problem.minimizer is not None:
+        texts[out / "minimizer.csv"] = _matrix_csv(problem.minimizer)
+        manifest["minimizer"] = "minimizer.csv"
+    texts[out / MANIFEST_FILE] = json.dumps(manifest, indent=2) + "\n"
+    _write_atomic(texts)
+    return out / MANIFEST_FILE
+
+
+def load_problem_bundle(bundle_dir: Path | str) -> DistributedProblem:
+    root = Path(bundle_dir)
+    manifest = json.loads((root / MANIFEST_FILE).read_text())
+    missing = [key for key in ("n", "m", "d", "domain", "blocks") if key not in manifest]
+    if missing:
+        raise ValueError(f"bundle manifest {root / MANIFEST_FILE} lacks {', '.join(missing)}")
+    if manifest.get("bundle_version") != BUNDLE_VERSION:
+        raise ValueError(f"bundle {root} has bundle_version {manifest.get('bundle_version')!r}, "
+                         f"but this dismd reads bundle_version {BUNDLE_VERSION}")
+    declared = (manifest["n"], manifest["m"], manifest["d"])
+    # np.stack raises ValueError on blocks of unequal shapes
+    q = np.stack([load_matrix(root / entry["q"]) for entry in manifest["blocks"]])
+    b = np.stack([load_matrix(root / entry["b"]).ravel() for entry in manifest["blocks"]])
+    if q.shape != declared or b.shape != declared[:2]:
+        raise ValueError(
+            f"bundle {root} declares (n, m, d) = {declared}, "
+            f"but its files hold q {q.shape} and b {b.shape}"
+        )
+    minimizer = None
+    if manifest.get("minimizer"):
+        minimizer = load_matrix(root / manifest["minimizer"]).ravel()
+    return DistributedProblem(q=q, b=b, domain=manifest["domain"], minimizer=minimizer)
 
 
 def write_run_outputs(csv: OutputFile, manifest) -> tuple[Path, Path]:
     """Publish a run's streamed metrics CSV and write its manifest beside it."""
     manifest_path = csv.path.parent / MANIFEST_FILE
     metrics_path = csv.publish()
-    _write_atomic(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    _write_atomic({manifest_path: json.dumps(manifest, indent=2) + "\n"})
     return metrics_path, manifest_path
 
 
@@ -464,7 +538,7 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
                                                        [RunLog(csv, setup.recorder, label)])
             divergences.append((label, divergence))
         csv.publish()
-    _write_atomic(out / MANIFEST_FILE, json.dumps(manifests, indent=2) + "\n")
+    _write_atomic({out / MANIFEST_FILE: json.dumps(manifests, indent=2) + "\n"})
     _raise_first(divergences, [out / "compare.csv", out / MANIFEST_FILE])
     return out / "compare.csv"
 
@@ -523,7 +597,7 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
                 summary_lines.append(
                     f"{raw},{run_cfg['run']['seed']},{log.last.to_csv_row()},{r!r},{r2!r}"
                 )
-    _write_atomic(out / "summary.csv", "\n".join(summary_lines) + "\n")
+    _write_atomic({out / "summary.csv": "\n".join(summary_lines) + "\n"})
     _raise_first(divergences, [*(out / name for name, _ in divergences), out / "summary.csv"])
     return out / "summary.csv"
 
@@ -546,9 +620,8 @@ def graph_info_report(cfg: RunConfig) -> str:
 def export_graph_matrices(cfg: RunConfig, out_dir: Path | str) -> None:
     graph, _ = build_graph_and_spectra(cfg, build_problem(cfg).n)
     out = Path(out_dir)
-    for name, mat in (("adjacency.csv", graph.adjacency), ("laplacian.csv", graph.laplacian)):
-        rows = "\n".join(",".join(repr(float(v)) for v in row) for row in mat)
-        _write_atomic(out / name, rows + "\n")
+    _write_atomic({out / "adjacency.csv": _matrix_csv(graph.adjacency),
+                   out / "laplacian.csv": _matrix_csv(graph.laplacian)})
 
 
 def oracle_report(cfg: RunConfig) -> str:

@@ -14,15 +14,11 @@ dynamics crawl through their weakly damped oscillations.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 DOMAINS = ("unconstrained", "simplex")
-BUNDLE_MANIFEST = "manifest.json"
-BUNDLE_VERSION = 1
 SV_SCALE = 0.2  # geometric mean of the generated singular values
 
 
@@ -175,64 +171,3 @@ def generate_problem(cfg: GeneratorConfig) -> DistributedProblem:
         b[i] = qi @ x0 if x0 is not None else rng.standard_normal(cfg.m)
     return DistributedProblem(q=q, b=b, domain=cfg.domain, minimizer=x0)
 
-
-def _write_matrix(path: Path, arr: np.ndarray) -> None:
-    rows = np.atleast_2d(arr)
-    with path.open("w") as fh:
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
-def load_matrix(path: Path | str) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
-def save_problem_bundle(problem: DistributedProblem, out_dir: Path | str) -> Path:
-    """Write one CSV per matrix plus a manifest so runs can be replayed."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, (q, b) in enumerate(zip(problem.q, problem.b)):
-        qname, bname = f"q_{i:03d}.csv", f"b_{i:03d}.csv"
-        _write_matrix(out / qname, q)
-        _write_matrix(out / bname, b)
-        entries.append({"q": qname, "b": bname})
-    manifest = {
-        "bundle_version": BUNDLE_VERSION,
-        "d": problem.d,
-        "m": problem.m,
-        "n": problem.n,
-        "domain": problem.domain,
-        "blocks": entries,
-        "minimizer": None,
-    }
-    if problem.minimizer is not None:
-        _write_matrix(out / "minimizer.csv", problem.minimizer)
-        manifest["minimizer"] = "minimizer.csv"
-    (out / BUNDLE_MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n")
-    return out / BUNDLE_MANIFEST
-
-
-def load_problem_bundle(bundle_dir: Path | str) -> DistributedProblem:
-    root = Path(bundle_dir)
-    manifest = json.loads((root / BUNDLE_MANIFEST).read_text())
-    missing = [key for key in ("n", "m", "d", "domain", "blocks") if key not in manifest]
-    if missing:
-        raise ValueError(f"bundle manifest {root / BUNDLE_MANIFEST} lacks {', '.join(missing)}")
-    if manifest.get("bundle_version") != BUNDLE_VERSION:
-        raise ValueError(f"bundle {root} has bundle_version {manifest.get('bundle_version')!r}, "
-                         f"but this dismd reads bundle_version {BUNDLE_VERSION}")
-    declared = (manifest["n"], manifest["m"], manifest["d"])
-    # np.stack raises ValueError on blocks of unequal shapes
-    q = np.stack([load_matrix(root / entry["q"]) for entry in manifest["blocks"]])
-    b = np.stack([load_matrix(root / entry["b"]).ravel() for entry in manifest["blocks"]])
-    if q.shape != declared or b.shape != declared[:2]:
-        raise ValueError(
-            f"bundle {root} declares (n, m, d) = {declared}, "
-            f"but its files hold q {q.shape} and b {b.shape}"
-        )
-    minimizer = None
-    if manifest.get("minimizer"):
-        minimizer = load_matrix(root / manifest["minimizer"]).ravel()
-    return DistributedProblem(q=q, b=b, domain=manifest["domain"], minimizer=minimizer)

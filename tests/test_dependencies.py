@@ -1,6 +1,8 @@
 """numpy is the package's only runtime dependency: importing dismd and its
-command line brings in no other installed module."""
+command line brings in no other installed module. The math modules do no
+I/O: files are read and written by ``harness`` alone."""
 
+import ast
 import json
 import os
 import subprocess
@@ -30,3 +32,26 @@ def test_importing_the_package_loads_only_the_stdlib_and_numpy():
     proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
                           env=env, check=True)
     assert json.loads(proc.stdout) == []
+
+
+MATH_MODULES = ("graphs", "objectives", "mirror_maps", "dynamics", "diagnostics", "oracle")
+IO_MODULES = {"json", "pathlib", "os", "io", "shutil", "tempfile"}
+
+
+def test_the_math_modules_import_no_io_module_and_open_no_file():
+    found = []
+    for name in MATH_MODULES:
+        path = SRC / "dismd" / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            found += [(name, m) for m in modules if m.partition(".")[0] in IO_MODULES]
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
+                    found.append((name, f"open() at line {node.lineno}"))
+    assert found == []

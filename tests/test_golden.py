@@ -28,13 +28,8 @@ from dismd.config import load_config
 from dismd.dynamics import DivergenceError
 from dismd.graphs import Topology, build_graph, metropolis_weights
 from dismd.mirror_maps import EntropyMap
-from dismd.objectives import (
-    DistributedProblem,
-    GeneratorConfig,
-    generate_problem,
-    load_problem_bundle,
-    save_problem_bundle,
-)
+from dismd.harness import load_problem_bundle, save_problem_bundle
+from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
 from dismd.oracle import solve_simplex
 from test_kernel_reference import ref_solve_simplex, shipped_config
 

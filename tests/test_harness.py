@@ -12,7 +12,7 @@ from dismd import cli, diagnostics, harness
 from dismd.diagnostics import csv_header
 from dismd.dynamics import DivergenceError
 from dismd.config import ConfigError, RunConfig, load_config
-from dismd.objectives import load_matrix
+from dismd.harness import load_matrix
 from test_kernel_reference import with_values
 
 MINIMAL = """
@@ -302,6 +302,63 @@ def test_a_failed_command_leaves_no_partial_csv(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, blocked", [
+    (["run"], "metrics.csv"),
+    (["compare", "--config", "{cfg}"], "compare.csv"),
+    (["sweep", "--param", "hyperparams.sigma", "--values", "0,0.1"], "sigma_0.1/metrics.csv"),
+])
+def test_a_directory_in_place_of_a_csv_fails_before_any_run(tmp_path, capsys, monkeypatch,
+                                                            command, blocked):
+    cfg_path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    runs = []
+    monkeypatch.setattr(harness.dynamics, "run", lambda *a, **k: runs.append(a))
+    argv = [command[0], "--config", str(cfg_path), "--out", str(out), "--quiet", *command[1:]]
+    assert cli.main([a.format(cfg=cfg_path) for a in argv]) == 3
+    assert "Is a directory" in capsys.readouterr().err
+    assert runs == []
+    assert not list(out.rglob("*.tmp"))
+
+
+def test_problem_gen_writes_no_bundle_file_unless_it_can_write_all(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "bundle"
+    (out / "q_001.csv").mkdir(parents=True)
+    assert cli.main(["problem-gen", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert [p.name for p in out.rglob("*")] == ["q_001.csv"]
+
+
+def test_graph_info_writes_neither_matrix_unless_it_can_write_both(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "mats"
+    (out / "laplacian.csv").mkdir(parents=True)
+    assert cli.main(["graph-info", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert [p.name for p in out.rglob("*")] == ["laplacian.csv"]
+
+
+def test_a_failed_bundle_write_leaves_no_file_and_no_directory(tmp_path, capsys, monkeypatch):
+    # the first file made the three directories; it is discarded last, when they are empty
+    cfg_path = write_config(tmp_path, MINIMAL)
+    writes = []
+    original = harness.OutputFile.write
+
+    def failing_third(self, text):
+        writes.append(self.path.name)
+        if len(writes) == 3:
+            raise OSError("disk full")
+        original(self, text)
+
+    monkeypatch.setattr(harness.OutputFile, "write", failing_third)
+    out = tmp_path / "new" / "nested" / "bundle"
+    assert cli.main(["problem-gen", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "disk full" in capsys.readouterr().err
+    assert writes == ["q_000.csv", "b_000.csv", "q_001.csv"]
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 def test_sweep_rejects_unknown_or_empty(tmp_path, capsys):
     cfg = load_config(write_config(tmp_path, MINIMAL))
     with pytest.raises(ConfigError, match="parameter path"):
@@ -480,6 +537,47 @@ def test_non_finite_x0_is_a_config_error(tmp_path, capsys, value):
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     assert "algorithm.x0" in capsys.readouterr().err
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["1e160", "-1e151"])
+def test_x0_beyond_the_divergence_limit_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+    (tmp_path / "x0.csv").write_text(f"0.5\n{value}\n")
+    cfg_path = write_config(tmp_path, MINIMAL + f"\n[algorithm]\nx0 = {tmp_path / 'x0.csv'}\n")
+    runs = []
+    monkeypatch.setattr(harness.dynamics, "run", lambda *a, **k: runs.append(a))
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+            "--param", "hyperparams.dt", "--values", "0.01,0.02"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"algorithm.x0 starts z beyond the divergence limit 1e+150: z = {float(value)!r} " \
+           "at particle 1, coordinate 0" in err
+    assert runs == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["graph.weights", "algorithm.map_matrix", "bundle"])
+def test_a_non_finite_matrix_entry_names_its_key_or_file(tmp_path, capsys, source, value):
+    text = MINIMAL.replace("d = 1", "d = 2").replace("m = 1", "m = 2")
+    if source == "graph.weights":
+        (tmp_path / "w.csv").write_text(f"0.5,{value}\n0.5,0.5\n")
+        text += f"\n[graph]\ntopology = matrix\nweights = {tmp_path / 'w.csv'}\n"
+        expected = f"graph.weights must be finite, got {value} at row 0, column 1"
+    elif source == "algorithm.map_matrix":
+        (tmp_path / "p.csv").write_text(f"2.0,0.0\n{value},3.0\n")
+        text += f"\n[algorithm]\nmap = quadratic\nmap_matrix = {tmp_path / 'p.csv'}\n"
+        expected = f"algorithm.map_matrix must be finite, got {value} at row 1, column 0"
+    else:
+        harness.save_problem_bundle(harness.build_problem(load_config(
+            write_config(tmp_path, text, "gen.ini"))), tmp_path / "bundle")
+        (tmp_path / "bundle" / "q_001.csv").write_text(f"1.0,0.0\n0.0,{value}\n")
+        text = bundle_config(tmp_path / "bundle")
+        expected = (f"{tmp_path / 'bundle' / 'q_001.csv'} must be finite, "
+                    f"got {value} at row 1, column 1")
+    cfg_path = write_config(tmp_path, text)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_quadratic_map_from_matrix_file(tmp_path):

@@ -3,13 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dismd.objectives import (
-    DistributedProblem,
-    GeneratorConfig,
-    generate_problem,
-    load_problem_bundle,
-    save_problem_bundle,
-)
+from dismd.harness import load_problem_bundle, save_problem_bundle
+from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
 
 
 def block_values(prob, x_rows):
