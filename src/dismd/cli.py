@@ -91,12 +91,14 @@ def _dispatch(args) -> int:
     if args.command == "compare":
         configs, labels = [], []
         for path in args.configs:
-            configs.append(_load(path, args.seed))
             stem = label = Path(path).stem
             suffix = len(labels)
             while label in labels:  # x/a.ini and y/a.ini become a and a_1
                 label = f"{stem}_{suffix}"
                 suffix += 1
+            if set(label) & set(',"\r\n'):  # it leads each unquoted compare.csv row
+                raise ConfigError(f"config {path}: label {label!r} holds a comma, quote or newline")
+            configs.append(_load(path, args.seed))
             labels.append(label)
         csv_path = harness.cmd_compare(configs, labels, _out_dir(args, configs[0]))
         if not args.quiet:

@@ -5,9 +5,10 @@ CSV numbers use the shortest round-trip decimal representation, and the
 manifest echoes the fully resolved config, so identical (config, seed,
 version) reproduce byte-identical outputs.
 
-Every output file, problem bundles and graph matrices included, is an
-``OutputFile``, written through one open handle to ``<name>.tmp`` and
-renamed when complete. Each run's ``RunLog`` appends the
+Every output file is an ``OutputFile``, written through one open handle
+to ``<name>.tmp``. A command opens all its files before its first run, so
+a bad output path fails before anything integrates, and ``_write_atomic``
+renames none until every one is written. Each run's ``RunLog`` appends the
 CSV rows of each snapshot block as it is taken and keeps only what its
 command still reads, so memory does not grow with the record count.
 """
@@ -222,29 +223,26 @@ class OutputFile:
         self.path = path
         self.tmp = path.with_name(path.name + ".tmp")
         # the directories this file makes, deepest first, for discard
-        self.made = []
-        for directory in (path.parent, *path.parent.parents):
-            if directory.exists():
-                break
-            self.made.append(directory)
+        self.made = [d for d in (path.parent, *path.parent.parents) if not d.exists()]
         path.parent.mkdir(parents=True, exist_ok=True)
-        self.file = self.tmp.open("w")
+        self.file = None  # until the tmp file opens, which can fail: too many files open, say
         with _discard_on_failure([self]):
+            self.file = self.tmp.open("w")
             self.write(text)
 
     def write(self, text: str) -> None:
         self.file.write(text)
 
-    def publish(self) -> Path:
+    def publish(self) -> None:
         self.file.close()
         os.replace(self.tmp, self.path)
-        return self.path
 
     def discard(self) -> None:
-        """Close and remove the unpublished file and the directories made for it."""
-        self.file.close()
-        if self.tmp.exists():
-            self.tmp.unlink()
+        """Close and remove the unpublished file, opened or not, and the directories made for it."""
+        if self.file is not None:
+            self.file.close()
+        if self.file is None or self.tmp.exists():
+            self.tmp.unlink(missing_ok=True)
             for directory in self.made:
                 directory.rmdir()
 
@@ -394,14 +392,19 @@ def records_to_csv(records: list[diagnostics.MetricsRecord], lead: str = "") -> 
     return "".join(f"{lead}{rec.to_csv_row()}\n" for rec in records)
 
 
-def _write_atomic(texts: dict[Path, str]) -> None:
-    """Write each text to its path through its tmp file, in order, and
-    rename none until all are written. No failure leaves a tmp file behind."""
-    files = []
+def _open(files: list[OutputFile], path: Path, text: str = "") -> OutputFile:
+    """``OutputFile(path, text)``, added to ``files`` as soon as it is made."""
+    files.append(OutputFile(path, text))
+    return files[-1]
+
+
+def _write_atomic(files: list[OutputFile], texts: dict[Path, str] | None = None) -> None:
+    """Write each of ``texts`` to its path through its tmp file after the
+    open ``files``, then publish all of them in order: none is renamed until
+    every one is written. No failure leaves a tmp file behind."""
     with _discard_on_failure(files):
-        for path, text in texts.items():
-            files.append(OutputFile(path, text))
-            files[-1].file.close()  # a bundle of many blocks holds no handle per block
+        for path, text in (texts or {}).items():
+            _open(files, path, text).file.close()  # no handle held per bundle block
         for file in files:
             file.publish()
 
@@ -445,7 +448,7 @@ def save_problem_bundle(problem: DistributedProblem, out_dir: Path | str) -> Pat
         texts[out / "minimizer.csv"] = _matrix_csv(problem.minimizer)
         manifest["minimizer"] = "minimizer.csv"
     texts[out / MANIFEST_FILE] = json.dumps(manifest, indent=2) + "\n"
-    _write_atomic(texts)
+    _write_atomic([], texts)
     return out / MANIFEST_FILE
 
 
@@ -473,12 +476,14 @@ def load_problem_bundle(bundle_dir: Path | str) -> DistributedProblem:
     return DistributedProblem(q=q, b=b, domain=manifest["domain"], minimizer=minimizer)
 
 
-def write_run_outputs(csv: OutputFile, manifest) -> tuple[Path, Path]:
-    """Publish a run's streamed metrics CSV and write its manifest beside it."""
-    manifest_path = csv.path.parent / MANIFEST_FILE
-    metrics_path = csv.publish()
-    _write_atomic({manifest_path: json.dumps(manifest, indent=2) + "\n"})
-    return metrics_path, manifest_path
+def _open_run(files: list[OutputFile], out: Path) -> tuple[OutputFile, OutputFile]:
+    """A run's metrics CSV, holding its header, and its empty manifest, in ``out``."""
+    return _open(files, out / METRICS_FILE, csv_header() + "\n"), _open(files, out / MANIFEST_FILE)
+
+
+def write_run_outputs(file: OutputFile, manifest) -> None:
+    """Write a run's manifest, or a compare's manifests, into its open file."""
+    file.write(json.dumps(manifest, indent=2) + "\n")
 
 
 def _raise_first(divergences, written: list[Path]) -> None:
@@ -494,13 +499,14 @@ def cmd_run(cfg: RunConfig, out_dir: Path | str) -> tuple[Path, Path]:
     """Run one config and write its metrics CSV and manifest; a run that
     diverged writes both and then raises its DivergenceError. A set-up
     failure writes nothing."""
-    setup = prepare(cfg)
-    csv = OutputFile(Path(out_dir) / METRICS_FILE, csv_header() + "\n")
-    with _discard_on_failure([csv]):
-        [(manifest, divergence)] = execute(setup, [cfg], [RunLog(csv, setup.recorder)])
-        paths = write_run_outputs(csv, manifest)
-    _raise_first([(None, divergence)], paths)
-    return paths
+    setup, files = prepare(cfg), []
+    with _discard_on_failure(files):
+        csv, manifest = _open_run(files, Path(out_dir))
+        [(mapping, divergence)] = execute(setup, [cfg], [RunLog(csv, setup.recorder)])
+        write_run_outputs(manifest, mapping)
+        _write_atomic(files)
+    _raise_first([(None, divergence)], [csv.path, manifest.path])
+    return csv.path, manifest.path
 
 
 def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str) -> Path:
@@ -522,25 +528,21 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
         h = cfg["hyperparams"]
         for key in ("dt", "epochs", "metrics_every"):
             if h[key] != base[key]:
-                raise ConfigError(
-                    f"compare configs must share hyperparams.{key} "
-                    f"({h[key]} != {base[key]})"
-                )
+                raise ConfigError(f"compare configs must share hyperparams.{key} "
+                                  f"({h[key]} != {base[key]})")
     setups = [_prepared(cfg, f"config {label}") for cfg, label in zip(configs, labels)]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv = OutputFile(out / "compare.csv", "run," + csv_header() + "\n")
-    manifests = {}
-    divergences = []
-    with _discard_on_failure([csv]):
+    out, files, manifests, divergences = Path(out_dir), [], {}, []
+    with _discard_on_failure(files):
+        csv = _open(files, out / "compare.csv", "run," + csv_header() + "\n")
+        manifest = _open(files, out / MANIFEST_FILE)
         for setup, cfg, label in zip(setups, configs, labels):
             [(manifests[label], divergence)] = execute(setup, [cfg],
                                                        [RunLog(csv, setup.recorder, label)])
             divergences.append((label, divergence))
-        csv.publish()
-    _write_atomic({out / MANIFEST_FILE: json.dumps(manifests, indent=2) + "\n"})
-    _raise_first(divergences, [out / "compare.csv", out / MANIFEST_FILE])
-    return out / "compare.csv"
+        write_run_outputs(manifest, manifests)
+        _write_atomic(files)
+    _raise_first(divergences, [csv.path, manifest.path])
+    return csv.path
 
 
 def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path | str) -> Path:
@@ -574,32 +576,27 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     batches = [runs] if param in BATCHED else [[run] for run in runs]
     setups = [_prepared(batch[0][1], f"{param} = {','.join(raw for raw, _ in batch)}")
               for batch in batches]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary_lines = ["value,seed," + csv_header() + ",rate_r,rate_r_squared"]
-    divergences = []
-    files = []
+    out, files, divergences = Path(out_dir), [], []
     with _discard_on_failure(files):
+        opened = {raw: _open_run(files, out / f"{key}_{raw}") for raw in raw_values}
+        summary = _open(files, out / "summary.csv",
+                        "value,seed," + csv_header() + ",rate_r,rate_r_squared\n")
         for setup, batch in zip(setups, batches):
-            logs = []
-            for raw, _ in batch:
-                files.append(OutputFile(out / f"{key}_{raw}" / METRICS_FILE, csv_header() + "\n"))
-                logs.append(RunLog(files[-1], setup.recorder, fit=True))
+            logs = [RunLog(opened[raw][0], setup.recorder, fit=True) for raw, _ in batch]
             results = execute(setup, [run_cfg for _, run_cfg in batch], logs)
-            for (raw, run_cfg), log, (manifest, divergence) in zip(batch, logs, results):
-                write_run_outputs(log.csv, manifest)
+            for (raw, run_cfg), log, (mapping, divergence) in zip(batch, logs, results):
+                write_run_outputs(opened[raw][1], mapping)
                 divergences.append((log.csv.path.parent.name, divergence))
                 try:
                     fit = rate_fit(log.t, log.V, window=0.5)
                     r, r2 = fit.r, fit.r_squared
                 except ValueError:
                     r, r2 = float("nan"), float("nan")
-                summary_lines.append(
-                    f"{raw},{run_cfg['run']['seed']},{log.last.to_csv_row()},{r!r},{r2!r}"
-                )
-    _write_atomic({out / "summary.csv": "\n".join(summary_lines) + "\n"})
-    _raise_first(divergences, [*(out / name for name, _ in divergences), out / "summary.csv"])
-    return out / "summary.csv"
+                summary.write(f"{raw},{run_cfg['run']['seed']},{log.last.to_csv_row()},"
+                              f"{r!r},{r2!r}\n")
+        _write_atomic(files)
+    _raise_first(divergences, [*(out / name for name, _ in divergences), summary.path])
+    return summary.path
 
 
 def graph_info_report(cfg: RunConfig) -> str:
@@ -620,8 +617,8 @@ def graph_info_report(cfg: RunConfig) -> str:
 def export_graph_matrices(cfg: RunConfig, out_dir: Path | str) -> None:
     graph, _ = build_graph_and_spectra(cfg, build_problem(cfg).n)
     out = Path(out_dir)
-    _write_atomic({out / "adjacency.csv": _matrix_csv(graph.adjacency),
-                   out / "laplacian.csv": _matrix_csv(graph.laplacian)})
+    _write_atomic([], {out / "adjacency.csv": _matrix_csv(graph.adjacency),
+                       out / "laplacian.csv": _matrix_csv(graph.laplacian)})
 
 
 def oracle_report(cfg: RunConfig) -> str:

@@ -1,6 +1,8 @@
 """numpy is the package's only runtime dependency: importing dismd and its
 command line brings in no other installed module. The math modules do no
-I/O: files are read and written by ``harness`` alone."""
+I/O: files are read and written by ``harness`` alone, where only
+``_write_atomic`` publishes a file and only ``OutputFile`` renames one or
+makes a directory."""
 
 import ast
 import json
@@ -54,4 +56,31 @@ def test_the_math_modules_import_no_io_module_and_open_no_file():
                 func = node.func
                 if getattr(func, "id", None) == "open" or getattr(func, "attr", None) == "open":
                     found.append((name, f"open() at line {node.lineno}"))
+    assert found == []
+
+
+def _calls(node, scope=()):
+    """(names of the enclosing classes and functions, call) for every call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield scope, child
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _calls(child, scope + (child.name,) if named else scope)
+
+
+# the one owner of each call that publishes, renames or makes a directory
+OWNERS = {"publish": "_write_atomic", "replace": "OutputFile", "rename": "OutputFile",
+          "mkdir": "OutputFile", "makedirs": "OutputFile"}
+
+
+def test_only_write_atomic_publishes_and_only_output_file_renames_or_makes_directories():
+    found = []
+    for path in sorted((SRC / "dismd").glob("*.py")):
+        for scope, call in _calls(ast.parse(path.read_text(), str(path))):
+            name = getattr(call.func, "attr", None)
+            if name == "replace" and getattr(call.func.value, "id", None) != "os" and (
+                    len(call.args) != 1 or call.keywords):
+                continue  # str.replace or dataclasses.replace, not Path.replace
+            if name in OWNERS and OWNERS[name] not in scope:
+                found.append(f"{path.name}:{call.lineno} {name} outside {OWNERS[name]}")
     assert found == []

@@ -1,9 +1,11 @@
 import builtins
+import errno
 import io
 import json
 import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,19 +295,56 @@ def test_a_failed_command_leaves_no_partial_csv(tmp_path, monkeypatch):
     fail_the_recorder(monkeypatch, 4, out / "compare.csv.tmp")  # part-way through run b
     with pytest.raises(ValueError, match="recorder failed"):
         harness.cmd_compare([cfg, cfg], ["a", "b"], out)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
     out = tmp_path / "sweep"
     fail_the_recorder(monkeypatch, 4, out / "sigma_0.1" / "metrics.csv.tmp")
     with pytest.raises(ValueError, match="recorder failed"):
         harness.cmd_sweep(cfg, "hyperparams.sigma", ["0", "0.1", "0.2"], out)
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+    # a serial sweep publishes its first value only with the rest
+    out = tmp_path / "serial"
+    fail_the_recorder(monkeypatch, 4, out / "dt_0.02" / "metrics.csv.tmp")
+    with pytest.raises(ValueError, match="recorder failed"):
+        harness.cmd_sweep(cfg, "hyperparams.dt", ["0.01", "0.02"], out)
+    assert not out.exists()
+
+
+def test_a_file_that_cannot_open_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    # the directories a file made go even when its tmp file never opens
+    cfg_path = write_config(tmp_path, MINIMAL)
+    out = tmp_path / "new" / "sweep"
+    original = io.open
+
+    def too_many(file, *args, **kwargs):
+        if str(file) == str(out / "sigma_0.1" / "metrics.csv.tmp"):
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE), str(file))
+        return original(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", too_many)
+    runs = []
+    monkeypatch.setattr(harness.dynamics, "run", lambda *a, **k: runs.append(a))
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(out), "--quiet",
+            "--param", "hyperparams.sigma", "--values", "0,0.1"]
+    assert cli.main(argv) == 3
+    assert os.strerror(errno.EMFILE) in capsys.readouterr().err
+    assert runs == []
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+SIGMA_SWEEP = ["sweep", "--param", "hyperparams.sigma", "--values", "0,0.1"]
 
 
 @pytest.mark.parametrize("command, blocked", [
     (["run"], "metrics.csv"),
     (["compare", "--config", "{cfg}"], "compare.csv"),
-    (["sweep", "--param", "hyperparams.sigma", "--values", "0,0.1"], "sigma_0.1/metrics.csv"),
+    (SIGMA_SWEEP, "sigma_0.1/metrics.csv"),
+    (["run"], "manifest.json"),
+    (["compare", "--config", "{cfg}"], "manifest.json"),
+    (SIGMA_SWEEP, "sigma_0.1/manifest.json"),
+    (SIGMA_SWEEP, "summary.csv"),
+    (["sweep", "--param", "hyperparams.dt", "--values", "0.01,0.02"], "dt_0.02/metrics.csv"),
 ])
 def test_a_directory_in_place_of_a_csv_fails_before_any_run(tmp_path, capsys, monkeypatch,
                                                             command, blocked):
@@ -318,7 +357,9 @@ def test_a_directory_in_place_of_a_csv_fails_before_any_run(tmp_path, capsys, mo
     assert cli.main([a.format(cfg=cfg_path) for a in argv]) == 3
     assert "Is a directory" in capsys.readouterr().err
     assert runs == []
-    assert not list(out.rglob("*.tmp"))
+    # nothing is published, and the files opened before the blocked one are gone
+    kept = Path(blocked)
+    assert {p.relative_to(out) for p in out.rglob("*")} == {kept, *kept.parents} - {Path(".")}
 
 
 def test_problem_gen_writes_no_bundle_file_unless_it_can_write_all(tmp_path, capsys):
@@ -862,3 +903,18 @@ def test_cli_compare_labels_are_unique(tmp_path):
     cfg = load_config(tmp_path / "a_2.ini")
     with pytest.raises(ConfigError, match="distinct"):
         harness.cmd_compare([cfg, cfg], ["a", "a"], tmp_path / "dup")
+
+
+@pytest.mark.parametrize("name", ["a,b.ini", 'a"b.ini', "a\nb.ini", "a\rb.ini"])
+def test_a_compare_label_that_would_break_the_csv_is_rejected(tmp_path, capsys, monkeypatch,
+                                                             name):
+    bad = write_config(tmp_path, MINIMAL, name)
+    good = write_config(tmp_path, MINIMAL, "min.ini")
+    prepared = []
+    monkeypatch.setattr(harness, "prepare", lambda cfg: prepared.append(cfg))
+    out = tmp_path / "cmp"
+    argv = ["compare", "--config", str(good), "--config", str(bad), "--out", str(out), "--quiet"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: config {bad}: label ")
+    assert prepared == []
+    assert not out.exists()
