@@ -16,6 +16,7 @@ manifest dropped; 0.5.0 dropped l_psi.
 """
 
 import hashlib
+import importlib
 import json
 import re
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dismd import __version__, harness
+from dismd import __version__, cli, harness
 from dismd.config import load_config
 from dismd.dynamics import DivergenceError
 from dismd.graphs import Topology, build_graph, metropolis_weights
@@ -34,6 +35,7 @@ from dismd.oracle import solve_simplex
 from test_kernel_reference import ref_solve_simplex, shipped_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+PERFBENCH = CONFIGS.parent / "perfbench"
 
 # (config stem, sigma override or None) -> sha256 of metrics.csv
 GOLDEN = {
@@ -103,12 +105,15 @@ def test_metrics_csv_with_override_matches_golden_hash(tmp_path, stem, path, val
     assert digest == GOLDEN_OVERRIDES[(stem, path, value)]
 
 
-# (parameter path, values) -> {file under the sweep directory: sha256}, for
-# sweeps of problem_a_eismd cut to 2,000 epochs. The sigma sweep mixes a
-# noise-free value with noisy ones; under eta = 1e5 the run diverges at step
-# 54, inside its first block of snapshots, while its neighbours complete.
+# (overrides, parameter path, values) -> (the divergence the sweep raises, as
+# (run, step, array, particle, coordinate), or None; {file under the sweep
+# directory: sha256}), for sweeps of problem_a_eismd cut to 2,000 epochs.
+# The sigma sweep mixes a noise-free value with noisy ones. Under eta = 1e5
+# the run diverges at step 54, inside its first block of snapshots, while its
+# neighbours complete; with sigma = 0.1 the batch that carries on without it
+# draws noise. The dt sweep is serial, and dt = 2 diverges at step 415.
 GOLDEN_SWEEPS = {
-    ("hyperparams.sigma", ("0", "0.05", "0.1")): {
+    ((), "hyperparams.sigma", ("0", "0.05", "0.1")): (None, {
         "sigma_0/metrics.csv":
             "ec694f5c77d0d467dd45ad776cde374360f677b435998a7d86021a4c449eae42",
         "sigma_0.05/metrics.csv":
@@ -117,8 +122,8 @@ GOLDEN_SWEEPS = {
             "792fbb180d5ccc1aa543e9c7ec923fe23e105b807ba1afe36e26db24acf8502c",
         "summary.csv":
             "81ed5ef9541f7879168c5843ecb8cac5b331cd35911231f73d33bd3d150c966d",
-    },
-    ("hyperparams.eta", ("1", "1e5", "3")): {
+    }),
+    ((), "hyperparams.eta", ("1", "1e5", "3")): (("eta_1e5", 54, "z", 0, 9), {
         "eta_1/metrics.csv":
             "ec694f5c77d0d467dd45ad776cde374360f677b435998a7d86021a4c449eae42",
         "eta_1e5/metrics.csv":
@@ -127,23 +132,99 @@ GOLDEN_SWEEPS = {
             "dc6aa90669c43c03403a3c939e0709f4574a573478d9295a95f7eb70a87ee3f0",
         "summary.csv":
             "cc5d1261c6e0cb38bbfd1a5fe1af8adfedcdf46800d59a7f0647da71ef7cff8a",
-    },
+    }),
+    ((("hyperparams.sigma", 0.1),), "hyperparams.eta", ("1", "1e5", "3")): (
+        ("eta_1e5", 54, "z", 0, 9), {
+            "eta_1/metrics.csv":
+                "620e6321979c3a20b82db31ce0eecbf73f3a30ae18cb584073c9f7edc6e4df5c",
+            "eta_1e5/metrics.csv":
+                "7b44c84d614f3e899881ac581179b4976185a511704e2a60a52a59b31ce7bea3",
+            "eta_3/metrics.csv":
+                "ada85cc4f6b936f77baf68ae4262c3f8177e006763e8f675e476e662e1d38081",
+            "summary.csv":
+                "e9c450048bba2b6cfd4112c4912265d7ecf875945ea1fa7a341e402d1eb4a97f",
+        }),
+    ((("hyperparams.sigma", 0.1),), "hyperparams.dt", ("0.005", "0.01", "2")): (
+        ("dt_2", 415, "z", 0, 19), {
+            "dt_0.005/metrics.csv":
+                "73ff457d460c7001d9ff5a258876e37a98ec545479505c34b08e22dc91600d4a",
+            "dt_0.01/metrics.csv":
+                "63609d1bc42ada170585ad7024dbaed3ddb15b14a75b05561e250f1a4978c885",
+            "dt_2/metrics.csv":
+                "359660a063532788da48a0b24c806263af66bd1ff0e2f480f9a73dd9ecd656d8",
+            "summary.csv":
+                "1b6c1d4422fe0c797251b5ac8bcdad3b949a7abfc6362a335ac0f4691c184efb",
+        }),
 }
 
 
-@pytest.mark.parametrize("param, values", list(GOLDEN_SWEEPS), ids=lambda v: str(v))
-def test_sweep_csv_files_match_golden_hashes(tmp_path, param, values):
+def _sweep_id(key) -> str:
+    overrides, param, values = key
+    return "-".join([*(f"{k}={v}" for k, v in overrides), param, str(values)])
+
+
+@pytest.mark.parametrize("overrides, param, values", list(GOLDEN_SWEEPS),
+                         ids=[_sweep_id(key) for key in GOLDEN_SWEEPS])
+def test_sweep_csv_files_match_golden_hashes(tmp_path, overrides, param, values):
     assert __version__ == "0.7.0", "a new artifact version needs new golden hashes"
-    cfg = shipped_config("problem_a_eismd", {})
+    want_diverged, want_files = GOLDEN_SWEEPS[(overrides, param, values)]
+    cfg = shipped_config("problem_a_eismd", dict(overrides))
     diverged = None
     try:
         harness.cmd_sweep(cfg, param, list(values), tmp_path)
     except DivergenceError as exc:
         diverged = (exc.run, exc.step, exc.array, exc.particle, exc.coordinate)
-    assert diverged == (None if "1e5" not in values else ("eta_1e5", 54, "z", 0, 9))
+    assert diverged == want_diverged
     got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.rglob("*.csv")}
-    assert got == GOLDEN_SWEEPS[(param, values)]
+    assert got == want_files
+
+
+# benchmark workload (perfbench/workloads.py) -> {CSV file under its output
+# directory: sha256}, its command run at seed 0 and the smoke horizon. These
+# are the bytes the benchmark compares a change against its parent by.
+GOLDEN_WORKLOADS = {
+    "desk-compare": {
+        "compare.csv": "e777f71cdddcd84d6601882392584d84bb90cfa7700030f35664d4db1be9c605",
+    },
+    "noisy-sweep": {
+        "sigma_0.05/metrics.csv":
+            "19d7e28af4e56e46e8e6b3c4764fad157f584b2cc683cf104257d93e2803e252",
+        "sigma_0.1/metrics.csv":
+            "2d0b535406e949fd7fcf20a8541d245ce714e528a2d5666f8c4223b2546a66e0",
+        "sigma_0.2/metrics.csv":
+            "67bc555291b60318e87c0fc099f8a5e0f045578f64bec65c30f514c96843afd7",
+        "summary.csv": "42483b2b4884e1d30b6b629ff5c6c57bbd4b2b824842b6028c1cc7f713bc6020",
+    },
+    "setup-ladder40": {
+        "metrics.csv": "c99b4305c8ed85c7812956d5146995d61e7d6e082b69df6ecd9377253ff67a9f",
+    },
+    "simplex-entropy": {
+        "metrics.csv": "ba260ad30db61208d406f15b3ef57ab314014a80eaf83f10c2f019573e3f5fef",
+    },
+}
+
+
+def test_golden_workloads_cover_every_benchmark_workload(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    assert set(GOLDEN_WORKLOADS) == set(importlib.import_module("workloads").WORKLOADS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
+def test_workload_csv_files_match_golden_hashes(tmp_path, monkeypatch, name):
+    assert __version__ == "0.7.0", "a new artifact version needs new golden hashes"
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name]
+    paths = []
+    for label, text in workload.config_texts(0, workloads.SMOKE_EPOCHS, None).items():
+        paths.append(tmp_path / f"{label}.ini")
+        paths[-1].write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(workload.argv(paths, out)) == 0
+    got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.rglob("*.csv")}
+    assert got == GOLDEN_WORKLOADS[name]
 
 
 # (compared config stems, in order) -> sha256 of compare.csv, each cut to
