@@ -30,14 +30,18 @@ counter-based Gaussian stream keyed by (seed, step, particle, coordinate),
 so trajectories are pure functions of (seed, config) no matter how the work
 is scheduled.
 
-``run`` copies the state at each record step into a preallocated block of
-``Snapshots`` and hands the recorder whole blocks, so the metrics are
-computed over a leading snapshot axis rather than one state at a time.
+A run keeps its state in one buffer: z, lambda, (EPISMD only) mu and x, in
+that order, on its leading axis. The divergence guard reads the evolved
+prefix, all but x. ``run`` copies the buffer at each record step into a
+preallocated block of ``Snapshots`` laid out the same way, and hands the
+recorder whole blocks, so the metrics are computed over a leading snapshot
+axis rather than one state at a time.
 
 ``run`` also integrates R replicas of one run at once: the same problem,
 maps, graph, dt and horizon, each with its own eta, epsilon, sigma, seed and
-x_0. Their states stack on a leading replica axis, every kernel call covers
-all of them, and each replica's arithmetic is its single run's, bit for bit.
+x_0. Their states stack on a replica axis after the buffer's first, every
+kernel call covers all of them, and each replica's arithmetic is its single
+run's, bit for bit.
 """
 
 from __future__ import annotations
@@ -219,23 +223,23 @@ def _states(snaps: Snapshots) -> list[ParticleSystem]:
 
 
 def _stacked(shape: tuple[int, ...], with_mu: bool) -> tuple[ParticleSystem, np.ndarray]:
-    """An unfilled step-0 state of ``shape`` arrays whose z, lam and
-    (with_mu) mu are views of one (k, *shape) buffer, and that buffer."""
-    stack = np.empty((3 if with_mu else 2, *shape))
-    mu = stack[2] if with_mu else None
-    return ParticleSystem(z=stack[0], x=np.empty(shape), lam=stack[1], mu=mu, step=0, t=0.0), stack
+    """An unfilled step-0 state of ``shape`` arrays whose z, lam, (with_mu)
+    mu and x are, in that order, the views of one (k + 1, *shape) buffer,
+    and that buffer; its prefix ``[:-1]`` holds the k evolved arrays."""
+    buf = np.empty((4 if with_mu else 3, *shape))
+    mu = buf[2] if with_mu else None
+    return ParticleSystem(z=buf[0], x=buf[-1], lam=buf[1], mu=mu, step=0, t=0.0), buf
 
 
-def _initial(mmap: MirrorMap, x0_rows: np.ndarray,
-             with_mu: bool) -> tuple[ParticleSystem, np.ndarray]:
-    """The step-0 state, z_0 = forward(x_0) with zero multipliers, of (n, d)
-    or (R, n, d) rows in a stacked buffer, and that buffer."""
+def _initial(mmap: MirrorMap, x0_rows: np.ndarray, with_mu: bool) -> np.ndarray:
+    """The buffer of the step-0 state, z_0 = forward(x_0) with zero
+    multipliers, of (n, d) or (R, n, d) rows, laid out as ``_stacked``'s."""
     x0 = np.asarray(x0_rows, dtype=float)
-    state, stack = _stacked(x0.shape, with_mu)
-    stack.fill(0.0)
+    state, buf = _stacked(x0.shape, with_mu)
+    buf.fill(0.0)
     state.z[...] = mmap.forward(x0)
     mmap.backward(state.z, out=state.x)
-    return state, stack
+    return buf
 
 
 class StepScratch:
@@ -387,21 +391,17 @@ _STATE_LIMIT = 1e150
 _FAST_SUM_LIMIT = 0.5 * _STATE_LIMIT**2
 
 
-def _divergence(state: ParticleSystem, records: list) -> DivergenceError | None:
-    """The error naming the first entry of z, lam or mu outside
-    [-_STATE_LIMIT, _STATE_LIMIT], NaN included; None if there is none."""
-    for name in ("z", "lam", "mu"):
-        arr = getattr(state, name)
-        if arr is None:
-            continue
-        bad = ~(np.abs(arr) <= _STATE_LIMIT)
-        if bad.any():
-            particle, coordinate = np.unravel_index(int(np.argmax(bad)), arr.shape)
-            value = float(arr[particle, coordinate])
-            return DivergenceError(
-                state.step, records, name, int(particle), int(coordinate), value
-            )
-    return None
+def _divergence(evolved: np.ndarray, step: int, records: list) -> DivergenceError | None:
+    """The error naming the first entry of ``evolved``, one state's (k, n, d)
+    z, lam[, mu], outside [-_STATE_LIMIT, _STATE_LIMIT], NaN included; None
+    if there is none. The first index names the array."""
+    bad = ~(np.abs(evolved) <= _STATE_LIMIT)
+    index = int(np.argmax(bad))
+    if not bad.flat[index]:
+        return None
+    which, particle, coordinate = map(int, np.unravel_index(index, evolved.shape))
+    return DivergenceError(step, records, ("z", "lam", "mu")[which], particle, coordinate,
+                           float(evolved[which, particle, coordinate]))
 
 
 class _Replica(NamedTuple):
@@ -413,8 +413,9 @@ class _Replica(NamedTuple):
 
 
 class _Batch:
-    """The replicas a run still integrates: their state over one (k, R, n, d)
-    buffer, what the step kernel reads, and their block of snapshots.
+    """The replicas a run still integrates: their state over one
+    (k + 1, R, n, d) buffer of z, lam[, mu] and x, what the step kernel
+    reads, and their block of snapshots, laid out as the buffer.
 
     A batch of one steps (n, d) views of the buffer with its replica's own
     Hyperparams, as a single run always has; R > 1 replicas step (R, n, d)
@@ -423,48 +424,39 @@ class _Batch:
     bits are those of a noise-free step.
     """
 
-    def __init__(self, replicas: list[_Replica], stack: np.ndarray, x: np.ndarray,
-                 step: int, t: float, n_records: int):
-        self.replicas, self.n_records = replicas, n_records
-        self.stack, self.x = stack, x
-        self.flat = stack.reshape(-1)
-        with_mu = len(stack) == 3
+    def __init__(self, replicas: list[_Replica], buf: np.ndarray, step: int, t: float,
+                 n_records: int):
+        self.replicas, self.n_records, self.buf = replicas, n_records, buf
+        # the guard's view of the evolved arrays, all but x
+        self.flat = buf[:-1].reshape(-1)
+        with_mu = len(buf) == 4
         if len(replicas) == 1:
-            views, x_view, self.rates = stack[:, 0], x[0], replicas[0].hp
+            views, self.rates = buf[:, 0], replicas[0].hp
         else:
-            views, x_view, self.rates = stack, x, ReplicaRates.of([r.hp for r in replicas])
-        self.state = ParticleSystem(z=views[0], x=x_view, lam=views[1],
+            views, self.rates = buf, ReplicaRates.of([r.hp for r in replicas])
+        self.state = ParticleSystem(z=views[0], x=views[-1], lam=views[1],
                                     mu=views[2] if with_mu else None, step=step, t=t)
-        self.scratch = StepScratch(*x_view.shape)
+        self.scratch = StepScratch(*views[0].shape)
         self.noise = None
         self.draws = []
         if any(r.noise is not None for r in replicas):
-            b = np.full(x.shape, -0.0)
+            b = np.full(buf.shape[1:], -0.0)
             self.noise = b[0] if len(replicas) == 1 else b
             self.draws = [(r.noise, b[row]) for row, r in enumerate(replicas) if r.noise is not None]
-        size = min(n_records, _BLOCK_RECORDS, max(1, _BLOCK_BYTES // stack[0].nbytes))
-        # z, lam and mu of each snapshot, in the order of the buffer
-        self.block = np.empty((len(stack), len(replicas), size, *x.shape[1:]))
-        self.xs = np.empty((len(replicas), size, *x.shape[1:]))
+        size = min(n_records, _BLOCK_RECORDS, max(1, _BLOCK_BYTES // buf[0].nbytes))
+        self.block = np.empty((len(buf), len(replicas), size, *buf.shape[2:]))
         self.steps = np.empty(size, dtype=np.int64)
         self.ts = np.empty(size)
         # each replica's snapshots, contiguous views of the block
-        self.snaps = [Snapshots(z=self.block[0, row], x=self.xs[row], lam=self.block[1, row],
-                                mu=self.block[2, row] if with_mu else None,
+        self.snaps = [Snapshots(z=self.block[0, row], x=self.block[-1, row],
+                                lam=self.block[1, row], mu=self.block[2, row] if with_mu else None,
                                 step=self.steps, t=self.ts) for row in range(len(replicas))]
         self.filled = 0
-
-    def replica_state(self, row: int) -> ParticleSystem:
-        """The state of the replica in ``row``, of views of the buffer."""
-        mu = self.stack[2, row] if len(self.stack) == 3 else None
-        return ParticleSystem(z=self.stack[0, row], x=self.x[row], lam=self.stack[1, row],
-                              mu=mu, step=self.state.step, t=self.state.t)
 
     def take(self) -> None:
         """Copy the state into the next snapshot of each replica."""
         filled = self.filled
-        self.block[:, :, filled] = self.stack
-        self.xs[:, filled] = self.x
+        self.block[:, :, filled] = self.buf
         self.steps[filled] = self.state.step
         self.ts[filled] = self.state.t
         self.filled += 1
@@ -484,9 +476,9 @@ class _Batch:
         keep = [row for row in range(len(self.replicas)) if row not in rows]
         # indexing the replica axis need not give a C-contiguous array, and
         # the guard's flat view of the buffer needs one
-        stack = np.ascontiguousarray(self.stack[:, keep])
-        return _Batch([self.replicas[row] for row in keep], stack, self.x[keep],
-                      self.state.step, self.state.t, self.n_records)
+        buf = np.ascontiguousarray(self.buf[:, keep])
+        return _Batch([self.replicas[row] for row in keep], buf, self.state.step,
+                      self.state.t, self.n_records)
 
 
 def _bound_step(algorithm, problem, mmap, graph, dual, interaction_on):
@@ -553,10 +545,11 @@ def run(
     batch that replica's outcome is the error, and the other replicas carry
     on without it.
 
-    The run owns one state, whose z, lam and mu share one buffer, and updates
-    it in place each step; the guard takes that buffer's sum of squares and
-    scans the entries with ``_divergence`` only when the sum is large or not
-    a number.
+    The run owns one state, whose z, lam, mu and x are the views of one
+    buffer, and updates it in place each step; the guard takes the sum of
+    squares of the buffer's evolved prefix, all but x, and scans each
+    replica's prefix with ``_divergence`` only when the sum is large or not a
+    number.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -585,14 +578,14 @@ def run(
             x0s[i] = default_initial_rows(problem, mmap, s)
         elif np.shape(x0) != shape:
             raise ValueError(f"x0_rows must have shape {shape}, got {np.shape(x0)}")
-    state, stack = _initial(mmap, np.array(x0s, dtype=float), with_mu=(algorithm == "epismd"))
+    buf = _initial(mmap, np.array(x0s, dtype=float), with_mu=(algorithm == "epismd"))
     replicas = [
         _Replica(i, h, NoiseStream(s, *shape, h.sigma, dt) if h.sigma > 0 else None,
                  rec or _states, [])
         for i, (h, s, rec) in enumerate(zip(hps, seeds, recorders))
     ]
     outcomes: list = [r.records for r in replicas]
-    batch = _Batch(replicas, stack, state.x, 0, 0.0, 1 + math.ceil(epochs / metrics_every))
+    batch = _Batch(replicas, buf, 0, 0.0, 1 + math.ceil(epochs / metrics_every))
     step = _bound_step(algorithm, problem, mmap, graph, dual, interaction_on)
 
     batch.take()
@@ -605,7 +598,7 @@ def run(
         if not np.vdot(flat, flat) <= _FAST_SUM_LIMIT:
             errors = {}
             for row, r in enumerate(batch.replicas):
-                error = _divergence(batch.replica_state(row), r.records)
+                error = _divergence(batch.buf[:-1, row], state.step, r.records)
                 if error is not None:
                     errors[row] = outcomes[r.index] = error
             if errors:

@@ -20,7 +20,7 @@ import json
 import os
 import time
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -251,12 +251,14 @@ class OutputFile:
 def _discard_on_failure(files: list[OutputFile]):
     """Discard every file of ``files`` not yet published if the block
     raises, last first, so a failed command leaves no partial output and the
-    directories a file made are empty when it removes them."""
+    directories a file made are empty when it removes them. An OSError in
+    one discard stops no other; the block's own exception is raised."""
     try:
         yield
     except BaseException:
         for file in reversed(files):
-            file.discard()
+            with suppress(OSError):
+                file.discard()
         raise
 
 

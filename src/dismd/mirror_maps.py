@@ -144,11 +144,11 @@ class EntropyMap(MirrorMap):
         return 1.0 + np.log(x)
 
     def backward(self, z, out=None):
+        # the ufuncs behind z.max, out.sum and /=, without numpy's Python wrappers
         z = np.asarray(z, dtype=float)
-        out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+        out = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True), out=out)
         np.exp(out, out=out)
-        out /= out.sum(axis=-1, keepdims=True)
-        return out
+        return np.divide(out, np.add.reduce(out, axis=-1, keepdims=True), out=out)
 
     def hess_conj_apply(self, z, v):
         x = self.backward(z)

@@ -345,25 +345,27 @@ def test_divergence_raises_with_step_index():
     assert isinstance(err.value.records, list)
 
 
-def _state_with(array, value, particle=1, coordinate=2):
-    zeros = np.zeros((3, 4))
-    arrays = {"z": zeros.copy(), "lam": zeros.copy(), "mu": zeros.copy()}
-    arrays[array][particle, coordinate] = value
-    return ParticleSystem(x=zeros, step=9, t=0.09, **arrays)
+def _evolved_with(array, value, particle=1, coordinate=2):
+    """z, lam and mu of one (3, 4) state, stacked as a run's buffer holds
+    them, all zero but one entry."""
+    evolved = np.zeros((3, 3, 4))
+    evolved[("z", "lam", "mu").index(array), particle, coordinate] = value
+    return evolved
 
 
 @pytest.mark.parametrize("array", ["z", "lam", "mu"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 2e150, -2e150])
 def test_finite_guard_flags_bad_entries(array, value):
-    err = _divergence(_state_with(array, value), [])
+    err = _divergence(_evolved_with(array, value), 9, [])
     assert err is not None
     assert (err.step, err.array, err.particle, err.coordinate) == (9, array, 1, 2)
+    assert np.array_equal(err.value, value, equal_nan=True)
 
 
 @pytest.mark.parametrize("array", ["z", "lam", "mu"])
 @pytest.mark.parametrize("value", [1e150, -1e150])
 def test_finite_guard_accepts_the_limit(array, value):
-    assert _divergence(_state_with(array, value), []) is None
+    assert _divergence(_evolved_with(array, value), 9, []) is None
 
 
 def test_divergence_names_array_particle_and_coordinate():

@@ -311,6 +311,27 @@ def test_a_failed_command_leaves_no_partial_csv(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_a_failing_discard_stops_no_other_and_keeps_the_commands_error(tmp_path, monkeypatch):
+    cfg = load_config(write_config(tmp_path, MINIMAL))
+    cfg = with_values(cfg, {"hyperparams.epochs": 300, "hyperparams.metrics_every": 1})
+    out = tmp_path / "compare"
+    fail_the_recorder(monkeypatch, 4, out / "compare.csv.tmp")
+    discard, kept = harness.OutputFile.discard, []
+
+    def first_fails(self):
+        if not kept:  # the last file opened, manifest.json, keeps its tmp
+            kept.append(self.tmp)
+            self.file.close()
+            raise OSError("discard failed")
+        discard(self)
+
+    monkeypatch.setattr(harness.OutputFile, "discard", first_fails)
+    with pytest.raises(ValueError, match="recorder failed"):
+        harness.cmd_compare([cfg, cfg], ["a", "b"], out)
+    assert kept == [out / "manifest.json.tmp"]
+    assert list(out.rglob("*.tmp")) == kept
+
+
 def test_a_file_that_cannot_open_leaves_no_directory(tmp_path, capsys, monkeypatch):
     # the directories a file made go even when its tmp file never opens
     cfg_path = write_config(tmp_path, MINIMAL)
