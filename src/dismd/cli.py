@@ -146,15 +146,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return _dispatch(args)
-    except (ConfigError, GraphError, OracleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as exc:  # run, compare and sweep have written every file
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (ConfigError, GraphError, OracleError, ValueError, DivergenceError, OSError) as exc:
+        io = isinstance(exc, OSError)
+        kept = getattr(exc, "kept", ())  # the tmp files a failed command could not remove
+        tail = f"; could not remove {', '.join(map(str, kept))}" if kept else ""
+        print(f"{'i/o error' if io else 'error'}: {exc}{tail}", file=sys.stderr)
+        if isinstance(exc, DivergenceError):  # run, compare and sweep have written every file
+            return EXIT_DIVERGED
+        return EXIT_IO if io else EXIT_CONFIG
 
 
 if __name__ == "__main__":

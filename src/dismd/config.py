@@ -145,6 +145,21 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def check_barbell(cluster: int, n: int) -> None:
+    """A barbell of ``cluster``-node halves joins 2 * cluster particles."""
+    _require(n == 2 * cluster,
+             f"graph.cluster = {cluster} needs {2 * cluster} particles but the problem has {n}")
+
+
+def check_map_domain(domain: str, map: str) -> None:
+    """Simplex problems pair only with the entropy map, and it only with them."""
+    if domain == "simplex":
+        _require(map == "entropy", f"a simplex problem needs algorithm.map = entropy, got {map!r}")
+    else:
+        _require(map != "entropy",
+                 f"algorithm.map = entropy needs a simplex problem, got domain {domain!r}")
+
+
 def _validate(cfg: RunConfig) -> None:
     p = cfg["problem"]
     _require(p["kind"] in ("generate", "bundle"), f"problem.kind must be generate|bundle, got {p['kind']!r}")
@@ -182,12 +197,8 @@ def _validate(cfg: RunConfig) -> None:
     if g["topology"] == "barbell":
         _require(g["cluster"] is not None, "graph.topology = barbell requires graph.cluster")
         _require(g["cluster"] >= 1, f"graph.cluster must be >= 1, got {g['cluster']}")
-        if p["kind"] == "generate":
-            # a bundle's own particle count decides; build_graph_and_spectra checks it
-            _require(
-                p["n"] == 2 * g["cluster"],
-                f"graph.cluster = {g['cluster']} needs problem.n = {2 * g['cluster']}, got {p['n']}",
-            )
+        if p["kind"] == "generate":  # a bundle's own n decides, once it is loaded
+            check_barbell(g["cluster"], p["n"])
     if g["topology"] == "matrix":
         _require(g["weights"] is not None, "graph.topology = matrix requires graph.weights")
     _require(g["beta"] > 0, f"graph.beta must be positive, got {g['beta']}")
@@ -211,11 +222,8 @@ def _validate(cfg: RunConfig) -> None:
     if a["dual_beta"] is not None:
         _require(a["dual"] == "dual_hessian", "algorithm.dual_beta is read only by algorithm.dual = dual_hessian")
         _require(a["dual_beta"] > 0, f"algorithm.dual_beta must be positive, got {a['dual_beta']}")
-    if p["domain"] == "simplex":
-        _require(a["map"] == "entropy", "simplex problems pair only with the entropy mirror map")
-    elif p["kind"] == "generate":
-        # a bundle's own domain decides; harness.build_problem checks it after loading
-        _require(a["map"] != "entropy", "the entropy mirror map needs problem.domain = simplex")
+    if p["kind"] == "generate":  # a bundle's own domain decides, once it is loaded
+        check_map_domain(p["domain"], a["map"])
 
     h = cfg["hyperparams"]
     _require(h["eta"] > 0, f"hyperparams.eta must be positive, got {h['eta']}")

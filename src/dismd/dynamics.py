@@ -31,11 +31,12 @@ so trajectories are pure functions of (seed, config) no matter how the work
 is scheduled.
 
 A run keeps its state in one buffer: z, lambda, (EPISMD only) mu and x, in
-that order, on its leading axis. The divergence guard reads the evolved
-prefix, all but x. ``run`` copies the buffer at each record step into a
-preallocated block of ``Snapshots`` laid out the same way, and hands the
-recorder whole blocks, so the metrics are computed over a leading snapshot
-axis rather than one state at a time.
+that order, on its leading axis, a layout that ``_views`` alone names. The
+divergence guard reads the evolved prefix, all but x, and ``_divergence``
+alone finds an entry beyond the limit. ``run`` copies the buffer at each
+record step into a preallocated block of ``Snapshots`` laid out the same
+way, and hands the recorder whole blocks, so the metrics are computed over
+a leading snapshot axis rather than one state at a time.
 
 ``run`` also integrates R replicas of one run at once: the same problem,
 maps, graph, dt and horizon, each with its own eta, epsilon, sigma, seed and
@@ -222,23 +223,21 @@ def _states(snaps: Snapshots) -> list[ParticleSystem]:
     return [snaps[r].copy() for r in range(len(snaps))]
 
 
-def _stacked(shape: tuple[int, ...], with_mu: bool) -> tuple[ParticleSystem, np.ndarray]:
-    """An unfilled step-0 state of ``shape`` arrays whose z, lam, (with_mu)
-    mu and x are, in that order, the views of one (k + 1, *shape) buffer,
-    and that buffer; its prefix ``[:-1]`` holds the k evolved arrays."""
-    buf = np.empty((4 if with_mu else 3, *shape))
-    mu = buf[2] if with_mu else None
-    return ParticleSystem(z=buf[0], x=buf[-1], lam=buf[1], mu=mu, step=0, t=0.0), buf
+def _views(buf: np.ndarray, step, t, kind=ParticleSystem):
+    """The ``kind``, ParticleSystem or Snapshots, whose arrays are the views
+    of ``buf``, a run's state buffer: z, lam, mu (only in a buffer of four)
+    and x, in that order, on its leading axis. Its prefix ``buf[:-1]`` holds
+    the evolved arrays."""
+    return kind(z=buf[0], x=buf[-1], lam=buf[1], mu=buf[2] if len(buf) == 4 else None,
+                step=step, t=t)
 
 
 def _initial(mmap: MirrorMap, x0_rows: np.ndarray, with_mu: bool) -> np.ndarray:
-    """The buffer of the step-0 state, z_0 = forward(x_0) with zero
-    multipliers, of (n, d) or (R, n, d) rows, laid out as ``_stacked``'s."""
-    x0 = np.asarray(x0_rows, dtype=float)
-    state, buf = _stacked(x0.shape, with_mu)
-    buf.fill(0.0)
-    state.z[...] = mmap.forward(x0)
-    mmap.backward(state.z, out=state.x)
+    """The state buffer of step 0, z_0 = forward(x_0) with zero multipliers,
+    of (n, d) or (R, n, d) rows, laid out as ``_views`` reads it."""
+    buf = np.zeros((4 if with_mu else 3, *np.shape(x0_rows)))
+    buf[0] = mmap.forward(x0_rows)
+    mmap.backward(buf[0], out=buf[-1])
     return buf
 
 
@@ -293,7 +292,7 @@ def _step(state, problem, mmap, graph, hp, noise, interaction_on, dual, out,
     states of R replicas.
     """
     if out is None:
-        out, _ = _stacked(state.z.shape, dual is not None)
+        out = _views(np.empty((3 if dual is None else 4, *state.z.shape)), 0, 0.0)
     if scratch is None:
         scratch = StepScratch(*state.z.shape)
     lap, drift, work, lap_x = graph.laplacian, scratch.drift, scratch.work, scratch.lap_x
@@ -415,7 +414,8 @@ class _Replica(NamedTuple):
 class _Batch:
     """The replicas a run still integrates: their state over one
     (k + 1, R, n, d) buffer of z, lam[, mu] and x, what the step kernel
-    reads, and their block of snapshots, laid out as the buffer.
+    reads, and their block of snapshots, laid out as the buffer. The state
+    and each replica's ``Snapshots`` are ``_views`` of the two.
 
     A batch of one steps (n, d) views of the buffer with its replica's own
     Hyperparams, as a single run always has; R > 1 replicas step (R, n, d)
@@ -429,14 +429,11 @@ class _Batch:
         self.replicas, self.n_records, self.buf = replicas, n_records, buf
         # the guard's view of the evolved arrays, all but x
         self.flat = buf[:-1].reshape(-1)
-        with_mu = len(buf) == 4
         if len(replicas) == 1:
-            views, self.rates = buf[:, 0], replicas[0].hp
+            self.state, self.rates = _views(buf[:, 0], step, t), replicas[0].hp
         else:
-            views, self.rates = buf, ReplicaRates.of([r.hp for r in replicas])
-        self.state = ParticleSystem(z=views[0], x=views[-1], lam=views[1],
-                                    mu=views[2] if with_mu else None, step=step, t=t)
-        self.scratch = StepScratch(*views[0].shape)
+            self.state, self.rates = _views(buf, step, t), ReplicaRates.of([r.hp for r in replicas])
+        self.scratch = StepScratch(*self.state.z.shape)
         self.noise = None
         self.draws = []
         if any(r.noise is not None for r in replicas):
@@ -448,9 +445,8 @@ class _Batch:
         self.steps = np.empty(size, dtype=np.int64)
         self.ts = np.empty(size)
         # each replica's snapshots, contiguous views of the block
-        self.snaps = [Snapshots(z=self.block[0, row], x=self.block[-1, row],
-                                lam=self.block[1, row], mu=self.block[2, row] if with_mu else None,
-                                step=self.steps, t=self.ts) for row in range(len(replicas))]
+        self.snaps = [_views(self.block[:, row], self.steps, self.ts, Snapshots)
+                      for row in range(len(replicas))]
         self.filled = 0
 
     def take(self) -> None:

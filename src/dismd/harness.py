@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, diagnostics, dynamics, oracle
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, check_barbell, check_map_domain
 from .diagnostics import MetricsRecorder, csv_header, rate_fit
 from .graphs import (
     LaplacianSpectra,
@@ -74,11 +74,7 @@ def build_problem(cfg: RunConfig) -> DistributedProblem:
                 domain=p["domain"],
             )
         )
-    entropy = cfg["algorithm"]["map"] == "entropy"
-    if problem.domain == "simplex" and not entropy:
-        raise ConfigError("simplex problems pair only with the entropy mirror map")
-    if problem.domain != "simplex" and entropy:
-        raise ConfigError("the entropy mirror map needs a simplex problem")
+    check_map_domain(problem.domain, cfg["algorithm"]["map"])
     return problem
 
 
@@ -91,12 +87,8 @@ def build_graph_and_spectra(cfg: RunConfig, n: int) -> tuple[WeightedGraph, Lapl
                 f"graph.weights has {graph.n} nodes but the problem has {n} particles"
             )
     else:
-        if g["topology"] == "barbell" and n != 2 * g["cluster"]:
-            # a generated problem's n is checked with the config; a bundle's only here
-            raise ConfigError(
-                f"graph.cluster = {g['cluster']} needs {2 * g['cluster']} particles "
-                f"but the problem has {n}"
-            )
+        if g["topology"] == "barbell":
+            check_barbell(g["cluster"], n)
         graph = build_graph(
             Topology(kind=g["topology"], n=n, p=g["p"], cluster=g["cluster"], seed=g["seed"])
         )
@@ -127,13 +119,12 @@ def load_x0(cfg: RunConfig, problem: DistributedProblem, mmap) -> np.ndarray | N
     if problem.domain == "simplex":
         if np.any(rows <= 0) or np.max(np.abs(rows.sum(axis=1) - 1.0)) > 1e-8:
             raise ConfigError("algorithm.x0 rows must lie in the open simplex")
-    z0 = mmap.forward(rows)  # the run's divergence guard would stop it at step 1
-    beyond = np.argwhere(~(np.abs(z0) <= dynamics._STATE_LIMIT))
-    if len(beyond):
-        particle, coordinate = beyond[0]
+    # the run's divergence guard would stop it at step 1
+    beyond = dynamics._divergence(mmap.forward(rows)[None], 0, [])
+    if beyond is not None:
         raise ConfigError(
             f"algorithm.x0 starts z beyond the divergence limit {dynamics._STATE_LIMIT:g}: "
-            f"z = {float(z0[particle, coordinate])!r} at particle {particle}, coordinate {coordinate}"
+            f"z = {beyond.value!r} at particle {beyond.particle}, coordinate {beyond.coordinate}"
         )
     return rows
 
@@ -252,13 +243,17 @@ def _discard_on_failure(files: list[OutputFile]):
     """Discard every file of ``files`` not yet published if the block
     raises, last first, so a failed command leaves no partial output and the
     directories a file made are empty when it removes them. An OSError in
-    one discard stops no other; the block's own exception is raised."""
+    one discard stops no other; the block's own exception is raised, its
+    ``kept`` listing the tmp files still on disk."""
     try:
         yield
-    except BaseException:
+    except BaseException as exc:
         for file in reversed(files):
             with suppress(OSError):
                 file.discard()
+        # an enclosing block may hold the same files, or others
+        tmps = {*getattr(exc, "kept", ()), *(file.tmp for file in files)}
+        exc.kept = sorted(tmp for tmp in tmps if tmp.exists())
         raise
 
 

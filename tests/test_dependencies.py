@@ -2,7 +2,9 @@
 command line brings in no other installed module. The math modules do no
 I/O: files are read and written by ``harness`` alone, where only
 ``_write_atomic`` publishes a file and only ``OutputFile`` renames one or
-makes a directory."""
+makes a directory. A rule has one owner: only ``dynamics`` compares a value
+with the divergence limit, and only ``config`` rejects a barbell of the
+wrong size or a mirror map on the wrong domain."""
 
 import ast
 import json
@@ -83,4 +85,28 @@ def test_only_write_atomic_publishes_and_only_output_file_renames_or_makes_direc
                 continue  # str.replace or dataclasses.replace, not Path.replace
             if name in OWNERS and OWNERS[name] not in scope:
                 found.append(f"{path.name}:{call.lineno} {name} outside {OWNERS[name]}")
+    assert found == []
+
+
+def _strings(node) -> str:
+    """The string constants under ``node``, an f-string's literal parts included."""
+    return " ".join(n.value for n in ast.walk(node)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
+def test_only_dynamics_checks_the_divergence_limit_and_only_config_the_rules_across_sections():
+    found = []
+    for path in sorted((SRC / "dismd").glob("*.py")):
+        module = path.stem
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) and module != "dynamics" and any(
+                    getattr(n, "id", getattr(n, "attr", None)) == "_STATE_LIMIT"
+                    for n in ast.walk(node)):
+                found.append(f"{path.name}:{node.lineno} compares with _STATE_LIMIT")
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError"
+                    and module != "config"):
+                text = _strings(node)
+                for rule, word in (("barbell size", "cluster"), ("map-domain pairing", "entropy")):
+                    if word in text:
+                        found.append(f"{path.name}:{node.lineno} raises the {rule} rule")
     assert found == []

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dismd import cli, diagnostics, harness
+from dismd import cli, diagnostics, dynamics, harness
 from dismd.diagnostics import csv_header
 from dismd.dynamics import DivergenceError
 from dismd.config import ConfigError, RunConfig, load_config
 from dismd.harness import load_matrix
-from test_kernel_reference import with_values
+from test_kernel_reference import shipped_config, with_values
 
 MINIMAL = """
 [problem]
@@ -311,9 +311,11 @@ def test_a_failed_command_leaves_no_partial_csv(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_a_failing_discard_stops_no_other_and_keeps_the_commands_error(tmp_path, monkeypatch):
-    cfg = load_config(write_config(tmp_path, MINIMAL))
-    cfg = with_values(cfg, {"hyperparams.epochs": 300, "hyperparams.metrics_every": 1})
+def test_a_failing_discard_stops_no_other_and_keeps_the_commands_error(tmp_path, capsys,
+                                                                       monkeypatch):
+    dense = MINIMAL.replace("epochs = 100", "epochs = 300").replace("every = 10", "every = 1")
+    cfg_path = write_config(tmp_path, dense)
+    cfg = load_config(cfg_path)
     out = tmp_path / "compare"
     fail_the_recorder(monkeypatch, 4, out / "compare.csv.tmp")
     discard, kept = harness.OutputFile.discard, []
@@ -326,9 +328,20 @@ def test_a_failing_discard_stops_no_other_and_keeps_the_commands_error(tmp_path,
         discard(self)
 
     monkeypatch.setattr(harness.OutputFile, "discard", first_fails)
-    with pytest.raises(ValueError, match="recorder failed"):
+    with pytest.raises(ValueError, match="recorder failed") as failed:
         harness.cmd_compare([cfg, cfg], ["a", "b"], out)
     assert kept == [out / "manifest.json.tmp"]
+    assert list(out.rglob("*.tmp")) == kept
+    assert failed.value.kept == kept
+
+    # the command line keeps the command's error and exit code, and names the file
+    kept.clear()
+    out = tmp_path / "cli"
+    fail_the_recorder(monkeypatch, 4, out / "compare.csv.tmp")
+    argv = ["compare", "--config", str(cfg_path), "--config", str(cfg_path), "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: recorder failed; could not remove {out / 'manifest.json.tmp'}\n")
     assert list(out.rglob("*.tmp")) == kept
 
 
@@ -517,6 +530,36 @@ def test_barbell_cluster_is_checked_against_the_bundle(tmp_path, capsys):
     assert harness.build_graph_and_spectra(cfg, 4)[0].n == 4
 
 
+# rule: (MINIMAL's problem as a generated problem breaks it, the sections that
+# break it, the one message of the rule)
+CROSS_SECTION_RULES = {
+    "barbell size": (
+        MINIMAL.replace("n = 2", "n = 4"), "[graph]\ntopology = barbell\ncluster = 3\n",
+        "graph.cluster = 3 needs 6 particles but the problem has 4"),
+    "simplex without entropy": (
+        MINIMAL.replace("d = 1", "d = 2\ndomain = simplex"), "[algorithm]\nmap = euclidean\n",
+        "a simplex problem needs algorithm.map = entropy, got 'euclidean'"),
+    "entropy without simplex": (
+        MINIMAL, "[algorithm]\nmap = entropy\n",
+        "algorithm.map = entropy needs a simplex problem, got domain 'unconstrained'"),
+}
+
+
+@pytest.mark.parametrize("rule", CROSS_SECTION_RULES)
+def test_a_rule_across_sections_gives_one_message_for_a_config_and_a_bundle(tmp_path, rule):
+    generated, breaking, message = CROSS_SECTION_RULES[rule]
+    with pytest.raises(ConfigError) as from_config:
+        load_config(write_config(tmp_path, generated + breaking, "generated.ini"))
+    # the same problem from a bundle passes the config check and fails its set-up
+    valid = "[algorithm]\nmap = entropy\n" if "simplex" in generated else ""
+    problem = harness.build_problem(load_config(write_config(tmp_path, generated + valid)))
+    harness.save_problem_bundle(problem, tmp_path / "bundle")
+    cfg = load_config(write_config(tmp_path, bundle_config(tmp_path / "bundle") + breaking))
+    with pytest.raises(ConfigError) as from_bundle:
+        harness.prepare(cfg)
+    assert str(from_config.value) == str(from_bundle.value) == message
+
+
 def test_cli_reports_a_bundle_manifest_without_a_required_key(tmp_path, capsys):
     bundle = tmp_path / "bundle"
     bundle.mkdir()
@@ -527,6 +570,29 @@ def test_cli_reports_a_bundle_manifest_without_a_required_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: bundle manifest") and "lacks m, d, domain, blocks" in err
     assert "Traceback" not in err
+
+
+def test_dual_beta_moves_no_x_and_only_the_consensus_part_of_lambda():
+    # dual_beta regularises the dual map's Laplacian: lambda = dual.backward(mu)
+    # changes by a part that L maps to zero, so no x moves, while c, through
+    # mu_psi, and with it V do
+    runs = {}
+    for beta in (0.01, 1.0):
+        cfg = shipped_config("barbell_epismd", {"algorithm.dual_beta": beta})
+        setup = harness.prepare(cfg)
+        *_, last = dynamics.run("epismd", setup.problem, setup.mmap, setup.graph,
+                                cfg.hyperparams(), seed=cfg["run"]["seed"], dual=setup.dual,
+                                metrics_every=cfg["hyperparams"]["epochs"], x0_rows=setup.x0)
+        [record] = setup.recorder(dynamics.Snapshots.of(last))
+        runs[beta] = last, record, setup.recorder.c
+    (a, rec_a, c_a), (b, rec_b, c_b) = runs[0.01], runs[1.0]
+    assert a.step == b.step == 2000
+    assert np.max(np.abs(a.x - b.x)) <= 1e-12 * np.max(np.abs(a.x))
+    lap = setup.graph.laplacian
+    assert np.max(np.abs(lap @ (a.lam - b.lam))) <= 1e-12
+    assert np.max(np.abs(a.lam - b.lam)) > 1.0  # the consensus part moves
+    assert round(c_a, 2) == 5774.84 and round(c_b, 2) == 231.11
+    assert rec_a.V2 == pytest.approx(rec_b.V2, rel=1e-12) and rec_a.V > 2 * rec_b.V
 
 
 def test_graph_info_triangle_kappa(tmp_path):
@@ -601,10 +667,20 @@ def test_non_finite_x0_is_a_config_error(tmp_path, capsys, value):
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
-@pytest.mark.parametrize("value", ["1e160", "-1e151"])
-def test_x0_beyond_the_divergence_limit_is_a_config_error(tmp_path, capsys, monkeypatch, value):
-    (tmp_path / "x0.csv").write_text(f"0.5\n{value}\n")
-    cfg_path = write_config(tmp_path, MINIMAL + f"\n[algorithm]\nx0 = {tmp_path / 'x0.csv'}\n")
+@pytest.mark.parametrize("rows, value, particle, coordinate", [
+    pytest.param("0.5\n1e160\n", "1e160", 1, 0, id="1e160"),
+    pytest.param("0.5\n-1e151\n", "-1e151", 1, 0, id="-1e151"),
+    # two entries beyond: the start check names the row-major first, as the
+    # run's guard, dynamics._divergence, does
+    pytest.param("0.5,0.5\n0.5,1e160\n1e170,0.5\n", "1e160", 1, 1, id="row-major-first"),
+])
+def test_x0_beyond_the_divergence_limit_is_a_config_error(tmp_path, capsys, monkeypatch, rows,
+                                                          value, particle, coordinate):
+    (tmp_path / "x0.csv").write_text(rows)
+    lines = rows.splitlines()
+    text = MINIMAL.replace("n = 2", f"n = {len(lines)}").replace(
+        "d = 1", f"d = {len(lines[0].split(','))}")
+    cfg_path = write_config(tmp_path, text + f"\n[algorithm]\nx0 = {tmp_path / 'x0.csv'}\n")
     runs = []
     monkeypatch.setattr(harness.dynamics, "run", lambda *a, **k: runs.append(a))
     argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
@@ -612,7 +688,7 @@ def test_x0_beyond_the_divergence_limit_is_a_config_error(tmp_path, capsys, monk
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert f"algorithm.x0 starts z beyond the divergence limit 1e+150: z = {float(value)!r} " \
-           "at particle 1, coordinate 0" in err
+           f"at particle {particle}, coordinate {coordinate}" in err
     assert runs == []
     assert not (tmp_path / "out").exists()
 
