@@ -286,3 +286,109 @@ def test_mapping_round_trip_and_invalid_combinations_property():
     round_trips()
     rejects()
     rejects_non_finite()
+
+
+# one config per rule that breaks only that rule -> the exact message it gives
+RULE_MESSAGES = {
+    # ranges
+    "problem.d": ("[problem]\nd = 0\n", "problem.d, problem.m, problem.n must be >= 1"),
+    "problem.m": ("[problem]\nm = 0\n", "problem.d, problem.m, problem.n must be >= 1"),
+    "problem.n": ("[problem]\nn = 0\n", "problem.d, problem.m, problem.n must be >= 1"),
+    "problem.condition_number": ("[problem]\ncondition_number = 0.5\n",
+                                 "problem.condition_number must be >= 1"),
+    "graph.p": ("[graph]\ntopology = erdos_renyi\np = 0\n", "graph.p must be in (0, 1], got 0.0"),
+    "graph.cluster": ("[graph]\ntopology = barbell\ncluster = 0\n",
+                      "graph.cluster must be >= 1, got 0"),
+    "graph.beta": ("[graph]\nbeta = 0\n", "graph.beta must be positive, got 0.0"),
+    "algorithm.dual_beta": ("[algorithm]\nname = epismd\ndual = dual_hessian\ndual_beta = 0\n",
+                            "algorithm.dual_beta must be positive, got 0.0"),
+    "hyperparams.eta": ("[hyperparams]\neta = 0\n", "hyperparams.eta must be positive, got 0.0"),
+    "hyperparams.epsilon": ("[hyperparams]\nepsilon = -1\n",
+                            "hyperparams.epsilon must be positive, got -1.0"),
+    "hyperparams.sigma": ("[hyperparams]\nsigma = -0.5\n",
+                          "hyperparams.sigma must be >= 0, got -0.5"),
+    "hyperparams.dt": ("[hyperparams]\ndt = -2\n", "hyperparams.dt must be positive, got -2.0"),
+    "hyperparams.epochs": ("[hyperparams]\nepochs = -1\n",
+                           "hyperparams.epochs must be >= 0, got -1"),
+    "hyperparams.metrics_every": ("[hyperparams]\nmetrics_every = 0\n",
+                                  "hyperparams.metrics_every must be >= 1, got 0"),
+    "problem.seed": ("[problem]\nseed = -3\n", "problem.seed must be >= 0, got -3"),
+    "graph.seed": ("[graph]\ntopology = erdos_renyi\np = 0.5\nseed = -2\n",
+                   "graph.seed must be >= 0, got -2"),
+    "run.seed": ("[run]\nseed = -1\n", "run.seed must be >= 0, got -1"),
+    # choices
+    "problem.kind": ("[problem]\nkind = file\n", "problem.kind must be generate|bundle, got 'file'"),
+    "problem.domain": ("[problem]\ndomain = box\n",
+                       "problem.domain must be one of ('unconstrained', 'simplex'), got 'box'"),
+    "graph.topology": ("[graph]\ntopology = ring\n", "graph.topology must be one of "
+                       "('cyclic', 'erdos_renyi', 'barbell', 'matrix'), got 'ring'"),
+    "algorithm.name": ("[algorithm]\nname = sgd\n",
+                       "algorithm.name must be one of ('ismd', 'eismd', 'epismd'), got 'sgd'"),
+    "algorithm.interaction_on": ("[algorithm]\ninteraction_on = y\n",
+                                 "algorithm.interaction_on must be x|z, got 'y'"),
+    "algorithm.map": ("[algorithm]\nmap = log\n", "algorithm.map must be one of "
+                      "('euclidean', 'entropy', 'quadratic'), got 'log'"),
+    "algorithm.dual": ("[algorithm]\ndual = hessian\n",
+                       "algorithm.dual must be identity|dual_hessian, got 'hessian'"),
+    # keys read only under one choice
+    **{f"bundle reads no problem.{key}": (
+        f"[problem]\nkind = bundle\nbundle = b\n{key} = {value}\n",
+        f"problem.{key} is read only by problem.kind = generate, got 'bundle'")
+       for key, value in [("seed", 5), ("d", 3), ("m", 2), ("n", 7), ("condition_number", 4.0),
+                          ("shared_minimizer", "true"), ("domain", "simplex")]},
+    "generate reads no problem.bundle": ("[problem]\nbundle = b\n",
+                                         "problem.bundle is read only by problem.kind = bundle"),
+    "cyclic reads no graph.p": (
+        "[graph]\np = 0.5\n", "graph.p is read only by graph.topology = erdos_renyi, got 'cyclic'"),
+    "cyclic reads no graph.seed": (
+        "[graph]\nseed = 5\n",
+        "graph.seed is read only by graph.topology = erdos_renyi, got 'cyclic'"),
+    "cyclic reads no graph.cluster": (
+        "[graph]\ncluster = 5\n",
+        "graph.cluster is read only by graph.topology = barbell, got 'cyclic'"),
+    "cyclic reads no graph.weights": (
+        "[graph]\nweights = w.csv\n",
+        "graph.weights is read only by graph.topology = matrix, got 'cyclic'"),
+    "euclidean reads no map_matrix": (
+        "[algorithm]\nmap_matrix = p.csv\n",
+        "algorithm.map_matrix is read only by algorithm.map = quadratic, got map = 'euclidean'"),
+    "identity reads no dual_beta": (
+        "[algorithm]\nname = epismd\ndual_beta = 0.1\n",
+        "algorithm.dual_beta is read only by algorithm.dual = dual_hessian"),
+    # keys a choice requires
+    "bundle requires problem.bundle": ("[problem]\nkind = bundle\n",
+                                       "problem.kind = bundle requires problem.bundle"),
+    "erdos_renyi requires graph.p": ("[graph]\ntopology = erdos_renyi\n",
+                                     "graph.topology = erdos_renyi requires graph.p"),
+    "barbell requires graph.cluster": ("[graph]\ntopology = barbell\n",
+                                       "graph.topology = barbell requires graph.cluster"),
+    "matrix requires graph.weights": ("[graph]\ntopology = matrix\n",
+                                      "graph.topology = matrix requires graph.weights"),
+    "quadratic requires map_matrix": ("[algorithm]\nmap = quadratic\n",
+                                      "algorithm.map = quadratic requires algorithm.map_matrix"),
+    # rules between values
+    "condition number spread": (
+        "[problem]\nd = 1\n", "problem.condition_number = 15.0 > 1 needs at least two singular "
+        "values, but min(problem.m, problem.d) = 1"),
+    "barbell size": ("[problem]\nn = 10\n[graph]\ntopology = barbell\ncluster = 4\n",
+                     "graph.cluster = 4 needs 8 particles but the problem has 10"),
+    "simplex without entropy": ("[problem]\ndomain = simplex\n",
+                                "a simplex problem needs algorithm.map = entropy, got 'euclidean'"),
+    "entropy without simplex": (
+        "[algorithm]\nmap = entropy\n",
+        "algorithm.map = entropy needs a simplex problem, got domain 'unconstrained'"),
+    "ismd reads no interaction_on = z": (
+        "[algorithm]\nname = ismd\ninteraction_on = z\n",
+        "algorithm.interaction_on = z is not read by algorithm.name = ismd, which couples on z"),
+    "dual_hessian needs epismd": (
+        "[algorithm]\nname = eismd\ndual = dual_hessian\n",
+        "algorithm.dual = dual_hessian needs algorithm.name = epismd, got 'eismd'"),
+}
+
+
+@pytest.mark.parametrize("rule", RULE_MESSAGES)
+def test_each_rule_gives_its_one_message(tmp_path, rule):
+    text, message = RULE_MESSAGES[rule]
+    with pytest.raises(ConfigError) as raised:
+        load_config(write(tmp_path, text))
+    assert str(raised.value) == message
