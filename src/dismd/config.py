@@ -11,7 +11,7 @@ import configparser
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .dynamics import ALGORITHMS, Hyperparams
 from .graphs import TOPOLOGY_KINDS
@@ -43,47 +43,69 @@ def _to_str(raw: str) -> str:
     return raw.strip()
 
 
-# section -> key -> (converter, default); defaults of None mean "unset".
-SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
+class Key(NamedTuple):
+    """One config key. ``default`` None means unset. ``allowed`` is a tuple of
+    choices or a RANGES name. A key that only one choice reads names it in
+    ``read_by`` as (key of the same section, value); ``required`` keys must be
+    set under it."""
+
+    convert: Callable[[str], Any]
+    default: Any
+    allowed: tuple | str | None = None
+    read_by: tuple[str, str] | None = None
+    required: bool = False
+
+
+# the values a number may take, by the words its message gives
+RANGES = {
+    "positive": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+}
+
+GENERATED = ("kind", "generate")  # a bundle's own arrays decide these keys
+
+SCHEMA: dict[str, dict[str, Key]] = {
     "problem": {
-        "kind": (_to_str, "generate"),
-        "bundle": (_to_str, None),
-        "seed": (int, 0),
-        "d": (int, 20),
-        "m": (int, 20),
-        "n": (int, 10),
-        "condition_number": (_to_finite_float, 15.0),
-        "shared_minimizer": (_to_bool, False),
-        "domain": (_to_str, "unconstrained"),
+        "kind": Key(_to_str, "generate", ("generate", "bundle")),
+        "bundle": Key(_to_str, None, read_by=("kind", "bundle"), required=True),
+        "seed": Key(int, 0, ">= 0", GENERATED),
+        "d": Key(int, 20, ">= 1", GENERATED),
+        "m": Key(int, 20, ">= 1", GENERATED),
+        "n": Key(int, 10, ">= 1", GENERATED),
+        "condition_number": Key(_to_finite_float, 15.0, ">= 1", GENERATED),
+        "shared_minimizer": Key(_to_bool, False, read_by=GENERATED),
+        "domain": Key(_to_str, "unconstrained", DOMAINS, GENERATED),
     },
     "graph": {
-        "topology": (_to_str, "cyclic"),
-        "p": (_to_finite_float, None),
-        "cluster": (int, None),
-        "seed": (int, 0),
-        "weights": (_to_str, None),
-        "beta": (_to_finite_float, 1.0),
+        "topology": Key(_to_str, "cyclic", TOPOLOGY_KINDS + ("matrix",)),
+        "p": Key(_to_finite_float, None, "in (0, 1]", ("topology", "erdos_renyi"), required=True),
+        "cluster": Key(int, None, ">= 1", ("topology", "barbell"), required=True),
+        "seed": Key(int, 0, ">= 0", ("topology", "erdos_renyi")),
+        "weights": Key(_to_str, None, read_by=("topology", "matrix"), required=True),
+        "beta": Key(_to_finite_float, 1.0, "positive"),
     },
     "algorithm": {
-        "name": (_to_str, "eismd"),
-        "interaction_on": (_to_str, "x"),
-        "map": (_to_str, "euclidean"),
-        "map_matrix": (_to_str, None),
-        "dual": (_to_str, "identity"),
-        "dual_beta": (_to_finite_float, None),
-        "x0": (_to_str, None),
+        "name": Key(_to_str, "eismd", ALGORITHMS),
+        "interaction_on": Key(_to_str, "x", ("x", "z")),
+        "map": Key(_to_str, "euclidean", MAP_KINDS),
+        "map_matrix": Key(_to_str, None, read_by=("map", "quadratic"), required=True),
+        "dual": Key(_to_str, "identity", ("identity", "dual_hessian")),
+        "dual_beta": Key(_to_finite_float, None, "positive", ("dual", "dual_hessian")),
+        "x0": Key(_to_str, None),
     },
     "hyperparams": {
-        "eta": (_to_finite_float, 1.0),
-        "epsilon": (_to_finite_float, 1.0),
-        "sigma": (_to_finite_float, 0.0),
-        "dt": (_to_finite_float, 0.01),
-        "epochs": (int, 50_000),
-        "metrics_every": (int, 50),
+        "eta": Key(_to_finite_float, 1.0, "positive"),
+        "epsilon": Key(_to_finite_float, 1.0, "positive"),
+        "sigma": Key(_to_finite_float, 0.0, ">= 0"),
+        "dt": Key(_to_finite_float, 0.01, "positive"),
+        "epochs": Key(int, 50_000, ">= 0"),
+        "metrics_every": Key(int, 50, ">= 1"),
     },
     "run": {
-        "seed": (int, 0),
-        "out": (_to_str, None),
+        "seed": Key(int, 0, ">= 0"),
+        "out": Key(_to_str, None),
     },
 }
 
@@ -126,15 +148,30 @@ def _build(raw: dict[str, dict[str, str]]) -> RunConfig:
             if key not in keys:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
         resolved = {}
-        for key, (convert, default) in keys.items():
+        for key, spec in keys.items():
             if key in given:
                 try:
-                    resolved[key] = convert(given[key])
+                    resolved[key] = spec.convert(given[key])
                 except ValueError as exc:
                     raise ConfigError(f"bad value for '{section}.{key}': {exc}") from exc
             else:
-                resolved[key] = default
+                resolved[key] = spec.default
         values[section] = resolved
+    for section, keys in SCHEMA.items():
+        got = values[section]
+        for key, (_, default, allowed, read_by, required) in keys.items():
+            name, value = f"{section}.{key}", got[key]
+            if read_by:
+                by, choice = read_by
+                # a key left at its default, as to_mapping echoes it, is not set
+                _require(got[by] == choice or value == default,
+                         f"{name} is read only by {section}.{by} = {choice}, got {got[by]!r}")
+                _require(not (required and got[by] == choice and value is None),
+                         f"{section}.{by} = {choice} requires {name}")
+            if isinstance(allowed, tuple):
+                _require(value in allowed, f"{name} must be one of {allowed}, got {value!r}")
+            elif allowed and value is not None:
+                _require(RANGES[allowed](value), f"{name} must be {allowed}, got {value!r}")
     cfg = RunConfig(values=values)
     _validate(cfg)
     return cfg
@@ -161,79 +198,21 @@ def check_map_domain(domain: str, map: str) -> None:
 
 
 def _validate(cfg: RunConfig) -> None:
-    p = cfg["problem"]
-    _require(p["kind"] in ("generate", "bundle"), f"problem.kind must be generate|bundle, got {p['kind']!r}")
-    if p["kind"] == "bundle":
-        _require(p["bundle"] is not None, "problem.kind = bundle requires problem.bundle")
-        # the bundle's own arrays decide; a key left at its default, as
-        # to_mapping echoes it, is not set
-        for key in ("seed", "d", "m", "n", "condition_number", "shared_minimizer", "domain"):
-            _require(p[key] == SCHEMA["problem"][key][1],
-                     f"problem.{key} is read only by problem.kind = generate, got 'bundle'")
-    else:
-        _require(p["bundle"] is None, "problem.bundle is read only by problem.kind = bundle")
-    _require(p["domain"] in DOMAINS, f"problem.domain must be one of {DOMAINS}, got {p['domain']!r}")
-    _require(p["d"] >= 1 and p["m"] >= 1 and p["n"] >= 1, "problem.d, problem.m, problem.n must be >= 1")
-    _require(p["condition_number"] >= 1.0, "problem.condition_number must be >= 1")
-    if p["kind"] == "generate":
+    """The rules between values; SCHEMA holds each key's own."""
+    p, g, a = cfg["problem"], cfg["graph"], cfg["algorithm"]
+    if p["kind"] == "generate":  # a bundle's own arrays decide, once it is loaded
         _require(
             p["condition_number"] == 1.0 or min(p["m"], p["d"]) >= 2,
             f"problem.condition_number = {p['condition_number']} > 1 needs at least two singular "
             f"values, but min(problem.m, problem.d) = {min(p['m'], p['d'])}",
         )
-
-    g = cfg["graph"]
-    kinds = TOPOLOGY_KINDS + ("matrix",)
-    _require(g["topology"] in kinds, f"graph.topology must be one of {kinds}, got {g['topology']!r}")
-    # a key left at its default (None, or seed 0 as to_mapping echoes it) is not set
-    for key, topology in (("p", "erdos_renyi"), ("seed", "erdos_renyi"), ("cluster", "barbell"),
-                          ("weights", "matrix")):
-        if g["topology"] != topology:
-            _require(g[key] == SCHEMA["graph"][key][1],
-                     f"graph.{key} is read only by graph.topology = {topology}, got {g['topology']!r}")
-    if g["topology"] == "erdos_renyi":
-        _require(g["p"] is not None, "graph.topology = erdos_renyi requires graph.p")
-        _require(0.0 < g["p"] <= 1.0, f"graph.p must be in (0, 1], got {g['p']}")
-    if g["topology"] == "barbell":
-        _require(g["cluster"] is not None, "graph.topology = barbell requires graph.cluster")
-        _require(g["cluster"] >= 1, f"graph.cluster must be >= 1, got {g['cluster']}")
-        if p["kind"] == "generate":  # a bundle's own n decides, once it is loaded
+        if g["topology"] == "barbell":
             check_barbell(g["cluster"], p["n"])
-    if g["topology"] == "matrix":
-        _require(g["weights"] is not None, "graph.topology = matrix requires graph.weights")
-    _require(g["beta"] > 0, f"graph.beta must be positive, got {g['beta']}")
-
-    a = cfg["algorithm"]
-    _require(a["name"] in ALGORITHMS, f"algorithm.name must be one of {ALGORITHMS}, got {a['name']!r}")
-    _require(a["interaction_on"] in ("x", "z"), f"algorithm.interaction_on must be x|z, got {a['interaction_on']!r}")
-    if a["name"] == "ismd":
-        _require(a["interaction_on"] == "x", "algorithm.interaction_on = z is not read by algorithm.name = ismd, which couples on z")
-    _require(a["map"] in MAP_KINDS, f"algorithm.map must be one of {MAP_KINDS}, got {a['map']!r}")
-    if a["map"] == "quadratic":
-        _require(a["map_matrix"] is not None, "algorithm.map = quadratic requires algorithm.map_matrix")
-    else:
-        _require(
-            a["map_matrix"] is None,
-            f"algorithm.map_matrix is read only by algorithm.map = quadratic, got map = {a['map']!r}",
-        )
-    _require(a["dual"] in ("identity", "dual_hessian"), f"algorithm.dual must be identity|dual_hessian, got {a['dual']!r}")
-    if a["dual"] == "dual_hessian":
-        _require(a["name"] == "epismd", f"algorithm.dual = dual_hessian needs algorithm.name = epismd, got {a['name']!r}")
-    if a["dual_beta"] is not None:
-        _require(a["dual"] == "dual_hessian", "algorithm.dual_beta is read only by algorithm.dual = dual_hessian")
-        _require(a["dual_beta"] > 0, f"algorithm.dual_beta must be positive, got {a['dual_beta']}")
-    if p["kind"] == "generate":  # a bundle's own domain decides, once it is loaded
         check_map_domain(p["domain"], a["map"])
-
-    h = cfg["hyperparams"]
-    _require(h["eta"] > 0, f"hyperparams.eta must be positive, got {h['eta']}")
-    _require(h["epsilon"] > 0, f"hyperparams.epsilon must be positive, got {h['epsilon']}")
-    _require(h["sigma"] >= 0, f"hyperparams.sigma must be >= 0, got {h['sigma']}")
-    _require(h["dt"] > 0, f"hyperparams.dt must be positive, got {h['dt']}")
-    _require(h["epochs"] >= 0, f"hyperparams.epochs must be >= 0, got {h['epochs']}")
-    _require(h["metrics_every"] >= 1, f"hyperparams.metrics_every must be >= 1, got {h['metrics_every']}")
-    for key, seed in (("problem.seed", p["seed"]), ("graph.seed", g["seed"]), ("run.seed", cfg["run"]["seed"])):
-        _require(seed >= 0, f"{key} must be >= 0, got {seed}")
+    _require(a["name"] != "ismd" or a["interaction_on"] == "x", "algorithm.interaction_on = z "
+             "is not read by algorithm.name = ismd, which couples on z")
+    _require(a["dual"] != "dual_hessian" or a["name"] == "epismd",
+             f"algorithm.dual = dual_hessian needs algorithm.name = epismd, got {a['name']!r}")
 
 
 def load_config(path: Path | str) -> RunConfig:

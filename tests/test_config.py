@@ -291,11 +291,11 @@ def test_mapping_round_trip_and_invalid_combinations_property():
 # one config per rule that breaks only that rule -> the exact message it gives
 RULE_MESSAGES = {
     # ranges
-    "problem.d": ("[problem]\nd = 0\n", "problem.d, problem.m, problem.n must be >= 1"),
-    "problem.m": ("[problem]\nm = 0\n", "problem.d, problem.m, problem.n must be >= 1"),
-    "problem.n": ("[problem]\nn = 0\n", "problem.d, problem.m, problem.n must be >= 1"),
+    "problem.d": ("[problem]\nd = 0\n", "problem.d must be >= 1, got 0"),
+    "problem.m": ("[problem]\nm = 0\n", "problem.m must be >= 1, got 0"),
+    "problem.n": ("[problem]\nn = 0\n", "problem.n must be >= 1, got 0"),
     "problem.condition_number": ("[problem]\ncondition_number = 0.5\n",
-                                 "problem.condition_number must be >= 1"),
+                                 "problem.condition_number must be >= 1, got 0.5"),
     "graph.p": ("[graph]\ntopology = erdos_renyi\np = 0\n", "graph.p must be in (0, 1], got 0.0"),
     "graph.cluster": ("[graph]\ntopology = barbell\ncluster = 0\n",
                       "graph.cluster must be >= 1, got 0"),
@@ -317,7 +317,8 @@ RULE_MESSAGES = {
                    "graph.seed must be >= 0, got -2"),
     "run.seed": ("[run]\nseed = -1\n", "run.seed must be >= 0, got -1"),
     # choices
-    "problem.kind": ("[problem]\nkind = file\n", "problem.kind must be generate|bundle, got 'file'"),
+    "problem.kind": ("[problem]\nkind = file\n",
+                     "problem.kind must be one of ('generate', 'bundle'), got 'file'"),
     "problem.domain": ("[problem]\ndomain = box\n",
                        "problem.domain must be one of ('unconstrained', 'simplex'), got 'box'"),
     "graph.topology": ("[graph]\ntopology = ring\n", "graph.topology must be one of "
@@ -325,19 +326,20 @@ RULE_MESSAGES = {
     "algorithm.name": ("[algorithm]\nname = sgd\n",
                        "algorithm.name must be one of ('ismd', 'eismd', 'epismd'), got 'sgd'"),
     "algorithm.interaction_on": ("[algorithm]\ninteraction_on = y\n",
-                                 "algorithm.interaction_on must be x|z, got 'y'"),
+                                 "algorithm.interaction_on must be one of ('x', 'z'), got 'y'"),
     "algorithm.map": ("[algorithm]\nmap = log\n", "algorithm.map must be one of "
                       "('euclidean', 'entropy', 'quadratic'), got 'log'"),
     "algorithm.dual": ("[algorithm]\ndual = hessian\n",
-                       "algorithm.dual must be identity|dual_hessian, got 'hessian'"),
+                       "algorithm.dual must be one of ('identity', 'dual_hessian'), got 'hessian'"),
     # keys read only under one choice
     **{f"bundle reads no problem.{key}": (
         f"[problem]\nkind = bundle\nbundle = b\n{key} = {value}\n",
         f"problem.{key} is read only by problem.kind = generate, got 'bundle'")
        for key, value in [("seed", 5), ("d", 3), ("m", 2), ("n", 7), ("condition_number", 4.0),
                           ("shared_minimizer", "true"), ("domain", "simplex")]},
-    "generate reads no problem.bundle": ("[problem]\nbundle = b\n",
-                                         "problem.bundle is read only by problem.kind = bundle"),
+    "generate reads no problem.bundle": (
+        "[problem]\nbundle = b\n",
+        "problem.bundle is read only by problem.kind = bundle, got 'generate'"),
     "cyclic reads no graph.p": (
         "[graph]\np = 0.5\n", "graph.p is read only by graph.topology = erdos_renyi, got 'cyclic'"),
     "cyclic reads no graph.seed": (
@@ -351,10 +353,10 @@ RULE_MESSAGES = {
         "graph.weights is read only by graph.topology = matrix, got 'cyclic'"),
     "euclidean reads no map_matrix": (
         "[algorithm]\nmap_matrix = p.csv\n",
-        "algorithm.map_matrix is read only by algorithm.map = quadratic, got map = 'euclidean'"),
+        "algorithm.map_matrix is read only by algorithm.map = quadratic, got 'euclidean'"),
     "identity reads no dual_beta": (
         "[algorithm]\nname = epismd\ndual_beta = 0.1\n",
-        "algorithm.dual_beta is read only by algorithm.dual = dual_hessian"),
+        "algorithm.dual_beta is read only by algorithm.dual = dual_hessian, got 'identity'"),
     # keys a choice requires
     "bundle requires problem.bundle": ("[problem]\nkind = bundle\n",
                                        "problem.kind = bundle requires problem.bundle"),
