@@ -19,6 +19,7 @@ import errno
 import json
 import os
 import time
+import warnings
 from array import array
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -81,7 +82,8 @@ def build_problem(cfg: RunConfig) -> DistributedProblem:
 def build_graph_and_spectra(cfg: RunConfig, n: int) -> tuple[WeightedGraph, LaplacianSpectra]:
     g = cfg["graph"]
     if g["topology"] == "matrix":
-        graph = WeightedGraph.from_adjacency(load_matrix(g["weights"], "graph.weights"))
+        weights = load_matrix(g["weights"], "graph.weights")
+        graph = _led("graph.weights", WeightedGraph.from_adjacency, weights)
         if graph.n != n:
             raise ConfigError(
                 f"graph.weights has {graph.n} nodes but the problem has {n} particles"
@@ -158,7 +160,7 @@ def prepare(cfg: RunConfig) -> RunSetup:
     (graph, spec), spectra_s = _timed(build_graph_and_spectra, cfg, problem.n)
     a = cfg["algorithm"]
     matrix = load_matrix(a["map_matrix"], "algorithm.map_matrix") if a["map_matrix"] else None
-    mmap = make_mirror_map(a["map"], problem.d, matrix)
+    mmap = _led("algorithm.map_matrix", make_mirror_map, a["map"], problem.d, matrix)
     dual, dual_s = _timed(build_dual, cfg, graph, problem)
     opt, oracle_s = _timed(oracle.solve, problem, graph)
     constants, constants_s = _timed(diagnostics.compute_constants, problem, spec, mmap, dual)
@@ -185,11 +187,11 @@ def prepare(cfg: RunConfig) -> RunSetup:
     )
 
 
-def _prepared(cfg: RunConfig, where: str) -> RunSetup:
-    """``prepare(cfg)``, a set-up failure raised as a ConfigError led by
-    ``where``, which names the config among a command's others."""
+def _led(where: str, fn, *args):
+    """``fn(*args)``, a set-up failure raised as a ConfigError led by
+    ``where``, which names the key, or the config among a command's others."""
     try:
-        return prepare(cfg)
+        return fn(*args)
     except (ValueError, oracle.OracleError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -412,13 +414,19 @@ def _matrix_csv(arr: np.ndarray) -> str:
 
 
 def load_matrix(path: Path | str, key: str | None = None, axes=("row", "column")) -> np.ndarray:
-    """The matrix in the CSV file at ``path``. A non-finite entry raises a
-    ConfigError that names ``key``, or without one a ValueError that names
-    the file, and the entry's place along ``axes``."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    """The matrix in the CSV file at ``path``. An empty file or a non-finite
+    entry raises a ConfigError that names ``key``, or without one a
+    ValueError that names the file; a non-finite entry is placed along ``axes``."""
+    error = ValueError if key is None else ConfigError
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # rejected below
+        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    if rows.size == 0:
+        where = path if key is None else f"{key} file {path}"
+        raise error(f"{where} holds no entries")
     bad = np.argwhere(~np.isfinite(rows))
     if len(bad):
-        (i, j), error = bad[0], ValueError if key is None else ConfigError
+        i, j = bad[0]
         raise error(f"{key or path} must be finite, got {float(rows[i, j])!r} "
                     f"at {axes[0]} {i}, {axes[1]} {j}")
     return rows
@@ -527,7 +535,7 @@ def cmd_compare(configs: list[RunConfig], labels: list[str], out_dir: Path | str
             if h[key] != base[key]:
                 raise ConfigError(f"compare configs must share hyperparams.{key} "
                                   f"({h[key]} != {base[key]})")
-    setups = [_prepared(cfg, f"config {label}") for cfg, label in zip(configs, labels)]
+    setups = [_led(f"config {label}", prepare, cfg) for cfg, label in zip(configs, labels)]
     out, files, manifests, divergences = Path(out_dir), [], {}, []
     with _discard_on_failure(files):
         csv = _open(files, out / "compare.csv", "run," + csv_header() + "\n")
@@ -571,7 +579,7 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
         raise ConfigError(f"sweep values must be distinct, got {','.join(raw_values)}")
     runs = list(zip(raw_values, run_cfgs))
     batches = [runs] if param in BATCHED else [[run] for run in runs]
-    setups = [_prepared(batch[0][1], f"{param} = {','.join(raw for raw, _ in batch)}")
+    setups = [_led(f"{param} = {','.join(raw for raw, _ in batch)}", prepare, batch[0][1])
               for batch in batches]
     out, files, divergences = Path(out_dir), [], []
     with _discard_on_failure(files):

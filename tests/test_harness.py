@@ -718,6 +718,57 @@ def test_a_non_finite_matrix_entry_names_its_key_or_file(tmp_path, capsys, sourc
     assert not (tmp_path / "out").exists()
 
 
+# key -> (MINIMAL's problem reshaped, the file's text, the config lines that
+# read it, the message after the key)
+FAILED_MATRIX_CHECKS = {
+    "graph.weights": (
+        MINIMAL.replace("n = 2", "n = 4"), "1.0,0.0\n0.0,1.0\n", "[graph]\ntopology = matrix\n",
+        "weight matrix support is disconnected"),
+    "algorithm.map_matrix size": (
+        MINIMAL.replace("d = 1", "d = 3"), "1.0,0.0\n0.0,1.0\n", "[algorithm]\nmap = quadratic\n",
+        "quadratic map matrix is 2x2, problem dimension is 3"),
+    "algorithm.map_matrix symmetry": (
+        MINIMAL.replace("d = 1", "d = 2"), "2.0,1.0\n0.0,2.0\n", "[algorithm]\nmap = quadratic\n",
+        "quadratic map matrix must be symmetric"),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_MATRIX_CHECKS)
+def test_a_matrix_file_that_fails_its_check_names_its_key(tmp_path, capsys, case):
+    problem, rows, section, message = FAILED_MATRIX_CHECKS[case]
+    key = case.split()[0]
+    (tmp_path / "w.csv").write_text(rows)
+    text = problem + f"\n{section}{key.split('.')[1]} = {tmp_path / 'w.csv'}\n"
+    cfg_path = write_config(tmp_path, text)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {key}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["algorithm.x0", "graph.weights", "algorithm.map_matrix",
+                                    "bundle"])
+def test_an_empty_matrix_file_is_one_error_that_names_its_key_or_file(tmp_path, capsys, source):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    text = MINIMAL + {
+        "algorithm.x0": f"\n[algorithm]\nx0 = {empty}\n",
+        "graph.weights": f"\n[graph]\ntopology = matrix\nweights = {empty}\n",
+        "algorithm.map_matrix": f"\n[algorithm]\nmap = quadratic\nmap_matrix = {empty}\n",
+        "bundle": "",
+    }[source]
+    expected = f"{source} file {empty} holds no entries"
+    if source == "bundle":
+        harness.save_problem_bundle(harness.build_problem(load_config(
+            write_config(tmp_path, text, "gen.ini"))), tmp_path / "bundle")
+        (tmp_path / "bundle" / "b_001.csv").write_text("")
+        text = bundle_config(tmp_path / "bundle")
+        expected = f"{tmp_path / 'bundle' / 'b_001.csv'} holds no entries"
+    cfg_path = write_config(tmp_path, text)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_quadratic_map_from_matrix_file(tmp_path):
     np.savetxt(tmp_path / "p.csv", np.diag([2.0, 3.0]), delimiter=",")
     text = MINIMAL.replace("d = 1", "d = 2").replace("m = 1", "m = 2")
