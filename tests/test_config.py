@@ -1,8 +1,9 @@
 import re
+from pathlib import Path
 
 import pytest
 
-from dismd.config import ConfigError, RunConfig, load_config
+from dismd.config import SCHEMA, ConfigError, RunConfig, load_config
 
 
 def write(tmp_path, text):
@@ -394,3 +395,22 @@ def test_each_rule_gives_its_one_message(tmp_path, rule):
     with pytest.raises(ConfigError) as raised:
         load_config(write(tmp_path, text))
     assert str(raised.value) == message
+
+
+def test_readme_lists_every_config_key_and_its_choices():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = next(b for b in readme.split("```")[1::2] if b.lstrip().startswith("[problem]"))
+    listed = {}
+    for line in block.strip().splitlines():
+        if line.startswith("["):
+            section, line = line[1:].split("]", 1)
+            listed[section] = []
+        for item in filter(None, (part.strip() for part in line.split(","))):
+            key, _, value = (word.strip() for word in item.partition("="))
+            listed[section].append((key, tuple(v.strip() for v in value.split("|"))
+                                    if "|" in value else None))
+    assert listed == {
+        section: [(key, spec.allowed if isinstance(spec.allowed, tuple) else None)
+                  for key, spec in keys.items()]
+        for section, keys in SCHEMA.items()
+    }
