@@ -223,7 +223,7 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         parser.read_string(path.read_text())
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     raw = {section: dict(parser.items(section)) for section in parser.sections()}
     return _build(raw)

@@ -82,12 +82,8 @@ def build_problem(cfg: RunConfig) -> DistributedProblem:
 def build_graph_and_spectra(cfg: RunConfig, n: int) -> tuple[WeightedGraph, LaplacianSpectra]:
     g = cfg["graph"]
     if g["topology"] == "matrix":
-        weights = load_matrix(g["weights"], "graph.weights")
+        weights = load_matrix(g["weights"], "graph.weights", (n, n))
         graph = _led("graph.weights", WeightedGraph.from_adjacency, weights)
-        if graph.n != n:
-            raise ConfigError(
-                f"graph.weights has {graph.n} nodes but the problem has {n} particles"
-            )
     else:
         if g["topology"] == "barbell":
             check_barbell(g["cluster"], n)
@@ -111,7 +107,7 @@ def load_x0(cfg: RunConfig, problem: DistributedProblem, mmap) -> np.ndarray | N
     path = cfg["algorithm"]["x0"]
     if path is None:
         return None
-    rows = load_matrix(path, "algorithm.x0", ("particle", "coordinate"))
+    rows = load_matrix(path, "algorithm.x0", axes=("particle", "coordinate"))
     if rows.shape == (1, problem.d):
         rows = np.repeat(rows, problem.n, axis=0)
     if rows.shape != (problem.n, problem.d):
@@ -158,9 +154,9 @@ def prepare(cfg: RunConfig) -> RunSetup:
     started = time.perf_counter()
     problem, generate_s = _timed(build_problem, cfg)
     (graph, spec), spectra_s = _timed(build_graph_and_spectra, cfg, problem.n)
-    a = cfg["algorithm"]
-    matrix = load_matrix(a["map_matrix"], "algorithm.map_matrix") if a["map_matrix"] else None
-    mmap = _led("algorithm.map_matrix", make_mirror_map, a["map"], problem.d, matrix)
+    a, d, key = cfg["algorithm"], problem.d, "algorithm.map_matrix"
+    matrix = load_matrix(a["map_matrix"], key, (d, d)) if a["map_matrix"] else None
+    mmap = _led(key, make_mirror_map, a["map"], d, matrix)
     dual, dual_s = _timed(build_dual, cfg, graph, problem)
     opt, oracle_s = _timed(oracle.solve, problem, graph)
     constants, constants_s = _timed(diagnostics.compute_constants, problem, spec, mmap, dual)
@@ -413,23 +409,30 @@ def _matrix_csv(arr: np.ndarray) -> str:
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in np.atleast_2d(arr))
 
 
-def load_matrix(path: Path | str, key: str | None = None, axes=("row", "column")) -> np.ndarray:
-    """The matrix in the CSV file at ``path``. An empty file or a non-finite
-    entry raises a ConfigError that names ``key``, or without one a
-    ValueError that names the file; a non-finite entry is placed along ``axes``."""
+def load_matrix(path: Path | str, key: str | None = None, shape: tuple | None = None,
+                axes=("row", "column")) -> np.ndarray:
+    """The matrix in the CSV file at ``path``, of ``shape`` if given: (rows, columns), or (k,) for
+    a vector of k entries in one row or one column. A fault raises a ConfigError naming ``key`` and
+    the file, or without a key a ValueError naming the file; ``axes`` place a non-finite entry."""
     error = ValueError if key is None else ConfigError
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # rejected below
-        rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    where = path if key is None else f"{key} file {path}"
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # rejected below
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:  # ragged, not a number or not UTF-8; numpy's usecols hint dropped
+        raise error(f"{where} is not a CSV of numbers: {str(exc).partition('; use')[0]}") from exc
     if rows.size == 0:
-        where = path if key is None else f"{key} file {path}"
         raise error(f"{where} holds no entries")
+    if shape is not None and rows.shape not in (shape, (1, *shape), (*shape, 1)):
+        want = ("{}x{} matrix" if len(shape) == 2 else "{}-entry row or column").format(*shape)
+        raise error(f"{where} must hold a {want}, got {rows.shape[0]}x{rows.shape[1]}")
     bad = np.argwhere(~np.isfinite(rows))
     if len(bad):
         i, j = bad[0]
         raise error(f"{key or path} must be finite, got {float(rows[i, j])!r} "
                     f"at {axes[0]} {i}, {axes[1]} {j}")
-    return rows
+    return rows if shape is None else rows.reshape(shape)
 
 
 def save_problem_bundle(problem: DistributedProblem, out_dir: Path | str) -> Path:
@@ -458,26 +461,27 @@ def save_problem_bundle(problem: DistributedProblem, out_dir: Path | str) -> Pat
 
 
 def load_problem_bundle(bundle_dir: Path | str) -> DistributedProblem:
+    """The problem saved in ``bundle_dir``; a ValueError names a bad manifest or file."""
     root = Path(bundle_dir)
-    manifest = json.loads((root / MANIFEST_FILE).read_text())
+    path = root / MANIFEST_FILE
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"bundle manifest {path} is not JSON: {exc}") from exc
     missing = [key for key in ("n", "m", "d", "domain", "blocks") if key not in manifest]
     if missing:
-        raise ValueError(f"bundle manifest {root / MANIFEST_FILE} lacks {', '.join(missing)}")
+        raise ValueError(f"bundle manifest {path} lacks {', '.join(missing)}")
     if manifest.get("bundle_version") != BUNDLE_VERSION:
         raise ValueError(f"bundle {root} has bundle_version {manifest.get('bundle_version')!r}, "
                          f"but this dismd reads bundle_version {BUNDLE_VERSION}")
-    declared = (manifest["n"], manifest["m"], manifest["d"])
-    # np.stack raises ValueError on blocks of unequal shapes
-    q = np.stack([load_matrix(root / entry["q"]) for entry in manifest["blocks"]])
-    b = np.stack([load_matrix(root / entry["b"]).ravel() for entry in manifest["blocks"]])
-    if q.shape != declared or b.shape != declared[:2]:
-        raise ValueError(
-            f"bundle {root} declares (n, m, d) = {declared}, "
-            f"but its files hold q {q.shape} and b {b.shape}"
-        )
-    minimizer = None
-    if manifest.get("minimizer"):
-        minimizer = load_matrix(root / manifest["minimizer"]).ravel()
+    n, m, d, blocks = (manifest[key] for key in ("n", "m", "d", "blocks"))
+    if not (isinstance(blocks, list) and len(blocks) == n and all(
+            isinstance(entry, dict) and {"q", "b"} <= entry.keys() for entry in blocks)):
+        raise ValueError(f"bundle manifest {path} must list n = {n} blocks naming q and b files")
+    q = np.stack([load_matrix(root / entry["q"], shape=(m, d)) for entry in blocks])
+    b = np.stack([load_matrix(root / entry["b"], shape=(m,)) for entry in blocks])
+    name = manifest.get("minimizer")
+    minimizer = load_matrix(root / name, shape=(d,)) if name else None
     return DistributedProblem(q=q, b=b, domain=manifest["domain"], minimizer=minimizer)
 
 

@@ -747,14 +747,9 @@ FAILED_MATRIX_CHECKS = {
         MINIMAL.replace("d = 1", "d = 2"), "2.0,1.0\n0.0,2.0\n", "[algorithm]\nmap = quadratic\n",
         "algorithm.map_matrix: quadratic map matrix must be symmetric"),
 }
-# the cases whose error line this dismd does not give yet
-PENDING = {"graph.weights", "graph.weights ragged", "algorithm.x0 ragged",
-           "algorithm.map_matrix not a number", "algorithm.map_matrix size"}
 
 
-@pytest.mark.parametrize("case", [
-    pytest.param(case, marks=pytest.mark.xfail(strict=True) if case in PENDING else ())
-    for case in FAILED_MATRIX_CHECKS])
+@pytest.mark.parametrize("case", FAILED_MATRIX_CHECKS)
 def test_a_matrix_file_that_fails_its_check_names_its_key(tmp_path, capsys, case):
     problem, rows, section, message = FAILED_MATRIX_CHECKS[case]
     key = case.split()[0]
@@ -800,7 +795,6 @@ BROKEN_BUNDLES = {
 }
 
 
-@pytest.mark.xfail(strict=True)
 @pytest.mark.parametrize("defect", BROKEN_BUNDLES)
 def test_a_broken_bundle_is_one_error_that_names_its_file(tmp_path, capsys, defect):
     break_it, message = BROKEN_BUNDLES[defect]
@@ -814,7 +808,6 @@ def test_a_broken_bundle_is_one_error_that_names_its_file(tmp_path, capsys, defe
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.xfail(strict=True)
 def test_a_config_file_that_is_not_utf8_is_one_error_that_names_it(tmp_path, capsys):
     cfg_path = tmp_path / "run.ini"
     cfg_path.write_bytes(b"\xff" + MINIMAL.encode())
