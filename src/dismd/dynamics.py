@@ -312,7 +312,7 @@ def _step(state, problem, mmap, graph, hp, noise, interaction_on, dual, out,
             np.add(state.lam, lap_x, out=out.lam)
         else:
             np.add(state.mu, lap_x, out=out.mu)
-            dual.backward(out.mu, out=out.lam)
+            dual.backward(out.mu, out=out.lam, work=work)
     np.multiply(hp.dt, drift, out=drift)
     np.subtract(state.z, drift, out=out.z)
     if noise is not None:

@@ -262,7 +262,7 @@ class IdentityDual:
     kind = "identity"
     mu = 1.0
 
-    def backward(self, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, mu: np.ndarray, out: np.ndarray | None = None, work=None) -> np.ndarray:
         return _copy(mu, out)
 
     def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray):
@@ -306,13 +306,15 @@ class RegularizedDualHessian:
         self._hess = hess
         self._hess_inv = np.linalg.inv(hess)
 
-    def backward(self, mu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, mu: np.ndarray, out: np.ndarray | None = None,
+                 work: np.ndarray | None = None) -> np.ndarray:
         """Conjugate gradient: mu -> lambda, (L_beta^{-1} kron I_d)
         blockdiag(H_i) (L_beta^{-1} kron I_d) applied to (..., n, d) rows;
-        ``out``, when given, also holds the first product."""
+        ``out``, when given, also holds the first product, and ``work``, of
+        the same shape, the second."""
         w = np.matmul(self._lap_beta_inv, np.asarray(mu, dtype=float), out=out)
-        w = (self._hess @ w[..., None])[..., 0]
-        return np.matmul(self._lap_beta_inv, w, out=out)
+        w = np.matmul(self._hess, w[..., None], out=None if work is None else work[..., None])
+        return np.matmul(self._lap_beta_inv, w[..., 0], out=out)
 
     def bregman(self, lam_a: np.ndarray, lam_b: np.ndarray):
         """D_psi between (..., n, d) multiplier rows, per leading index

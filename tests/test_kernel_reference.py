@@ -122,7 +122,7 @@ def _ref_sandwich(self, outer, inner, rows):
     return outer @ w
 
 
-def ref_dual_backward(self, mu, out=None):
+def ref_dual_backward(self, mu, out=None, work=None):
     return _into(_ref_sandwich(self, self._lap_beta_inv, self._hess, mu), out)
 
 

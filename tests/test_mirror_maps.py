@@ -248,6 +248,26 @@ def test_dual_precond_matches_dense_oracle():
         assert np.max(np.abs(dual.backward(mu).ravel() - dense @ mu.ravel())) <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(40, 40), (3, 40, 40)])
+def test_dual_precond_backward_into_its_buffers_allocates_nothing_and_keeps_the_bits(shape):
+    # the integration loop passes out= and work=; the allocating form is the reference
+    prob = generate_problem(GeneratorConfig(seed=11, d=40, m=40, n=40, condition_number=15.0))
+    dual = RegularizedDualHessian(spectra(build_graph(Topology("cyclic", 40)), 0.5),
+                                  prob.hess_blocks())
+    mu = np.random.default_rng(10).standard_normal(shape)
+    out, work = np.empty(shape), np.empty(shape)
+    dual.backward(mu, out=out, work=work)  # numpy's first call may cache
+    tracemalloc.start()
+    try:
+        lam = dual.backward(mu, out=out, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lam is out
+    assert peak < 8 * 40 * 40 / 2
+    assert lam.tobytes() == dual.backward(mu).tobytes()
+
+
 def test_dual_precond_forward_backward_inverse():
     prob, _, spec, dual = _dual_setup()
     rng = np.random.default_rng(9)
