@@ -4,7 +4,10 @@ I/O: files are read and written by ``harness`` alone, where only
 ``_write_atomic`` publishes a file and only ``OutputFile`` renames one or
 makes a directory. A rule has one owner: only ``dynamics`` compares a value
 with the divergence limit, and only ``config`` rejects a barbell of the
-wrong size or a mirror map on the wrong domain."""
+wrong size or a mirror map on the wrong domain. Each input format has one
+reader, which owns its rules: ``config.load_config`` parses the INI
+configs, ``harness.load_matrix`` the CSV matrices and
+``harness.load_problem_bundle`` the bundle manifests."""
 
 import ast
 import json
@@ -85,6 +88,21 @@ def test_only_write_atomic_publishes_and_only_output_file_renames_or_makes_direc
                 continue  # str.replace or dataclasses.replace, not Path.replace
             if name in OWNERS and OWNERS[name] not in scope:
                 found.append(f"{path.name}:{call.lineno} {name} outside {OWNERS[name]}")
+    assert found == []
+
+
+# the call that parses each input format -> (module, function) of its one reader
+READERS = {"ConfigParser": ("config", "load_config"), "loadtxt": ("harness", "load_matrix"),
+           "loads": ("harness", "load_problem_bundle")}
+
+
+def test_each_input_format_has_one_reader():
+    found = []
+    for path in sorted((SRC / "dismd").glob("*.py")):
+        for scope, call in _calls(ast.parse(path.read_text(), str(path))):
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if name in READERS and (path.stem, *scope) != READERS[name]:
+                found.append(f"{path.name}:{call.lineno} {name} outside {'.'.join(READERS[name])}")
     assert found == []
 
 
