@@ -476,7 +476,8 @@ def load_problem_bundle(bundle_dir: Path | str) -> DistributedProblem:
                          f"but this dismd reads bundle_version {BUNDLE_VERSION}")
     n, m, d, blocks = (manifest[key] for key in ("n", "m", "d", "blocks"))
     if not (isinstance(blocks, list) and len(blocks) == n and all(
-            isinstance(entry, dict) and {"q", "b"} <= entry.keys() for entry in blocks)):
+            isinstance(entry, dict) and all(isinstance(entry.get(f), str) for f in "qb")
+            for entry in blocks)):
         raise ValueError(f"bundle manifest {path} must list n = {n} blocks naming q and b files")
     q = np.stack([load_matrix(root / entry["q"], shape=(m, d)) for entry in blocks])
     b = np.stack([load_matrix(root / entry["b"], shape=(m,)) for entry in blocks])

@@ -792,6 +792,9 @@ BROKEN_BUNDLES = {
     "block without q": (
         lambda bundle: _edit_manifest(bundle, lambda manifest: manifest["blocks"][1].pop("q")),
         "bundle manifest {bundle}/manifest.json must list n = 2 blocks naming q and b files"),
+    "block naming b by a number": (
+        lambda bundle: _edit_manifest(bundle, lambda manifest: manifest["blocks"][0].update(b=0)),
+        "bundle manifest {bundle}/manifest.json must list n = 2 blocks naming q and b files"),
 }
 
 
