@@ -223,12 +223,16 @@ def test_problem_bundle_round_trip(tmp_path):
     assert load_problem_bundle(tmp_path / "bundle").content_hash() == prob.content_hash()
 
 
-@pytest.mark.parametrize("key, message", [
-    ("n", "bundle manifest {dir}/manifest.json must list n = 3 blocks naming q and b files"),
-    ("m", "{dir}/q_000.csv must hold a 5x3 matrix, got 4x3"),
-    ("d", "{dir}/q_000.csv must hold a 4x4 matrix, got 4x3"),
-])
-def test_bundle_whose_manifest_disagrees_with_its_files_is_rejected(tmp_path, key, message):
+# the manifest key raised by one -> the error, {dir} standing for the bundle
+DISAGREEING_MANIFESTS = {
+    "n": "bundle manifest {dir}/manifest.json must list n = 3 blocks naming q and b files",
+    "m": "{dir}/q_000.csv must hold a 5x3 matrix, got 4x3",
+    "d": "{dir}/q_000.csv must hold a 4x4 matrix, got 4x3",
+}
+
+
+@pytest.mark.parametrize("key", DISAGREEING_MANIFESTS)
+def test_bundle_whose_manifest_disagrees_with_its_files_is_rejected(tmp_path, key):
     prob = generate_problem(GeneratorConfig(seed=12, d=3, m=4, n=2, condition_number=2.0))
     manifest_path = save_problem_bundle(prob, tmp_path)
     manifest = json.loads(manifest_path.read_text())
@@ -236,7 +240,7 @@ def test_bundle_whose_manifest_disagrees_with_its_files_is_rejected(tmp_path, ke
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ValueError) as error:
         load_problem_bundle(tmp_path)
-    assert str(error.value) == message.format(dir=tmp_path)
+    assert str(error.value) == DISAGREEING_MANIFESTS[key].format(dir=tmp_path)
 
 
 @pytest.mark.parametrize("version", [0, 2, "1", None])
