@@ -377,6 +377,27 @@ def test_dual_constants_build_runs_lanczos_once(monkeypatch):
     assert shapes == [(setup.problem.n, setup.problem.d)]
 
 
+def test_dual_constant_does_not_depend_on_the_lanczos_basis_chunk(monkeypatch):
+    # the basis grows by LANCZOS_CHUNK rows at a time; at 4, a run of more
+    # than 8 steps grows it at least twice, and since the basis rows and
+    # every product are those of the default chunk, mu is the same bit for bit
+    prob = generate_problem(GeneratorConfig(seed=11, d=6, m=6, n=8, condition_number=15.0))
+    spec = spectra(build_graph(Topology("barbell", 8, cluster=4)), 0.01)
+    lanczos, steps = mirror_maps._lanczos_max, []
+
+    def counted(apply, shape):
+        def counted_apply(v):
+            steps.append(1)
+            return apply(v)
+        return lanczos(counted_apply, shape)
+
+    monkeypatch.setattr(mirror_maps, "_lanczos_max", counted)
+    default = RegularizedDualHessian(spec, prob.hess_blocks()).mu
+    assert len(steps) > 8
+    monkeypatch.setattr(mirror_maps, "LANCZOS_CHUNK", 4)
+    assert RegularizedDualHessian(spec, prob.hess_blocks()).mu == default
+
+
 def test_dual_constants_match_dense_reference_with_repeated_eigenvalues():
     # identical blocks on a complete graph: the conjugate Hessian is
     # L_beta^{-2} kron H with 2 * d distinct eigenvalues among n * d

@@ -113,6 +113,13 @@ def test_divergence_mid_block_carries_the_records_before_it(monkeypatch):
         getattr(one_each.value, k) for k in where]
 
 
+def test_the_default_recorder_keeps_an_int_step_and_a_float_t():
+    prob, graph, mmap, _ = _stiff_setup()
+    states = run("eismd", prob, mmap, graph, Hyperparams(dt=0.001, epochs=250), metrics_every=100)
+    assert [(s.step, s.t) for s in states] == [(0, 0.0), (100, 0.1), (200, 0.2), (250, 0.25)]
+    assert all(type(s.step) is int and type(s.t) is float for s in states)
+
+
 def test_a_small_problem_gets_blocks_of_at_most_128_snapshots():
     # at n = 2, d = 1 the byte budget alone would hold all 1,001 snapshots
     prob, graph, mmap, rec = _stiff_setup()
