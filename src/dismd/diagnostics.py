@@ -17,11 +17,12 @@ entropy map keeps its KL form. The scale factor c is chosen by
 ``default_c`` as a small safety margin above every threshold the
 convergence analysis needs for non-negativity and descent.
 
-``MetricsRecorder`` takes a block of R snapshots (``dynamics.Snapshots``)
-and computes every column over the leading axis: each matrix product runs
-once per snapshot with the shape a single state would give it, and each
-squared norm is one BLAS dot per snapshot, so a record does not depend on
-the block it was computed in. A single state is the block R = 1.
+``MetricsRecorder`` takes a block of B snapshots, a ``dynamics.ParticleSystem``
+with a leading snapshot axis, and computes every column over that axis:
+each matrix product runs once per snapshot with the shape a single state
+would give it, and each squared norm is one BLAS dot per snapshot, so a
+record does not depend on the block it was computed in. A single state is
+the block ``state[None]``, B = 1.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import Snapshots
+from .dynamics import ParticleSystem
 from .graphs import LaplacianSpectra, WeightedGraph
 from .mirror_maps import IdentityDual, MirrorMap, stacked_vdot
 from .objectives import DistributedProblem
@@ -70,17 +71,18 @@ def csv_header() -> str:
 
 @dataclass(frozen=True)
 class ConvexityConstants:
-    """Convexity and smoothness constants: ``default_c`` reads them, the manifest reports them."""
+    """Convexity and smoothness constants: ``default_c`` reads them, the
+    manifest reports them in this order."""
 
+    kappa_n: float
+    kappa_beta: float
+    mu_f: float
+    l_f: float
     mu_phi: float
     l_phi: float
     mu_psi: float
-    mu_f: float
-    l_f: float
     alpha_phi: float  # l_f * l_phi / mu_phi (inf for the entropy map)
     mu_hat: float
-    kappa_n: float
-    kappa_beta: float
 
 
 def compute_constants(
@@ -249,7 +251,7 @@ class MetricsRecorder:
             return 0.5 * stacked_vdot(dx, dx @ self.mmap.matrix)
         return self.mmap.bregman(self.x_star, x).sum(axis=-1)
 
-    def __call__(self, snaps: Snapshots) -> list[MetricsRecord]:
+    def __call__(self, snaps: ParticleSystem) -> list[MetricsRecord]:
         x, lam, lap = snaps.x, snaps.lam, self.graph.laplacian
         self.problem.check_domain(x)
         dx = x - self.x_star

@@ -34,9 +34,10 @@ A run keeps its state in one buffer: z, lambda, (EPISMD only) mu and x, in
 that order, on its leading axis, a layout that ``_views`` alone names. The
 divergence guard reads the evolved prefix, all but x, and ``_divergence``
 alone finds an entry beyond the limit. ``run`` copies the buffer at each
-record step into a preallocated block of ``Snapshots`` laid out the same
-way, and hands the recorder whole blocks, so the metrics are computed over
-a leading snapshot axis rather than one state at a time.
+record step into a preallocated block of snapshots laid out the same way,
+a ``ParticleSystem`` with a leading snapshot axis, and hands the recorder
+whole blocks, so the metrics are computed over that axis rather than one
+state at a time.
 
 ``run`` also integrates R replicas of one run at once: the same problem,
 maps, graph, dt and horizon, each with its own eta, epsilon, sigma, seed and
@@ -161,75 +162,56 @@ class NoiseStream:
 @dataclass
 class ParticleSystem:
     """Stacked state of the particle system at one step: (n, d) arrays, or
-    (R, n, d) for R replicas.
+    (R, n, d) for R replicas, with an int step and a float t. A block of B
+    snapshots stacks them on a leading axis, its step and t then (B,).
 
     x rows always satisfy x^i = backward(z^i); lam is zero for ISMD and mu is
     carried only by the preconditioned dynamics. The step kernel updates a
-    state in place, so a state kept past the next step is a ``copy()``.
+    state in place, so a state kept past the next step is a ``copy()``, and
+    ``run`` reuses one block for the whole run, so a recorder that keeps
+    arrays past its call keeps copies.
     """
 
     z: np.ndarray
     x: np.ndarray
     lam: np.ndarray
     mu: np.ndarray | None
-    step: int
-    t: float
+    step: int | np.ndarray
+    t: float | np.ndarray
 
     def copy(self) -> "ParticleSystem":
-        """A state with copies of every array."""
+        """A state with copies of z, x, lam and mu."""
         mu = None if self.mu is None else self.mu.copy()
         return ParticleSystem(z=self.z.copy(), x=self.x.copy(), lam=self.lam.copy(), mu=mu,
                               step=self.step, t=self.t)
 
-
-@dataclass
-class Snapshots:
-    """The states of R record steps, stacked on a leading axis.
-
-    z, x, lam and (preconditioned dynamics only) mu are (R, n, d); step and t
-    are (R,). ``run`` reuses one block for the whole run, so a recorder that
-    keeps arrays past its call keeps copies.
-    """
-
-    z: np.ndarray
-    x: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray | None
-    step: np.ndarray
-    t: np.ndarray
-
-    @classmethod
-    def of(cls, state: ParticleSystem) -> "Snapshots":
-        """The block R = 1 of one state; its arrays are views of the state's."""
-        mu = None if state.mu is None else state.mu[None]
-        return cls(z=state.z[None], x=state.x[None], lam=state.lam[None], mu=mu,
-                   step=np.array([state.step]), t=np.array([state.t]))
-
     def __len__(self) -> int:
         return len(self.step)
 
-    def __getitem__(self, index) -> "Snapshots | ParticleSystem":
-        """A slice of the block, or snapshot ``index`` as a state; both are views."""
+    def __getitem__(self, index) -> "ParticleSystem":
+        """Every field indexed on the leading axis, z, x, lam and mu as views:
+        snapshot ``index`` of a block, with an int step and a float t, for an
+        integer; a sub-block for a slice; the block of one state for None."""
         mu = None if self.mu is None else self.mu[index]
-        if isinstance(index, slice):
-            return Snapshots(z=self.z[index], x=self.x[index], lam=self.lam[index], mu=mu,
-                             step=self.step[index], t=self.t[index])
+        step, t = np.asarray(self.step)[index], np.asarray(self.t)[index]
+        if np.ndim(step) == 0:
+            step, t = int(step), float(t)
         return ParticleSystem(z=self.z[index], x=self.x[index], lam=self.lam[index], mu=mu,
-                              step=int(self.step[index]), t=float(self.t[index]))
+                              step=step, t=t)
 
 
-def _states(snaps: Snapshots) -> list[ParticleSystem]:
+def _states(snaps: ParticleSystem) -> list[ParticleSystem]:
     """The identity recorder: a copy of each snapshot's state."""
     return [snaps[r].copy() for r in range(len(snaps))]
 
 
-def _views(buf: np.ndarray, step, t, kind=ParticleSystem):
-    """The ``kind``, ParticleSystem or Snapshots, whose arrays are the views
-    of ``buf``, a run's state buffer: z, lam, mu (only in a buffer of four)
-    and x, in that order, on its leading axis. Its prefix ``buf[:-1]`` holds
-    the evolved arrays."""
-    return kind(z=buf[0], x=buf[-1], lam=buf[1], mu=buf[2] if len(buf) == 4 else None,
-                step=step, t=t)
+def _views(buf: np.ndarray, step, t) -> ParticleSystem:
+    """The state whose arrays are the views of ``buf``, a run's state buffer
+    or its block of snapshots: z, lam, mu (only in a buffer of four) and x,
+    in that order, on its leading axis. Its prefix ``buf[:-1]`` holds the
+    evolved arrays."""
+    return ParticleSystem(z=buf[0], x=buf[-1], lam=buf[1], mu=buf[2] if len(buf) == 4 else None,
+                          step=step, t=t)
 
 
 def _initial(mmap: MirrorMap, x0_rows: np.ndarray, with_mu: bool) -> np.ndarray:
@@ -415,7 +397,7 @@ class _Batch:
     """The replicas a run still integrates: their state over one
     (k + 1, R, n, d) buffer of z, lam[, mu] and x, what the step kernel
     reads, and their block of snapshots, laid out as the buffer. The state
-    and each replica's ``Snapshots`` are ``_views`` of the two.
+    and each replica's block are ``_views`` of the two.
 
     A batch of one steps (n, d) views of the buffer with its replica's own
     Hyperparams, as a single run always has; R > 1 replicas step (R, n, d)
@@ -445,7 +427,7 @@ class _Batch:
         self.steps = np.empty(size, dtype=np.int64)
         self.ts = np.empty(size)
         # each replica's snapshots, contiguous views of the block
-        self.snaps = [_views(self.block[:, row], self.steps, self.ts, Snapshots)
+        self.snaps = [_views(self.block[:, row], self.steps, self.ts)
                       for row in range(len(replicas))]
         self.filled = 0
 
@@ -530,7 +512,7 @@ def run(
 
     A record is taken at step 0, every ``metrics_every`` steps and at the
     final step: the state is copied into the next slot of a preallocated
-    ``Snapshots`` block. Each full block, and the partial block at the end,
+    block, a ``ParticleSystem`` of (B, n, d) arrays and (B,) step and t. Each full block, and the partial block at the end,
     goes to ``recorder`` in one call, which returns one record per snapshot
     (the default returns a copy of each state). The block holds at most
     ``_BLOCK_RECORDS`` snapshots and ``_BLOCK_BYTES`` per (B, n, d) array over

@@ -22,7 +22,7 @@ import time
 import warnings
 from array import array
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -269,7 +269,7 @@ class RunLog:
         self.record_s = self.write_s = 0.0
         self.t, self.V = (array("d"), array("d")) if fit else (None, None)
 
-    def __call__(self, snaps: dynamics.Snapshots) -> tuple:
+    def __call__(self, snaps: dynamics.ParticleSystem) -> tuple:
         started = time.perf_counter()
         records = self.recorder(snaps)
         recorded = time.perf_counter()
@@ -341,8 +341,7 @@ def build_manifest(
     per snapshot block. In a batch, prepare_s, its parts and integrate_s
     are the batch's and record_s and write_s the run's own. ``record_share``
     is record_s / integrate_s. A diverged run gains a ``diverged`` block."""
-    opt = setup.opt
-    cst = setup.constants
+    opt, cst = setup.opt, setup.constants
     steps = cfg["hyperparams"]["epochs"] if divergence is None else divergence.step
     manifest = {
         "artifact_version": __version__,
@@ -358,15 +357,7 @@ def build_manifest(
             "interior": opt.lambda_star is not None,
         },
         "constants": {
-            "kappa_n": cst.kappa_n,
-            "kappa_beta": cst.kappa_beta,
-            "mu_f": cst.mu_f,
-            "l_f": cst.l_f,
-            "mu_phi": cst.mu_phi,
-            "l_phi": _float_or_none(cst.l_phi),
-            "mu_psi": cst.mu_psi,
-            "alpha_phi": _float_or_none(cst.alpha_phi),
-            "mu_hat": cst.mu_hat,
+            **{f.name: _float_or_none(getattr(cst, f.name)) for f in fields(cst)},
             "c": setup.recorder.c,
         },
         "wall_clock_seconds": timings["integrate_s"],

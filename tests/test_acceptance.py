@@ -17,7 +17,7 @@ from dismd.diagnostics import (
     kappa_g_estimate,
     rate_fit,
 )
-from dismd.dynamics import Hyperparams, ParticleSystem, Snapshots, run
+from dismd.dynamics import Hyperparams, ParticleSystem, run
 from dismd.graphs import Topology, build_graph, spectra
 from dismd.mirror_maps import (
     EntropyMap,
@@ -402,7 +402,7 @@ def test_criterion_8_math_kernel_invariants():
         if trial % 20 == 0:
             st = ParticleSystem(z=x[0], x=x[0], lam=lam[0], mu=None, step=0, t=0.0)
             rec = MetricsRecorder(prob, g, mmap, opt.x_star, opt.lambda_star, c)
-            vv = rec(Snapshots.of(st))[0].V
+            vv = rec(st[None])[0].V
             assert vv == pytest.approx(float(v[0]), rel=1e-9, abs=1e-9)
 
     elapsed = time.perf_counter() - started

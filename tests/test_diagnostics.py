@@ -13,7 +13,7 @@ from dismd.diagnostics import (
     kappa_g_estimate,
     rate_fit,
 )
-from dismd.dynamics import Hyperparams, ParticleSystem, Snapshots, run
+from dismd.dynamics import Hyperparams, ParticleSystem, run
 from dismd.graphs import Topology, build_graph, metropolis_weights, spectra
 from dismd.mirror_maps import EntropyMap, EuclideanMap, QuadraticMap, RegularizedDualHessian
 from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
@@ -31,7 +31,7 @@ def euclid_setup(seed=0, n=4, d=3, cond=4.0, beta=1.0):
 
 def lyapunov(rec, state):
     """(V, V1, V2, V3) of the recorder's record of one state."""
-    r = rec(Snapshots.of(state))[0]
+    r = rec(state[None])[0]
     return r.V, r.V1, r.V2, r.V3
 
 
@@ -301,7 +301,7 @@ def test_kkt_residuals_zero_at_kkt_pair():
         t=0.0,
     )
     rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c=1.0)
-    r = rec(Snapshots.of(state))[0]
+    r = rec(state[None])[0]
     assert r.kkt_primal <= 1e-10
     assert r.kkt_consensus <= 1e-12
 
@@ -332,7 +332,7 @@ def test_recorder_record_fields_and_bregman_column():
     c = default_c(cst)
     rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c)
     states = run("eismd", prob, mmap, graph, Hyperparams(dt=0.01, epochs=10), metrics_every=5)
-    r = rec(Snapshots.of(states[-1]))[0]
+    r = rec(states[-1][None])[0]
     assert r.step == 10
     assert r.t == pytest.approx(0.1)
     assert r.bregman_to_opt == pytest.approx(
@@ -357,7 +357,7 @@ def test_recorder_epismd_v2_uses_dual_bregman():
         "epismd", prob, mmap, graph, Hyperparams(dt=0.01, epochs=20),
         dual=dual, metrics_every=20,
     )
-    r = rec(Snapshots.of(states[-1]))[0]
+    r = rec(states[-1][None])[0]
     assert r.V2 == pytest.approx(dual.bregman(opt.lambda_star, states[-1].lam), rel=1e-10)
 
 

@@ -583,7 +583,7 @@ def test_dual_beta_moves_no_x_and_only_the_consensus_part_of_lambda():
         *_, last = dynamics.run("epismd", setup.problem, setup.mmap, setup.graph,
                                 cfg.hyperparams(), seed=cfg["run"]["seed"], dual=setup.dual,
                                 metrics_every=cfg["hyperparams"]["epochs"], x0_rows=setup.x0)
-        [record] = setup.recorder(dynamics.Snapshots.of(last))
+        [record] = setup.recorder(last[None])
         runs[beta] = last, record, setup.recorder.c
     (a, rec_a, c_a), (b, rec_b, c_b) = runs[0.01], runs[1.0]
     assert a.step == b.step == 2000

@@ -17,7 +17,7 @@ import pytest
 from dismd import dynamics, harness
 from dismd.config import load_config
 from dismd.diagnostics import MetricsRecorder
-from dismd.dynamics import DivergenceError, Hyperparams, ParticleSystem, Snapshots, run
+from dismd.dynamics import DivergenceError, Hyperparams, ParticleSystem, run
 from dismd.graphs import metropolis_weights
 from dismd.mirror_maps import EuclideanMap
 from dismd.objectives import DistributedProblem
@@ -74,12 +74,13 @@ def test_a_block_gives_the_records_of_its_snapshots_one_by_one(stem):
         arrays = [getattr(s, name) for s in states]
         return None if arrays[0] is None else np.stack(arrays)
 
-    block = Snapshots(z=stacked("z"), x=stacked("x"), lam=stacked("lam"), mu=stacked("mu"),
-                      step=np.array([s.step for s in states]), t=np.array([s.t for s in states]))
+    block = ParticleSystem(z=stacked("z"), x=stacked("x"), lam=stacked("lam"), mu=stacked("mu"),
+                           step=np.array([s.step for s in states]),
+                           t=np.array([s.t for s in states]))
     got = setup.recorder(block)
     assert len(got) == len(states) == 13
     for record, state in zip(got, states):
-        assert record.to_csv_row() == setup.recorder(Snapshots.of(state))[0].to_csv_row()
+        assert record.to_csv_row() == setup.recorder(state[None])[0].to_csv_row()
 
 
 def _stiff_setup():
@@ -106,7 +107,7 @@ def test_divergence_mid_block_carries_the_records_before_it(monkeypatch):
     assert 2 <= len(err.records) < 2 + err.step // 7
     assert [r.step for r in err.records] == [s.step for s in states] == list(
         range(0, err.step, 7))
-    want = [rec(Snapshots.of(s))[0] for s in states]
+    want = [rec(s[None])[0] for s in states]
     assert err.records == want == one_each.value.records
     where = ("step", "array", "particle", "coordinate", "value")
     assert [getattr(err, k) for k in where] == [getattr(by_state.value, k) for k in where] == [
@@ -144,7 +145,7 @@ def test_negative_simplex_coordinate_in_a_block_raises():
     x[2, n - 1, 0] = -1e-3
     x[2, n - 1, 1] += 2e-3
     lam = np.zeros((3, n, d))
-    block = Snapshots(z=x.copy(), x=x, lam=lam, mu=None, step=np.arange(3), t=np.zeros(3))
+    block = ParticleSystem(z=x.copy(), x=x, lam=lam, mu=None, step=np.arange(3), t=np.zeros(3))
     with pytest.raises(ValueError, match="negative"):
         setup.recorder(block)
     # the same block without its last snapshot is recorded
@@ -154,7 +155,7 @@ def test_negative_simplex_coordinate_in_a_block_raises():
 def test_snapshot_of_a_state_is_a_view():
     z = np.arange(6.0).reshape(3, 2)
     state = ParticleSystem(z=z, x=z.copy(), lam=np.zeros((3, 2)), mu=None, step=4, t=0.04)
-    block = Snapshots.of(state)
+    block = state[None]
     assert len(block) == 1 and block.mu is None
     assert np.shares_memory(block.z, z)
     one = block[0]

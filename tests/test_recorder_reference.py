@@ -35,7 +35,7 @@ import pytest
 
 from dismd import harness
 from dismd.config import load_config
-from dismd.dynamics import ParticleSystem, Snapshots
+from dismd.dynamics import ParticleSystem
 from test_kernel_reference import with_values
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -105,7 +105,7 @@ def _exact_v1(setup, x):
 
 
 def _record(setup, state):
-    return setup.recorder(Snapshots.of(state))[0]
+    return setup.recorder(state[None])[0]
 
 
 def _assert_close(got, want):

@@ -83,7 +83,7 @@ def test_each_replica_is_its_single_run(stem):
         want = run(*args, hp, seed=seed, metrics_every=7, **kwargs)
         assert len(want) == 44
         _assert_states_equal(states, want)
-        assert records == setup.recorder(dynamics.Snapshots(
+        assert records == setup.recorder(dynamics.ParticleSystem(
             z=np.stack([s.z for s in want]), x=np.stack([s.x for s in want]),
             lam=np.stack([s.lam for s in want]),
             mu=None if want[0].mu is None else np.stack([s.mu for s in want]),
