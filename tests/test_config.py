@@ -1,3 +1,5 @@
+import importlib
+import math
 import re
 from pathlib import Path
 
@@ -414,3 +416,16 @@ def test_readme_lists_every_config_key_and_its_choices():
                   for key, spec in keys.items()]
         for section, keys in SCHEMA.items()
     }
+
+
+def test_readme_library_references_resolve_and_its_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    references = set(re.findall(r"`(dismd\.\w+\.\w+)", readme))
+    assert "dismd.dynamics.ParticleSystem" in references
+    for reference in references:
+        module, _, name = reference.rpartition(".")
+        assert hasattr(importlib.import_module(module), name), reference
+    example = readme.split("\n## Library use\n", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    assert "epochs=50_000" in example
+    exec(example.replace("epochs=50_000", "epochs=500"), {})
+    assert math.isfinite(float(capsys.readouterr().out))
