@@ -38,7 +38,7 @@ from .graphs import (
     spectra,
 )
 from .mirror_maps import IdentityDual, RegularizedDualHessian, make_mirror_map
-from .objectives import DistributedProblem, GeneratorConfig, generate_problem
+from .objectives import DOMAINS, DistributedProblem, GeneratorConfig, generate_problem
 
 SWEEPABLE = (
     "hyperparams.eta",
@@ -459,22 +459,34 @@ def load_problem_bundle(bundle_dir: Path | str) -> DistributedProblem:
         manifest = json.loads(path.read_text())
     except ValueError as exc:  # not JSON, or not UTF-8
         raise ValueError(f"bundle manifest {path} is not JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValueError(f"bundle manifest {path} must hold a JSON object, got {manifest!r}")
     missing = [key for key in ("n", "m", "d", "domain", "blocks") if key not in manifest]
     if missing:
         raise ValueError(f"bundle manifest {path} lacks {', '.join(missing)}")
     if manifest.get("bundle_version") != BUNDLE_VERSION:
         raise ValueError(f"bundle {root} has bundle_version {manifest.get('bundle_version')!r}, "
                          f"but this dismd reads bundle_version {BUNDLE_VERSION}")
-    n, m, d, blocks = (manifest[key] for key in ("n", "m", "d", "blocks"))
+    n, m, d, domain, blocks, name = map(manifest.get, ("n", "m", "d", "domain", "blocks",
+                                                       "minimizer"))
+    for key, size in (("n", n), ("m", m), ("d", d)):
+        if type(size) is not int or size < 1:
+            raise ValueError(f"bundle manifest {path} must give {key} as an integer >= 1, "
+                             f"got {size!r}")
+    if domain not in DOMAINS:
+        raise ValueError(f"bundle manifest {path} must give domain as one of {DOMAINS}, "
+                         f"got {domain!r}")
     if not (isinstance(blocks, list) and len(blocks) == n and all(
             isinstance(entry, dict) and all(isinstance(entry.get(f), str) for f in "qb")
             for entry in blocks)):
         raise ValueError(f"bundle manifest {path} must list n = {n} blocks naming q and b files")
+    if not (name is None or isinstance(name, str)):
+        raise ValueError(f"bundle manifest {path} must give minimizer as null or a file name, "
+                         f"got {name!r}")
     q = np.stack([load_matrix(root / entry["q"], shape=(m, d)) for entry in blocks])
     b = np.stack([load_matrix(root / entry["b"], shape=(m,)) for entry in blocks])
-    name = manifest.get("minimizer")
     minimizer = load_matrix(root / name, shape=(d,)) if name else None
-    return DistributedProblem(q=q, b=b, domain=manifest["domain"], minimizer=minimizer)
+    return DistributedProblem(q=q, b=b, domain=domain, minimizer=minimizer)
 
 
 def _open_run(files: list[OutputFile], out: Path) -> tuple[OutputFile, OutputFile]:

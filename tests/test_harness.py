@@ -838,13 +838,9 @@ BROKEN_BUNDLES = {
         "bundle manifest {bundle}/manifest.json must give domain as one of "
         "('unconstrained', 'simplex'), got 'foo'"),
 }
-PENDING_BUNDLES = {"manifest not an object", "minimizer not a file name", "no blocks",
-                   "unknown domain"}
 
 
-@pytest.mark.parametrize("defect", [
-    pytest.param(defect, marks=pytest.mark.xfail(strict=True) if defect in PENDING_BUNDLES else ())
-    for defect in BROKEN_BUNDLES])
+@pytest.mark.parametrize("defect", BROKEN_BUNDLES)
 def test_a_broken_bundle_is_one_error_that_names_its_file(tmp_path, capsys, defect):
     break_it, message = BROKEN_BUNDLES[defect]
     text = MINIMAL.replace("d = 1", "d = 2").replace("m = 1", "m = 2")
