@@ -322,10 +322,8 @@ def execute(setup: RunSetup, cfgs: list[RunConfig], logs: list[RunLog]
     return results
 
 
-def _float_or_none(v) -> float | None:
-    if v is None:
-        return None
-    v = float(v)
+def _float_or_none(v: float) -> float | None:
+    """``v``, or None, which JSON can hold, for a non-finite ``v``."""
     return v if np.isfinite(v) else None
 
 
