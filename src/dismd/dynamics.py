@@ -512,9 +512,10 @@ def run(
 
     A record is taken at step 0, every ``metrics_every`` steps and at the
     final step: the state is copied into the next slot of a preallocated
-    block, a ``ParticleSystem`` of (B, n, d) arrays and (B,) step and t. Each full block, and the partial block at the end,
-    goes to ``recorder`` in one call, which returns one record per snapshot
-    (the default returns a copy of each state). The block holds at most
+    block, a ``ParticleSystem`` of (B, n, d) arrays and (B,) step and t.
+    Each full block, and the partial block at the end, goes to ``recorder``
+    in one call, which returns one record per snapshot (the default returns
+    a copy of each state). The block holds at most
     ``_BLOCK_RECORDS`` snapshots and ``_BLOCK_BYTES`` per (B, n, d) array over
     all replicas, and where its boundaries fall changes no record. On a
     non-finite state the run hands the partial block to the recorder, then

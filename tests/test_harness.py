@@ -833,6 +833,9 @@ BROKEN_BUNDLES = {
     "no blocks": (
         lambda bundle: _edit_manifest(bundle, lambda manifest: manifest.update(n=0, blocks=[])),
         "bundle manifest {bundle}/manifest.json must give n as an integer >= 1, got 0"),
+    "m given as a string": (
+        lambda bundle: _edit_manifest(bundle, lambda manifest: manifest.update(m="2")),
+        "bundle manifest {bundle}/manifest.json must give m as an integer >= 1, got '2'"),
     "unknown domain": (
         lambda bundle: _edit_manifest(bundle, lambda manifest: manifest.update(domain="foo")),
         "bundle manifest {bundle}/manifest.json must give domain as one of "
