@@ -197,6 +197,26 @@ def test_execute_batches_only_configs_that_differ_in_batched_keys(tmp_path):
             file.discard()
 
 
+# two values of each batched sweep parameter, around problem_a_eismd's own
+BATCHED_VALUES = {"hyperparams.eta": ["1", "2"], "hyperparams.epsilon": ["1", "3"],
+                  "hyperparams.sigma": ["0", "0.1"], "hyperparams.dt": ["0.01", "0.005"]}
+
+
+@pytest.mark.parametrize("param", harness.BATCHED)
+def test_a_batched_sweep_writes_the_bytes_of_one_run_per_value(tmp_path, param):
+    # sigma = 0.05 draws noise in every run the sweep of another parameter makes
+    cfg = shipped_config("problem_a_eismd", {"hyperparams.epochs": 300,
+                                             "hyperparams.sigma": 0.05, "run.seed": 4})
+    values = BATCHED_VALUES[param]
+    harness.cmd_sweep(cfg, param, values, tmp_path / "sweep")
+    key = param.split(".")[1]
+    for i, value in enumerate(values):
+        metrics, _ = harness.cmd_run(with_values(cfg, {param: value, "run.seed": 4 + i}),
+                                     tmp_path / f"run_{value}")
+        swept = tmp_path / "sweep" / f"{key}_{value}" / "metrics.csv"
+        assert swept.read_bytes() == metrics.read_bytes()
+
+
 def test_a_sweep_opens_each_output_file_once(tmp_path, monkeypatch):
     # three CSVs, three manifests and one summary, each through one .tmp handle
     cfg = load_config(write_config(tmp_path, MINIMAL.replace("epochs = 100", "epochs = 3000")))

@@ -69,11 +69,7 @@ def _assert_outcomes_equal(got, want, states):
         assert got == want
 
 
-@pytest.mark.parametrize("stem", sorted(REPLICA_CASES))
-def test_each_replica_is_its_single_run(stem):
-    base, setup, args, kwargs = _setup(stem)
-    hps = [dataclasses.replace(base, eta=eta, epsilon=eps, sigma=sigma)
-           for eta, eps, sigma in REPLICA_CASES[stem]]
+def _assert_replicas_are_their_single_runs(setup, args, kwargs, hps):
     seeds = SEEDS[: len(hps)]
     # a record every 7 steps: 44 records, in partial blocks of snapshots
     batch = run(*args, hps, seed=seeds, metrics_every=7, **kwargs)
@@ -88,6 +84,23 @@ def test_each_replica_is_its_single_run(stem):
             lam=np.stack([s.lam for s in want]),
             mu=None if want[0].mu is None else np.stack([s.mu for s in want]),
             step=np.array([s.step for s in want]), t=np.array([s.t for s in want])))
+
+
+@pytest.mark.parametrize("stem", sorted(REPLICA_CASES))
+def test_each_replica_is_its_single_run(stem):
+    base, setup, args, kwargs = _setup(stem)
+    hps = [dataclasses.replace(base, eta=eta, epsilon=eps, sigma=sigma)
+           for eta, eps, sigma in REPLICA_CASES[stem]]
+    _assert_replicas_are_their_single_runs(setup, args, kwargs, hps)
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True, reason="a batch's replicas share dt")
+@pytest.mark.parametrize("stem", sorted(REPLICA_CASES))
+def test_replicas_of_different_dt_are_their_single_runs(stem):
+    base, setup, args, kwargs = _setup(stem)
+    hps = [dataclasses.replace(base, dt=dt, sigma=sigma)
+           for dt, sigma in [(0.01, 0.0), (0.005, 0.1), (0.02, 0.05)]]
+    _assert_replicas_are_their_single_runs(setup, args, kwargs, hps)
 
 
 def test_a_quadratic_map_batch_is_its_single_runs():
@@ -122,6 +135,22 @@ def test_a_diverged_replica_leaves_the_others_as_they_were(case, recorded):
     diverged = [isinstance(o, DivergenceError) for o in outcomes]
     assert diverged == [eta >= 400.0 for eta in etas]
     for hp, seed, got in zip(hps, seeds, outcomes):
+        want = _single(args, hp, seed=seed, metrics_every=10, recorder=recorder, **kwargs)
+        _assert_outcomes_equal(got, want, states=not recorded)
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True, reason="a batch's replicas share dt")
+@pytest.mark.parametrize("recorded", [False, True], ids=["states", "records"])
+def test_a_replica_whose_dt_diverges_leaves_the_others_as_they_were(recorded):
+    # dt = 2 diverges at step 415 on its own, as in the golden dt sweep
+    base, setup, args, kwargs = _setup("problem_a_eismd", epochs=2000)
+    hps = [dataclasses.replace(base, dt=dt, sigma=0.1) for dt in (0.005, 2.0, 0.01)]
+    recorder = setup.recorder if recorded else None
+    outcomes = run(*args, hps, seed=[1, 2, 3], metrics_every=10, recorder=[recorder] * 3,
+                   **kwargs)
+    assert [isinstance(o, DivergenceError) for o in outcomes] == [False, True, False]
+    assert outcomes[1].step == 415
+    for hp, seed, got in zip(hps, [1, 2, 3], outcomes):
         want = _single(args, hp, seed=seed, metrics_every=10, recorder=recorder, **kwargs)
         _assert_outcomes_equal(got, want, states=not recorded)
 
