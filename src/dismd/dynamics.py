@@ -40,7 +40,7 @@ whole blocks, so the metrics are computed over that axis rather than one
 state at a time.
 
 ``run`` also integrates R replicas of one run at once: the same problem,
-maps, graph, dt and horizon, each with its own eta, epsilon, sigma, seed and
+maps, graph and horizon, each with its own eta, epsilon, sigma, dt, seed and
 x_0. Their states stack on a replica axis after the buffer's first, every
 kernel call covers all of them, and each replica's arithmetic is its single
 run's, bit for bit.
@@ -49,7 +49,7 @@ run's, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +60,8 @@ from .mirror_maps import MirrorMap
 from .objectives import DistributedProblem
 
 ALGORITHMS = ("ismd", "eismd", "epismd")
+# The hyperparameters each replica of a batch holds apart; it shares the rest.
+PER_REPLICA = ("eta", "epsilon", "sigma", "dt")
 
 
 @dataclass(eq=False)
@@ -162,8 +164,9 @@ class NoiseStream:
 @dataclass
 class ParticleSystem:
     """Stacked state of the particle system at one step: (n, d) arrays, or
-    (R, n, d) for R replicas, with an int step and a float t. A block of B
-    snapshots stacks them on a leading axis, its step and t then (B,).
+    (R, n, d) for R replicas, with an int step and a float t, (R, 1, 1) for
+    replicas of different dt. A block of B snapshots stacks them on a
+    leading axis, its step and t then (B,).
 
     x rows always satisfy x^i = backward(z^i); lam is zero for ISMD and mu is
     carried only by the preconditioned dynamics. The step kernel updates a
@@ -236,20 +239,22 @@ class StepScratch:
 class ReplicaRates:
     """What the step kernel reads of the hyperparameters of R > 1 replicas:
     eta and epsilon as (R, 1, 1) arrays, which broadcast against (R, n, d)
-    states, and the dt they share. Each replica's own sigma scales its
-    NoiseStream; ``sigma`` is the largest of them, so, as in Hyperparams, it
-    is positive exactly when noise is drawn."""
+    states, and dt as the float they share or, if not, such an array. Each
+    replica's own sigma and dt scale its NoiseStream; ``sigma`` is the
+    largest sigma, so, as in Hyperparams, it is positive exactly when noise
+    is drawn."""
 
     eta: np.ndarray
     epsilon: np.ndarray
     sigma: float
-    dt: float
+    dt: float | np.ndarray
 
     @classmethod
     def of(cls, hps: list[Hyperparams]) -> "ReplicaRates":
-        eta, epsilon = (np.array([getattr(h, k) for h in hps])[:, None, None]
-                        for k in ("eta", "epsilon"))
-        return cls(eta=eta, epsilon=epsilon, sigma=max(h.sigma for h in hps), dt=hps[0].dt)
+        eta, epsilon, dt = (np.array([getattr(h, k) for h in hps])[:, None, None]
+                            for k in ("eta", "epsilon", "dt"))
+        return cls(eta=eta, epsilon=epsilon, sigma=max(h.sigma for h in hps),
+                   dt=hps[0].dt if len({h.dt for h in hps}) == 1 else dt)
 
 
 def default_initial_rows(problem: DistributedProblem, mmap: MirrorMap, seed: int) -> np.ndarray:
@@ -396,8 +401,8 @@ class _Replica(NamedTuple):
 class _Batch:
     """The replicas a run still integrates: their state over one
     (k + 1, R, n, d) buffer of z, lam[, mu] and x, what the step kernel
-    reads, and their block of snapshots, laid out as the buffer. The state
-    and each replica's block are ``_views`` of the two.
+    reads, and their block of snapshots, laid out as the buffer, with a t
+    per replica. The state and each replica's block are ``_views`` of them.
 
     A batch of one steps (n, d) views of the buffer with its replica's own
     Hyperparams, as a single run always has; R > 1 replicas step (R, n, d)
@@ -406,15 +411,13 @@ class _Batch:
     bits are those of a noise-free step.
     """
 
-    def __init__(self, replicas: list[_Replica], buf: np.ndarray, step: int, t: float,
-                 n_records: int):
+    def __init__(self, replicas: list[_Replica], buf: np.ndarray, step: int, n_records: int):
         self.replicas, self.n_records, self.buf = replicas, n_records, buf
         # the guard's view of the evolved arrays, all but x
         self.flat = buf[:-1].reshape(-1)
-        if len(replicas) == 1:
-            self.state, self.rates = _views(buf[:, 0], step, t), replicas[0].hp
-        else:
-            self.state, self.rates = _views(buf, step, t), ReplicaRates.of([r.hp for r in replicas])
+        hps = [r.hp for r in replicas]
+        self.rates = hps[0] if len(hps) == 1 else ReplicaRates.of(hps)
+        self.state = _views(buf[:, 0] if len(hps) == 1 else buf, step, step * self.rates.dt)
         self.scratch = StepScratch(*self.state.z.shape)
         self.noise = None
         self.draws = []
@@ -425,9 +428,9 @@ class _Batch:
         size = min(n_records, _BLOCK_RECORDS, max(1, _BLOCK_BYTES // buf[0].nbytes))
         self.block = np.empty((len(buf), len(replicas), size, *buf.shape[2:]))
         self.steps = np.empty(size, dtype=np.int64)
-        self.ts = np.empty(size)
+        self.ts = np.empty((len(replicas), size))
         # each replica's snapshots, contiguous views of the block
-        self.snaps = [_views(self.block[:, row], self.steps, self.ts)
+        self.snaps = [_views(self.block[:, row], self.steps, self.ts[row])
                       for row in range(len(replicas))]
         self.filled = 0
 
@@ -436,7 +439,7 @@ class _Batch:
         filled = self.filled
         self.block[:, :, filled] = self.buf
         self.steps[filled] = self.state.step
-        self.ts[filled] = self.state.t
+        self.ts[:, filled] = np.ravel(self.state.t)
         self.filled += 1
         if self.filled == len(self.steps):
             self.flush()
@@ -455,8 +458,7 @@ class _Batch:
         # indexing the replica axis need not give a C-contiguous array, and
         # the guard's flat view of the buffer needs one
         buf = np.ascontiguousarray(self.buf[:, keep])
-        return _Batch([self.replicas[row] for row in keep], buf, self.state.step,
-                      self.state.t, self.n_records)
+        return _Batch([self.replicas[row] for row in keep], buf, self.state.step, self.n_records)
 
 
 def _bound_step(algorithm, problem, mmap, graph, dual, interaction_on):
@@ -504,7 +506,7 @@ def run(
 
     A single run takes one Hyperparams, one seed, one recorder and (n, d)
     x0_rows, and returns its records. A batch takes a sequence of
-    Hyperparams, one per replica, which share dt and epochs, and a sequence
+    Hyperparams, one per replica, which share epochs, and a sequence
     of seeds; x0_rows and recorder are then None or sequences with one entry
     per replica, and an x0_rows entry may be None. It returns one outcome
     per replica, in order: its records, or the DivergenceError that carries
@@ -547,9 +549,9 @@ def run(
     if not hps or not len(seeds) == len(x0s) == len(recorders) == len(hps):
         raise ValueError("a batch needs at least one replica, and one seed, x0_rows and "
                          "recorder entry per replica")
-    dt, epochs = hps[0].dt, hps[0].epochs
-    if any(h.dt != dt or h.epochs != epochs for h in hps):
-        raise ValueError("the replicas of a batch must share dt and epochs")
+    shared = [f.name for f in fields(Hyperparams) if f.name not in PER_REPLICA]
+    if any(getattr(h, k) != getattr(hps[0], k) for h in hps for k in shared):
+        raise ValueError(f"the replicas of a batch must share {' and '.join(shared)}")
 
     shape = (problem.n, problem.d)
     for i, (s, x0) in enumerate(zip(seeds, x0s)):
@@ -559,12 +561,13 @@ def run(
             raise ValueError(f"x0_rows must have shape {shape}, got {np.shape(x0)}")
     buf = _initial(mmap, np.array(x0s, dtype=float), with_mu=(algorithm == "epismd"))
     replicas = [
-        _Replica(i, h, NoiseStream(s, *shape, h.sigma, dt) if h.sigma > 0 else None,
+        _Replica(i, h, NoiseStream(s, *shape, h.sigma, h.dt) if h.sigma > 0 else None,
                  rec or _states, [])
         for i, (h, s, rec) in enumerate(zip(hps, seeds, recorders))
     ]
     outcomes: list = [r.records for r in replicas]
-    batch = _Batch(replicas, buf, 0, 0.0, 1 + math.ceil(epochs / metrics_every))
+    epochs = hps[0].epochs
+    batch = _Batch(replicas, buf, 0, 1 + math.ceil(epochs / metrics_every))
     step = _bound_step(algorithm, problem, mmap, graph, dual, interaction_on)
 
     batch.take()

@@ -52,7 +52,7 @@ SWEEPABLE = (
 )
 # The sweep parameters whose values run as the replicas of one batch: each
 # replica has its own, while everything else in the config is shared.
-BATCHED = ("hyperparams.eta", "hyperparams.epsilon", "hyperparams.sigma")
+BATCHED = tuple(f"hyperparams.{key}" for key in dynamics.PER_REPLICA)
 
 METRICS_FILE = "metrics.csv"
 MANIFEST_FILE = "manifest.json"  # a run's manifest, and a problem bundle's
@@ -286,7 +286,7 @@ class RunLog:
 
 def execute(setup: RunSetup, cfgs: list[RunConfig], logs: list[RunLog]
             ) -> list[tuple[dict, dynamics.DivergenceError | None]]:
-    """Integrate configs that differ at most in eta, epsilon, sigma and the
+    """Integrate configs that differ at most in the ``BATCHED`` keys and the
     run seed as one batch, from ``setup``, the ``prepare`` of the first.
     Each run's snapshot blocks go to its entry of ``logs`` as they are
     taken. Returns (manifest mapping, divergence) per config, where a run
@@ -562,12 +562,12 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     Each raw value is converted and validated by the config schema, as a
     loaded value is, and set up before any run starts; a set-up failure is
     a ConfigError naming the parameter and the value, and writes nothing.
-    The values of a ``BATCHED`` parameter run as one batch with one set-up,
-    the others one after another; either way value i runs with seed
-    base + i, streams its own metrics CSV and writes the same bytes. A
-    diverged value writes its run as ``cmd_run`` does and its last finite
-    record as its summary row; once every file is written, the first
-    divergence is raised."""
+    The values of a ``BATCHED`` parameter (eta, epsilon, sigma, dt) run as
+    one batch with one set-up, epochs and set-up keys one run at a time;
+    either way value i runs with seed base + i, streams its own metrics CSV
+    and writes the same bytes. A diverged value writes its run as ``cmd_run``
+    does and its last finite record as its summary row; once every file is
+    written, the first divergence is raised."""
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter path {param!r}; choose from {SWEEPABLE}")
     if not raw_values:

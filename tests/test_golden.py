@@ -111,7 +111,7 @@ def test_metrics_csv_with_override_matches_golden_hash(tmp_path, stem, path, val
 # The sigma sweep mixes a noise-free value with noisy ones. Under eta = 1e5
 # the run diverges at step 54, inside its first block of snapshots, while its
 # neighbours complete; with sigma = 0.1 the batch that carries on without it
-# draws noise. The dt sweep is serial, and dt = 2 diverges at step 415.
+# draws noise. The dt sweep is batched too, and dt = 2 diverges at step 415.
 GOLDEN_SWEEPS = {
     ((), "hyperparams.sigma", ("0", "0.05", "0.1")): (None, {
         "sigma_0/metrics.csv":

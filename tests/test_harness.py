@@ -161,7 +161,8 @@ def test_a_batched_sweep_shares_its_set_up_and_integration(tmp_path, monkeypatch
     prepare = harness.prepare
     monkeypatch.setattr(harness, "prepare", lambda c: prepared.append(c) or prepare(c))
     for param, values, batched in [("hyperparams.sigma", ["0", "0.1", "0.2"], True),
-                                   ("hyperparams.dt", ["0.01", "0.02"], False)]:
+                                   ("hyperparams.dt", ["0.01", "0.02"], True),
+                                   ("hyperparams.epochs", ["100", "200"], False)]:
         out = tmp_path / param
         prepared.clear()
         harness.cmd_sweep(cfg, param, values, out)
@@ -175,7 +176,8 @@ def test_a_batched_sweep_shares_its_set_up_and_integration(tmp_path, monkeypatch
         for m, t in zip(manifests, timings):
             assert 0.0 < t["record_s"] <= t["integrate_s"]
             assert m["record_share"] == t["record_s"] / t["integrate_s"]
-            assert m["steps_per_second"] == 100 / t["integrate_s"]
+            epochs = m["config"]["hyperparams"]["epochs"]
+            assert m["steps_per_second"] == epochs / t["integrate_s"]
 
 
 def test_execute_batches_only_configs_that_differ_in_batched_keys(tmp_path):
@@ -184,11 +186,12 @@ def test_execute_batches_only_configs_that_differ_in_batched_keys(tmp_path):
     files = [harness.OutputFile(tmp_path / f"{i}.csv", csv_header() + "\n") for i in range(2)]
     logs = [harness.RunLog(file, setup.recorder) for file in files]
     batch = [with_values(cfg, {"hyperparams.eta": 2.0, "run.seed": 5}),
-             with_values(cfg, {"hyperparams.epsilon": 3.0, "hyperparams.sigma": 0.1})]
+             with_values(cfg, {"hyperparams.epsilon": 3.0, "hyperparams.sigma": 0.1,
+                               "hyperparams.dt": 0.02})]
     try:
         assert [m["config"] for m, _ in harness.execute(setup, batch, logs)] == [
             c.to_mapping() for c in batch]
-        for path, value in [("hyperparams.dt", 0.02), ("hyperparams.metrics_every", 5),
+        for path, value in [("hyperparams.epochs", 50), ("hyperparams.metrics_every", 5),
                             ("problem.seed", 4), ("run.out", "elsewhere")]:
             with pytest.raises(ValueError, match="may differ only in"):
                 harness.execute(setup, [cfg, with_values(cfg, {path: value})], logs)
@@ -325,9 +328,9 @@ def test_a_failed_command_leaves_no_partial_csv(tmp_path, monkeypatch):
 
     # a serial sweep publishes its first value only with the rest
     out = tmp_path / "serial"
-    fail_the_recorder(monkeypatch, 4, out / "dt_0.02" / "metrics.csv.tmp")
+    fail_the_recorder(monkeypatch, 4, out / "epochs_200" / "metrics.csv.tmp")
     with pytest.raises(ValueError, match="recorder failed"):
-        harness.cmd_sweep(cfg, "hyperparams.dt", ["0.01", "0.02"], out)
+        harness.cmd_sweep(cfg, "hyperparams.epochs", ["300", "200"], out)
     assert not out.exists()
 
 
@@ -399,6 +402,7 @@ SIGMA_SWEEP = ["sweep", "--param", "hyperparams.sigma", "--values", "0,0.1"]
     (SIGMA_SWEEP, "sigma_0.1/manifest.json"),
     (SIGMA_SWEEP, "summary.csv"),
     (["sweep", "--param", "hyperparams.dt", "--values", "0.01,0.02"], "dt_0.02/metrics.csv"),
+    (["sweep", "--param", "hyperparams.epochs", "--values", "100,200"], "epochs_200/metrics.csv"),
 ])
 def test_a_directory_in_place_of_a_csv_fails_before_any_run(tmp_path, capsys, monkeypatch,
                                                             command, blocked):
@@ -482,8 +486,8 @@ def test_sweep_rejects_unknown_or_empty(tmp_path, capsys):
             "--param", "hyperparams.epochs", "--values", "10,1e2"]
     assert cli.main(argv) == 1
     assert not (tmp_path / "s").exists()
-    for param in ("hyperparams.sigma", "hyperparams.dt"):  # batched and serial
-        argv[-4:] = ["--seed", "-1", "--param", param, "--values", "0.01,0.02"]
+    for param, values in [("hyperparams.sigma", "0.01,0.02"), ("hyperparams.epochs", "10,20")]:
+        argv[-4:] = ["--seed", "-1", "--param", param, "--values", values]  # batched, serial
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.endswith("error: run.seed must be >= 0, got -1\n")
         assert not (tmp_path / "s").exists()

@@ -1,9 +1,9 @@
 """A batch of replicas in ``dynamics.run`` against the single runs it stands for.
 
-Each replica of a batch has its own eta, epsilon, sigma, seed and x_0, and
-must give exactly the states, records and divergence of its own single run:
-every array bit for bit, whatever its neighbours do, including a neighbour
-that diverges and leaves the batch.
+Each replica of a batch has its own eta, epsilon, sigma, dt, seed and x_0,
+and must give exactly the states, records and divergence of its own single
+run: every array bit for bit, t included, whatever its neighbours do,
+including a neighbour that diverges and leaves the batch.
 """
 
 import dataclasses
@@ -94,7 +94,6 @@ def test_each_replica_is_its_single_run(stem):
     _assert_replicas_are_their_single_runs(setup, args, kwargs, hps)
 
 
-@pytest.mark.xfail(raises=ValueError, strict=True, reason="a batch's replicas share dt")
 @pytest.mark.parametrize("stem", sorted(REPLICA_CASES))
 def test_replicas_of_different_dt_are_their_single_runs(stem):
     base, setup, args, kwargs = _setup(stem)
@@ -139,7 +138,6 @@ def test_a_diverged_replica_leaves_the_others_as_they_were(case, recorded):
         _assert_outcomes_equal(got, want, states=not recorded)
 
 
-@pytest.mark.xfail(raises=ValueError, strict=True, reason="a batch's replicas share dt")
 @pytest.mark.parametrize("recorded", [False, True], ids=["states", "records"])
 def test_a_replica_whose_dt_diverges_leaves_the_others_as_they_were(recorded):
     # dt = 2 diverges at step 415 on its own, as in the golden dt sweep
@@ -200,9 +198,7 @@ def test_the_block_budget_covers_every_replica():
 
 def test_a_batch_rejects_replicas_it_cannot_share():
     base, _, args, kwargs = _setup("problem_a_eismd")
-    with pytest.raises(ValueError, match="share dt and epochs"):
-        run(*args, [base, dataclasses.replace(base, dt=0.02)], seed=[0, 1], **kwargs)
-    with pytest.raises(ValueError, match="share dt and epochs"):
+    with pytest.raises(ValueError, match="share epochs"):
         run(*args, [base, dataclasses.replace(base, epochs=10)], seed=[0, 1], **kwargs)
     with pytest.raises(ValueError, match="one seed"):
         run(*args, [base, base], seed=[0], **kwargs)
