@@ -138,17 +138,28 @@ def test_a_diverged_replica_leaves_the_others_as_they_were(case, recorded):
         _assert_outcomes_equal(got, want, states=not recorded)
 
 
+# dt of each replica: the others carry on with different dts, with one
+# shared dt, and alone
+DT_DIVERGENCE_CASES = {
+    "mixed-left": (0.005, 2.0, 0.01),
+    "shared-left": (0.01, 2.0, 0.01),
+    "one-left": (0.005, 2.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DT_DIVERGENCE_CASES))
 @pytest.mark.parametrize("recorded", [False, True], ids=["states", "records"])
-def test_a_replica_whose_dt_diverges_leaves_the_others_as_they_were(recorded):
-    # dt = 2 diverges at step 415 on its own, as in the golden dt sweep
+def test_a_replica_whose_dt_diverges_leaves_the_others_as_they_were(case, recorded):
     base, setup, args, kwargs = _setup("problem_a_eismd", epochs=2000)
-    hps = [dataclasses.replace(base, dt=dt, sigma=0.1) for dt in (0.005, 2.0, 0.01)]
+    dts = DT_DIVERGENCE_CASES[case]
+    hps = [dataclasses.replace(base, dt=dt, sigma=0.1) for dt in dts]
+    seeds = [1, 2, 3][: len(hps)]
     recorder = setup.recorder if recorded else None
-    outcomes = run(*args, hps, seed=[1, 2, 3], metrics_every=10, recorder=[recorder] * 3,
+    outcomes = run(*args, hps, seed=seeds, metrics_every=10, recorder=[recorder] * len(hps),
                    **kwargs)
-    assert [isinstance(o, DivergenceError) for o in outcomes] == [False, True, False]
-    assert outcomes[1].step == 415
-    for hp, seed, got in zip(hps, [1, 2, 3], outcomes):
+    assert [isinstance(o, DivergenceError) for o in outcomes] == [dt == 2.0 for dt in dts]
+    assert outcomes[1].step == 415  # as dt = 2 at seed 2 in the golden dt sweep
+    for hp, seed, got in zip(hps, seeds, outcomes):
         want = _single(args, hp, seed=seed, metrics_every=10, recorder=recorder, **kwargs)
         _assert_outcomes_equal(got, want, states=not recorded)
 
