@@ -19,7 +19,6 @@ from pathlib import Path
 from . import harness
 from .config import ConfigError, RunConfig, load_config
 from .dynamics import DivergenceError
-from .graphs import GraphError
 from .oracle import OracleError
 
 EXIT_OK = 0
@@ -146,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return _dispatch(args)
-    except (ConfigError, GraphError, OracleError, ValueError, DivergenceError, OSError) as exc:
+    except (ValueError, OracleError, DivergenceError, OSError) as exc:
         io = isinstance(exc, OSError)
         kept = getattr(exc, "kept", ())  # the tmp files a failed command could not remove
         tail = f"; could not remove {', '.join(map(str, kept))}" if kept else ""

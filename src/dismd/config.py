@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -121,9 +121,7 @@ class RunConfig:
 
     def hyperparams(self) -> Hyperparams:
         h = self.values["hyperparams"]
-        return Hyperparams(
-            eta=h["eta"], epsilon=h["epsilon"], sigma=h["sigma"], dt=h["dt"], epochs=h["epochs"]
-        )
+        return Hyperparams(**{f.name: h[f.name] for f in fields(Hyperparams)})
 
     def to_mapping(self) -> dict[str, dict[str, Any]]:
         return {sec: dict(keys) for sec, keys in self.values.items()}

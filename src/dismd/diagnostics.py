@@ -91,14 +91,12 @@ def compute_constants(
     mmap: MirrorMap,
     dual=None,
 ) -> ConvexityConstants:
+    dual = IdentityDual() if dual is None else dual
     block_eigs = np.linalg.eigvalsh(problem.hess_blocks())
     mu_f = float(block_eigs[:, 0].min())
     l_f = float(block_eigs[:, -1].max())
-    mu_psi = float(dual.mu) if dual is not None else 1.0
-    if dual is not None and dual.kind == "dual_hessian":
-        mu_hat = min(mmap.mu, mu_psi)
-    else:
-        mu_hat = min(mmap.mu, 2.0)
+    mu_psi = float(dual.mu)
+    mu_hat = min(mmap.mu, mu_psi if dual.kind == "dual_hessian" else 2.0)
     alpha_phi = l_f * mmap.lip / mmap.mu if math.isfinite(mmap.lip) else math.inf
     return ConvexityConstants(
         mu_phi=mmap.mu,
@@ -116,8 +114,8 @@ def compute_constants(
 def default_c(constants: ConvexityConstants) -> float:
     """Max of the non-negativity and descent thresholds, times a 1% margin.
 
-    Without a dual map ``compute_constants`` sets mu_psi = 1, so the plain
-    and exact dynamics get kappa_n and 2 kappa_beta as their dual thresholds.
+    Without a dual map ``compute_constants`` takes ``IdentityDual``'s mu_psi = 1,
+    so the plain and exact dynamics get kappa_n and 2 kappa_beta as their dual thresholds.
     """
     kn, mu_psi = constants.kappa_n, constants.mu_psi
     return C_SAFETY_FACTOR * max(

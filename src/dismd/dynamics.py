@@ -559,7 +559,7 @@ def run(
             x0s[i] = default_initial_rows(problem, mmap, s)
         elif np.shape(x0) != shape:
             raise ValueError(f"x0_rows must have shape {shape}, got {np.shape(x0)}")
-    buf = _initial(mmap, np.array(x0s, dtype=float), with_mu=(algorithm == "epismd"))
+    buf = _initial(mmap, np.array(x0s, dtype=float), with_mu=dual is not None)
     replicas = [
         _Replica(i, h, NoiseStream(s, *shape, h.sigma, h.dt) if h.sigma > 0 else None,
                  rec or _states, [])

@@ -40,19 +40,10 @@ from .graphs import (
 from .mirror_maps import IdentityDual, RegularizedDualHessian, make_mirror_map
 from .objectives import DOMAINS, DistributedProblem, GeneratorConfig, generate_problem
 
-SWEEPABLE = (
-    "hyperparams.eta",
-    "hyperparams.epsilon",
-    "hyperparams.sigma",
-    "hyperparams.dt",
-    "hyperparams.epochs",
-    "graph.p",
-    "graph.beta",
-    "problem.condition_number",
-)
 # The sweep parameters whose values run as the replicas of one batch: each
 # replica has its own, while everything else in the config is shared.
 BATCHED = tuple(f"hyperparams.{key}" for key in dynamics.PER_REPLICA)
+SWEEPABLE = (*BATCHED, "hyperparams.epochs", "graph.p", "graph.beta", "problem.condition_number")
 
 METRICS_FILE = "metrics.csv"
 MANIFEST_FILE = "manifest.json"  # a run's manifest, and a problem bundle's
@@ -64,17 +55,8 @@ def build_problem(cfg: RunConfig) -> DistributedProblem:
     if p["kind"] == "bundle":
         problem = load_problem_bundle(p["bundle"])
     else:
-        problem = generate_problem(
-            GeneratorConfig(
-                seed=p["seed"],
-                d=p["d"],
-                m=p["m"],
-                n=p["n"],
-                condition_number=p["condition_number"],
-                shared_minimizer=p["shared_minimizer"],
-                domain=p["domain"],
-            )
-        )
+        given = {f.name: p[f.name] for f in fields(GeneratorConfig)}
+        problem = generate_problem(GeneratorConfig(**given))
     check_map_domain(problem.domain, cfg["algorithm"]["map"])
     return problem
 
@@ -562,8 +544,8 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     Each raw value is converted and validated by the config schema, as a
     loaded value is, and set up before any run starts; a set-up failure is
     a ConfigError naming the parameter and the value, and writes nothing.
-    The values of a ``BATCHED`` parameter (eta, epsilon, sigma, dt) run as
-    one batch with one set-up, epochs and set-up keys one run at a time;
+    The values of a ``BATCHED`` parameter, a ``dynamics.PER_REPLICA`` key,
+    run as one batch with one set-up, the other keys one run at a time;
     either way value i runs with seed base + i, streams its own metrics CSV
     and writes the same bytes. A diverged value writes its run as ``cmd_run``
     does and its last finite record as its summary row; once every file is
