@@ -1,11 +1,15 @@
 import importlib
 import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from dismd import harness
 from dismd.config import SCHEMA, ConfigError, RunConfig, load_config
+from dismd.dynamics import Hyperparams
+from dismd.objectives import GeneratorConfig
 
 
 def write(tmp_path, text):
@@ -429,3 +433,13 @@ def test_readme_library_references_resolve_and_its_example_runs(capsys):
     assert "epochs=50_000" in example
     exec(example.replace("epochs=50_000", "epochs=500"), {})
     assert math.isfinite(float(capsys.readouterr().out))
+
+
+def test_the_records_built_from_the_config_find_their_fields_in_the_schema():
+    # RunConfig.hyperparams and harness.build_problem fill these records field
+    # by field from their sections, and harness.SWEEPABLE opens with the keys
+    # that run as the replicas of one batch
+    for record, section in ((Hyperparams, "hyperparams"), (GeneratorConfig, "problem")):
+        missing = [f.name for f in fields(record) if f.name not in SCHEMA[section]]
+        assert missing == [], f"{record.__name__} fields {missing} are not keys of [{section}]"
+    assert harness.SWEEPABLE[:len(harness.BATCHED)] == harness.BATCHED
