@@ -114,8 +114,8 @@ def compute_constants(
 def default_c(constants: ConvexityConstants) -> float:
     """Max of the non-negativity and descent thresholds, times a 1% margin.
 
-    Without a dual map ``compute_constants`` takes ``IdentityDual``'s mu_psi = 1,
-    so the plain and exact dynamics get kappa_n and 2 kappa_beta as their dual thresholds.
+    Without a dual map ``compute_constants`` sets mu_psi = 1, so the plain
+    and exact dynamics get kappa_n and 2 kappa_beta as their dual thresholds.
     """
     kn, mu_psi = constants.kappa_n, constants.mu_psi
     return C_SAFETY_FACTOR * max(
