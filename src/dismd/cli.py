@@ -113,12 +113,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "graph-info":
-        cfg = load_config(args.config)
-        print(harness.graph_info_report(cfg))
-        if args.out is not None:
-            harness.export_graph_matrices(cfg, args.out)
-            if not args.quiet:
-                print(f"wrote adjacency.csv and laplacian.csv to {args.out}")
+        print(harness.graph_info_report(load_config(args.config), args.out))
+        if args.out is not None and not args.quiet:
+            print(f"wrote adjacency.csv and laplacian.csv to {args.out}")
         return EXIT_OK
 
     if args.command == "problem-gen":

@@ -237,24 +237,26 @@ class StepScratch:
 
 @dataclass(frozen=True)
 class ReplicaRates:
-    """What the step kernel reads of the hyperparameters of R > 1 replicas:
-    eta and epsilon as (R, 1, 1) arrays, which broadcast against (R, n, d)
-    states, and dt as the float they share or, if not, such an array. Each
-    replica's own sigma and dt scale its NoiseStream; ``sigma`` is the
-    largest sigma, so, as in Hyperparams, it is positive exactly when noise
-    is drawn."""
+    """What the step kernel reads of the hyperparameters of R replicas, a
+    single run being one: eta, epsilon and dt each as the float the replicas
+    share or, if they differ, an (R, 1, 1) array, which broadcasts against
+    (R, n, d) states. Each replica's own sigma and dt scale its NoiseStream;
+    ``sigma`` is the largest sigma, so, as in Hyperparams, it is positive
+    exactly when noise is drawn."""
 
-    eta: np.ndarray
-    epsilon: np.ndarray
+    eta: float | np.ndarray
+    epsilon: float | np.ndarray
     sigma: float
     dt: float | np.ndarray
 
     @classmethod
     def of(cls, hps: list[Hyperparams]) -> "ReplicaRates":
-        eta, epsilon, dt = (np.array([getattr(h, k) for h in hps])[:, None, None]
-                            for k in ("eta", "epsilon", "dt"))
-        return cls(eta=eta, epsilon=epsilon, sigma=max(h.sigma for h in hps),
-                   dt=hps[0].dt if len({h.dt for h in hps}) == 1 else dt)
+        def rate(key):
+            values = [getattr(h, key) for h in hps]
+            return values[0] if len(set(values)) == 1 else np.array(values)[:, None, None]
+
+        return cls(eta=rate("eta"), epsilon=rate("epsilon"), sigma=max(h.sigma for h in hps),
+                   dt=rate("dt"))
 
 
 def default_initial_rows(problem: DistributedProblem, mmap: MirrorMap, seed: int) -> np.ndarray:
@@ -275,8 +277,7 @@ def _step(state, problem, mmap, graph, hp, noise, interaction_on, dual, out,
     carry no multiplier. The exact dynamics integrate lam directly when
     ``dual`` is None and mu, with lam = dual.backward(mu), otherwise. Every
     read of ``state`` precedes the write of the same array of ``out``. ``hp``
-    is a Hyperparams for (n, d) states, or the ReplicaRates of (R, n, d)
-    states of R replicas.
+    is a Hyperparams or a ReplicaRates; an array rate needs (R, n, d) states.
     """
     if out is None:
         out = _views(np.empty((3 if dual is None else 4, *state.z.shape)), 0, 0.0)
@@ -404,9 +405,9 @@ class _Batch:
     reads, and their block of snapshots, laid out as the buffer, with a t
     per replica. The state and each replica's block are ``_views`` of them.
 
-    A batch of one steps (n, d) views of the buffer with its replica's own
-    Hyperparams, as a single run always has; R > 1 replicas step (R, n, d)
-    arrays with their ReplicaRates. Replicas without noise add -0.0 to z when
+    Every batch steps with its ReplicaRates, a batch of one (n, d) views of
+    the buffer, as a single run always has, and R > 1 replicas (R, n, d)
+    arrays. Replicas without noise add -0.0 to z when
     others draw noise: x + (-0.0) is x for every x, -0.0 included, so their
     bits are those of a noise-free step.
     """
@@ -415,9 +416,8 @@ class _Batch:
         self.replicas, self.n_records, self.buf = replicas, n_records, buf
         # the guard's view of the evolved arrays, all but x
         self.flat = buf[:-1].reshape(-1)
-        hps = [r.hp for r in replicas]
-        self.rates = hps[0] if len(hps) == 1 else ReplicaRates.of(hps)
-        self.state = _views(buf[:, 0] if len(hps) == 1 else buf, step, step * self.rates.dt)
+        self.rates = ReplicaRates.of([r.hp for r in replicas])
+        self.state = _views(buf[:, 0] if len(replicas) == 1 else buf, step, step * self.rates.dt)
         self.scratch = StepScratch(*self.state.z.shape)
         self.noise = None
         self.draws = []

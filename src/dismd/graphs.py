@@ -63,16 +63,19 @@ class Topology:
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Symmetric doubly stochastic weight matrix and its Laplacian."""
+    """Symmetric doubly stochastic weight matrix, its Laplacian L, and L's
+    ascending eigenvalues and pseudo-inverse L^+, from one eigendecomposition."""
 
     n: int
     adjacency: np.ndarray
     laplacian: np.ndarray
     edges: tuple[tuple[int, int], ...]
+    eigenvalues: np.ndarray
+    lap_pinv: np.ndarray
 
     @classmethod
     def from_adjacency(cls, a: np.ndarray) -> "WeightedGraph":
-        """Validate a weight matrix and derive the Laplacian.
+        """Validate a weight matrix and derive the Laplacian and its spectrum.
 
         Requires a symmetric, entrywise nonnegative, doubly stochastic matrix
         whose off-diagonal support is a connected graph.
@@ -95,17 +98,25 @@ class WeightedGraph:
         if not _connected(n, edges):
             raise GraphError("weight matrix support is disconnected")
         lap = np.diag(a.sum(axis=1)) - a
-        return cls(n=n, adjacency=a, laplacian=lap, edges=edges)
+        try:
+            eigvals, eigvecs = np.linalg.eigh(lap)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on PSD rarely fails
+            raise GraphError(f"eigendecomposition of Laplacian failed: {exc}") from exc
+        cutoff = PINV_CUTOFF * max(float(eigvals[-1]), 0.0)
+        inv = np.where(eigvals > cutoff, 1.0 / np.where(eigvals > cutoff, eigvals, 1.0), 0.0)
+        return cls(n=n, adjacency=a, laplacian=lap, edges=edges, eigenvalues=eigvals,
+                   lap_pinv=(eigvecs * inv) @ eigvecs.T)
 
 
 @dataclass(frozen=True)
 class LaplacianSpectra:
-    """Spectral objects derived from a graph Laplacian.
+    """Spectral objects derived from a graph Laplacian for one beta.
 
-    eigenvalues are ascending; kappa_n is the largest Laplacian eigenvalue and
-    kappa_beta the squared largest eigenvalue of the beta-regularized
-    Laplacian  L_beta = L + (beta/n) 11^T.  lap_beta_inv is computed from the
-    pseudo-inverse identity  L_beta^{-1} = L^+ + (1/(beta n)) 11^T.
+    eigenvalues (ascending) and lap_pinv are the graph's own; kappa_n is the
+    largest Laplacian eigenvalue and kappa_beta the squared largest eigenvalue
+    of the beta-regularized Laplacian  L_beta = L + (beta/n) 11^T.
+    lap_beta_inv is computed from the pseudo-inverse identity
+    L_beta^{-1} = L^+ + (1/(beta n)) 11^T.
     """
 
     beta: float
@@ -206,33 +217,19 @@ def build_graph(topology: Topology) -> WeightedGraph:
 
 
 def spectra(graph: WeightedGraph, beta: float) -> LaplacianSpectra:
-    """Eigendecompose L and assemble L^+, L_beta and the Rayleigh constants."""
+    """L_beta, its inverse and the Rayleigh constants, from the graph's spectrum."""
     if beta <= 0:
         raise GraphError(f"beta must be positive, got {beta}")
-    lap = graph.laplacian
-    n = graph.n
-    try:
-        eigvals, eigvecs = np.linalg.eigh(lap)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on PSD rarely fails
-        raise GraphError(f"eigendecomposition of Laplacian failed: {exc}") from exc
-    lam_max = float(eigvals[-1])
-    cutoff = PINV_CUTOFF * max(lam_max, 0.0)
-    inv = np.where(eigvals > cutoff, 1.0 / np.where(eigvals > cutoff, eigvals, 1.0), 0.0)
-    lap_pinv = (eigvecs * inv) @ eigvecs.T
+    n, eigvals = graph.n, graph.eigenvalues
     ones_block = np.ones((n, n)) / n
-    lap_beta = lap + beta * ones_block
-    lap_beta_inv = lap_pinv + ones_block / beta
-    kappa_beta = float(np.max(np.linalg.eigvalsh(lap_beta))) ** 2
-    kappa_n = max(lam_max, 0.0)
-    connectivity = float(eigvals[1]) if n >= 2 else 0.0
+    lap_beta = graph.laplacian + beta * ones_block
     return LaplacianSpectra(
         beta=beta,
         eigenvalues=eigvals,
-        lap_pinv=lap_pinv,
+        lap_pinv=graph.lap_pinv,
         lap_beta=lap_beta,
-        lap_beta_inv=lap_beta_inv,
-        kappa_n=kappa_n,
-        kappa_beta=kappa_beta,
-        algebraic_connectivity=connectivity,
+        lap_beta_inv=graph.lap_pinv + ones_block / beta,
+        kappa_n=max(float(eigvals[-1]), 0.0),
+        kappa_beta=float(np.max(np.linalg.eigvalsh(lap_beta))) ** 2,
+        algebraic_connectivity=float(eigvals[1]) if n >= 2 else 0.0,
     )
-

@@ -592,8 +592,14 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
     return summary.path
 
 
-def graph_info_report(cfg: RunConfig) -> str:
+def graph_info_report(cfg: RunConfig, out_dir: Path | str | None = None) -> str:
+    """The report of the graph's spectra; given ``out_dir``, the same graph's
+    adjacency and Laplacian matrices are first written there, both or neither."""
     graph, spec = build_graph_and_spectra(cfg, build_problem(cfg).n)
+    if out_dir is not None:
+        out = Path(out_dir)
+        _write_atomic([], {out / "adjacency.csv": _matrix_csv(graph.adjacency),
+                           out / "laplacian.csv": _matrix_csv(graph.laplacian)})
     lines = [
         f"nodes: {graph.n}",
         f"edges: {len(graph.edges)}",
@@ -605,13 +611,6 @@ def graph_info_report(cfg: RunConfig) -> str:
     if graph.n == 1:
         lines.append("warning: single-node graph is degenerate (kappa_n = 0)")
     return "\n".join(lines)
-
-
-def export_graph_matrices(cfg: RunConfig, out_dir: Path | str) -> None:
-    graph, _ = build_graph_and_spectra(cfg, build_problem(cfg).n)
-    out = Path(out_dir)
-    _write_atomic([], {out / "adjacency.csv": _matrix_csv(graph.adjacency),
-                       out / "laplacian.csv": _matrix_csv(graph.laplacian)})
 
 
 def oracle_report(cfg: RunConfig) -> str:

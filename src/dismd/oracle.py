@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import WeightedGraph, spectra
+from .graphs import WeightedGraph
 from .objectives import DistributedProblem
 
 KKT_TOL = 1e-8  # times (1 + ||x*||)
@@ -45,7 +45,7 @@ def _stacked_multiplier(
     g = problem.grads_at(x_star)
     if center:
         g = g - g.mean(axis=1, keepdims=True)
-    lam = -(spectra(graph, beta=1.0).lap_pinv @ g)
+    lam = -(graph.lap_pinv @ g)
     residual = float(np.linalg.norm(g + graph.laplacian @ lam))
     return lam, residual
 

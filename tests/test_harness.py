@@ -637,7 +637,7 @@ def test_graph_info_barbell_less_connected_than_cyclic(tmp_path):
 
 def test_graph_matrix_export_and_reload(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL))
-    harness.export_graph_matrices(cfg, tmp_path / "mats")
+    harness.graph_info_report(cfg, tmp_path / "mats")
     a = load_matrix(tmp_path / "mats" / "adjacency.csv")
     lap = load_matrix(tmp_path / "mats" / "laplacian.csv")
     graph, _ = harness.build_graph_and_spectra(cfg, 2)
@@ -647,7 +647,7 @@ def test_graph_matrix_export_and_reload(tmp_path):
 
 def test_user_supplied_weight_matrix(tmp_path):
     cfg = load_config(write_config(tmp_path, MINIMAL))
-    harness.export_graph_matrices(cfg, tmp_path / "mats")
+    harness.graph_info_report(cfg, tmp_path / "mats")
     text = MINIMAL + f"\n[graph]\ntopology = matrix\nweights = {tmp_path/'mats'/'adjacency.csv'}\n"
     cfg2 = load_config(write_config(tmp_path, text, "mat.ini"))
     graph, spec = harness.build_graph_and_spectra(cfg2, 2)
