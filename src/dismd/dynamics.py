@@ -405,9 +405,9 @@ class _Batch:
     reads, and their block of snapshots, laid out as the buffer, with a t
     per replica. The state and each replica's block are ``_views`` of them.
 
-    Every batch steps with its ReplicaRates, a batch of one (n, d) views of
-    the buffer, as a single run always has, and R > 1 replicas (R, n, d)
-    arrays. Replicas without noise add -0.0 to z when
+    Every batch steps with its ReplicaRates: a batch of one steps (n, d)
+    views of the buffer, as a single run always has, and R > 1 replicas step
+    (R, n, d) arrays. Replicas without noise add -0.0 to z when
     others draw noise: x + (-0.0) is x for every x, -0.0 included, so their
     bits are those of a noise-free step.
     """
