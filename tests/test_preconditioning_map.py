@@ -22,10 +22,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from dismd import harness
 from dismd.config import load_config
 from dismd.graphs import Topology, build_graph, spectra
 from dismd.mirror_maps import EuclideanMap, RegularizedDualHessian
-from dismd.objectives import GeneratorConfig, generate_problem
+from dismd.objectives import SV_SCALE, GeneratorConfig, generate_problem
 from test_acceptance import _stiff_barbell_problem
 from test_kernel_reference import CONFIGS
 from test_linear_reference import affine_step
@@ -52,10 +53,21 @@ MEASURED = {
     (100.0, 8): (0.000767, 0.000787),
     (100.0, 12): (0.000195, 0.000794),
 }
+SHIPPED = ("shipped", "barbell_epismd")  # the config's own problem and graph
+# content_hash() of the stiff barbell at each scale
+STIFF_HASHES = {
+    0.1: "be1fe91406400dbfbcf26511a23442ef3204c7f7154d8c1dfbc18d1de5ba2468",
+    0.3: "f5cd638e3c795279673b6ae235ac8706bb40d3e4568939aa3eded2c99657a44b",
+    1.0: "c462dd72eec99f29efa27bd4dabc02c2b9bed8a06c868226dde55fee14b65d47",
+    3.0: "d371154cfaf5949ac6c95d34a4a1ca68f50a4bbf3c94108debf3a4030485538e",
+}
 
 
 def _problem(case):
     """(problem, cluster size) of a grid case."""
+    if case == SHIPPED:
+        cfg = load_config(CONFIGS / f"{case[1]}.ini")
+        return harness.build_problem(cfg), cfg["graph"]["cluster"]
     if case[0] == "stiff":
         return _stiff_barbell_problem(scale=case[1]), 5
     kappa, cluster = case
@@ -129,3 +141,14 @@ def test_the_preconditioned_rate_follows_conditioning_not_the_graph(rates):
         assert max(over_clusters) <= 1.25 * min(over_clusters)
     for c in CLUSTERS:
         assert 6.0 <= epismd[15.0, c] / epismd[100.0, c] <= 7.5
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_the_stiff_barbell_keeps_its_problem(scale):
+    assert _stiff_barbell_problem(scale=scale).content_hash() == STIFF_HASHES[scale]
+
+
+def test_the_shipped_barbell_is_the_stiff_barbell_at_the_generator_scale():
+    shipped, cluster = _problem(SHIPPED)
+    assert cluster == 5
+    assert shipped.content_hash() == _stiff_barbell_problem(scale=SV_SCALE).content_hash()
