@@ -64,11 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str, seed: int | None) -> RunConfig:
     cfg = load_config(path)
-    if seed is None:
-        return cfg
-    mapping = cfg.to_mapping()
-    mapping["run"]["seed"] = seed
-    return RunConfig.from_mapping(mapping)
+    return cfg if seed is None else cfg.with_values({"run.seed": seed})
 
 
 def _out_dir(args, cfg: RunConfig | None = None) -> Path:

@@ -126,6 +126,15 @@ class RunConfig:
     def to_mapping(self) -> dict[str, dict[str, Any]]:
         return {sec: dict(keys) for sec, keys in self.values.items()}
 
+    def with_values(self, values: dict[str, Any]) -> "RunConfig":
+        """A copy with each ``"section.key": value`` of ``values`` set, the
+        values then converted and validated as loaded values are."""
+        mapping = self.to_mapping()
+        for path, value in values.items():
+            section, key = path.split(".")
+            mapping.setdefault(section, {})[key] = value
+        return RunConfig.from_mapping(mapping)
+
     @classmethod
     def from_mapping(cls, mapping: dict[str, dict[str, Any]]) -> "RunConfig":
         raw = {

@@ -190,11 +190,11 @@ def rate_fit(t: np.ndarray, v: np.ndarray, window: float = 0.5) -> RateFit:
         truncated = True
         if k < 2:
             raise ValueError("no positive prefix to fit a rate on")
-    slope, intercept = np.polyfit(t[:k], np.log(v[:k]), 1)
-    fitted = slope * t[:k] + intercept
-    resid = np.log(v[:k]) - fitted
+    log_v = np.log(v[:k])
+    slope, intercept = np.polyfit(t[:k], log_v, 1)
+    resid = log_v - (slope * t[:k] + intercept)
     ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((np.log(v[:k]) - np.mean(np.log(v[:k]))) ** 2))
+    ss_tot = float(np.sum((log_v - np.mean(log_v)) ** 2))
     if ss_tot == 0.0:
         r2 = 1.0 if ss_res < 1e-24 else 0.0
     else:

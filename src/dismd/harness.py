@@ -30,13 +30,7 @@ import numpy as np
 from . import __version__, diagnostics, dynamics, oracle
 from .config import ConfigError, RunConfig, check_barbell, check_map_domain
 from .diagnostics import MetricsRecorder, csv_header, rate_fit
-from .graphs import (
-    LaplacianSpectra,
-    Topology,
-    WeightedGraph,
-    build_graph,
-    spectra,
-)
+from .graphs import Topology, WeightedGraph, build_graph, spectra
 from .mirror_maps import IdentityDual, RegularizedDualHessian, make_mirror_map
 from .objectives import DOMAINS, DistributedProblem, GeneratorConfig, generate_problem
 
@@ -61,7 +55,8 @@ def build_problem(cfg: RunConfig) -> DistributedProblem:
     return problem
 
 
-def build_graph_and_spectra(cfg: RunConfig, n: int) -> tuple[WeightedGraph, LaplacianSpectra]:
+def build_weighted_graph(cfg: RunConfig, n: int) -> WeightedGraph:
+    """The config's graph on ``n`` particles; its spectra are the caller's to build."""
     g = cfg["graph"]
     if g["topology"] == "matrix":
         weights = load_matrix(g["weights"], "graph.weights", (n, n))
@@ -72,7 +67,7 @@ def build_graph_and_spectra(cfg: RunConfig, n: int) -> tuple[WeightedGraph, Lapl
         graph = build_graph(
             Topology(kind=g["topology"], n=n, p=g["p"], cluster=g["cluster"], seed=g["seed"])
         )
-    return graph, spectra(graph, g["beta"])
+    return graph
 
 
 def build_dual(cfg: RunConfig, graph: WeightedGraph, problem: DistributedProblem):
@@ -135,7 +130,8 @@ def prepare(cfg: RunConfig) -> RunSetup:
     loaded and checked."""
     started = time.perf_counter()
     problem, generate_s = _timed(build_problem, cfg)
-    (graph, spec), spectra_s = _timed(build_graph_and_spectra, cfg, problem.n)
+    graph, graph_s = _timed(build_weighted_graph, cfg, problem.n)
+    spec, spec_s = _timed(spectra, graph, cfg["graph"]["beta"])
     a, d, key = cfg["algorithm"], problem.d, "algorithm.map_matrix"
     matrix = load_matrix(a["map_matrix"], key, (d, d)) if a["map_matrix"] else None
     mmap = _led(key, make_mirror_map, a["map"], d, matrix)
@@ -157,7 +153,7 @@ def prepare(cfg: RunConfig) -> RunSetup:
         mmap=mmap,
         dual=dual,
         opt=opt,
-        timings={"prepare_s": prepare_s, "generate_s": generate_s, "spectra_s": spectra_s,
+        timings={"prepare_s": prepare_s, "generate_s": generate_s, "spectra_s": graph_s + spec_s,
                  "dual_s": dual_s, "oracle_s": oracle_s, "constants_s": constants_s},
         constants=constants,
         recorder=recorder,
@@ -556,12 +552,8 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
         raise ConfigError("sweep needs at least one value")
     section, key = param.split(".", 1)
     base_seed = cfg["run"]["seed"]
-    run_cfgs = []
-    for index, raw in enumerate(raw_values):
-        mapping = cfg.to_mapping()
-        mapping[section][key] = raw
-        mapping["run"]["seed"] = base_seed + index
-        run_cfgs.append(RunConfig.from_mapping(mapping))
+    run_cfgs = [cfg.with_values({param: raw, "run.seed": base_seed + index})
+                for index, raw in enumerate(raw_values)]
     values = [run_cfg[section][key] for run_cfg in run_cfgs]
     if len(set(values)) < len(values):
         raise ConfigError(f"sweep values must be distinct, got {','.join(raw_values)}")
@@ -595,7 +587,8 @@ def cmd_sweep(cfg: RunConfig, param: str, raw_values: list[str], out_dir: Path |
 def graph_info_report(cfg: RunConfig, out_dir: Path | str | None = None) -> str:
     """The report of the graph's spectra; given ``out_dir``, the same graph's
     adjacency and Laplacian matrices are first written there, both or neither."""
-    graph, spec = build_graph_and_spectra(cfg, build_problem(cfg).n)
+    graph = build_weighted_graph(cfg, build_problem(cfg).n)
+    spec = spectra(graph, cfg["graph"]["beta"])
     if out_dir is not None:
         out = Path(out_dir)
         _write_atomic([], {out / "adjacency.csv": _matrix_csv(graph.adjacency),
@@ -615,8 +608,7 @@ def graph_info_report(cfg: RunConfig, out_dir: Path | str | None = None) -> str:
 
 def oracle_report(cfg: RunConfig) -> str:
     problem = build_problem(cfg)
-    graph, _ = build_graph_and_spectra(cfg, problem.n)
-    opt = oracle.solve(problem, graph)
+    opt = oracle.solve(problem, build_weighted_graph(cfg, problem.n))
     lines = [
         f"f_star: {opt.f_star!r}",
         f"kkt_residual: {opt.kkt_residual!r}",

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from dismd import objectives
 from dismd.diagnostics import (
     MetricsRecorder,
     compute_constants,
@@ -158,21 +159,12 @@ def test_criterion_5_noise_floor_sigma_squared_scaling():
 
 
 def _stiff_barbell_problem(seed=11, d=20, m=20, n=10, cond=15.0, scale=1.0):
-    # built directly (not via the generator) so the objective is stiff
-    # relative to the barbell's weak algebraic connectivity, the regime the
-    # dual preconditioner is designed for
-    rng = np.random.default_rng(seed)
-    k = min(m, d)
-    hi, lo = scale * np.sqrt(cond), scale / np.sqrt(cond)
-    q, b = np.empty((n, m, d)), np.empty((n, m))
-    for i in range(n):
-        s = np.exp(rng.uniform(np.log(lo), np.log(hi), k))
-        s = np.sort(s)[::-1]
-        s[0], s[-1] = hi, lo
-        u, _ = np.linalg.qr(rng.standard_normal((m, k)))
-        v, _ = np.linalg.qr(rng.standard_normal((d, k)))
-        q[i], b[i] = (u * s) @ v.T, rng.standard_normal(m)
-    return DistributedProblem(q=q, b=b, domain="unconstrained")
+    # the generator's problem with its singular values at geometric mean
+    # ``scale``, so the objective is stiff relative to the barbell's weak
+    # algebraic connectivity, the regime the dual preconditioner is designed for
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objectives, "SV_SCALE", scale)
+        return generate_problem(GeneratorConfig(seed=seed, d=d, m=m, n=n, condition_number=cond))
 
 
 def test_criterion_6_dual_preconditioning_speedup():

@@ -2,15 +2,17 @@
 
 The graph eigendecomposes its Laplacian once, when it is built, and every
 spectrum of a run reads that decomposition; ``graph-info --out`` builds its
-problem and graph once for the report and the matrices; and every batch, a
-single run included, steps with one ``ReplicaRates`` record, whose rates are
-floats when its replicas share them.
+problem and graph once for the report and the matrices; ``oracle`` builds
+no spectra, which it would not read; and every batch, a single run
+included, steps with one ``ReplicaRates`` record, whose rates are floats
+when its replicas share them.
 """
 
 import numpy as np
 import pytest
 
 from dismd import cli, dynamics, harness
+from dismd.config import load_config
 from dismd.dynamics import Hyperparams, ReplicaRates
 from test_kernel_reference import CONFIGS, shipped_config
 
@@ -45,6 +47,19 @@ def test_graph_info_builds_its_problem_once_for_report_and_matrices(tmp_path, mo
     assert len(configs) == 1
     assert capsys.readouterr().out.startswith("nodes: 10\nedges: 21\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adjacency.csv", "laplacian.csv"]
+
+
+@pytest.mark.parametrize("stem", SHIPPED)
+def test_the_oracle_builds_no_spectra(monkeypatch, stem):
+    calls, build = [], harness.spectra
+
+    def recording(graph, beta):
+        calls.append(beta)
+        return build(graph, beta)
+
+    monkeypatch.setattr(harness, "spectra", recording)
+    assert harness.oracle_report(load_config(CONFIGS / f"{stem}.ini")).startswith("f_star: ")
+    assert calls == []
 
 
 def test_replica_rates_are_floats_when_shared_and_arrays_when_not():

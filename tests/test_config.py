@@ -195,6 +195,32 @@ def test_from_mapping_converts_strings_and_cites_unknown_keys():
         RunConfig.from_mapping(mapping)
 
 
+def test_with_values_converts_strings_as_a_loaded_value():
+    cfg = RunConfig.from_mapping({}).with_values(
+        {"hyperparams.epochs": "300", "hyperparams.sigma": " 0.1 ", "run.seed": 7,
+         "problem.shared_minimizer": "yes"})
+    assert cfg["hyperparams"]["epochs"] == 300 and type(cfg["hyperparams"]["epochs"]) is int
+    assert cfg["hyperparams"]["sigma"] == 0.1 and cfg["run"]["seed"] == 7
+    assert cfg["problem"]["shared_minimizer"] is True
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"hyperparams.dt": "inf"}, "bad value for 'hyperparams.dt': must be a finite number"),
+    ({"hyperparams.eta": -1}, "hyperparams.eta must be positive, got -1.0"),
+    ({"hyperparams.epochs": "1e2"}, "bad value for 'hyperparams.epochs'"),
+    ({"graph.p": 0.5}, "graph.p is read only by graph.topology = erdos_renyi"),
+    ({"hyperparams.sgima": 0.1}, "unknown key 'sgima' in section [hyperparams]"),
+    ({"hyperparam.sigma": 0.1}, "unknown config section [hyperparam]"),
+])
+def test_with_values_rejects_a_bad_value_or_key_and_leaves_its_source(values, message):
+    cfg = RunConfig.from_mapping({"hyperparams": {"sigma": 0.05}})
+    before = cfg.to_mapping()
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg.with_values(values)
+    cfg.with_values({"hyperparams.sigma": 0.2, "run.seed": 3})
+    assert cfg.to_mapping() == before
+
+
 def test_comments_and_inline_comments(tmp_path):
     path = write(
         tmp_path,

@@ -551,7 +551,7 @@ def test_barbell_cluster_is_checked_against_the_bundle(tmp_path, capsys):
     assert err.startswith("error: graph.cluster = 3 needs 6 particles but the problem has 4")
     assert "Traceback" not in err
     cfg = load_config(write_config(tmp_path, text + "cluster = 2\n", "c2.ini"))
-    assert harness.build_graph_and_spectra(cfg, 4)[0].n == 4
+    assert harness.build_weighted_graph(cfg, 4).n == 4
 
 
 # rule: (MINIMAL's problem as a generated problem breaks it, the sections that
@@ -630,8 +630,8 @@ def test_graph_info_barbell_less_connected_than_cyclic(tmp_path):
         write_config(tmp_path, "[problem]\nn = 10\n[graph]\ntopology = barbell\ncluster = 5\n", "b.ini")
     )
     cyclic = load_config(write_config(tmp_path, "[problem]\nn = 10\n", "c.ini"))
-    _, spec_b = harness.build_graph_and_spectra(barbell, 10)
-    _, spec_c = harness.build_graph_and_spectra(cyclic, 10)
+    spec_b = harness.spectra(harness.build_weighted_graph(barbell, 10), barbell["graph"]["beta"])
+    spec_c = harness.spectra(harness.build_weighted_graph(cyclic, 10), cyclic["graph"]["beta"])
     assert spec_b.algebraic_connectivity < spec_c.algebraic_connectivity
 
 
@@ -640,7 +640,7 @@ def test_graph_matrix_export_and_reload(tmp_path):
     harness.graph_info_report(cfg, tmp_path / "mats")
     a = load_matrix(tmp_path / "mats" / "adjacency.csv")
     lap = load_matrix(tmp_path / "mats" / "laplacian.csv")
-    graph, _ = harness.build_graph_and_spectra(cfg, 2)
+    graph = harness.build_weighted_graph(cfg, 2)
     assert np.array_equal(a, graph.adjacency)
     assert np.array_equal(lap, graph.laplacian)
 
@@ -650,14 +650,14 @@ def test_user_supplied_weight_matrix(tmp_path):
     harness.graph_info_report(cfg, tmp_path / "mats")
     text = MINIMAL + f"\n[graph]\ntopology = matrix\nweights = {tmp_path/'mats'/'adjacency.csv'}\n"
     cfg2 = load_config(write_config(tmp_path, text, "mat.ini"))
-    graph, spec = harness.build_graph_and_spectra(cfg2, 2)
+    graph = harness.build_weighted_graph(cfg2, 2)
     assert graph.n == 2
     bad = np.array([[0.7, 0.3], [0.3, 0.6]])
     np.savetxt(tmp_path / "bad.csv", bad, delimiter=",")
     text_bad = MINIMAL + f"\n[graph]\ntopology = matrix\nweights = {tmp_path/'bad.csv'}\n"
     cfg3 = load_config(write_config(tmp_path, text_bad, "bad.ini"))
     with pytest.raises(Exception):
-        harness.build_graph_and_spectra(cfg3, 2)
+        harness.build_weighted_graph(cfg3, 2)
 
 
 def test_x0_override_from_csv(tmp_path):

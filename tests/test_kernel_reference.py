@@ -282,11 +282,7 @@ TRAJECTORY_CASES = [
 
 def with_values(cfg: RunConfig, overrides: dict) -> RunConfig:
     """A copy of cfg with each ``section.key`` override applied and validated."""
-    mapping = cfg.to_mapping()
-    for path, value in overrides.items():
-        section, key = path.split(".")
-        mapping[section][key] = value
-    return RunConfig.from_mapping(mapping)
+    return cfg.with_values(overrides)
 
 
 def shipped_config(stem, overrides) -> RunConfig:

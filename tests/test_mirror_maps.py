@@ -356,7 +356,7 @@ def test_dual_constants_match_dense_reference_property():
 def test_dual_constants_match_dense_reference_on_shipped_barbell():
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "barbell_epismd.ini")
     problem = harness.build_problem(cfg)
-    graph, _ = harness.build_graph_and_spectra(cfg, problem.n)
+    graph = harness.build_weighted_graph(cfg, problem.n)
     spec = spectra(graph, cfg["algorithm"]["dual_beta"])
     _assert_dual_constants(spec, problem.hess_blocks())
 
