@@ -15,6 +15,13 @@ all at dt = 0.01 with dual beta = 0.01. epismd's rate is set by the
 objective's conditioning and barely moves with the graph; eismd's falls with
 the graph's connectivity. So epismd wins on stiff problems and large
 clusters, and eismd on the generator's own scale and small clusters.
+
+Under noise sigma on z, the mean settles at the noise-free fixed point and
+the covariance at the solution of Σ = A_r Σ A_rᵀ + W, with W = σ²dt·I on the
+z block, found by Smith doubling. The stationary E‖x − x*‖² is then tr Σ_zz,
+a metric both dynamics share (V is map-weighted for epismd). On every case
+epismd's is a little below eismd's, so the preconditioner moves the time to
+the noise floor, not the floor.
 """
 
 from types import SimpleNamespace
@@ -54,6 +61,16 @@ MEASURED = {
     (100.0, 12): (0.000195, 0.000794),
 }
 SHIPPED = ("shipped", "barbell_epismd")  # the config's own problem and graph
+SIGMA = 0.1
+# (eismd, epismd) stationary E‖x − x*‖² at sigma = 0.1, 3 significant figures
+FLOORS = {
+    SHIPPED: (2.53, 2.27),
+    ("stiff", 0.1): (5.99, 5.61),
+    ("stiff", 1.0): (0.611, 0.583),
+    (15.0, 3): (0.401, 0.343),
+    (15.0, 12): (0.654, 0.614),
+    (100.0, 12): (0.45, 0.435),
+}
 # content_hash() of the stiff barbell at each scale
 STIFF_HASHES = {
     0.1: "be1fe91406400dbfbcf26511a23442ef3204c7f7154d8c1dfbc18d1de5ba2468",
@@ -75,8 +92,9 @@ def _problem(case):
     return generate_problem(config), cluster
 
 
-def exact_rates(case) -> dict[str, tuple[float, float]]:
-    """name -> (rate, leak ‖AQ − QA_r‖ / ‖A‖) of both dynamics on ``case``."""
+def restricted_operators(case) -> tuple[int, dict[str, tuple[np.ndarray, float]]]:
+    """(n·d, name -> (A_r, leak ‖AQ − QA_r‖ / ‖A‖)) of both dynamics on
+    ``case``; the first n·d coordinates of A_r are z's."""
     problem, cluster = _problem(case)
     n, d = problem.n, problem.d
     graph = build_graph(Topology("barbell", n, cluster=cluster))
@@ -94,14 +112,53 @@ def exact_rates(case) -> dict[str, tuple[float, float]]:
         a = affine_step(setup, cfg)[:-1, :-1]
         a_r = q.T @ a @ q
         leak = np.linalg.norm(a @ q - q @ a_r) / np.linalg.norm(a)
-        rho = np.max(np.abs(np.linalg.eigvals(a_r)))
-        out[name] = (2.0 * -np.log(rho) / DT, float(leak))
+        out[name] = (a_r, float(leak))
+    return n * d, out
+
+
+def stationary_covariance(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Σ = Σ_k A^k W (A^k)ᵀ, which solves Σ = A Σ Aᵀ + W, by Smith doubling:
+    Σ += A Σ Aᵀ, then A = A², until A has vanished."""
+    sigma = w.copy()
+    for _ in range(64):
+        sigma += a @ sigma @ a.T
+        a = a @ a
+        if np.linalg.norm(a) <= 1e-20:
+            return sigma
+    raise AssertionError("Smith doubling did not converge in 64 doublings")
+
+
+@pytest.fixture(scope="module")
+def operators():
+    return {case: restricted_operators(case) for case in (*MEASURED, SHIPPED)}
+
+
+@pytest.fixture(scope="module")
+def rates(operators):
+    """case -> name -> (rate, leak) on the grid."""
+    out = {}
+    for case in MEASURED:
+        out[case] = {}
+        for name, (a_r, leak) in operators[case][1].items():
+            rho = np.max(np.abs(np.linalg.eigvals(a_r)))
+            out[case][name] = (2.0 * -np.log(rho) / DT, leak)
     return out
 
 
 @pytest.fixture(scope="module")
-def rates():
-    return {case: exact_rates(case) for case in MEASURED}
+def floors(operators):
+    """case -> name -> (E‖x − x*‖², residual ‖A_r Σ A_rᵀ + W − Σ‖ / ‖Σ‖) at sigma."""
+    out = {}
+    for case in FLOORS:
+        nz, by_name = operators[case]
+        out[case] = {}
+        for name, (a_r, _) in by_name.items():
+            w = np.zeros_like(a_r)
+            w[range(nz), range(nz)] = SIGMA**2 * DT
+            sigma = stationary_covariance(a_r, w)
+            residual = np.linalg.norm(a_r @ sigma @ a_r.T + w - sigma) / np.linalg.norm(sigma)
+            out[case][name] = (float(np.trace(sigma[:nz, :nz])), float(residual))
+    return out
 
 
 def _ratio(rates, case):
@@ -152,3 +209,19 @@ def test_the_shipped_barbell_is_the_stiff_barbell_at_the_generator_scale():
     shipped, cluster = _problem(SHIPPED)
     assert cluster == 5
     assert shipped.content_hash() == _stiff_barbell_problem(scale=SV_SCALE).content_hash()
+
+
+def test_smith_doubling_solves_the_stationary_equation(floors):
+    residuals = [residual for by_name in floors.values() for _, residual in by_name.values()]
+    assert max(residuals) <= 1e-14
+
+
+@pytest.mark.parametrize("case", FLOORS, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_each_stationary_error_equals_its_measured_value(floors, case):
+    got = tuple(float(f"{floors[case][name][0]:.3g}") for name in STEPS)
+    assert got == FLOORS[case]
+
+
+def test_the_preconditioner_does_not_raise_the_noise_floor(floors):
+    for case, by_name in floors.items():
+        assert by_name["epismd"][0] <= by_name["eismd"][0], case
