@@ -1,8 +1,11 @@
 """``tools/bytecheck.py``'s comparison of two output trees."""
 
+import argparse
 import importlib
 import json
 from pathlib import Path
+
+from dismd import cli
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -49,3 +52,11 @@ def test_it_reports_a_manifest_value_an_exit_code_and_a_missing_file(tmp_path, m
         f"{run / 'out' / 'manifest.json'}: manifests differ outside "
         "timings, wall_clock_seconds, steps_per_second, record_share",
     ]
+
+
+def test_its_list_runs_every_subcommand(tmp_path, monkeypatch):
+    bytecheck = _bytecheck(monkeypatch)
+    cmds = bytecheck.commands(tmp_path / "inputs")
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv in cmds.values()} == set(sub.choices)
+    assert len(cmds) == 36

@@ -17,12 +17,12 @@ directory of its own, with every path relative to it:
   ``dt`` over ``0.005,0.01,2`` and ``eta`` over ``1,1e5``, the last two
   ending in a divergence (exit 2);
 
-each at seeds 0 and 5, and then ``graph-info --out`` and ``oracle`` on each
-shipped config. Every output file is compared byte for byte, and so are
-each command's exit code, stdout and stderr, except that a
-``manifest.json`` is compared as JSON without the keys in ``VOLATILE``,
-which hold timings. Each difference is printed; the exit status is 1 if
-there is any, 0 if none.
+each at seeds 0 and 5, and then ``graph-info --out``, ``problem-gen`` and
+``oracle`` on each shipped config, so every subcommand is on the list: 36
+commands. Every output file is compared byte for byte, and so are each
+command's exit code, stdout and stderr, except that a ``manifest.json`` is
+compared as JSON without the keys in ``VOLATILE``, which hold timings. Each
+difference is printed; the exit status is 1 if there is any, 0 if none.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ def commands(inputs: Path) -> dict[str, list[str]]:
     for stem in SHIPPED:
         cmds[f"graph-info-{stem}"] = ["graph-info", "--config", f"configs/{stem}.ini",
                                       "--out", "out"]
+        cmds[f"problem-gen-{stem}"] = ["problem-gen", "--config", f"configs/{stem}.ini",
+                                       "--out", "out"]
         cmds[f"oracle-{stem}"] = ["oracle", "--config", f"configs/{stem}.ini"]
     return cmds
 
