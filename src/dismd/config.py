@@ -131,7 +131,7 @@ class RunConfig:
         values then converted and validated as loaded values are."""
         mapping = self.to_mapping()
         for path, value in values.items():
-            section, key = path.split(".")
+            section, _, key = path.partition(".")
             mapping.setdefault(section, {})[key] = value
         return RunConfig.from_mapping(mapping)
 

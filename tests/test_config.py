@@ -211,6 +211,7 @@ def test_with_values_converts_strings_as_a_loaded_value():
     ({"graph.p": 0.5}, "graph.p is read only by graph.topology = erdos_renyi"),
     ({"hyperparams.sgima": 0.1}, "unknown key 'sgima' in section [hyperparams]"),
     ({"hyperparam.sigma": 0.1}, "unknown config section [hyperparam]"),
+    ({"sigma": 0.1}, "unknown config section [sigma]"),
 ])
 def test_with_values_rejects_a_bad_value_or_key_and_leaves_its_source(values, message):
     cfg = RunConfig.from_mapping({"hyperparams": {"sigma": 0.05}})
