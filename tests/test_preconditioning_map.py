@@ -61,6 +61,7 @@ MEASURED = {
     (100.0, 12): (0.000195, 0.000794),
 }
 SHIPPED = ("shipped", "barbell_epismd")  # the config's own problem and graph
+SHIPPED_RATES = (0.0199, 0.00596)
 SIGMA = 0.1
 # (eismd, epismd) stationary E‖x − x*‖² at sigma = 0.1, 3 significant figures
 FLOORS = {
@@ -135,11 +136,11 @@ def operators():
 
 @pytest.fixture(scope="module")
 def rates(operators):
-    """case -> name -> (rate, leak) on the grid."""
+    """case -> name -> (rate, leak) on the grid and the shipped barbell."""
     out = {}
-    for case in MEASURED:
+    for case, (_, by_name) in operators.items():
         out[case] = {}
-        for name, (a_r, leak) in operators[case][1].items():
+        for name, (a_r, leak) in by_name.items():
             rho = np.max(np.abs(np.linalg.eigvals(a_r)))
             out[case][name] = (2.0 * -np.log(rho) / DT, leak)
     return out
@@ -174,6 +175,11 @@ def test_the_restriction_keeps_the_invariant_subspace(rates):
 def test_each_rate_equals_its_measured_value(rates, case):
     got = tuple(float(f"{rates[case][name][0]:.3g}") for name in STEPS)
     assert got == MEASURED[case]
+
+
+def test_the_shipped_barbell_rates_equal_their_measured_values(rates):
+    got = tuple(float(f"{rates[SHIPPED][name][0]:.3g}") for name in STEPS)
+    assert got == SHIPPED_RATES
 
 
 def test_the_preconditioner_gains_with_stiffness_and_cluster_size(rates):
