@@ -92,7 +92,7 @@ def compute_constants(
     dual=None,
 ) -> ConvexityConstants:
     dual = IdentityDual() if dual is None else dual
-    block_eigs = np.linalg.eigvalsh(problem.hess_blocks())
+    block_eigs = problem.hess_eigenvalues()
     mu_f = float(block_eigs[:, 0].min())
     l_f = float(block_eigs[:, -1].max())
     mu_psi = float(dual.mu)

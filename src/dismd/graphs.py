@@ -9,6 +9,7 @@ than sparse machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,21 +113,22 @@ class WeightedGraph:
 class LaplacianSpectra:
     """Spectral objects derived from a graph Laplacian for one beta.
 
-    eigenvalues (ascending) and lap_pinv are the graph's own; kappa_n is the
-    largest Laplacian eigenvalue and kappa_beta the squared largest eigenvalue
-    of the beta-regularized Laplacian  L_beta = L + (beta/n) 11^T.
-    lap_beta_inv is computed from the pseudo-inverse identity
-    L_beta^{-1} = L^+ + (1/(beta n)) 11^T.
+    lap_beta is the beta-regularized Laplacian  L_beta = L + (beta/n) 11^T,
+    and lap_beta_inv its inverse from the pseudo-inverse identity
+    L_beta^{-1} = L^+ + (1/(beta n)) 11^T; kappa_n is the largest Laplacian
+    eigenvalue, read from the graph's own spectrum.
     """
 
     beta: float
-    eigenvalues: np.ndarray
-    lap_pinv: np.ndarray
     lap_beta: np.ndarray
     lap_beta_inv: np.ndarray
     kappa_n: float
-    kappa_beta: float
     algebraic_connectivity: float
+
+    @cached_property
+    def kappa_beta(self) -> float:
+        """The squared largest eigenvalue of L_beta, from one eigvalsh on first read."""
+        return float(np.max(np.linalg.eigvalsh(self.lap_beta))) ** 2
 
 
 def _connected(n: int, edges) -> bool:
@@ -217,19 +219,16 @@ def build_graph(topology: Topology) -> WeightedGraph:
 
 
 def spectra(graph: WeightedGraph, beta: float) -> LaplacianSpectra:
-    """L_beta, its inverse and the Rayleigh constants, from the graph's spectrum."""
+    """L_beta, its inverse and the Rayleigh constants, from the graph's spectrum;
+    kappa_beta is computed on first read."""
     if beta <= 0:
         raise GraphError(f"beta must be positive, got {beta}")
     n, eigvals = graph.n, graph.eigenvalues
     ones_block = np.ones((n, n)) / n
-    lap_beta = graph.laplacian + beta * ones_block
     return LaplacianSpectra(
         beta=beta,
-        eigenvalues=eigvals,
-        lap_pinv=graph.lap_pinv,
-        lap_beta=lap_beta,
+        lap_beta=graph.laplacian + beta * ones_block,
         lap_beta_inv=graph.lap_pinv + ones_block / beta,
         kappa_n=max(float(eigvals[-1]), 0.0),
-        kappa_beta=float(np.max(np.linalg.eigvalsh(lap_beta))) ** 2,
         algebraic_connectivity=float(eigvals[1]) if n >= 2 else 0.0,
     )

@@ -77,7 +77,7 @@ def build_dual(cfg: RunConfig, graph: WeightedGraph, problem: DistributedProblem
     if a["dual"] == "identity":
         return IdentityDual()
     dual_beta = a["dual_beta"] if a["dual_beta"] is not None else cfg["graph"]["beta"]
-    return RegularizedDualHessian(spectra(graph, dual_beta), problem.hess_blocks())
+    return RegularizedDualHessian(spectra(graph, dual_beta), problem)
 
 
 def load_x0(cfg: RunConfig, problem: DistributedProblem, mmap) -> np.ndarray | None:
@@ -596,7 +596,7 @@ def graph_info_report(cfg: RunConfig, out_dir: Path | str | None = None) -> str:
     lines = [
         f"nodes: {graph.n}",
         f"edges: {len(graph.edges)}",
-        f"laplacian eigenvalues: min {spec.eigenvalues[0]:.6g}, max {spec.eigenvalues[-1]:.6g}",
+        f"laplacian eigenvalues: min {graph.eigenvalues[0]:.6g}, max {graph.eigenvalues[-1]:.6g}",
         f"algebraic connectivity: {spec.algebraic_connectivity:.6g}",
         f"kappa_n: {spec.kappa_n!r}",
         f"kappa_beta (beta={spec.beta!r}): {spec.kappa_beta!r}",

@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import LaplacianSpectra
+from .objectives import DistributedProblem
 
 MAP_KINDS = ("euclidean", "entropy", "quadratic")
 
@@ -276,35 +277,29 @@ class RegularizedDualHessian:
 
     The integration loop only needs the conjugate gradient
     ``lambda = L_beta^{-1} (d^2 f) L_beta^{-1} mu``, assembled from the
-    (one-off) regularized-Laplacian inverse and the constant per-particle
-    Hessian blocks. Requires every block Hessian to be positive definite so
-    that psi itself is well defined.
+    (one-off) regularized-Laplacian inverse and the problem's constant
+    per-particle Hessian blocks. Requires every block Hessian to be positive
+    definite so that psi itself is well defined.
     """
 
     kind = "dual_hessian"
 
-    def __init__(self, spec: LaplacianSpectra, hess_blocks: np.ndarray):
-        hess = np.asarray(hess_blocks, dtype=float)
-        if hess.ndim != 3 or hess.shape[1] != hess.shape[2]:
-            raise ValueError(f"expected (n, d, d) Hessian blocks, got shape {hess.shape}")
-        n = hess.shape[0]
+    def __init__(self, spec: LaplacianSpectra, problem: DistributedProblem):
+        n = problem.n
         if spec.lap_beta.shape[0] != n:
-            raise ValueError(
-                f"graph has {spec.lap_beta.shape[0]} nodes but problem has {n} blocks"
-            )
-        block_eigs = np.linalg.eigvalsh(hess)
+            raise ValueError(f"graph has {spec.lap_beta.shape[0]} nodes but problem has {n} blocks")
+        block_eigs = problem.hess_eigenvalues()
         worst = np.min(block_eigs[:, 0] / np.maximum(block_eigs[:, -1], 1e-300))
         if worst <= 1e-12:
             raise ValueError(
                 "dual Hessian preconditioner needs positive definite block Hessians "
                 f"(worst relative eigenvalue {worst:g})"
             )
-        self.n = n
-        self.d = hess.shape[1]
+        self.n, self.d = n, problem.d
         self._lap_beta = spec.lap_beta
         self._lap_beta_inv = spec.lap_beta_inv
-        self._hess = hess
-        self._hess_inv = np.linalg.inv(hess)
+        self._hess = problem.hess_blocks()
+        self._hess_inv = np.linalg.inv(self._hess)
 
     def backward(self, mu: np.ndarray, out: np.ndarray | None = None,
                  work: np.ndarray | None = None) -> np.ndarray:

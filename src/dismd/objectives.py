@@ -42,6 +42,7 @@ class DistributedProblem:
     d: int = field(init=False)
     _hess: np.ndarray = field(init=False, repr=False)
     _c: np.ndarray = field(init=False, repr=False)
+    _hess_eigs: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.domain not in DOMAINS:
@@ -96,6 +97,13 @@ class DistributedProblem:
     def hess_blocks(self) -> np.ndarray:
         """Read-only (n, d, d) array of the constant block Hessians Q_i^T Q_i."""
         return self._hess
+
+    def hess_eigenvalues(self) -> np.ndarray:
+        """Read-only (n, d) ascending block Hessian eigenvalues, computed on first use."""
+        if self._hess_eigs is None:
+            self._hess_eigs = np.linalg.eigvalsh(self._hess)
+            self._hess_eigs.flags.writeable = False
+        return self._hess_eigs
 
     def aggregate_hessian(self) -> np.ndarray:
         return np.einsum("nmd,nme->de", self.q, self.q)

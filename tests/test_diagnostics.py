@@ -320,7 +320,7 @@ def test_constants_from_problem_spectrum():
 
 def test_constants_mu_hat_switches_for_dual_hessian():
     prob, graph, spec, mmap, opt = euclid_setup(seed=9)
-    dual = RegularizedDualHessian(spectra(graph, 0.5), prob.hess_blocks())
+    dual = RegularizedDualHessian(spectra(graph, 0.5), prob)
     cst = compute_constants(prob, spec, mmap, dual)
     assert cst.mu_psi == pytest.approx(dual.mu)
     assert cst.mu_hat == pytest.approx(min(1.0, dual.mu))
@@ -349,7 +349,7 @@ def test_recorder_record_fields_and_bregman_column():
 
 def test_recorder_epismd_v2_uses_dual_bregman():
     prob, graph, spec, mmap, opt = euclid_setup(seed=11)
-    dual = RegularizedDualHessian(spectra(graph, 0.5), prob.hess_blocks())
+    dual = RegularizedDualHessian(spectra(graph, 0.5), prob)
     cst = compute_constants(prob, spec, mmap, dual)
     c = default_c(cst)
     rec = MetricsRecorder(prob, graph, mmap, opt.x_star, opt.lambda_star, c, dual=dual)

@@ -242,7 +242,7 @@ def test_kernels_match_einsum_references_property():
         _assert_close(prob.grads(x), ref_grads(prob, x), scale)
 
         spec = spectra(build_graph(Topology("cyclic", n)), beta)
-        dual = RegularizedDualHessian(spec, prob.hess_blocks())
+        dual = RegularizedDualHessian(spec, prob)
         scale = np.max(_abs_sandwich(spec.lap_beta_inv, hess, x))
         _assert_close(dual.backward(x), ref_dual_backward(dual, x), scale)
         # a leading replica axis acts on each (n, d) slice alone

@@ -16,7 +16,7 @@ from dismd.mirror_maps import (
     RegularizedDualHessian,
     make_mirror_map,
 )
-from dismd.objectives import GeneratorConfig, generate_problem
+from dismd.objectives import DistributedProblem, GeneratorConfig, generate_problem
 
 
 def _random_point(map_kind, d, rng):
@@ -225,7 +225,7 @@ def _dual_setup(seed=0, n=4, d=2, beta=0.7):
     prob = generate_problem(GeneratorConfig(seed=seed, d=d, m=d + 1, n=n, condition_number=4.0))
     graph = build_graph(Topology("cyclic", n))
     spec = spectra(graph, beta)
-    return prob, graph, spec, RegularizedDualHessian(spec, prob.hess_blocks())
+    return prob, graph, spec, RegularizedDualHessian(spec, prob)
 
 
 def test_dual_precond_zero_maps_to_zero():
@@ -252,8 +252,7 @@ def test_dual_precond_matches_dense_oracle():
 def test_dual_precond_backward_into_its_buffers_allocates_nothing_and_keeps_the_bits(shape):
     # the integration loop passes out= and work=; the allocating form is the reference
     prob = generate_problem(GeneratorConfig(seed=11, d=40, m=40, n=40, condition_number=15.0))
-    dual = RegularizedDualHessian(spectra(build_graph(Topology("cyclic", 40)), 0.5),
-                                  prob.hess_blocks())
+    dual = RegularizedDualHessian(spectra(build_graph(Topology("cyclic", 40)), 0.5), prob)
     mu = np.random.default_rng(10).standard_normal(shape)
     out, work = np.empty(shape), np.empty(shape)
     dual.backward(mu, out=out, work=work)  # numpy's first call may cache
@@ -321,9 +320,9 @@ def _dense_conj_max(spec, hess):
     return float(np.linalg.eigvalsh(_dense_sandwich(spec.lap_beta_inv, hess))[-1])
 
 
-def _assert_dual_constants(spec, hess):
-    dual = RegularizedDualHessian(spec, hess)
-    conj = _dense_conj_max(spec, hess)
+def _assert_dual_constants(spec, problem):
+    dual = RegularizedDualHessian(spec, problem)
+    conj = _dense_conj_max(spec, problem.hess_blocks())
     assert abs(1.0 / dual.mu - conj) <= MU_RTOL * conj
 
 
@@ -348,7 +347,7 @@ def test_dual_constants_match_dense_reference_property():
         prob = generate_problem(GeneratorConfig(seed=seed, d=d, m=m, n=n, condition_number=cond))
         topology = Topology("erdos_renyi", n, p=1.0) if complete else Topology("cyclic", n)
         spec = spectra(build_graph(topology), beta)
-        _assert_dual_constants(spec, prob.hess_blocks())
+        _assert_dual_constants(spec, prob)
 
     agrees()
 
@@ -358,7 +357,7 @@ def test_dual_constants_match_dense_reference_on_shipped_barbell():
     problem = harness.build_problem(cfg)
     graph = harness.build_weighted_graph(cfg, problem.n)
     spec = spectra(graph, cfg["algorithm"]["dual_beta"])
-    _assert_dual_constants(spec, problem.hess_blocks())
+    _assert_dual_constants(spec, problem)
 
 
 def test_dual_constants_build_runs_lanczos_once(monkeypatch):
@@ -392,10 +391,10 @@ def test_dual_constant_does_not_depend_on_the_lanczos_basis_chunk(monkeypatch):
         return lanczos(counted_apply, shape)
 
     monkeypatch.setattr(mirror_maps, "_lanczos_max", counted)
-    default = RegularizedDualHessian(spec, prob.hess_blocks()).mu
+    default = RegularizedDualHessian(spec, prob).mu
     assert len(steps) > 8
     monkeypatch.setattr(mirror_maps, "LANCZOS_CHUNK", 4)
-    assert RegularizedDualHessian(spec, prob.hess_blocks()).mu == default
+    assert RegularizedDualHessian(spec, prob).mu == default
 
 
 def test_dual_constants_match_dense_reference_with_repeated_eigenvalues():
@@ -404,14 +403,17 @@ def test_dual_constants_match_dense_reference_with_repeated_eigenvalues():
     n, d = 6, 3
     rng = np.random.default_rng(4)
     q = rng.standard_normal((d + 2, d))
-    hess = np.repeat((q.T @ q)[None], n, axis=0)
+    problem = DistributedProblem(np.repeat(q[None], n, axis=0), np.zeros((n, d + 2)),
+                                 "unconstrained")
     spec = spectra(build_graph(Topology("erdos_renyi", n, p=1.0)), 0.05)
-    _assert_dual_constants(spec, hess)
+    _assert_dual_constants(spec, problem)
 
 
 def test_dual_constants_match_dense_reference_for_one_coordinate():
     spec = spectra(build_graph(Topology("cyclic", 1)), 0.3)
-    _assert_dual_constants(spec, np.array([[[2.5]]]))
+    # one block, H = 1.5^2 + 0.5^2 = 2.5
+    problem = DistributedProblem(np.array([[[1.5], [0.5]]]), np.zeros((1, 2)), "unconstrained")
+    _assert_dual_constants(spec, problem)
 
 
 def test_dual_constants_build_no_dense_operator():
@@ -420,7 +422,7 @@ def test_dual_constants_build_no_dense_operator():
     n = d = 40
     prob = generate_problem(GeneratorConfig(seed=11, d=d, m=d, n=n, condition_number=15.0))
     spec = spectra(build_graph(Topology("barbell", n, cluster=n // 2)), 0.01)
-    dual = RegularizedDualHessian(spec, prob.hess_blocks())
+    dual = RegularizedDualHessian(spec, prob)
     assert not hasattr(dual, "conj_hessian_dense")
     tracemalloc.start()
     try:
@@ -437,7 +439,7 @@ def test_dual_precond_blocks_match_per_block_loop(n, d):
     # per-block loop it replaced, so the bits agree
     prob = generate_problem(GeneratorConfig(seed=11, d=d, m=d, n=n, condition_number=15.0))
     hess = prob.hess_blocks()
-    dual = RegularizedDualHessian(spectra(build_graph(Topology("cyclic", n)), 0.5), hess)
+    dual = RegularizedDualHessian(spectra(build_graph(Topology("cyclic", n)), 0.5), prob)
     assert np.array_equal(dual._hess_inv, np.stack([np.linalg.inv(h) for h in hess]))
 
 
@@ -445,11 +447,11 @@ def test_dual_precond_rejects_singular_blocks():
     prob = generate_problem(GeneratorConfig(seed=1, d=3, m=2, n=3, condition_number=2.0))
     graph = build_graph(Topology("cyclic", 3))
     with pytest.raises(ValueError):
-        RegularizedDualHessian(spectra(graph, 0.5), prob.hess_blocks())
+        RegularizedDualHessian(spectra(graph, 0.5), prob)
 
 
 def test_dual_precond_dimension_mismatch():
     prob = generate_problem(GeneratorConfig(seed=1, d=2, m=3, n=3, condition_number=2.0))
     graph = build_graph(Topology("cyclic", 4))
     with pytest.raises(ValueError):
-        RegularizedDualHessian(spectra(graph, 0.5), prob.hess_blocks())
+        RegularizedDualHessian(spectra(graph, 0.5), prob)

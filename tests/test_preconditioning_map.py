@@ -100,8 +100,7 @@ def restricted_operators(case) -> tuple[int, dict[str, tuple[np.ndarray, float]]
     n, d = problem.n, problem.d
     graph = build_graph(Topology("barbell", n, cluster=cluster))
     setup = SimpleNamespace(problem=problem, mmap=EuclideanMap(d), graph=graph,
-                            dual=RegularizedDualHessian(spectra(graph, DUAL_BETA),
-                                                        problem.hess_blocks()))
+                            dual=RegularizedDualHessian(spectra(graph, DUAL_BETA), problem))
     basis = np.linalg.qr(np.eye(n)[:, :-1] - 1.0 / n)[0]  # orthonormal, spans 1-perp
     q = np.zeros((2 * n * d, (2 * n - 1) * d))
     q[:n * d, :n * d] = np.eye(n * d)
