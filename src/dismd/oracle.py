@@ -70,7 +70,7 @@ def _certify(residual: float, x_star: np.ndarray, what: str) -> None:
 def solve_unconstrained(problem: DistributedProblem, graph: WeightedGraph) -> OptimalPair:
     """Solve (sum Q_i^T Q_i) x = sum Q_i^T b_i and certify the stacked KKT pair."""
     hess = _definite_hessian(problem)
-    rhs = -problem.aggregate_grad(np.zeros(problem.d))
+    rhs = np.einsum("nmd,nm->d", problem.q, problem.b)
     x_star = np.linalg.solve(hess, rhs)
     lam, stat_res = _stacked_multiplier(problem, graph, x_star, center=False)
     feas_res = float(np.linalg.norm(problem.aggregate_grad(x_star)))
@@ -98,7 +98,7 @@ def solve_simplex(problem: DistributedProblem, graph: WeightedGraph) -> OptimalP
     """
     d = problem.d
     hess = _definite_hessian(problem)
-    rhs = -problem.aggregate_grad(np.zeros(d))
+    rhs = np.einsum("nmd,nm->d", problem.q, problem.b)
     x = np.full(d, 1.0 / d)
     free = np.ones(d, dtype=bool)
     # every measured run needs at most d + 2 passes; d^2 + 1 leaves room for

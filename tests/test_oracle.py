@@ -78,6 +78,18 @@ def test_unconstrained_agrees_with_iterative_solver():
     assert np.linalg.norm(x - opt.x_star) <= 1e-8
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n, m, d", [(4, 3, 3), (10, 20, 20), (6, 2, 5)])
+def test_unconstrained_optimum_keeps_the_residual_forms_bits(seed, n, m, d):
+    # the right-hand side sum Q_i^T b_i is one einsum; the residual form
+    # -aggregate_grad(0) it replaced negates the same sums, so x* keeps its bits
+    prob = generate_problem(GeneratorConfig(seed=seed, d=d, m=m, n=n,
+                                            condition_number=1.0 if min(m, d) < 2 else 5.0))
+    x_star = np.linalg.solve(prob.aggregate_hessian(), -prob.aggregate_grad(np.zeros(d)))
+    got = solve_unconstrained(prob, build_graph(Topology("cyclic", n))).x_star
+    assert got.tobytes() == x_star.tobytes()
+
+
 def test_lambda_star_is_minimal_norm():
     prob = generate_problem(GeneratorConfig(seed=4, d=3, m=4, n=4, condition_number=4.0))
     g = build_graph(Topology("cyclic", 4))
