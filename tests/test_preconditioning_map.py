@@ -21,7 +21,8 @@ the covariance at the solution of Σ = A_r Σ A_rᵀ + W, with W = σ²dt·I on 
 z block, found by Smith doubling. The stationary E‖x − x*‖² is then tr Σ_zz,
 a metric both dynamics share (V is map-weighted for epismd). On every case
 epismd's is a little below eismd's, so the preconditioner moves the time to
-the noise floor, not the floor.
+the noise floor, not the floor. A seeded simulation of epismd on the stiff
+barbell at s = 1 settles at that floor.
 """
 
 from types import SimpleNamespace
@@ -29,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dismd import harness
+from dismd import dynamics, harness, oracle
 from dismd.config import load_config
 from dismd.graphs import Topology, build_graph, spectra
 from dismd.mirror_maps import EuclideanMap, RegularizedDualHessian
@@ -72,6 +73,13 @@ FLOORS = {
     (15.0, 12): (0.654, 0.614),
     (100.0, 12): (0.45, 0.435),
 }
+# the simulated floor: epismd on the stiff barbell at s = 1 from x = 0, one
+# seeded replica each, ||x - x*||^2 recorded every SIM_EVERY steps and averaged
+# over the second half of SIM_STEPS
+SIM_CASE = ("stiff", 1.0)
+SIM_SEEDS = range(100, 108)
+SIM_STEPS = 10_000
+SIM_EVERY = 10
 # content_hash() of the stiff barbell at each scale
 STIFF_HASHES = {
     0.1: "be1fe91406400dbfbcf26511a23442ef3204c7f7154d8c1dfbc18d1de5ba2468",
@@ -230,3 +238,31 @@ def test_each_stationary_error_equals_its_measured_value(floors, case):
 def test_the_preconditioner_does_not_raise_the_noise_floor(floors):
     for case, by_name in floors.items():
         assert by_name["epismd"][0] <= by_name["eismd"][0], case
+
+
+def test_simulated_noise_floor_matches_the_exact_one(floors):
+    problem, cluster = _problem(SIM_CASE)
+    graph = build_graph(Topology("barbell", problem.n, cluster=cluster))
+    dual = RegularizedDualHessian(spectra(graph, DUAL_BETA), problem)
+    cfg = load_config(CONFIGS / f"{STEPS['epismd']}.ini").with_values(
+        {"hyperparams.sigma": SIGMA, "hyperparams.epochs": SIM_STEPS})
+    assert cfg.hyperparams().dt == DT
+    x_star = oracle.solve_unconstrained(problem, graph).x_star
+
+    def squared_error(snaps):
+        dx = snaps.x - x_star
+        return np.einsum("bnd,bnd->b", dx, dx).tolist()
+
+    seeds = list(SIM_SEEDS)
+    outcomes = dynamics.run(
+        "epismd", problem, EuclideanMap(problem.d), graph, [cfg.hyperparams()] * len(seeds),
+        seed=seeds, dual=dual, interaction_on=cfg["algorithm"]["interaction_on"],
+        metrics_every=SIM_EVERY, recorder=[squared_error] * len(seeds),
+        x0_rows=[np.zeros((problem.n, problem.d))] * len(seeds),
+    )
+    errors = np.array(outcomes)
+    assert errors.shape == (len(seeds), SIM_STEPS // SIM_EVERY + 1)
+    tails = errors[:, errors.shape[1] // 2:].mean(axis=1)
+    se = tails.std(ddof=1) / np.sqrt(len(seeds))
+    exact = floors[SIM_CASE]["epismd"][0]
+    assert abs(tails.mean() - exact) <= 3.0 * se, (tails.mean(), se, exact)
