@@ -5,7 +5,7 @@ import importlib
 import json
 from pathlib import Path
 
-from dismd import cli
+from dismd import cli, harness
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -59,4 +59,11 @@ def test_its_list_runs_every_subcommand(tmp_path, monkeypatch):
     cmds = bytecheck.commands(tmp_path / "inputs")
     [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert {argv[0] for argv in cmds.values()} == set(sub.choices)
-    assert len(cmds) == 36
+    assert len(cmds) == 38
+
+
+def test_its_list_sweeps_a_parameter_that_prepares_each_value(monkeypatch):
+    # a batched parameter's values share one prepare; graph.beta's each run their own
+    bytecheck = _bytecheck(monkeypatch)
+    params = {param for _, param, _ in bytecheck.SWEEPS.values()}
+    assert params & set(harness.BATCHED) and params - set(harness.BATCHED)

@@ -13,12 +13,15 @@ directory of its own, with every path relative to it:
   ``perfbench/``;
 - ``run`` on each shipped config, and ``compare`` of the three desk
   configs;
-- three ``problem_a_eismd`` sweeps: ``epsilon`` over ``0.5,1,2`` (batched),
-  ``dt`` over ``0.005,0.01,2`` and ``eta`` over ``1,1e5``, the last two
-  ending in a divergence (exit 2);
+- three ``problem_a_eismd`` sweeps: ``epsilon`` over ``0.5,1,2``, ``dt``
+  over ``0.005,0.01,2`` and ``eta`` over ``1,1e5``, the last two ending in a
+  divergence (exit 2); each is a batched parameter, so its values share one
+  set-up;
+- a ``barbell_epismd`` sweep of ``graph.beta`` over ``0.5,1``, which
+  prepares each value;
 
 each at seeds 0 and 5, and then ``graph-info --out``, ``problem-gen`` and
-``oracle`` on each shipped config, so every subcommand is on the list: 36
+``oracle`` on each shipped config, so every subcommand is on the list: 38
 commands. Every output file is compared byte for byte, and so are each
 command's exit code, stdout and stderr, except that a ``manifest.json`` is
 compared as JSON without the keys in ``VOLATILE``, which hold timings. Each
@@ -45,10 +48,11 @@ BLAS_PIN = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREAD
 SEEDS = (0, 5)
 SHIPPED = ("problem_a_eismd", "problem_a_ismd", "barbell_epismd", "problem_b_simplex")
 DESK = SHIPPED[:3]
-SWEEPS = {  # name -> (parameter, values)
-    "sweep-epsilon": ("hyperparams.epsilon", "0.5,1,2"),
-    "sweep-dt": ("hyperparams.dt", "0.005,0.01,2"),
-    "sweep-eta": ("hyperparams.eta", "1,1e5"),
+SWEEPS = {  # name -> (config stem, parameter, values)
+    "sweep-epsilon": ("problem_a_eismd", "hyperparams.epsilon", "0.5,1,2"),
+    "sweep-dt": ("problem_a_eismd", "hyperparams.dt", "0.005,0.01,2"),
+    "sweep-eta": ("problem_a_eismd", "hyperparams.eta", "1,1e5"),
+    "sweep-beta": ("barbell_epismd", "graph.beta", "0.5,1"),
 }
 
 
@@ -69,8 +73,8 @@ def commands(inputs: Path) -> dict[str, list[str]]:
                   for stem in SHIPPED}
         desk = [arg for stem in DESK for arg in ("--config", f"configs/{stem}.ini")]
         seeded[f"compare-desk-{seed}"] = ["compare", *desk]
-        for name, (param, values) in SWEEPS.items():
-            seeded[f"{name}-{seed}"] = ["sweep", "--config", "configs/problem_a_eismd.ini",
+        for name, (stem, param, values) in SWEEPS.items():
+            seeded[f"{name}-{seed}"] = ["sweep", "--config", f"configs/{stem}.ini",
                                         "--param", param, "--values", values]
         cmds.update({name: [*argv, "--seed", str(seed), "--out", "out"]
                      for name, argv in seeded.items()})
