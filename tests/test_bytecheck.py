@@ -59,7 +59,7 @@ def test_its_list_runs_every_subcommand(tmp_path, monkeypatch):
     cmds = bytecheck.commands(tmp_path / "inputs")
     [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert {argv[0] for argv in cmds.values()} == set(sub.choices)
-    assert len(cmds) == 38
+    assert len(cmds) == 40
 
 
 def test_its_list_sweeps_a_parameter_that_prepares_each_value(monkeypatch):

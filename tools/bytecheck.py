@@ -17,11 +17,12 @@ directory of its own, with every path relative to it:
   over ``0.005,0.01,2`` and ``eta`` over ``1,1e5``, the last two ending in a
   divergence (exit 2); each is a batched parameter, so its values share one
   set-up;
-- a ``barbell_epismd`` sweep of ``graph.beta`` over ``0.5,1``, which
-  prepares each value;
+- two ``barbell_epismd`` sweeps: ``graph.beta`` over ``0.5,1``, which
+  prepares each value, and ``hyperparams.sigma`` over ``0.05,0.1``, the
+  preconditioned dynamics' noise in a batch of replicas;
 
 each at seeds 0 and 5, and then ``graph-info --out``, ``problem-gen`` and
-``oracle`` on each shipped config, so every subcommand is on the list: 38
+``oracle`` on each shipped config, so every subcommand is on the list: 40
 commands. Every output file is compared byte for byte, and so are each
 command's exit code, stdout and stderr, except that a ``manifest.json`` is
 compared as JSON without the keys in ``VOLATILE``, which hold timings. Each
@@ -53,6 +54,7 @@ SWEEPS = {  # name -> (config stem, parameter, values)
     "sweep-dt": ("problem_a_eismd", "hyperparams.dt", "0.005,0.01,2"),
     "sweep-eta": ("problem_a_eismd", "hyperparams.eta", "1,1e5"),
     "sweep-beta": ("barbell_epismd", "graph.beta", "0.5,1"),
+    "sweep-sigma": ("barbell_epismd", "hyperparams.sigma", "0.05,0.1"),
 }
 
 
