@@ -26,9 +26,9 @@ z), lambda itself, or lambda through the dual map. Under ``IdentityDual`` the
 preconditioned step is the exact one bit for bit.
 
 Initial conditions: lambda_0 = 0, z_0 = forward(x_0), mu_0 = 0. Noise is a
-counter-based Gaussian stream keyed by (seed, step, particle, coordinate),
-so trajectories are pure functions of (seed, config) no matter how the work
-is scheduled.
+counter-based Gaussian stream keyed by (seed, chunk of steps), drawn a chunk
+at a time, so trajectories are pure functions of (seed, config) no matter
+how the work is scheduled.
 
 A run keeps its state in one buffer: z, lambda, (EPISMD only) mu and x, in
 that order, on its leading axis, a layout that ``_views`` alone names. The
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .graphs import WeightedGraph
 from .mirror_maps import MirrorMap
@@ -119,46 +119,34 @@ class Hyperparams:
 
 
 class NoiseStream:
-    """Counter-based Gaussian increments, N(0, sigma^2 dt) per coordinate.
+    """Counter-based Gaussian increments, N(0, sigma^2 dt) per coordinate,
+    drawn a chunk of steps at a time.
 
-    Each step gets its own Philox counter block, so the (n, d) increment for
-    step k is a pure function of (seed, k, particle, coordinate) and is
-    independent of evaluation order or thread count.
+    Chunk c holds the increments of steps cK to cK + K - 1: the (K, n, d)
+    draw of a fresh ``Generator(SFC64(SeedSequence((seed, c))))``, scaled.
+    So the increment of step k is a pure function of (seed, k, particle,
+    coordinate), independent of evaluation order or thread count. K, the
+    attribute ``steps``, depends on (n, d) alone, so a replica draws the
+    same noise alone and in any batch (``_CHUNK_BYTES``).
     """
 
     def __init__(self, seed: int, n: int, d: int, sigma: float, dt: float):
+        self.seed = seed
         self.n = n
         self.d = d
+        self.steps = max(1, min(_CHUNK_STEPS, _CHUNK_BYTES // (8 * n * d)))
         self.scale = sigma * math.sqrt(dt)
-        key = SeedSequence(seed).generate_state(2, np.uint64)
-        self._gen = Generator(Philox(key=key))
-        # a fresh generator's state with an empty buffer, in plain Python ints,
-        # which the state setter reads faster than numpy arrays
-        self._counter = [0, 0, 0, 0]
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._counter, "key": key.tolist()},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
 
-    def block(self, step: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The draw of a fresh Philox at counter [0, 0, step, 0], scaled,
-        written into ``out`` (C-contiguous, (n, d)) when given.
-
-        One generator serves every step: its counter is moved to the step's
-        block and its buffer emptied, which reproduces the fresh generator's
-        output bit for bit.
-        """
-        self._counter[2] = step
-        self._gen.bit_generator.state = self._state
-        if out is None:
-            out = np.empty((self.n, self.d))
-        self._gen.standard_normal(out=out)
-        out *= self.scale
-        return out
+    def block(self, chunk: int, out: np.ndarray | None = None,
+              draw: np.ndarray | None = None) -> np.ndarray:
+        """The scaled (K, n, d) increments of chunk ``chunk``, written into
+        ``out``, of any layout, when given. ``draw``, a C-contiguous
+        (K, n, d) array, takes the unscaled draw, and is the result when
+        ``out`` is None; None allocates it."""
+        if draw is None:
+            draw = np.empty((self.steps, self.n, self.d))
+        Generator(SFC64(SeedSequence((self.seed, chunk)))).standard_normal(out=draw)
+        return np.multiply(draw, self.scale, out=draw if out is None else out)
 
 
 @dataclass
@@ -367,6 +355,13 @@ _BLOCK_BYTES = 102_400
 # thousands (6,400 at n = 2, d = 1). 128, the largest block of the shipped
 # problem shapes, bounds the records one recorder call returns.
 _BLOCK_RECORDS = 128
+# A noise chunk holds at most _CHUNK_STEPS steps and _CHUNK_BYTES: a draw's
+# per-call costs, about 10 us with the generator's seeding, spread over 64
+# steps at n = 10, d = 20 and 8 at n = d = 40. The bytes are _BLOCK_BYTES'
+# value but not that constant, which sets the snapshot blocks alone: the
+# noise is part of the output contract and their boundaries are not.
+_CHUNK_STEPS = 64
+_CHUNK_BYTES = 102_400
 # Magnitudes beyond this overflow the quadratic forms every diagnostic needs,
 # so they are treated as divergence just like non-finite values.
 _STATE_LIMIT = 1e150
@@ -407,7 +402,10 @@ class _Batch:
 
     Every batch steps with its ReplicaRates: a batch of one steps (n, d)
     views of the buffer, as a single run always has, and R > 1 replicas step
-    (R, n, d) arrays. Replicas without noise add -0.0 to z when
+    (R, n, d) arrays. A batch that draws noise holds the current chunk of
+    its replicas' increments step-major, (K, R, n, d), so each step adds a
+    contiguous slice, ``noises[k % K]``; ``refill`` draws chunk k // K at
+    step k % K == 0. Replicas without noise add -0.0 to z when
     others draw noise: x + (-0.0) is x for every x, -0.0 included, so their
     bits are those of a noise-free step.
     """
@@ -419,12 +417,15 @@ class _Batch:
         self.rates = ReplicaRates.of([r.hp for r in replicas])
         self.state = _views(buf[:, 0] if len(replicas) == 1 else buf, step, step * self.rates.dt)
         self.scratch = StepScratch(*self.state.z.shape)
-        self.noise = None
+        streams = [(row, r.noise) for row, r in enumerate(replicas) if r.noise is not None]
+        # each noisy replica's stream and its rows of the chunk
         self.draws = []
-        if any(r.noise is not None for r in replicas):
-            b = np.full(buf.shape[1:], -0.0)
-            self.noise = b[0] if len(replicas) == 1 else b
-            self.draws = [(r.noise, b[row]) for row, r in enumerate(replicas) if r.noise is not None]
+        if streams:
+            steps = streams[0][1].steps
+            self.chunk = np.full((steps, *buf.shape[1:]), -0.0)
+            self.noises = list(self.chunk[:, 0] if len(replicas) == 1 else self.chunk)
+            self.draws = [(noise, self.chunk[:, row]) for row, noise in streams]
+            self.drawn = np.empty((steps, *buf.shape[2:]))  # the draw every stream shares
         size = min(n_records, _BLOCK_RECORDS, max(1, _BLOCK_BYTES // buf[0].nbytes))
         self.block = np.empty((len(buf), len(replicas), size, *buf.shape[2:]))
         self.steps = np.empty(size, dtype=np.int64)
@@ -433,6 +434,11 @@ class _Batch:
         self.snaps = [_views(self.block[:, row], self.steps, self.ts[row])
                       for row in range(len(replicas))]
         self.filled = 0
+
+    def refill(self, chunk: int) -> None:
+        """Draw chunk ``chunk`` of each noisy replica into its rows."""
+        for noise, rows in self.draws:
+            noise.block(chunk, out=rows, draw=self.drawn)
 
     def take(self) -> None:
         """Copy the state into the next snapshot of each replica."""
@@ -452,13 +458,16 @@ class _Batch:
                 r.records.extend(r.recorder(snaps[:filled]))
 
     def without(self, rows) -> "_Batch":
-        """The batch of the other replicas, with their current state; call
-        after ``flush``."""
+        """The batch of the other replicas, with their current state and the
+        rest of their current noise chunk; call after ``flush``."""
         keep = [row for row in range(len(self.replicas)) if row not in rows]
         # indexing the replica axis need not give a C-contiguous array, and
         # the guard's flat view of the buffer needs one
         buf = np.ascontiguousarray(self.buf[:, keep])
-        return _Batch([self.replicas[row] for row in keep], buf, self.state.step, self.n_records)
+        batch = _Batch([self.replicas[row] for row in keep], buf, self.state.step, self.n_records)
+        if batch.draws:
+            batch.chunk[...] = self.chunk[:, keep]
+        return batch
 
 
 def _bound_step(algorithm, problem, mmap, graph, dual, interaction_on):
@@ -572,10 +581,14 @@ def run(
 
     batch.take()
     for k in range(epochs):
-        for noise, out in batch.draws:
-            noise.block(k, out=out)
+        noise = None
+        if batch.draws:
+            chunk, at = divmod(k, len(batch.noises))
+            if at == 0:
+                batch.refill(chunk)
+            noise = batch.noises[at]
         state = batch.state
-        step(state, hp=batch.rates, noise=batch.noise, out=state, scratch=batch.scratch)
+        step(state, hp=batch.rates, noise=noise, out=state, scratch=batch.scratch)
         flat = batch.flat
         if not np.vdot(flat, flat) <= _FAST_SUM_LIMIT:
             errors = {}

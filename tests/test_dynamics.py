@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import SFC64, Generator, SeedSequence
 
 from dismd import dynamics
 from dismd.dynamics import (
@@ -55,25 +55,33 @@ def test_run_rejects_x0_rows_of_the_wrong_shape():
 def test_noise_stream_is_counter_keyed():
     a = NoiseStream(seed=42, n=3, d=2, sigma=0.5, dt=0.01)
     b = NoiseStream(seed=42, n=3, d=2, sigma=0.5, dt=0.01)
-    # same (seed, step) gives identical blocks no matter the query order
-    blocks_a = [a.block(k) for k in (5, 0, 17)]
-    blocks_b = [b.block(k) for k in (17, 5, 0)]
-    assert np.array_equal(blocks_a[0], blocks_b[1])
-    assert np.array_equal(blocks_a[1], blocks_b[2])
-    assert np.array_equal(blocks_a[2], blocks_b[0])
+    # same (seed, chunk) gives identical chunks no matter the query order
+    chunks_a = [a.block(c) for c in (5, 0, 17)]
+    chunks_b = [b.block(c) for c in (17, 5, 0)]
+    assert np.array_equal(chunks_a[0], chunks_b[1])
+    assert np.array_equal(chunks_a[1], chunks_b[2])
+    assert np.array_equal(chunks_a[2], chunks_b[0])
     assert not np.array_equal(a.block(0), a.block(1))
     assert not np.array_equal(a.block(0), NoiseStream(43, 3, 2, 0.5, 0.01).block(0))
 
 
-def test_noise_stream_block_equals_fresh_philox_per_step():
-    seed, n, d = 2024, 4, 3
-    ns = NoiseStream(seed=seed, n=n, d=d, sigma=1.0, dt=1.0)
-    key = SeedSequence(seed).generate_state(2, np.uint64)
-    steps = [0, 1, 7, 12345, 2**40, 2**40 + 1, 99, 3]
-    np.random.default_rng(5).shuffle(steps)
-    for k in steps:
-        fresh = Generator(Philox(counter=[0, 0, k, 0], key=key)).standard_normal((n, d))
-        assert np.array_equal(ns.block(k), fresh), k
+@pytest.mark.parametrize("n, d, steps", [(4, 3, 64), (10, 20, 64), (40, 40, 8), (400, 40, 1)])
+def test_noise_stream_chunk_equals_fresh_sfc64_per_chunk(n, d, steps):
+    seed = 2024
+    ns = NoiseStream(seed=seed, n=n, d=d, sigma=0.3, dt=0.04)
+    assert ns.steps == steps
+    chunks = [0, 1, 7, 12345, 2**40, 2**40 + 1, 99, 3]
+    np.random.default_rng(5).shuffle(chunks)
+    drawn = np.empty((steps, n, d))
+    for c in chunks:
+        fresh = Generator(SFC64(SeedSequence((seed, c)))).standard_normal((steps, n, d))
+        want = fresh * (0.3 * np.sqrt(0.04))
+        assert np.array_equal(ns.block(c), want), c
+        # written into a strided out through a shared draw, the same bits
+        out = np.zeros((steps, 2, n, d))
+        rows = out[:, 1]
+        assert ns.block(c, out=rows, draw=drawn) is rows
+        assert np.array_equal(rows, want) and not out[:, 0].any(), c
 
 
 def test_noise_stream_moments():

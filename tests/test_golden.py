@@ -6,7 +6,9 @@ Each case runs a shipped config, cut to a short horizon, through
 hash recorded for artifact version 0.7.0, whose x*-centred V1 changed V1,
 bregman_to_opt and V of every euclidean case in their last bits; the two
 simplex hashes are those of 0.6.0, since the entropy map keeps its KL form
-of V1 and every other column kept its bits. A change that
+of V1 and every other column kept its bits. The hashes of runs with
+sigma > 0 are those of 0.8.0, which draws the noise a chunk of steps at a
+time from another generator. A change that
 alters any diagnostic in any digit fails here; such a change must bump
 ``artifact_version`` and record new hashes. The manifest's ``constants``
 and ``oracle`` blocks are compared, as parsed JSON, with values recorded
@@ -48,7 +50,7 @@ GOLDEN = {
     ("problem_b_simplex", None):
         "7a5769d4440da1cce637927f0b18a10dc007073d52c3bbc01c0894574a2b9119",
     ("problem_a_eismd", 0.1):
-        "620e6321979c3a20b82db31ce0eecbf73f3a30ae18cb584073c9f7edc6e4df5c",
+        "b95b479393e0c67e0da2f6f1886fcc76936eeff19a70dce96d19adea2efbb3a2",
 }
 
 
@@ -65,15 +67,15 @@ GOLDEN_OVERRIDES = {
     ("problem_b_simplex", "algorithm.interaction_on", "z"):
         "7711d1e68760fef683fea3d75fad728df9ea91c64bad453af982a57e4d23a84c",
     ("problem_a_ismd", "hyperparams.sigma", 0.1):
-        "2864fd1dd4a064c476da684f5987eaceea276ecf7f1de21ba556d9527d410977",
+        "313e3802debd73b84ef3f6198cd77605f91ac5b35c533a98b6f7b1e440f1400e",
     ("barbell_epismd", "hyperparams.sigma", 0.1):
-        "d417e60bf5d79fd69077b079f6d023fa48d5af9928b180b0c5585c82e24b1740",
+        "01f7d7868246158afc1fd2731de38d7c474b68f7e16549b9a00e8c4e18b232a4",
 }
 
 
 def _metrics_digest(out_dir, stem: str, overrides: dict) -> str:
     """SHA-256 of metrics.csv of a shipped config cut to 2,000 epochs."""
-    assert __version__ == "0.7.0", "a new artifact version needs new golden hashes"
+    assert __version__ == "0.8.0", "a new artifact version needs new golden hashes"
     metrics_path, _ = harness.cmd_run(shipped_config(stem, overrides), out_dir)
     return hashlib.sha256(metrics_path.read_bytes()).hexdigest()
 
@@ -117,11 +119,11 @@ GOLDEN_SWEEPS = {
         "sigma_0/metrics.csv":
             "ec694f5c77d0d467dd45ad776cde374360f677b435998a7d86021a4c449eae42",
         "sigma_0.05/metrics.csv":
-            "474f884a62d6900ccaecb1eb1dd75ecf41b32400b299393dbfeb5e15c723d02f",
+            "284caaa0ab24c8e25607e70271b0475ed821a6e9a2de7ccdeafa23d186a5326e",
         "sigma_0.1/metrics.csv":
-            "792fbb180d5ccc1aa543e9c7ec923fe23e105b807ba1afe36e26db24acf8502c",
+            "b599f2bf1f8269d92a13cc222750d5c4b0f3b4f8b1f70bfc82a35c82d196a0e5",
         "summary.csv":
-            "81ed5ef9541f7879168c5843ecb8cac5b331cd35911231f73d33bd3d150c966d",
+            "898b7bb42a6a54348c82af3f550c6a581e86c3c23dcce52cae8b5f1be9d0f891",
     }),
     ((), "hyperparams.eta", ("1", "1e5", "3")): (("eta_1e5", 54, "z", 0, 9), {
         "eta_1/metrics.csv":
@@ -136,24 +138,24 @@ GOLDEN_SWEEPS = {
     ((("hyperparams.sigma", 0.1),), "hyperparams.eta", ("1", "1e5", "3")): (
         ("eta_1e5", 54, "z", 0, 9), {
             "eta_1/metrics.csv":
-                "620e6321979c3a20b82db31ce0eecbf73f3a30ae18cb584073c9f7edc6e4df5c",
+                "b95b479393e0c67e0da2f6f1886fcc76936eeff19a70dce96d19adea2efbb3a2",
             "eta_1e5/metrics.csv":
-                "7b44c84d614f3e899881ac581179b4976185a511704e2a60a52a59b31ce7bea3",
+                "a1353c3694825e37bd5cdf209551e3cee1515bcb6c5e11a3305887127a013042",
             "eta_3/metrics.csv":
-                "ada85cc4f6b936f77baf68ae4262c3f8177e006763e8f675e476e662e1d38081",
+                "b524b6e6bebba7d417c287817e375c6aecaef070000daaf117ea58e6059cc678",
             "summary.csv":
-                "e9c450048bba2b6cfd4112c4912265d7ecf875945ea1fa7a341e402d1eb4a97f",
+                "591b2314d57491582f3976d77b3e799e9debc28001817d49fbcd9f823de46d88",
         }),
     ((("hyperparams.sigma", 0.1),), "hyperparams.dt", ("0.005", "0.01", "2")): (
         ("dt_2", 415, "z", 0, 19), {
             "dt_0.005/metrics.csv":
-                "73ff457d460c7001d9ff5a258876e37a98ec545479505c34b08e22dc91600d4a",
+                "95a576b54cdbdfd2ce6558cb2f621d2b2e64b3db54d0516db6f0887397c82874",
             "dt_0.01/metrics.csv":
-                "63609d1bc42ada170585ad7024dbaed3ddb15b14a75b05561e250f1a4978c885",
+                "72d31cb99099bf5d5207d746aff85c4a39a28e16b3967152ab144edc9cc64a59",
             "dt_2/metrics.csv":
-                "359660a063532788da48a0b24c806263af66bd1ff0e2f480f9a73dd9ecd656d8",
+                "95d94466dcf47d3486fe27727541aad8c19c5a58978526b5a827cca5b2c17304",
             "summary.csv":
-                "1b6c1d4422fe0c797251b5ac8bcdad3b949a7abfc6362a335ac0f4691c184efb",
+                "15d51fdbc361b68129a13893297b95c2478a8001698adc8903f53e461a191e20",
         }),
 }
 
@@ -166,7 +168,7 @@ def _sweep_id(key) -> str:
 @pytest.mark.parametrize("overrides, param, values", list(GOLDEN_SWEEPS),
                          ids=[_sweep_id(key) for key in GOLDEN_SWEEPS])
 def test_sweep_csv_files_match_golden_hashes(tmp_path, overrides, param, values):
-    assert __version__ == "0.7.0", "a new artifact version needs new golden hashes"
+    assert __version__ == "0.8.0", "a new artifact version needs new golden hashes"
     want_diverged, want_files = GOLDEN_SWEEPS[(overrides, param, values)]
     cfg = shipped_config("problem_a_eismd", dict(overrides))
     diverged = None
@@ -189,12 +191,12 @@ GOLDEN_WORKLOADS = {
     },
     "noisy-sweep": {
         "sigma_0.05/metrics.csv":
-            "19d7e28af4e56e46e8e6b3c4764fad157f584b2cc683cf104257d93e2803e252",
+            "400fdba97ddeccc312a2f06d31109601972d1c1897f0840ce78d6876d5e34b8a",
         "sigma_0.1/metrics.csv":
-            "2d0b535406e949fd7fcf20a8541d245ce714e528a2d5666f8c4223b2546a66e0",
+            "152ac6d0d40c4f4c93ed3b7c035ba23ce48fd78ac07c46a104991d84a44e6298",
         "sigma_0.2/metrics.csv":
-            "67bc555291b60318e87c0fc099f8a5e0f045578f64bec65c30f514c96843afd7",
-        "summary.csv": "42483b2b4884e1d30b6b629ff5c6c57bbd4b2b824842b6028c1cc7f713bc6020",
+            "36db7e1b9d059deac62f4e57f437f5558cfa24ab9d203dbc880c6baf21aa7492",
+        "summary.csv": "493b6517831ecc7f211194eb9dc254693b2c01071d6a7512b5c123642a3b5410",
     },
     "setup-ladder40": {
         "metrics.csv": "c99b4305c8ed85c7812956d5146995d61e7d6e082b69df6ecd9377253ff67a9f",
@@ -212,7 +214,7 @@ def test_golden_workloads_cover_every_benchmark_workload(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
 def test_workload_csv_files_match_golden_hashes(tmp_path, monkeypatch, name):
-    assert __version__ == "0.7.0", "a new artifact version needs new golden hashes"
+    assert __version__ == "0.8.0", "a new artifact version needs new golden hashes"
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     workload = workloads.WORKLOADS[name]
@@ -237,7 +239,7 @@ GOLDEN_COMPARE = {
 
 @pytest.mark.parametrize("stems", list(GOLDEN_COMPARE), ids=lambda v: "-".join(v))
 def test_compare_csv_matches_golden_hash(tmp_path, stems):
-    assert __version__ == "0.7.0", "a new artifact version needs new golden hashes"
+    assert __version__ == "0.8.0", "a new artifact version needs new golden hashes"
     configs = [shipped_config(stem, {}) for stem in stems]
     csv_path = harness.cmd_compare(configs, list(stems), tmp_path)
     assert len(csv_path.read_text().splitlines()) == 1 + 3 * 201
@@ -322,7 +324,7 @@ def test_golden_manifest_covers_every_shipped_config():
 
 @pytest.mark.parametrize("stem", sorted(GOLDEN_MANIFEST))
 def test_manifest_constants_and_oracle_match_golden(tmp_path, stem):
-    assert __version__ == "0.7.0", "a new artifact version needs new golden values"
+    assert __version__ == "0.8.0", "a new artifact version needs new golden values"
     _, manifest_path = harness.cmd_run(shipped_config(stem, {}), tmp_path)
     manifest = json.loads(manifest_path.read_text())
     assert {k: manifest[k] for k in ("constants", "oracle")} == GOLDEN_MANIFEST[stem]
@@ -444,7 +446,7 @@ def _oracle_digest(opt) -> tuple:
 
 @pytest.mark.parametrize("seed", list(GOLDEN_SIMPLEX_ORACLE), ids=str)
 def test_exact_simplex_oracle_matches_golden(seed):
-    assert __version__ == "0.7.0", "a new artifact version needs new golden values"
+    assert __version__ == "0.8.0", "a new artifact version needs new golden values"
     assert _oracle_digest(solve_simplex(*_simplex_case(seed))) == GOLDEN_SIMPLEX_ORACLE[seed]
 
 

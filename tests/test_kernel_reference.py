@@ -23,6 +23,11 @@ step. The state-level check runs every golden case once through
 ``dynamics.run`` and once through ``ref_step``, and asks for equal bits in
 every state array at every record step.
 
+``RefNoiseStream`` is the noise of versions 0.1.0 to 0.7.0 behind the chunk
+API of ``dynamics.NoiseStream``: step k's increment is the draw of a fresh
+Philox at counter [0, 0, k, 0], scaled. The trajectory check patches it
+into both runs, so that its noisy cases reproduce their 0.1.0 bytes.
+
 ``ref_solve_simplex`` is the simplex oracle that versions 0.1.0 to 0.3.0
 shipped: centralized entropic mirror descent, certified to 1e-6. The
 trajectory check patches it into both runs, so that the simplex cases
@@ -37,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 from dismd import dynamics, harness, oracle
 from dismd.config import RunConfig, load_config
@@ -157,6 +163,23 @@ def ref_step(state, problem, mmap, graph, hp, noise, interaction_on, dual=None):
         z = z + noise
     k = state.step + 1
     return dynamics.ParticleSystem(z=z, x=mmap.backward(z), lam=lam, mu=mu, step=k, t=k * hp.dt)
+
+
+class RefNoiseStream(dynamics.NoiseStream):
+    """Chunks of the same shape as the shipped stream's, each step's
+    increment a fresh Philox at counter [0, 0, step, 0], scaled."""
+
+    def __init__(self, seed, n, d, sigma, dt):
+        super().__init__(seed, n, d, sigma, dt)
+        self.key = SeedSequence(seed).generate_state(2, np.uint64)
+
+    def block(self, chunk, out=None, draw=None):
+        if out is None:
+            out = np.empty((self.steps, self.n, self.d))
+        for at in range(self.steps):
+            philox = Philox(counter=[0, 0, chunk * self.steps + at, 0], key=self.key)
+            out[at] = Generator(philox).standard_normal((self.n, self.d)) * self.scale
+        return out
 
 
 def ref_solve_simplex(problem, graph, tol=1e-10):
@@ -307,6 +330,7 @@ def _columns(csv_bytes: bytes) -> np.ndarray:
 )
 def test_trajectory_matches_einsum_references(tmp_path, monkeypatch, stem, overrides, digest_010):
     monkeypatch.setattr(oracle, "solve_simplex", ref_solve_simplex)
+    monkeypatch.setattr(dynamics, "NoiseStream", RefNoiseStream)  # draws only where sigma > 0
     shipped = _columns(_metrics(tmp_path / "shipped", stem, overrides))
     monkeypatch.setattr(DistributedProblem, "grads", ref_grads)
     monkeypatch.setattr(MetricsRecorder, "__call__", ref_block_record)
@@ -337,7 +361,7 @@ def _ref_states(cfg, setup):
     interaction_on = None if a["name"] == "ismd" else a["interaction_on"]
     states = [state]
     for k in range(hp.epochs):
-        b = None if noise is None else noise.block(k)
+        b = None if noise is None else noise.block(k // noise.steps)[k % noise.steps]
         state = ref_step(state, setup.problem, setup.mmap, setup.graph, hp, b,
                          interaction_on, setup.dual)
         if state.step % every == 0 or state.step == hp.epochs:
@@ -378,7 +402,8 @@ def test_entry_point_without_out_leaves_its_input_untouched(stem):
     name, hp = cfg["algorithm"]["name"], cfg.hyperparams()
     state = _ref_states(cfg, setup)[3]
     before = state.copy()
-    noise = dynamics.NoiseStream(5, setup.problem.n, setup.problem.d, hp.sigma, hp.dt).block(7)
+    stream = dynamics.NoiseStream(5, setup.problem.n, setup.problem.d, hp.sigma, hp.dt)
+    noise = stream.block(7 // stream.steps)[7 % stream.steps]
     args = (state, setup.problem, setup.mmap, setup.graph, hp, noise)
     if name == "ismd":
         got = dynamics.ismd_step(*args)
