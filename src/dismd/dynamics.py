@@ -417,15 +417,15 @@ class _Batch:
         self.rates = ReplicaRates.of([r.hp for r in replicas])
         self.state = _views(buf[:, 0] if len(replicas) == 1 else buf, step, step * self.rates.dt)
         self.scratch = StepScratch(*self.state.z.shape)
-        streams = [(row, r.noise) for row, r in enumerate(replicas) if r.noise is not None]
         # each noisy replica's stream and its rows of the chunk
         self.draws = []
+        streams = [(row, r.noise) for row, r in enumerate(replicas) if r.noise is not None]
         if streams:
-            steps = streams[0][1].steps
-            self.chunk = np.full((steps, *buf.shape[1:]), -0.0)
+            chunk_steps = streams[0][1].steps
+            self.chunk = np.full((chunk_steps, *buf.shape[1:]), -0.0)
             self.noises = list(self.chunk[:, 0] if len(replicas) == 1 else self.chunk)
             self.draws = [(noise, self.chunk[:, row]) for row, noise in streams]
-            self.drawn = np.empty((steps, *buf.shape[2:]))  # the draw every stream shares
+            self.drawn = np.empty((chunk_steps, *buf.shape[2:]))  # the draw every stream shares
         size = min(n_records, _BLOCK_RECORDS, max(1, _BLOCK_BYTES // buf[0].nbytes))
         self.block = np.empty((len(buf), len(replicas), size, *buf.shape[2:]))
         self.steps = np.empty(size, dtype=np.int64)

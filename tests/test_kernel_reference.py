@@ -330,7 +330,8 @@ def _columns(csv_bytes: bytes) -> np.ndarray:
 )
 def test_trajectory_matches_einsum_references(tmp_path, monkeypatch, stem, overrides, digest_010):
     monkeypatch.setattr(oracle, "solve_simplex", ref_solve_simplex)
-    monkeypatch.setattr(dynamics, "NoiseStream", RefNoiseStream)  # draws only where sigma > 0
+    # the noise of 0.1.0 in both runs; a run with sigma = 0 builds no stream
+    monkeypatch.setattr(dynamics, "NoiseStream", RefNoiseStream)
     shipped = _columns(_metrics(tmp_path / "shipped", stem, overrides))
     monkeypatch.setattr(DistributedProblem, "grads", ref_grads)
     monkeypatch.setattr(MetricsRecorder, "__call__", ref_block_record)
